@@ -5,8 +5,8 @@
 //
 //	go test -bench=. -benchmem
 //
-// Full-scale experiment output comes from cmd/alayabench; see
-// EXPERIMENTS.md for the paper-vs-measured record.
+// Full-scale experiment output comes from cmd/alayabench; end-to-end
+// serving performance is measured by benchmark/ (see benchmark/README.md).
 package repro
 
 import (
@@ -51,7 +51,7 @@ func runExperiment(b *testing.B, name string) {
 	}
 }
 
-// --- One benchmark per paper artefact (Experiments E1..E11, DESIGN.md §3) ---
+// --- One benchmark per paper artefact (§9 of the paper) ---
 
 func BenchmarkFig5HeadVariance(b *testing.B)   { runExperiment(b, "fig5") }
 func BenchmarkTable3TaskK(b *testing.B)        { runExperiment(b, "table3") }
@@ -63,37 +63,6 @@ func BenchmarkFig11IndexBuild(b *testing.B)    { runExperiment(b, "fig11") }
 func BenchmarkFig12FilteredDIPRS(b *testing.B) { runExperiment(b, "fig12") }
 func BenchmarkTable4IndexTypes(b *testing.B)   { runExperiment(b, "table4") }
 func BenchmarkWindowCacheHitRate(b *testing.B) { runExperiment(b, "window") }
-
-// --- Concurrent serving (PR 1 tentpole): aggregate decode throughput ---
-
-// benchConcurrentDecode reports aggregate decode tokens/sec for 8 parallel
-// sessions under the chosen locking discipline; compare the GlobalMutex and
-// Sharded variants to see the registry refactor's effect.
-func benchConcurrentDecode(b *testing.B, globalLock bool) {
-	b.Helper()
-	s := benchScale()
-	var tps float64
-	for i := 0; i < b.N; i++ {
-		var err error
-		tps, err = bench.MeasureConcurrent(s, bench.ConcurrentOptions{
-			Sessions:        8,
-			StepsPerSession: 8,
-			GlobalLock:      globalLock,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(tps, "tokens/sec")
-}
-
-func BenchmarkConcurrentDecode8GlobalMutex(b *testing.B) { benchConcurrentDecode(b, true) }
-func BenchmarkConcurrentDecode8Sharded(b *testing.B)     { benchConcurrentDecode(b, false) }
-func BenchmarkConcurrentServingSweep(b *testing.B)       { runExperiment(b, "concurrent") }
-
-// --- Zero-allocation decode (PR 2 tentpole): allocs/op per decode token ---
-
-func BenchmarkAllocSweep(b *testing.B) { runExperiment(b, "alloc") }
 
 // benchDecodeSession builds the steady-state decode setting (full reuse,
 // DIPR plans, serial pool) and returns per-layer query sets.
@@ -134,22 +103,6 @@ func benchDecodeSession(b *testing.B) (*core.DB, *core.Session, [][][]float32) {
 		}
 	}
 	return db, sess, qs
-}
-
-// BenchmarkDecodeTokenLegacy is the pre-arena allocating decode step
-// (fresh working buffers per head per call): compare its allocs/op against
-// BenchmarkDecodeTokenScratch to see the arena refactor.
-func BenchmarkDecodeTokenLegacy(b *testing.B) {
-	db, sess, qs := benchDecodeSession(b)
-	defer db.Close()
-	defer sess.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for l := range qs {
-			sess.AttentionAllLegacy(l, qs[l])
-		}
-	}
 }
 
 // BenchmarkDecodeTokenScratch is the pooled-arena decode step; steady state

@@ -8,12 +8,13 @@
 //	alayabench -exp all -context 8192 -trials 5
 //
 // Every experiment prints a textual table mirroring the paper artefact it
-// reproduces, plus a note recalling the paper's reported shape. See
-// EXPERIMENTS.md for the paper-vs-measured record.
+// reproduces, plus a note recalling the paper's reported shape. Serving
+// performance is measured by the benchmark instead:
+//
+//	sh benchmark/run.sh --workload <name> --seed <n>
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -34,7 +35,6 @@ func main() {
 		layers  = flag.Int("layers", 4, "model layers")
 		qheads  = flag.Int("qheads", 8, "query heads per layer")
 		kvheads = flag.Int("kvheads", 2, "kv heads per layer (GQA groups)")
-		jsonOut = flag.String("json", "", "with -exp alloc, tiered, quant, serving, serving-grpc, batching, prefix, ctxpar, or cluster: also write the machine-readable report to this file")
 	)
 	flag.Parse()
 
@@ -59,86 +59,6 @@ func main() {
 		Workers:    *workers,
 		Seed:       *seed,
 		Model:      cfg,
-	}
-
-	if *jsonOut != "" {
-		var data interface{}
-		var err error
-		switch *exp {
-		case "alloc":
-			var d *bench.AllocReportData
-			if d, err = bench.AllocReport(scale); err == nil {
-				bench.WriteAllocTable(d, os.Stdout)
-				data = d
-			}
-		case "tiered":
-			var d *bench.TieredReportData
-			if d, err = bench.TieredReport(scale); err == nil {
-				bench.WriteTieredTable(d, os.Stdout)
-				data = d
-			}
-		case "quant":
-			var d *bench.QuantReportData
-			if d, err = bench.QuantReport(scale); err == nil {
-				bench.WriteQuantTable(d, os.Stdout)
-				data = d
-			}
-		case "serving":
-			var d *bench.ServingReportData
-			if d, err = bench.ServingReport(scale); err == nil {
-				bench.WriteServingTable(d, os.Stdout)
-				data = d
-			}
-		case "serving-grpc":
-			var d *bench.GRPCServingReportData
-			if d, err = bench.GRPCServingReport(scale); err == nil {
-				bench.WriteGRPCServingTable(d, os.Stdout)
-				data = d
-			}
-		case "batching":
-			var d *bench.BatchingReportData
-			if d, err = bench.BatchingReport(scale); err == nil {
-				bench.WriteBatchingTable(d, os.Stdout)
-				data = d
-			}
-		case "prefix":
-			var d *bench.PrefixReportData
-			if d, err = bench.PrefixReport(scale); err == nil {
-				bench.WritePrefixTable(d, os.Stdout)
-				data = d
-			}
-		case "ctxpar":
-			var d *bench.CtxParReportData
-			if d, err = bench.CtxParReport(scale); err == nil {
-				bench.WriteCtxParTable(d, os.Stdout)
-				data = d
-			}
-		case "cluster":
-			var d *bench.ClusterReportData
-			if d, err = bench.ClusterReport(scale); err == nil {
-				bench.WriteClusterTable(d, os.Stdout)
-				data = d
-			}
-		default:
-			fmt.Fprintln(os.Stderr, "alayabench: -json is only supported with -exp alloc, tiered, quant, serving, serving-grpc, batching, prefix, ctxpar, or cluster")
-			os.Exit(2)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "alayabench: %s: %v\n", *exp, err)
-			os.Exit(1)
-		}
-		blob, err := json.MarshalIndent(data, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "alayabench: encoding report: %v\n", err)
-			os.Exit(1)
-		}
-		blob = append(blob, '\n')
-		if err := os.WriteFile(*jsonOut, blob, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "alayabench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("\n[wrote %s]\n", *jsonOut)
-		return
 	}
 
 	names := []string{*exp}

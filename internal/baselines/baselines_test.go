@@ -2,6 +2,7 @@ package baselines
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/attention"
 	"repro/internal/devmem"
@@ -148,8 +149,17 @@ func TestPrefillTTFTScalesQuadratically(t *testing.T) {
 	p := &Prefill{Model: m, Stride: 8}
 	short := model.NewFiller(11, 256, 32, 32)
 	long := model.NewFiller(12, 1024, 32, 32)
-	tShort := p.TTFT(short)
-	tLong := p.TTFT(long)
+	// One wall-clock run is at the mercy of whatever else shares the CPU;
+	// the minimum of several is the stable estimate of the work itself.
+	minTTFT := func(doc *model.Document) time.Duration {
+		best := p.TTFT(doc)
+		for i := 1; i < 5; i++ {
+			best = min(best, p.TTFT(doc))
+		}
+		return best
+	}
+	tShort := minTTFT(short)
+	tLong := minTTFT(long)
 	if tShort <= 0 || tLong <= 0 {
 		t.Fatalf("non-positive TTFT: %v, %v", tShort, tLong)
 	}

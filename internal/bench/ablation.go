@@ -19,7 +19,7 @@ func init() {
 	register("ablation", "design-choice ablations: GQA sharing, bridge edges, window seed, l0 capacity, buffer policy", runAblation)
 }
 
-// runAblation measures the design choices DESIGN.md §4 calls out:
+// runAblation measures the design choices the paper argues for:
 //
 //	A1  GQA index sharing: recall loss of one-graph-per-group vs
 //	    one-graph-per-head (paper §7.2: ≤3%).

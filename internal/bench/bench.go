@@ -1,7 +1,8 @@
 // Package bench is the experiment harness: one runner per table and figure
 // of the paper's evaluation (§9), each regenerating the artefact's rows or
-// series at a configurable scale. See DESIGN.md §3 for the experiment
-// index and EXPERIMENTS.md for paper-vs-measured results.
+// series at a configurable scale. `alayabench -list` prints the index.
+// Serving performance is not measured here but by benchmark/ (see
+// benchmark/README.md).
 package bench
 
 import (

@@ -25,7 +25,7 @@ func tinyScale() Scale {
 }
 
 func TestRegistryComplete(t *testing.T) {
-	want := []string{"ablation", "alloc", "batching", "cluster", "concurrent", "ctxpar", "fig10", "fig11", "fig12", "fig5", "fig6", "fig9", "prefix", "quant", "serving", "serving-grpc", "table3", "table4", "table5", "tiered", "window"}
+	want := []string{"ablation", "fig10", "fig11", "fig12", "fig5", "fig6", "fig9", "table3", "table4", "table5", "window"}
 	got := Names()
 	if len(got) != len(want) {
 		t.Fatalf("registered experiments = %v, want %v", got, want)
@@ -69,22 +69,6 @@ func TestAllExperimentsRunAtTinyScale(t *testing.T) {
 				t.Fatalf("%s produced no table", name)
 			}
 		})
-	}
-}
-
-// TestMeasureConcurrent checks the throughput probe itself: both locking
-// modes must complete the same token budget and report a positive rate.
-func TestMeasureConcurrent(t *testing.T) {
-	s := tinyScale()
-	s.ContextLen = 512
-	for _, global := range []bool{true, false} {
-		tps, err := MeasureConcurrent(s, ConcurrentOptions{Sessions: 2, StepsPerSession: 2, GlobalLock: global})
-		if err != nil {
-			t.Fatalf("global=%v: %v", global, err)
-		}
-		if tps <= 0 {
-			t.Fatalf("global=%v: non-positive throughput %f", global, tps)
-		}
 	}
 }
 

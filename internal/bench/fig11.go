@@ -22,7 +22,7 @@ func init() {
 //	CPU:       one index per query head, serial kNN (the
 //	           RetrievalAttention baseline).
 //	GPU:       one index per query head, kNN tiled across all cores (the
-//	           cuVS-offload substitute; see DESIGN.md §1).
+//	           CPU-only stand-in for the paper's cuVS GPU offload).
 //	GPU+share: parallel kNN plus one index per kv-head group, trained on
 //	           queries sampled across the group (§7.2).
 //

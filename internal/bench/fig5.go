@@ -41,8 +41,8 @@ func runFig5(s Scale, w io.Writer) error {
 				FocusTopics: inst.Question, ContextLen: s.ContextLen})
 			weights := attention.Weights(q, cache.Keys(l, kv))
 			// The substrate's flat attention tail inflates the 90% target
-			// uniformly (see EXPERIMENTS.md); the 50% column shows the
-			// per-head concentration spread the paper's figure is about.
+			// uniformly; the 50% column shows the per-head concentration
+			// spread the paper's figure is about.
 			need50 := attention.TokensForRecovery(weights, 0.5)
 			need90 := attention.TokensForRecovery(weights, 0.9)
 

@@ -384,19 +384,6 @@ func (s *Session) AttentionAllInto(layer int, qs [][]float32, out []AttentionRes
 		})
 }
 
-// AttentionAllLegacy computes AttentionAll the way the pre-arena code did:
-// every working buffer — scratch arenas, search state, dedup set, result
-// slices — is freshly allocated per head instead of drawn from the decode
-// state pool. It is the baseline the alloc benchmarks compare the arena
-// path against; decode loops use AttentionAllInto.
-func (s *Session) AttentionAllLegacy(layer int, qs [][]float32) []AttentionResult {
-	out := make([]AttentionResult, len(qs))
-	for h := range qs {
-		s.attentionInto(new(decodeState), layer, h, qs[h], &out[h])
-	}
-	return out
-}
-
 // attentionInto plans and executes one head's attention through ds's
 // arenas, writing the result into *res.
 func (s *Session) attentionInto(ds *decodeState, layer, qHead int, q []float32, res *AttentionResult) {

@@ -1,5 +1,5 @@
 // Package model implements the synthetic decoder-only transformer substrate
-// that stands in for the paper's Llama-3-8B-Instruct-262k (see DESIGN.md §1).
+// that stands in for the paper's Llama-3-8B-Instruct-262k.
 //
 // The substrate does not run matrix-multiply forward passes. Instead it
 // synthesizes the quantities that sparse attention actually interacts with —

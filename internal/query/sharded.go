@@ -17,7 +17,7 @@ import (
 // scores DIPRS already reports, so no candidate any shard surfaced is lost
 // to sharding; what can change versus a monolithic graph is only which
 // nodes the (approximate) traversals visit — the same recall caveat a
-// single graph already carries, pinned empirically in the ctxpar bench.
+// single graph already carries, pinned by TestDIPRSShardsRecallVsExact.
 
 // ShardedState is the reusable working set of a sharded DIPRS probe: one
 // SearchState per shard (each serves exactly one goroutine of the fan-out),

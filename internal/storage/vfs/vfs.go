@@ -6,9 +6,8 @@
 // the file.
 //
 // The paper builds this on SPDK to bypass the kernel; here ordinary files
-// stand in (see DESIGN.md §1) — the layout properties the paper exploits
-// are preserved, the kernel bypass is not reproducible in a portable Go
-// library.
+// stand in — the layout properties the paper exploits are preserved, the
+// kernel bypass is not reproducible in a portable Go library.
 //
 // File layout:
 //

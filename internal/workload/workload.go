@@ -1,6 +1,6 @@
 // Package workload generates the synthetic long-context task suites that
-// stand in for ∞-Bench [67] and LongBench [23] (see DESIGN.md §1). Every
-// task plants a ground-truth critical-token set into a filler document:
+// stand in for ∞-Bench [67] and LongBench [23]. Every task plants a
+// ground-truth critical-token set into a filler document:
 // the set's size, salience, dispersion and placement reproduce the task
 // family's critical-token profile, which is what the paper's evaluation
 // actually measures (Observation II / Table 3: different tasks need very

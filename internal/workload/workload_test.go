@@ -203,8 +203,8 @@ func TestEvaluateOracleSparseSolvesTasks(t *testing.T) {
 			t.Errorf("%s: oracle sparse decoded wrong answer", name)
 		}
 		// Absolute recovery is depressed by the substrate's heavier flat
-		// attention tail (see DESIGN.md); what must hold is a clear margin
-		// over window-only attention (tested above) and a sane floor here.
+		// attention tail; what must hold is a clear margin over
+		// window-only attention (tested above) and a sane floor here.
 		if out.Recovery < 0.25 {
 			t.Errorf("%s: oracle sparse recovery = %v, want >= 0.25", name, out.Recovery)
 		}

@@ -1,6 +1,6 @@
 // Package alayaclient is the public Go SDK for AlayaDB's attention
 // service: the typed, tested definition of the wire protocol that
-// cmd/alayactl, the examples and the serving benchmarks all consume.
+// cmd/alayactl, the examples and the benchmark/ workloads all consume.
 //
 // A Client connects an inference engine to a running alayad:
 //
@@ -21,10 +21,7 @@
 // N while the service decodes step N+1.
 //
 // Every method takes a context.Context as its first argument and honors
-// cancellation, including mid-stream. The previous release's
-// context-free signatures survive as thin deprecated wrappers (the
-// Legacy-suffixed methods, Session.Close, New and WithJSON) for one
-// release.
+// cancellation, including mid-stream.
 //
 // By default tensor-heavy calls use the binary frame codec
 // (application/x-alaya-frame; see internal/serve for the wire layout) and
@@ -132,11 +129,6 @@ func WithJSONWire() Option {
 	return func(c *Client) { c.forceJSON.Store(true) }
 }
 
-// WithJSON forces the JSON codec.
-//
-// Deprecated: renamed WithJSONWire.
-func WithJSON() Option { return WithJSONWire() }
-
 // NewClient builds a client from functional options. WithBaseURL is
 // required. The default HTTP client keeps a generous idle-connection
 // pool per host so concurrent decode loops reuse connections instead of
@@ -158,19 +150,6 @@ func NewClient(opts ...Option) (*Client, error) {
 		c.hc = &http.Client{Transport: tr}
 	}
 	return c, nil
-}
-
-// New returns a client for the daemon at base.
-//
-// Deprecated: use NewClient(WithBaseURL(base), opts...).
-func New(base string, opts ...Option) *Client {
-	c, err := NewClient(append([]Option{WithBaseURL(base)}, opts...)...)
-	if err != nil {
-		// Unreachable: WithBaseURL is always supplied (an empty base
-		// fails on first use, as it always did).
-		c = &Client{base: strings.TrimRight(base, "/"), hc: http.DefaultClient}
-	}
-	return c
 }
 
 // send issues one request and returns the response with its body open.
@@ -423,76 +402,3 @@ func (s *Session) CloseSession(ctx context.Context) error {
 	}
 	return s.c.do(ctx, http.MethodDelete, s.path(""), "", nil, "", nil)
 }
-
-// --- deprecated context-free wrappers (one release) ---
-
-// HealthzLegacy is Healthz without a context.
-//
-// Deprecated: use Healthz(ctx).
-func (c *Client) HealthzLegacy() (HealthzResponse, error) { return c.Healthz(context.Background()) }
-
-// StatsLegacy is Stats without a context.
-//
-// Deprecated: use Stats(ctx).
-func (c *Client) StatsLegacy() (StatsResponse, error) { return c.Stats(context.Background()) }
-
-// CreateSessionLegacy is CreateSession without a context.
-//
-// Deprecated: use CreateSession(ctx, doc).
-func (c *Client) CreateSessionLegacy(doc *Document) (*Session, error) {
-	return c.CreateSession(context.Background(), doc)
-}
-
-// PrefillLegacy is Prefill without a context.
-//
-// Deprecated: use Prefill(ctx).
-func (s *Session) PrefillLegacy() (serve.PrefillResponse, error) {
-	return s.Prefill(context.Background())
-}
-
-// UpdateLegacy is Update without a context.
-//
-// Deprecated: use Update(ctx, tok).
-func (s *Session) UpdateLegacy(tok Token) (serve.UpdateResponse, error) {
-	return s.Update(context.Background(), tok)
-}
-
-// AttentionLegacy is Attention without a context.
-//
-// Deprecated: use Attention(ctx, layer, qHead, query).
-func (s *Session) AttentionLegacy(layer, qHead int, query []float32) (AttentionResponse, error) {
-	return s.Attention(context.Background(), layer, qHead, query)
-}
-
-// AttentionAllLegacy is AttentionAll without a context.
-//
-// Deprecated: use AttentionAll(ctx, layer, queries).
-func (s *Session) AttentionAllLegacy(layer int, queries [][]float32) (AttentionAllResponse, error) {
-	return s.AttentionAll(context.Background(), layer, queries)
-}
-
-// StepLegacy is Step without a context.
-//
-// Deprecated: use Step(ctx, tok, queries).
-func (s *Session) StepLegacy(tok Token, queries [][][]float32) (StepResponse, error) {
-	return s.Step(context.Background(), tok, queries)
-}
-
-// StepsLegacy is Steps without a context.
-//
-// Deprecated: use Steps(ctx, steps).
-func (s *Session) StepsLegacy(steps []StepRequest) ([]StepResponse, error) {
-	return s.Steps(context.Background(), steps)
-}
-
-// StoreLegacy is Store without a context.
-//
-// Deprecated: use Store(ctx).
-func (s *Session) StoreLegacy() (serve.StoreResponse, error) {
-	return s.Store(context.Background())
-}
-
-// Close closes the session server-side.
-//
-// Deprecated: use CloseSession(ctx).
-func (s *Session) Close() error { return s.CloseSession(context.Background()) }

@@ -373,3 +373,15 @@ func TestConcurrentStepHammer(t *testing.T) {
 		t.Fatalf("step requests = %d, want %d", stepReqs, sessions*2*stepsPer)
 	}
 }
+
+// TestNewClientRequiresBaseURL: the functional-option constructor fails
+// fast without an address instead of producing a client that errors on
+// first use.
+func TestNewClientRequiresBaseURL(t *testing.T) {
+	if _, err := NewClient(); err == nil {
+		t.Fatal("NewClient() without WithBaseURL succeeded")
+	}
+	if _, err := NewClient(WithJSONWire()); err == nil {
+		t.Fatal("NewClient(WithJSONWire()) without WithBaseURL succeeded")
+	}
+}
