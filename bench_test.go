@@ -157,15 +157,18 @@ func BenchmarkAttentionOverScratch64of4096(b *testing.B) {
 	}
 }
 
-func BenchmarkVecDotBatch4096x128(b *testing.B) {
+// BenchmarkDotBatchRange is one flat scan of a 4096-token head: the
+// strided shape of the 4-row dot kernel.
+func BenchmarkDotBatchRange(b *testing.B) {
 	rng := rand.New(rand.NewSource(15))
 	K := randomMatrix(rng, 4096, 128)
 	q := randomVec(rng, 128)
 	out := make([]float32, 4096)
+	b.SetBytes(4096 * 128 * 4)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		vec.DotBatch(q, K, out)
+		vec.DotBatchRange(q, K, 0, 4096, out)
 	}
 }
 
@@ -317,13 +320,16 @@ func BenchmarkGraphBuildBipartite2048(b *testing.B) {
 	}
 }
 
+// BenchmarkExactKNN is the bipartite stage's exact kNN for one (layer,
+// KV head) of a 4096-token import: ~1900 training queries against 4096
+// keys, κ = 16, on one worker.
 func BenchmarkExactKNN(b *testing.B) {
 	rng := rand.New(rand.NewSource(12))
-	keys := randomMatrix(rng, 2048, 128)
-	queries := randomMatrix(rng, 128, 128)
+	keys := randomMatrix(rng, 4096, 128)
+	queries := randomMatrix(rng, 1900, 128)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		knn.Exact(queries, keys, 16, 2)
+		knn.Exact(queries, keys, 16, 1)
 	}
 }
 

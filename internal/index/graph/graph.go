@@ -310,8 +310,9 @@ func (g *Graph) pruneWith(ps *pruneScratch, u int32) {
 	uRow := g.keys.Row(int(u))
 	cands := ps.cands[:0]
 	for _, v := range adj {
-		cands = append(cands, index.Candidate{ID: v, Score: vec.Dot(uRow, g.keys.Row(int(v)))})
+		cands = append(cands, index.Candidate{ID: v})
 	}
+	index.Score(uRow, g.Vector, cands)
 	ps.cands = cands
 	sortCandidates(cands)
 	selected := ps.selected[:0]
@@ -432,13 +433,15 @@ func (g *Graph) Bytes() int64 {
 
 // SearchState is the reusable working set of one search goroutine: the
 // visited set (cleared by epoch counter, not reallocation), the frontier
-// and result heaps, and the sorted output buffer. Results returned through
-// a state alias it and are valid until its next use. The zero value is
-// ready; a state serves one goroutine at a time.
+// and result heaps, the expanded node's unvisited neighbours awaiting
+// scoring, and the sorted output buffer. Results returned through a state
+// alias it and are valid until its next use. The zero value is ready; a
+// state serves one goroutine at a time.
 type SearchState struct {
 	visited  index.VisitSet
 	frontier index.MaxHeap
 	results  index.MinHeap
+	pending  []index.Candidate
 	out      []index.Candidate
 }
 
@@ -490,26 +493,34 @@ func (g *Graph) searchInternal(st *SearchState, q []float32, k, ef int, limit in
 	frontier := append(st.frontier[:0], index.Candidate{ID: start, Score: startScore})
 	results := append(st.results[:0], index.Candidate{ID: start, Score: startScore})
 
+	pending := st.pending[:0]
 	for frontier.Len() > 0 {
 		cur := frontier.PopValue()
 		if results.Len() >= ef && cur.Score < results[0].Score {
 			break
 		}
+		// Which neighbours get scored does not depend on any score, so they
+		// are collected first, scored four at a time, and then offered to
+		// the beam in adjacency order — the same decisions as scoring each
+		// in turn.
+		pending = pending[:0]
 		for _, v := range g.adj[cur.ID] {
 			if limit >= 0 && v >= limit {
 				continue
 			}
-			if !st.visited.Visit(int(v)) {
-				continue
+			if st.visited.Visit(int(v)) {
+				pending = append(pending, index.Candidate{ID: v})
 			}
-			s := vec.Dot(q, g.keys.Row(int(v)))
-			if results.Len() < ef || s > results[0].Score {
-				frontier.PushValue(index.Candidate{ID: v, Score: s})
-				results.PushBounded(index.Candidate{ID: v, Score: s}, ef)
+		}
+		index.Score(q, g.Vector, pending)
+		for _, c := range pending {
+			if results.Len() < ef || c.Score > results[0].Score {
+				frontier.PushValue(c)
+				results.PushBounded(c, ef)
 			}
 		}
 	}
-	st.frontier, st.results = frontier[:0], results[:0]
+	st.frontier, st.results, st.pending = frontier[:0], results[:0], pending[:0]
 	st.out = results.SortedInto(st.out)
 	sorted := st.out
 	if len(sorted) > k {

@@ -1,7 +1,10 @@
 package graph
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/index"
@@ -246,5 +249,53 @@ func TestSearchEfStateZeroAllocWarm(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("warm graph search allocated %.1f times per run, want 0", allocs)
+	}
+}
+
+// adjacencyHash is the FNV-1a hash of g's entry point and every node's
+// neighbour list (length, then ids), in node order.
+func adjacencyHash(g *Graph) uint64 {
+	h := fnv.New64a()
+	var buf [4]byte
+	put := func(v uint32) {
+		binary.LittleEndian.PutUint32(buf[:], v)
+		h.Write(buf[:])
+	}
+	put(uint32(g.Entry()))
+	for i := 0; i < g.Len(); i++ {
+		nb := g.Neighbors(int32(i))
+		put(uint32(len(nb)))
+		for _, v := range nb {
+			put(uint32(v))
+		}
+	}
+	return h.Sum64()
+}
+
+// TestBuildAdjacencyGolden pins both build paths edge for edge on a fixed
+// seeded 2048×128 input. The hashes were recorded with a scalar per-row
+// vec.Dot under the exact kNN, the beam search and the prune; scoring four
+// rows per kernel pass must not move a single edge. They hold wherever
+// float32 multiply-add is not fused (amd64, 386); architectures whose
+// compiler fuses it (arm64, ppc64, s390x, riscv64) round Dot differently.
+func TestBuildAdjacencyGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" && runtime.GOARCH != "386" {
+		t.Skipf("golden hashes assume unfused float32 multiply-add; GOARCH=%s may fuse", runtime.GOARCH)
+	}
+	rng := rand.New(rand.NewSource(2048))
+	keys := randomMatrix(rng, 2048, 128)
+	queries := oodQueries(rng, keys, 512)
+	cfg := Config{Degree: 16, QueryKNN: 12, EfConstruction: 64, Workers: 2}
+	for _, tc := range []struct {
+		name    string
+		queries *vec.Matrix
+		want    uint64
+	}{
+		{"bipartite", queries, 0x3dc6cf17052347da},
+		{"incremental", nil, 0x95ee1630405dee20},
+	} {
+		if got := adjacencyHash(Build(keys, tc.queries, cfg)); got != tc.want {
+			t.Errorf("%s build adjacency hash %#016x, want %#016x", tc.name, got, tc.want)
+		}
 	}
 }

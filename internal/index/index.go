@@ -12,6 +12,8 @@
 //     graph; low latency at small k, supports DIPR traversal.
 package index
 
+import "repro/internal/vec"
+
 // Candidate is a scored token position. Score is the raw inner product
 // q·kᵀ (not scaled by √d; scaling is monotone and applied by attention).
 type Candidate struct {
@@ -202,4 +204,22 @@ func IDs(cs []Candidate) []int {
 		out[i] = int(c.ID)
 	}
 	return out
+}
+
+// Score sets each candidate's Score to vec.Dot(q, row(ID)), scoring four
+// rows per vec.Dot4 pass. Scores are bitwise identical to per-candidate Dot
+// calls, so a caller may collect the nodes a traversal step will score,
+// score them here, and then apply its accept rule in collection order
+// without changing any decision.
+func Score(q []float32, row func(int32) []float32, cs []Candidate) {
+	var out [4]float32
+	i := 0
+	for ; i+4 <= len(cs); i += 4 {
+		c := cs[i : i+4 : i+4]
+		vec.Dot4(q, row(c[0].ID), row(c[1].ID), row(c[2].ID), row(c[3].ID), &out)
+		c[0].Score, c[1].Score, c[2].Score, c[3].Score = out[0], out[1], out[2], out[3]
+	}
+	for ; i < len(cs); i++ {
+		cs[i].Score = vec.Dot(q, row(cs[i].ID))
+	}
 }

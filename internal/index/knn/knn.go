@@ -1,9 +1,10 @@
 // Package knn implements k-nearest-neighbour computation by inner product:
-// an exact blocked parallel search and an approximate NN-Descent graph
+// an exact tiled parallel search and an approximate NN-Descent graph
 // builder. It is the CPU substitute for the NVIDIA cuVS kNN construction
-// the paper offloads to the GPU (§7.2): the blocked parallel path plays the
-// role of the GPU kernel (tiled, batch-parallel), the serial path the
-// CPU baseline of Figure 11.
+// the paper offloads to the GPU (§7.2): Exact plays the role of the GPU
+// kernel — key tiles swept by batches of queries through the 4-row SIMD dot
+// kernel (vec.DotBatchRange), query chunks in parallel — and its serial
+// form (workers = 1) the CPU baseline of Figure 11.
 package knn
 
 import (
@@ -13,9 +14,19 @@ import (
 	"repro/internal/vec"
 )
 
+// exactTile is the number of key rows one query chunk sweeps before moving
+// on: 512 rows of a 128-wide head are 256 KiB, small enough to stay in a
+// core's L2 while every query of the chunk scores against them.
+const exactTile = 512
+
 // Exact returns, for each query row, its k highest-inner-product key rows,
-// best first. Work is tiled over key blocks and parallelised over query
-// chunks across `workers` goroutines (workers <= 1 means serial).
+// best first. Queries are split into contiguous chunks across `workers`
+// goroutines (workers <= 1 means serial); each worker walks the keys in
+// tiles of exactTile rows, scoring every query of its chunk against a tile
+// with vec.DotBatchRange before moving to the next. Each query keeps one
+// bounded heap across tiles and receives its keys in ascending id order, so
+// every heap — and every returned list — is exactly the one a per-key
+// vec.Dot loop builds, for any worker count.
 func Exact(queries, keys *vec.Matrix, k, workers int) [][]index.Candidate {
 	nq, nk := queries.Rows(), keys.Rows()
 	if k > nk {
@@ -41,13 +52,27 @@ func Exact(queries, keys *vec.Matrix, k, workers int) [][]index.Candidate {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			for qi := lo; qi < hi; qi++ {
-				q := queries.Row(qi)
-				h := make(index.MinHeap, 0, k)
-				for i := 0; i < nk; i++ {
-					h.PushBounded(index.Candidate{ID: int32(i), Score: vec.Dot(q, keys.Row(i))}, k)
+			heaps := make([]index.MinHeap, hi-lo)
+			for i := range heaps {
+				heaps[i] = make(index.MinHeap, 0, k)
+			}
+			scores := make([]float32, min(exactTile, nk))
+			for b := 0; b < nk; b += exactTile {
+				e := min(b+exactTile, nk)
+				tile := scores[:e-b]
+				for qi := lo; qi < hi; qi++ {
+					vec.DotBatchRange(queries.Row(qi), keys, b, e, tile)
+					h := &heaps[qi-lo]
+					for i, s := range tile {
+						if len(*h) == k && !(s > (*h)[0].Score) {
+							continue // the rejection PushBounded would make, without the call
+						}
+						h.PushBounded(index.Candidate{ID: int32(b + i), Score: s}, k)
+					}
 				}
-				out[qi] = h.Sorted()
+			}
+			for i := range heaps {
+				out[lo+i] = heaps[i].Sorted()
 			}
 		}(lo, hi)
 	}

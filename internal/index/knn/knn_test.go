@@ -167,3 +167,51 @@ func TestRecall(t *testing.T) {
 		t.Errorf("Recall with empty truth row = %v, want 1", got)
 	}
 }
+
+// scalarExact is the reference Exact is pinned to: one vec.Dot per (query,
+// key) pair, pushed in ascending key id into one bounded heap per query.
+func scalarExact(queries, keys *vec.Matrix, k int) [][]index.Candidate {
+	out := make([][]index.Candidate, queries.Rows())
+	for qi := range out {
+		h := make(index.MinHeap, 0, k)
+		for i := 0; i < keys.Rows(); i++ {
+			h.PushBounded(index.Candidate{ID: int32(i), Score: vec.Dot(queries.Row(qi), keys.Row(i))}, k)
+		}
+		out[qi] = h.Sorted()
+	}
+	return out
+}
+
+// TestExactMatchesScalarReference pins the tiled kernel path to the scalar
+// reference — ids, score bits and order — across tile splits (nk below, at,
+// and not a multiple of the tile), k > nk, widths on and off the SIMD
+// kernel, and 1–3 workers.
+func TestExactMatchesScalarReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, tc := range []struct{ nq, nk, d, k int }{
+		{7, 3, 128, 16},                 // k > nk
+		{13, exactTile, 128, 16},        // one full tile
+		{23, 2*exactTile + 37, 128, 16}, // partial last tile
+		{9, exactTile + 1, 12, 5},       // one-row last tile
+		{11, 700, 7, 8},                 // width off the kernel
+	} {
+		queries := randomMatrix(rng, tc.nq, tc.d)
+		keys := randomMatrix(rng, tc.nk, tc.d)
+		// Duplicate keys force score ties, which only id order breaks.
+		copy(keys.Row(tc.nk-1), keys.Row(0))
+		want := scalarExact(queries, keys, min(tc.k, tc.nk))
+		for workers := 1; workers <= 3; workers++ {
+			got := Exact(queries, keys, tc.k, workers)
+			for qi := range want {
+				if len(got[qi]) != len(want[qi]) {
+					t.Fatalf("%+v workers=%d query %d: %d neighbours, want %d", tc, workers, qi, len(got[qi]), len(want[qi]))
+				}
+				for j := range want[qi] {
+					if got[qi][j] != want[qi][j] {
+						t.Fatalf("%+v workers=%d query %d rank %d: %v, want %v", tc, workers, qi, j, got[qi][j], want[qi][j])
+					}
+				}
+			}
+		}
+	}
+}

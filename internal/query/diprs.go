@@ -173,12 +173,14 @@ type searchEntry struct {
 
 // SearchState is the reusable working set of a DIPRS search: the visited
 // set (cleared by an epoch counter instead of reallocation), the growable
-// candidate list, the β-band buffer, the selection heap, and the sorted
-// result slice. A warm state makes repeated searches allocation-free. The
-// zero value is ready; a state serves one goroutine at a time.
+// candidate list, the nodes one scan step scores, the β-band buffer, the
+// selection heap, and the sorted result slice. A warm state makes repeated
+// searches allocation-free. The zero value is ready; a state serves one
+// goroutine at a time.
 type SearchState struct {
 	visited index.VisitSet
 	list    []searchEntry
+	pending []index.Candidate
 	band    []index.Candidate
 	heap    index.MinHeap
 	out     []index.Candidate
@@ -263,60 +265,57 @@ func DIPRSWith(st *SearchState, g Graph, q []float32, cfg DIPRSConfig) Result {
 		list = append(list, searchEntry{id: start, score: float32(math.Inf(-1))})
 	}
 
+	// Which nodes a scan step scores never depends on a score — only on
+	// the visited set and the filter — so each step first collects them in
+	// traversal order, then scores them (fp32 four rows per kernel pass),
+	// then applies line 13's accept rule in that same order: exactly the
+	// decisions of scoring each node as it is reached.
+	pending := st.pending[:0]
 	for i := 0; i < len(list); i++ {
 		if cfg.MaxExplore > 0 && explored >= cfg.MaxExplore {
 			break
 		}
-		cur := list[i].id
-		for _, v := range g.Neighbors(cur) {
+		pending = pending[:0]
+		for _, v := range g.Neighbors(list[i].id) {
 			if st.visited.Visited(int(v)) {
 				continue
 			}
-			if cfg.Filter != nil && !cfg.Filter(v) {
-				// ACORN-style 2-hop expansion: pass through the failing node
-				// to its neighbours so the filtered region stays connected.
-				// The failing node is marked visited; its failing neighbours
-				// are left unvisited for other pass-throughs to reach.
-				st.visited.Add(int(v))
-				for _, w := range g.Neighbors(v) {
-					if st.visited.Visited(int(w)) || !cfg.Filter(w) {
-						continue
-					}
-					st.visited.Add(int(w))
-					explored++
-					// Line 13: below capacity, accept anything; past it,
-					// β-critical only.
-					var s float32
-					if qm != nil {
-						s = qm.ScoreQ8(&st.qq, int(w))
-					} else {
-						s = vec.Dot(q, g.Vector(w))
-					}
-					if len(list) <= cfg.Capacity || s >= maxIP-effBeta {
-						list = append(list, searchEntry{id: w, score: s})
-						if s > maxIP {
-							maxIP = s
-						}
-					}
-				}
+			st.visited.Add(int(v))
+			if cfg.Filter == nil || cfg.Filter(v) {
+				pending = append(pending, index.Candidate{ID: v})
 				continue
 			}
-			st.visited.Add(int(v))
-			explored++
-			var s float32
-			if qm != nil {
-				s = qm.ScoreQ8(&st.qq, int(v))
-			} else {
-				s = vec.Dot(q, g.Vector(v))
+			// ACORN-style 2-hop expansion: pass through the failing node to
+			// its neighbours so the filtered region stays connected. The
+			// failing node is marked visited; its failing neighbours are left
+			// unvisited for other pass-throughs to reach.
+			for _, w := range g.Neighbors(v) {
+				if st.visited.Visited(int(w)) || !cfg.Filter(w) {
+					continue
+				}
+				st.visited.Add(int(w))
+				pending = append(pending, index.Candidate{ID: w})
 			}
-			if len(list) <= cfg.Capacity || s >= maxIP-effBeta {
-				list = append(list, searchEntry{id: v, score: s})
-				if s > maxIP {
-					maxIP = s
+		}
+		explored += len(pending)
+		if qm != nil {
+			for j := range pending {
+				pending[j].Score = qm.ScoreQ8(&st.qq, int(pending[j].ID))
+			}
+		} else {
+			index.Score(q, g.Vector, pending)
+		}
+		// Line 13: below capacity, accept anything; past it, β-critical only.
+		for _, c := range pending {
+			if len(list) <= cfg.Capacity || c.Score >= maxIP-effBeta {
+				list = append(list, searchEntry{id: c.ID, score: c.Score})
+				if c.Score > maxIP {
+					maxIP = c.Score
 				}
 			}
 		}
 	}
+	st.pending = pending[:0]
 	st.list = list
 
 	threshold := maxIP - effBeta
@@ -331,9 +330,7 @@ func DIPRSWith(st *SearchState, g Graph, q []float32, cfg DIPRSConfig) Result {
 		// Rerank the widened band with exact fp32 dots and re-filter at the
 		// caller's β around the exact maximum, restoring fp32 semantics.
 		reranked = len(band)
-		for i := range band {
-			band[i].Score = vec.Dot(q, g.Vector(band[i].ID))
-		}
+		index.Score(q, g.Vector, band)
 		exactMax := float32(math.Inf(-1))
 		if cfg.HasInitialMax {
 			exactMax = cfg.InitialMax

@@ -444,9 +444,21 @@ func TestStreamArrivalOverlap(t *testing.T) {
 			e := newEnv(t, []serve.Option{serve.WithWaveSize(1)}, nil)
 			gateCh := make(chan int)
 			goCh := make(chan struct{})
+			// Cleanups run last-registered first, so this releases a gate
+			// still held after a t.Fatalf before newEnv's cleanup closes
+			// the Service, which waits for the wave to drain.
+			stop := make(chan struct{})
+			t.Cleanup(func() { close(stop) })
 			e.srv.Service().Scheduler().SetWaveGate(func(wave int) {
-				gateCh <- wave
-				<-goCh
+				select {
+				case gateCh <- wave:
+				case <-stop:
+					return
+				}
+				select {
+				case <-goCh:
+				case <-stop:
+				}
 			})
 			id := e.newSession(t)
 			tok := e.inst.Doc.Tokens[0]

@@ -12,13 +12,43 @@ import "fmt"
 // (Dot per Row, Axpy per Row): blocks change how storage is addressed, not
 // the floating-point accumulation order, so callers may mix blocked and
 // per-row paths freely without results diverging.
+//
+// The dot kernels score rows four at a time through Dot4, which on amd64 is
+// one SSE pass (dot4_amd64.s) keeping Dot's four scalar accumulators as the
+// lanes of one vector accumulator per row. Dot compiles to separate MULSS
+// and ADDSS there (the Go compiler does not fuse float multiply-add on
+// amd64 under the default GOAMD64=v1), and the kernel uses MULPS then ADDPS
+// in the same order, so the two agree bit for bit; the pin tests in
+// dot4_test.go would catch a toolchain that starts fusing.
 
 // dotBlock is the number of rows scored per backing-array block.
 const dotBlock = 4
 
+// Dot4 sets out[j] = Dot(q, rj) for the four rows r0..r3 in one pass over
+// q. Every row must have len(q) entries; Dot4 panics otherwise. Results are
+// bitwise identical to four Dot calls, so callers may score any row set
+// four at a time without changing a single score.
+func Dot4(q, r0, r1, r2, r3 []float32, out *[4]float32) {
+	n := len(q)
+	if len(r0) != n || len(r1) != n || len(r2) != n || len(r3) != n {
+		panic(fmt.Sprintf("vec: dot4 length mismatch: query %d, rows %d %d %d %d",
+			n, len(r0), len(r1), len(r2), len(r3)))
+	}
+	dot4(q, r0, r1, r2, r3, out)
+}
+
+// dot4Generic is Dot4 as four Dot calls: the portable build's kernel and
+// the amd64 kernel's path for widths that are not a multiple of 4.
+func dot4Generic(q, r0, r1, r2, r3 []float32, out *[4]float32) {
+	out[0] = Dot(q, r0)
+	out[1] = Dot(q, r1)
+	out[2] = Dot(q, r2)
+	out[3] = Dot(q, r3)
+}
+
 // DotBatchRange computes out[i] = q · m.Row(lo+i) for i in [0, hi-lo),
-// walking the backing array in 4-row blocks. out must have at least hi-lo
-// entries; q must match the matrix width.
+// walking the backing array in 4-row blocks, one Dot4 pass each. out must
+// have at least hi-lo entries; q must match the matrix width.
 func DotBatchRange(q []float32, m *Matrix, lo, hi int, out []float32) {
 	n := hi - lo
 	if lo < 0 || hi < lo || hi > m.Rows() {
@@ -36,10 +66,7 @@ func DotBatchRange(q []float32, m *Matrix, lo, hi int, out []float32) {
 	for ; i+dotBlock <= n; i += dotBlock {
 		off := i * d
 		blk := span[off : off+dotBlock*d : off+dotBlock*d]
-		out[i] = Dot(q, blk[:d])
-		out[i+1] = Dot(q, blk[d:2*d])
-		out[i+2] = Dot(q, blk[2*d:3*d])
-		out[i+3] = Dot(q, blk[3*d:])
+		dot4(q, blk[:d], blk[d:2*d], blk[2*d:3*d], blk[3*d:], (*[4]float32)(out[i:i+4]))
 	}
 	for ; i < n; i++ {
 		off := i * d
@@ -53,10 +80,10 @@ func DotBatch(q []float32, m *Matrix, out []float32) {
 	DotBatchRange(q, m, 0, m.Rows(), out)
 }
 
-// DotGather computes out[j] = q · m.Row(idx[j]) for every listed row. The
-// rows are random-access, so no blocking applies, but the kernel still slices
-// the backing array directly and performs no allocation. Indices must be in
-// range; out must have at least len(idx) entries.
+// DotGather computes out[j] = q · m.Row(idx[j]) for every listed row,
+// gathering four rows per Dot4 pass. It slices the backing array directly
+// and performs no allocation. Indices must be in range; out must have at
+// least len(idx) entries.
 func DotGather(q []float32, m *Matrix, idx []int, out []float32) {
 	if len(q) != m.cols {
 		panic(fmt.Sprintf("vec: dot gather query dim %d, matrix width %d", len(q), m.cols))
@@ -66,9 +93,13 @@ func DotGather(q []float32, m *Matrix, idx []int, out []float32) {
 	}
 	d := m.cols
 	data := m.data
-	for j, i := range idx {
-		off := i * d
-		out[j] = Dot(q, data[off:off+d:off+d])
+	row := func(i int) []float32 { return data[i*d : i*d+d : i*d+d] }
+	j := 0
+	for ; j+dotBlock <= len(idx); j += dotBlock {
+		dot4(q, row(idx[j]), row(idx[j+1]), row(idx[j+2]), row(idx[j+3]), (*[4]float32)(out[j:j+4]))
+	}
+	for ; j < len(idx); j++ {
+		out[j] = Dot(q, row(idx[j]))
 	}
 }
 
