@@ -12,6 +12,8 @@ package repro
 import (
 	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/attention"
@@ -28,6 +30,7 @@ import (
 	"repro/internal/pool"
 	"repro/internal/query"
 	"repro/internal/storage/buffer"
+	"repro/internal/storage/vfs"
 	"repro/internal/vec"
 	"repro/internal/workload"
 )
@@ -402,6 +405,78 @@ func BenchmarkLMCacheStoreLoad(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		lm.TTFT(doc, 1)
+	}
+}
+
+// BenchmarkSaveContext2048Q8 is one victim spill at the end-to-end
+// benchmark's shape: a 2048-token SQ8 context of 4 layers × 2 KV heads × 128
+// (packed key codes, fp32 values, shared graphs) saved to a directory, the
+// write the evicting caller waits for. Bytes/s is the directory size.
+func BenchmarkSaveContext2048Q8(b *testing.B) {
+	cfg := model.Default()
+	cfg.Layers, cfg.QHeads, cfg.KVHeads, cfg.HeadDim = 4, 8, 2, 128
+	cfg.Vocab = 32
+	db, err := core.New(core.Config{
+		Model:     model.New(cfg),
+		Graph:     graph.Config{Degree: 16, QueryKNN: 12, EfConstruction: 64, Workers: 2},
+		Workers:   2,
+		QuantKeys: true,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer db.Close()
+	p, _ := workload.ProfileByName("Retr.P")
+	ctx, err := db.ImportDoc(workload.Generate(p, 19, 2048, 64, 32).Doc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dir := filepath.Join(b.TempDir(), "ctx")
+	if err := db.SaveContext(ctx, dir); err != nil {
+		b.Fatal(err)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var size int64
+	for _, e := range ents {
+		info, err := e.Info()
+		if err != nil {
+			b.Fatal(err)
+		}
+		size += info.Size()
+	}
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := db.SaveContext(ctx, dir); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkVFSAppendMatrix appends one 2048 × 128 fp32 head into a fresh
+// 4 KB-block vector file.
+func BenchmarkVFSAppendMatrix(b *testing.B) {
+	rng := rand.New(rand.NewSource(16))
+	m := randomMatrix(rng, 2048, 128)
+	path := filepath.Join(b.TempDir(), "head.alaya")
+	b.SetBytes(m.Bytes())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fs, err := vfs.Create(path, vfs.DefaultBlock, 128)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := fs.AppendMatrix(m); err != nil {
+			b.Fatal(err)
+		}
+		if err := fs.Close(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -604,12 +604,17 @@ func (ctx *Context) IndexBytes() int64 {
 // consults the spill tier's trie: a spilled context with a longer matching
 // prefix than any resident one is transparently reloaded and reused, so
 // the returned reuse count can come from a context that was not resident
-// when the call began (Session.BaseFromSpill reports this). The reused
+// when the call began (Session.BaseFromSpill reports this). An evicted
+// context whose spill is still being written is in neither trie; it is
+// registered back from memory first (reclaimDraining). The reused
 // context may itself be a copy-on-write chain; the session attaches at
 // the shallowest link that serves the whole reused prefix and pins the
 // chain, so eviction cannot drop any of it while the session lives.
 func (db *DB) CreateSession(doc *model.Document) (*Session, int) {
 	best, bestLen := db.tree.Lookup(doc)
+	if ctx, n := db.reclaimDraining(doc, bestLen); ctx != nil {
+		best, bestLen = ctx, n
+	}
 	reloaded := false
 	if ctx, n := db.reloadForPrefix(doc, bestLen); ctx != nil {
 		best, bestLen, reloaded = ctx, n, true

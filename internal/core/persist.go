@@ -217,16 +217,17 @@ func (db *DB) residentBase(hash uint64) (*Context, error) {
 }
 
 // appendQuantRows writes one head's SQ8 key rows into kf in packed code
-// form (vec.PackRow) and records the per-row scales in the manifest slot.
+// form (vec.PackRow), as one matrix append, and records the per-row scales
+// in the manifest slot.
 func appendQuantRows(kf *vfs.FS, qm *vec.QuantMatrix, man *manifest, slot int) error {
-	words := make([]float32, vec.PackedWords(qm.Cols()))
+	packed := vec.NewMatrix(qm.Rows(), vec.PackedWords(qm.Cols()))
 	scales := make([]float32, qm.Rows())
-	for i := 0; i < qm.Rows(); i++ {
-		qm.PackRow(i, words)
-		if _, err := kf.AppendVector(words); err != nil {
-			return err
-		}
+	for i := range scales {
+		qm.PackRow(i, packed.Row(i))
 		scales[i] = qm.Scale(i)
+	}
+	if err := kf.AppendMatrix(packed); err != nil {
+		return err
 	}
 	man.QuantScales[slot] = scales
 	return nil

@@ -1,10 +1,16 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
+	"repro/internal/attention"
+	"repro/internal/index/graph"
 	"repro/internal/model"
 	"repro/internal/query"
 )
@@ -64,6 +70,103 @@ func TestSaveLoadContextRoundTrip(t *testing.T) {
 	res := sess.Attention(1, 0, q)
 	if res.Plan.Query == query.KindDIPR && res.Retrieved == 0 {
 		t.Error("loaded context retrieved nothing")
+	}
+}
+
+// spillDirHash hashes every file in dir in sorted (name, bytes) order.
+func spillDirHash(t *testing.T, dir string) string {
+	t.Helper()
+	ents, err := os.ReadDir(dir) // sorted by name
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for _, e := range ents {
+		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var n [8]byte
+		binary.LittleEndian.PutUint64(n[:], uint64(len(raw)))
+		h.Write([]byte(e.Name()))
+		h.Write([]byte{0})
+		h.Write(n[:])
+		h.Write(raw)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestSaveContextGolden pins the bytes of every file SaveContext writes for
+// a seeded SQ8 root, an fp32 root and a copy-on-write tail. The hashes were
+// recorded with the per-row vfs writer (one tail-block rewrite per vector);
+// writing each block of a run once must not move a byte. 300 rows leave a
+// partial tail block in both the fp32 (7 rows per block) and the packed SQ8
+// (31 rows per block) layouts. The KV substrate's float math is only
+// reproducible where float32 multiply-add is not fused (amd64, 386).
+func TestSaveContextGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" && runtime.GOARCH != "386" {
+		t.Skipf("golden hashes assume unfused float32 multiply-add; GOARCH=%s may fuse", runtime.GOARCH)
+	}
+	newDB := func(quant bool) *DB {
+		db, err := New(Config{
+			Model:         testModel(),
+			Window:        attention.Window{Sinks: 4, Recent: 16},
+			LongThreshold: 256,
+			Graph:         graph.Config{Degree: 12, QueryKNN: 8, EfConstruction: 48},
+			Workers:       2,
+			QuantKeys:     quant,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { db.Close() })
+		return db
+	}
+	save := func(db *DB, ctx *Context) string {
+		dir := filepath.Join(t.TempDir(), "ctx")
+		if err := db.SaveContext(ctx, dir); err != nil {
+			t.Fatal(err)
+		}
+		return spillDirHash(t, dir)
+	}
+
+	q8 := newDB(true)
+	q8Root, err := q8.ImportDoc(model.NewFiller(71, 300, 16, 32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := newDB(false)
+	baseDoc := model.NewFiller(72, 300, 16, 32)
+	fpRoot, err := fp.ImportDoc(baseDoc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, reused := fp.CreateSession(diverge(baseDoc, 260, 45, 100))
+	if reused != 260 {
+		t.Fatalf("reused = %d, want 260", reused)
+	}
+	sess.PrefillRemaining()
+	tail, err := fp.Store(sess)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess.Close()
+	if tail.Base() != fpRoot {
+		t.Fatal("stored context is not a copy-on-write tail of the fp32 root")
+	}
+
+	for _, tc := range []struct {
+		name string
+		got  string
+		want string
+	}{
+		{"sq8 root", save(q8, q8Root), "840f511dfd6411157445a4bd2107597f82e0bd81d140c3010f941e094904621a"},
+		{"fp32 root", save(fp, fpRoot), "d269e42f7580de0c543b5cc614da39849889885ee0a3928016a8ff71cf3acebd"},
+		{"cow tail", save(fp, tail), "422e6cc72674595cfb25980dac20829a6a03fc2076513cd0640f9386597fde4c"},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s: spill directory hash %s, want %s", tc.name, tc.got, tc.want)
+		}
 	}
 }
 

@@ -82,6 +82,12 @@ type tierState struct {
 	// lock; tree operations under t.mu are fine (nothing takes t.mu while
 	// holding the tree's lock).
 	tree *prefixTree[*spillEntry]
+
+	// draining indexes the contexts behind spilling by document, the same
+	// way. Until its spill commits a victim is neither resident nor
+	// catalogued, yet whole in memory: CreateSession reclaims it from here
+	// (reclaimDraining) instead of re-prefilling it from scratch.
+	draining *prefixTree[*Context]
 }
 
 // addEntryLocked catalogs e: hash map, disk accounting, prefix index, and
@@ -125,6 +131,7 @@ func (db *DB) initTier() error {
 		inflight: make(map[uint64]*reloadOp),
 		spilling: make(map[uint64]bool),
 		baseRefs: make(map[uint64]int),
+		draining: newPrefixTree[*Context](db.cfg.PrefixChunk),
 		tree:     newPrefixTree[*spillEntry](db.cfg.PrefixChunk),
 	}
 	t.bm = buffer.New(db.cfg.SpillCacheBytes, t.files.Fetcher())
@@ -223,6 +230,7 @@ func (db *DB) spillOne(ctx *Context) {
 		return
 	}
 	t.spilling[hash] = true
+	t.draining.Insert(ctx.doc, ctx)
 	t.mu.Unlock()
 
 	dir := spillDirName(t.dir, hash)
@@ -249,6 +257,8 @@ func (db *DB) spillOne(ctx *Context) {
 		t.addEntryLocked(e)
 		drops = t.enforceSpillBudgetLocked(hash)
 	}
+	// Catalogued before it leaves draining: a lookup always finds it in one.
+	t.draining.Remove(ctx.doc, ctx)
 	t.mu.Unlock()
 
 	if err != nil {
@@ -341,6 +351,28 @@ func (db *DB) recoverSpilled() {
 		}
 		t.mu.Unlock()
 	}
+}
+
+// reclaimDraining returns a victim whose spill is still being written,
+// registered back as a resident, when its common prefix with doc beats
+// bestLen (the best resident match); otherwise (nil, 0). It reads no disk.
+// The spill still completes and catalogues the directory, so the context
+// is then resident and on disk at once — the state a reloaded base with
+// spilled dependants is already in — and a later eviction of it skips the
+// rewrite.
+func (db *DB) reclaimDraining(doc *model.Document, bestLen int) (*Context, int) {
+	t := db.tier
+	if t == nil {
+		return nil, 0
+	}
+	ctx, n := t.draining.Lookup(doc)
+	if ctx == nil || n <= bestLen {
+		return nil, 0
+	}
+	if err := db.registerContext(ctx); err != nil {
+		return nil, 0
+	}
+	return ctx, n
 }
 
 // reloadForPrefix consults the spill catalog for a context whose common

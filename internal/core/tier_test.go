@@ -94,6 +94,47 @@ func TestEvictionSpillsInsteadOfDropping(t *testing.T) {
 	}
 }
 
+// TestCreateReclaimsDrainingVictim puts an evicted context in the state
+// spillOne holds it in while SaveContext writes its directory — neither
+// resident nor catalogued, indexed in draining — and creates a session on
+// its document: the session must reuse it in full from memory, without a
+// reload or a re-prefill.
+func TestCreateReclaimsDrainingVictim(t *testing.T) {
+	db := tierDB(t, 300, 2, t.TempDir(), 0)
+	doc := model.NewFiller(95, 300, 16, 32)
+	ctx, err := db.ImportDoc(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.mu.Lock()
+	for i, c := range db.contexts {
+		if c == ctx {
+			db.evictLocked(i)
+			break
+		}
+	}
+	db.mu.Unlock()
+	db.tier.mu.Lock()
+	db.tier.spilling[ctx.hash] = true
+	db.tier.draining.Insert(ctx.doc, ctx)
+	db.tier.mu.Unlock()
+
+	sess, reused := db.CreateSession(doc)
+	defer sess.Close()
+	if reused != 300 {
+		t.Fatalf("reused = %d, want 300 from the draining victim", reused)
+	}
+	if sess.BaseFromSpill() {
+		t.Error("session marked as reloaded from spill; nothing was read from disk")
+	}
+	if !ctx.resident || db.NumContexts() != 1 {
+		t.Errorf("victim resident = %v, %d resident contexts; want it registered back", ctx.resident, db.NumContexts())
+	}
+	if c := db.TierStats().Counters; c.Reloads != 0 || c.ReloadMisses != 0 {
+		t.Errorf("tier counters %+v: a reclaim is neither a reload nor a miss", c)
+	}
+}
+
 func TestTierMissCountsColdSession(t *testing.T) {
 	db := tierDB(t, 300, 2, t.TempDir(), 0)
 	if _, err := db.ImportDoc(model.NewFiller(90, 300, 16, 32)); err != nil {

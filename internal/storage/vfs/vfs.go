@@ -11,11 +11,22 @@
 //
 // File layout:
 //
-//	block 0:        superblock (magic, geometry, chain heads, counts)
-//	blocks 1..n:    fixed-size blocks, each {header, payload, crc32}
+//	bytes 0..63:    superblock (magic, version, geometry, vector count,
+//	                chain heads, block count, crc32 of the preceding bytes)
+//	blocks 0..n-1:  fixed-size blocks after it, block id at byte offset
+//	                64 + id*blockSize, each {header, payload, zero padding}
 //
 // Block header: 1 byte kind, 3 bytes reserved, 4 bytes payload length,
 // 8 bytes next-block id, 4 bytes crc32 of the payload.
+//
+// Write pattern: blocks are allocated in id order and never freed. A
+// multi-row append writes each block it touches once — the partial tail
+// block is read and rewritten once (its new rows and its link to the run
+// together), and the fresh blocks after it, chained id to id+1, go out in
+// one contiguous write. An adjacency chain is likewise one contiguous
+// write. The superblock is rewritten after each AppendMatrix and
+// WriteAdjacency, and on Close only when an append left it stale, so a
+// handle that only reads never writes.
 package vfs
 
 import (
@@ -86,6 +97,7 @@ type FS struct {
 	nBlocks   int64 // total allocated blocks (excluding superblock)
 
 	closed bool
+	dirty  bool // the on-disk superblock lags the fields above
 }
 
 // Create initializes a new vector file at path for vectors of the given
@@ -135,15 +147,18 @@ func Open(path string) (*FS, error) {
 	return fs, nil
 }
 
-// Close flushes the superblock and closes the file.
+// Close flushes the superblock, if a write left it stale, and closes the
+// file. A handle that only read leaves the file untouched.
 func (fs *FS) Close() error {
 	if fs.closed {
 		return ErrClosed
 	}
 	fs.closed = true
-	if err := fs.writeSuper(); err != nil {
-		fs.f.Close()
-		return err
+	if fs.dirty {
+		if err := fs.writeSuper(); err != nil {
+			fs.f.Close()
+			return err
+		}
 	}
 	return fs.f.Close()
 }
@@ -179,6 +194,7 @@ func (fs *FS) writeSuper() error {
 	if _, err := fs.f.WriteAt(buf, 0); err != nil {
 		return fmt.Errorf("vfs: write superblock: %w", err)
 	}
+	fs.dirty = false
 	return nil
 }
 
@@ -234,32 +250,55 @@ func (fs *FS) blockOffset(id int64) int64 {
 	return superSize + id*int64(fs.blockSize)
 }
 
-// allocBlock appends a fresh block and returns its id.
-func (fs *FS) allocBlock() (int64, error) {
-	if fs.nBlocks >= maxBlocksFile {
+// allocBlocks reserves n contiguous fresh blocks and returns the first id.
+func (fs *FS) allocBlocks(n int) (int64, error) {
+	if fs.nBlocks+int64(n) > maxBlocksFile {
 		return 0, fmt.Errorf("vfs: file full")
 	}
-	id := fs.nBlocks
-	fs.nBlocks++
-	return id, nil
+	first := fs.nBlocks
+	fs.nBlocks += int64(n)
+	return first, nil
 }
 
-// writeBlock persists a block.
-func (fs *FS) writeBlock(id int64, kind BlockKind, payload []byte, next int64) error {
-	if len(payload) > fs.blockSize-headerSize {
-		return fmt.Errorf("vfs: payload %d exceeds block capacity %d", len(payload), fs.blockSize-headerSize)
-	}
-	buf := make([]byte, fs.blockSize)
+// sealBlock fills in the header of the block laid out in buf (blockSize
+// bytes, zeroed past the payload), whose length payload bytes already sit
+// at buf[headerSize:].
+func sealBlock(buf []byte, kind BlockKind, length int, next int64) {
 	le := binary.LittleEndian
 	buf[0] = byte(kind)
-	le.PutUint32(buf[4:], uint32(len(payload)))
+	le.PutUint32(buf[4:], uint32(length))
 	le.PutUint64(buf[8:], uint64(next))
-	le.PutUint32(buf[16:], crc32.ChecksumIEEE(payload))
-	copy(buf[headerSize:], payload)
-	if _, err := fs.f.WriteAt(buf, fs.blockOffset(id)); err != nil {
-		return fmt.Errorf("vfs: write block %d: %w", id, err)
+	le.PutUint32(buf[16:], crc32.ChecksumIEEE(buf[headerSize:headerSize+length]))
+}
+
+// writeRun allocates len(lens) contiguous blocks for the chain laid out in
+// run — block i's lens[i] payload bytes at run[i*blockSize+headerSize:],
+// zero-padded — links block i to i+1 and the last to nil, and writes the
+// whole chain with one WriteAt. It returns the first block's id.
+func (fs *FS) writeRun(kind BlockKind, run []byte, lens []int) (int64, error) {
+	first, err := fs.allocBlocks(len(lens))
+	if err != nil {
+		return 0, err
 	}
-	return nil
+	for i, n := range lens {
+		next := first + int64(i) + 1
+		if i == len(lens)-1 {
+			next = nilBlock
+		}
+		sealBlock(run[i*fs.blockSize:], kind, n, next)
+	}
+	if _, err := fs.f.WriteAt(run, fs.blockOffset(first)); err != nil {
+		return 0, fmt.Errorf("vfs: write %v blocks %d..%d: %w", kind, first, first+int64(len(lens))-1, err)
+	}
+	return first, nil
+}
+
+// putFloats encodes v little-endian into dst.
+func putFloats(dst []byte, v []float32) {
+	le := binary.LittleEndian
+	for i, x := range v {
+		le.PutUint32(dst[i*4:], math.Float32bits(x))
+	}
 }
 
 // Block is a decoded block.
@@ -297,8 +336,8 @@ func (fs *FS) ReadBlock(id int64) (*Block, error) {
 	return &Block{ID: id, Kind: kind, Payload: payload, Next: next}, nil
 }
 
-// AppendVector appends one vector and returns its id. The last data block
-// is rewritten in place until full; a full block is chained to a new one.
+// AppendVector appends one vector and returns its id: a one-row
+// AppendMatrix that leaves the superblock to Close.
 func (fs *FS) AppendVector(v []float32) (int, error) {
 	if fs.closed {
 		return 0, ErrClosed
@@ -306,65 +345,100 @@ func (fs *FS) AppendVector(v []float32) (int, error) {
 	if len(v) != fs.dim {
 		return 0, fmt.Errorf("vfs: vector dim %d != file dim %d", len(v), fs.dim)
 	}
-	slot := int(fs.nVectors) % fs.perBlock
-	if slot == 0 {
-		// Need a fresh block.
-		id, err := fs.allocBlock()
-		if err != nil {
-			return 0, err
-		}
-		if err := fs.writeBlock(id, KindData, encodeVectors(nil, v), nilBlock); err != nil {
-			return 0, err
-		}
-		if fs.dataTail != nilBlock {
-			if err := fs.relink(fs.dataTail, id); err != nil {
-				return 0, err
-			}
-		} else {
-			fs.dataHead = id
-		}
-		fs.dataTail = id
-	} else {
-		blk, err := fs.ReadBlock(fs.dataTail)
-		if err != nil {
-			return 0, err
-		}
-		if err := fs.writeBlock(fs.dataTail, KindData, encodeVectors(blk.Payload, v), blk.Next); err != nil {
-			return 0, err
-		}
-	}
 	id := int(fs.nVectors)
-	fs.nVectors++
+	if err := fs.appendRows(v); err != nil {
+		return 0, err
+	}
 	return id, nil
 }
 
-// AppendMatrix appends every row of m.
+// AppendMatrix appends every row of m and persists the superblock. Each
+// block the rows touch is written once: a partial tail block is read,
+// filled and relinked in one rewrite, and the fresh blocks after it go out
+// as one contiguous run.
 func (fs *FS) AppendMatrix(m *vec.Matrix) error {
-	for i := 0; i < m.Rows(); i++ {
-		if _, err := fs.AppendVector(m.Row(i)); err != nil {
-			return err
-		}
+	if fs.closed {
+		return ErrClosed
+	}
+	if m.Rows() > 0 && m.Cols() != fs.dim {
+		return fmt.Errorf("vfs: vector dim %d != file dim %d", m.Cols(), fs.dim)
+	}
+	if err := fs.appendRows(m.Data()); err != nil {
+		return err
 	}
 	return fs.writeSuper()
 }
 
-// relink rewrites only the next pointer of a block, preserving payload.
-func (fs *FS) relink(id, next int64) error {
-	blk, err := fs.ReadBlock(id)
-	if err != nil {
-		return err
+// appendRows appends the row-major rows in data (a multiple of Dim
+// floats). The rows first fill the free slots of the tail data block; the
+// rest go into fresh blocks allocated contiguously, each chained to the
+// next, written with one WriteAt. The old tail is then rewritten once, with
+// its new rows and its link to the run, so the chain never points at a
+// block that is not on disk yet.
+func (fs *FS) appendRows(data []float32) error {
+	n := len(data) / fs.dim
+	if n == 0 {
+		return nil
 	}
-	return fs.writeBlock(id, blk.Kind, blk.Payload, next)
-}
+	fill := 0 // rows that go into the partial tail block
+	if slot := int(fs.nVectors % int64(fs.perBlock)); slot != 0 {
+		fill = min(fs.perBlock-slot, n)
+	}
+	fresh := (n - fill + fs.perBlock - 1) / fs.perBlock // blocks after the tail
 
-func encodeVectors(existing []byte, v []float32) []byte {
-	out := make([]byte, len(existing)+len(v)*4)
-	copy(out, existing)
-	le := binary.LittleEndian
-	for i, x := range v {
-		le.PutUint32(out[len(existing)+i*4:], math.Float32bits(x))
+	// The old tail changes when it takes rows or gains a successor.
+	var tail *Block
+	tailLen := 0
+	if fill > 0 || (fresh > 0 && fs.dataTail != nilBlock) {
+		blk, err := fs.ReadBlock(fs.dataTail)
+		if err != nil {
+			return err
+		}
+		tail, tailLen = blk, len(blk.Payload)+fill*fs.dim*4
+		if tailLen > fs.blockSize-headerSize {
+			return fmt.Errorf("vfs: payload %d exceeds block capacity %d", tailLen, fs.blockSize-headerSize)
+		}
 	}
-	return out
+
+	first := nilBlock
+	if fresh > 0 {
+		run := make([]byte, fresh*fs.blockSize)
+		lens := make([]int, fresh)
+		rows := data[fill*fs.dim:]
+		for b := range lens {
+			k := min(len(rows), fs.perBlock*fs.dim)
+			putFloats(run[b*fs.blockSize+headerSize:], rows[:k])
+			rows, lens[b] = rows[k:], k*4
+		}
+		var err error
+		if first, err = fs.writeRun(KindData, run, lens); err != nil {
+			return err
+		}
+	}
+
+	if tail != nil {
+		next := tail.Next
+		if fresh > 0 {
+			next = first
+		}
+		buf := make([]byte, fs.blockSize)
+		copy(buf[headerSize:], tail.Payload)
+		putFloats(buf[headerSize+len(tail.Payload):], data[:fill*fs.dim])
+		sealBlock(buf, KindData, tailLen, next)
+		if _, err := fs.f.WriteAt(buf, fs.blockOffset(tail.ID)); err != nil {
+			return fmt.Errorf("vfs: write block %d: %w", tail.ID, err)
+		}
+	}
+
+	if fresh > 0 {
+		if fs.dataHead == nilBlock {
+			fs.dataHead = first
+		}
+		fs.dataTail = first + int64(fresh) - 1
+	}
+	fs.nVectors += int64(n)
+	fs.dirty = true
+	return nil
 }
 
 // DataBlockOf returns the chain position (0-based) and slot of vector id.
@@ -494,54 +568,39 @@ func (fs *FS) WriteAdjacency(adj [][]int32) error {
 	le := binary.LittleEndian
 	capacity := fs.blockSize - headerSize
 
-	var blocks [][]byte
-	cur := make([]byte, 0, capacity)
-	flush := func() {
-		blocks = append(blocks, cur)
-		cur = make([]byte, 0, capacity)
-	}
-	appendRec := func(rec []byte) {
-		if len(cur)+len(rec) > capacity {
-			flush()
+	// Records never straddle blocks, and the chain's blocks are contiguous:
+	// lay the records straight into the run that one WriteAt then writes.
+	var run []byte // whole blocks, zero-padded
+	var lens []int // payload bytes in each block of run
+	reserve := func(n int) []byte {
+		if len(lens) == 0 || lens[len(lens)-1]+n > capacity {
+			run = append(run, make([]byte, fs.blockSize)...)
+			lens = append(lens, 0)
 		}
-		cur = append(cur, rec...)
+		b := len(lens) - 1
+		off := b*fs.blockSize + headerSize + lens[b]
+		lens[b] += n
+		return run[off : off+n]
 	}
 	// Header record: node count.
-	head := make([]byte, 4)
-	le.PutUint32(head, uint32(len(adj)))
-	appendRec(head)
+	le.PutUint32(reserve(4), uint32(len(adj)))
 	for _, nbrs := range adj {
-		rec := make([]byte, 4+4*len(nbrs))
+		if 4+4*len(nbrs) > capacity {
+			return fmt.Errorf("vfs: adjacency record (%d neighbours) exceeds block capacity", len(nbrs))
+		}
+		rec := reserve(4 + 4*len(nbrs))
 		le.PutUint32(rec, uint32(len(nbrs)))
 		for i, v := range nbrs {
 			le.PutUint32(rec[4+i*4:], uint32(v))
 		}
-		if len(rec) > capacity {
-			return fmt.Errorf("vfs: adjacency record (%d neighbours) exceeds block capacity", len(nbrs))
-		}
-		appendRec(rec)
 	}
-	flush()
 
-	// Allocate and chain.
-	ids := make([]int64, len(blocks))
-	for i := range blocks {
-		id, err := fs.allocBlock()
-		if err != nil {
-			return err
-		}
-		ids[i] = id
+	first, err := fs.writeRun(KindIndex, run, lens)
+	if err != nil {
+		return err
 	}
-	for i := len(blocks) - 1; i >= 0; i-- {
-		next := nilBlock
-		if i+1 < len(blocks) {
-			next = ids[i+1]
-		}
-		if err := fs.writeBlock(ids[i], KindIndex, blocks[i], next); err != nil {
-			return err
-		}
-	}
-	fs.indexHead = ids[0]
+	fs.indexHead = first
+	fs.dirty = true
 	return fs.writeSuper()
 }
 
