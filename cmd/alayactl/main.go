@@ -121,10 +121,6 @@ func stats(baseURL string) error {
 	if st.IndexBuilds > 0 {
 		fmt.Printf("index builds:   %d (%d ms total, last %d ms)\n",
 			st.IndexBuilds, st.IndexBuildMillis, st.LastIndexBuildMillis)
-		if st.ShardedBuilds > 0 {
-			fmt.Printf("ctx sharding:   %d sharded builds (%d shard graphs), %d sharded probes (%.1f shards/probe)\n",
-				st.ShardedBuilds, st.ShardsBuilt, st.ShardedProbes, st.ShardsPerProbe)
-		}
 	}
 	if st.Sched != nil {
 		fmt.Printf("scheduler:      %d waves (avg %.1f, max %d of %d), %d admitted, %d rejected, queue %d/%d\n",

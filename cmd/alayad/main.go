@@ -87,8 +87,6 @@ func run() error {
 		prefChunk = flag.Int("prefix-chunk", 0, "chunk width in tokens for the prefix trees behind CreateSession's longest-common-prefix lookup (0 = default 64)")
 		schedWave = flag.Int("sched-wave", 0, "continuous-batching wave size: decode steps from up to this many sessions execute as one fused fan-out over the worker pool (0 = pool size, negative = scheduler off: serial per-request decode)")
 		schedQ    = flag.Int("sched-queue", serve.DefaultQueueDepth, "bounded admission queue for decode steps; requests beyond it are rejected with 429 overloaded")
-		shardRows = flag.Int("ctx-shard-rows", 0, "range-shard a context's per-layer indexes every this many rows: shard graphs build in parallel and decode probes fan across shards (0 = sharding off)")
-		shardMax  = flag.Int("ctx-shard-max", 0, "cap on range shards per context (0 = default 8)")
 	)
 	flag.Parse()
 
@@ -138,8 +136,6 @@ func run() error {
 		SpillCacheBytes: int64(*spillMB * 1e6),
 		PrefixChunk:     *prefChunk,
 		QuantKeys:       *quant,
-		CtxShardRows:    *shardRows,
-		CtxShardMax:     *shardMax,
 	})
 	if err != nil {
 		return err

@@ -6,10 +6,11 @@ import (
 	"testing"
 )
 
-// Property tests for the N-way log-sum-exp Merge used by sharded decode: a
-// context partitioned into K contiguous shards, each reduced to a Partial,
-// must merge to the same output as one softmax over all rows — for any K,
-// in any order, on both the fp32 and the SQ8 partial paths.
+// Property tests for the N-way log-sum-exp Merge that a cluster router uses
+// to fold range-shard span sessions' partials: a context partitioned into K
+// contiguous shards, each reduced to a Partial, must merge to the same
+// output as one softmax over all rows — for any K, in any order, on both
+// the fp32 and the SQ8 partial paths.
 
 // spansOf splits [0, n) into k contiguous near-equal ranges.
 func spansOf(n, k int) [][2]int {
@@ -70,8 +71,7 @@ func TestMergeOrderInvariant(t *testing.T) {
 
 // TestMergeSkipsEmptyShards: a shard whose candidate list is empty yields
 // an identity Partial (LSE = -Inf) that must not perturb the merge — the
-// sharded attention fold relies on this when a filtered probe leaves some
-// shards without rows.
+// router's fold relies on this when a span contributes no rows.
 func TestMergeSkipsEmptyShards(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	const n, d = 64, 16

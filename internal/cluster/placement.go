@@ -5,7 +5,7 @@
 // enough to range-shard — fans attention and decode steps across the
 // shard nodes and folds the per-node partials through the log-sum-exp
 // merge (attention.MergeInto), the same identity the single-node engine
-// uses to combine its in-process context shards.
+// uses to fold its prefix and tail partials.
 //
 // Placement is rendezvous hashing over the document hash, so every
 // router instance over the same peer list agrees on ownership with no

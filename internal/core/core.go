@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/attention"
 	"repro/internal/devmem"
-	"repro/internal/index"
 	"repro/internal/index/graph"
 	"repro/internal/kvcache"
 	"repro/internal/metrics"
@@ -93,17 +92,6 @@ type Config struct {
 	// shrink to a quarter of their fp32 size. A spill directory written
 	// with one setting cannot be adopted under the other.
 	QuantKeys bool
-	// CtxShardRows enables in-process context parallelism: a stored context
-	// longer than this many rows is partitioned into contiguous range
-	// shards, with one graph per (layer, group, shard) built in parallel
-	// and decode probes fanned across the shards (per-shard β-bands merged
-	// at the global maximum; per-shard attention partials folded through
-	// the log-sum-exp merge). 0 disables sharding — the default, keeping
-	// the monolithic per-group index and the bitwise-pinned 2-partial
-	// decode shape.
-	CtxShardRows int
-	// CtxShardMax caps the shard count per context. Defaults to 8.
-	CtxShardMax int
 }
 
 func (c *Config) defaults() error {
@@ -147,12 +135,6 @@ func (c *Config) defaults() error {
 	if c.PrefixChunk <= 0 {
 		c.PrefixChunk = defaultPrefixChunk
 	}
-	if c.CtxShardRows < 0 {
-		c.CtxShardRows = 0
-	}
-	if c.CtxShardMax <= 0 {
-		c.CtxShardMax = 8
-	}
 	return nil
 }
 
@@ -179,17 +161,12 @@ type DB struct {
 // divergent tail — while the shared prefix (KV rows, graph indexes, SQ8
 // plane) stays in the base, counted and spilled exactly once.
 type Context struct {
-	doc    *model.Document
-	cache  *kvcache.Cache // full KV, or rows [baseLen, Len()) when base != nil
-	graphs []*graph.Graph // (layer*indexGroups + group)*nShards + shard; nil until built
-	// shards is the range-shard geometry the graphs were built over:
-	// contiguous row spans covering [0, Len()). nil or a single span means
-	// the context is unsharded (the monolithic pre-sharding layout). CoW
-	// tails never shard — retrieval runs through the chain root's shards.
-	shards   []index.Span
-	groups   int    // query-head groups per layer (1 per kv head if shared)
-	lastUsed int64  // recency under the DB's logical clock
-	hash     uint64 // DocHash(doc), fixed at construction
+	doc      *model.Document
+	cache    *kvcache.Cache // full KV, or rows [baseLen, Len()) when base != nil
+	graphs   []*graph.Graph // layer*groups + group; nil until built
+	groups   int            // query-head groups per layer (1 per kv head if shared)
+	lastUsed int64          // recency under the DB's logical clock
+	hash     uint64         // DocHash(doc), fixed at construction
 
 	base    *Context // shared immutable prefix chain; nil for a root context
 	baseLen int      // logical rows served by the base chain
@@ -264,8 +241,7 @@ func (db *DB) QuantEnabled() bool { return db.cfg.QuantKeys }
 // QuantStats returns a snapshot of the quantized read path's counters.
 func (db *DB) QuantStats() metrics.QuantSnapshot { return db.quant.Snapshot() }
 
-// CtxParStats returns a snapshot of the index-build and context-sharding
-// counters.
+// CtxParStats returns a snapshot of the index-build counters.
 func (db *DB) CtxParStats() metrics.CtxParSnapshot { return db.ctxpar.Snapshot() }
 
 // Device returns the DB's device accountant.
@@ -309,23 +285,12 @@ func (db *DB) Import(doc *model.Document, cache *kvcache.Cache) (*Context, error
 	return ctx, nil
 }
 
-// attachQuantPlanes points every graph of ctx at its kv head's SQ8 plane —
-// per shard, a range view of the plane matching the shard's key rows.
+// attachQuantPlanes points every graph of ctx at its kv head's SQ8 plane.
 func (db *DB) attachQuantPlanes(ctx *Context) {
-	ns := ctx.nShards()
 	for l := 0; l < db.cfg.Model.Config().Layers; l++ {
 		for g := 0; g < ctx.groups; g++ {
-			qk := ctx.cache.QuantKeys(l, db.kvHeadOfGroup(g))
-			for sh := 0; sh < ns; sh++ {
-				gr := ctx.graphs[(l*ctx.groups+g)*ns+sh]
-				if gr == nil {
-					continue
-				}
-				plane := qk
-				if ns > 1 && qk != nil {
-					plane = qk.Slice(ctx.shards[sh].Lo, ctx.shards[sh].Hi)
-				}
-				gr.AttachQuantKeys(plane)
+			if gr := ctx.graphs[l*ctx.groups+g]; gr != nil {
+				gr.AttachQuantKeys(ctx.cache.QuantKeys(l, db.kvHeadOfGroup(g)))
 			}
 		}
 	}
@@ -403,72 +368,34 @@ func (db *DB) kvHeadOfGroup(group int) int {
 	return db.cfg.Model.KVGroup(group)
 }
 
-// BuildIndexes constructs the fine (graph) indexes for every layer, index
-// group, and range shard of ctx. Under GQA sharing, the training queries
-// for a group merge samples from all of the group's query heads, so one
-// graph captures every head's distribution (§7.2). With context sharding
-// enabled (Config.CtxShardRows) a long context's rows split into
-// contiguous spans and each (layer, group, shard) builds its own graph
-// over a zero-copy view of the span — the build fans across the pool, so
-// a single long context's index construction is no longer serial per
-// group, and each shard's graph is smaller than the monolithic one would
-// be (graph construction is superlinear in rows).
+// BuildIndexes constructs the fine (graph) indexes for every layer and
+// index group of ctx. Under GQA sharing, the training queries for a group
+// merge samples from all of the group's query heads, so one graph captures
+// every head's distribution (§7.2). Query sampling, then the graph builds,
+// fan across the pool one (layer, group) per job. They stay two fan-outs:
+// fusing them into one sample-then-build job made concurrent imports about
+// 13 % slower on a 2-vCPU Xeon.
 func (db *DB) BuildIndexes(ctx *Context) {
 	start := time.Now()
-	m := db.cfg.Model
-	mc := m.Config()
+	mc := db.cfg.Model.Config()
 	groups := db.indexGroups()
 	ctx.groups = groups
-	ctx.shards = index.Shards(ctx.doc.Len(), db.cfg.CtxShardRows, db.cfg.CtxShardMax)
-	ns := len(ctx.shards)
-	if ns == 0 {
-		ns = 1 // empty context: one empty graph per slot, as before
-	}
-	ctx.graphs = make([]*graph.Graph, mc.Layers*groups*ns)
-
-	// Phase 1: one training-query set per (layer, group), shared by all of
-	// the group's shards — sampling is per-group work, not per-shard.
-	queries := make([]*vec.Matrix, mc.Layers*groups)
+	ctx.graphs = make([]*graph.Graph, mc.Layers*groups)
+	queries := make([]*vec.Matrix, len(ctx.graphs))
 	db.cfg.Pool.ForEach(len(queries), func(i int) {
 		queries[i] = db.sampleQueries(ctx.doc, i/groups, i%groups)
 	})
-
-	// Phase 2: one graph per (layer, group, shard).
 	db.cfg.Pool.ForEach(len(ctx.graphs), func(i int) {
-		shard := i % ns
-		lg := i / ns
-		kv := db.kvHeadOfGroup(lg % groups)
-		keys := ctx.cache.Keys(lg/groups, kv)
+		layer, kv := i/groups, db.kvHeadOfGroup(i%groups)
+		gcfg := db.cfg.Graph
+		gcfg.Workers = 1 // parallelism is across (layer, group) jobs here
+		g := graph.Build(ctx.cache.Keys(layer, kv), queries[i], gcfg)
 		// DIPRS traverses on the SQ8 plane when the cache carries one (nil
 		// detaches, keeping the fp32 path).
-		qk := ctx.cache.QuantKeys(lg/groups, kv)
-		q := queries[lg]
-		if ns > 1 {
-			span := ctx.shards[shard]
-			keys = keys.Slice(span.Lo, span.Hi)
-			if qk != nil {
-				qk = qk.Slice(span.Lo, span.Hi)
-			}
-			// The training-query budget is global, split across the shards
-			// (strided, so each shard sees every head's and topic's samples):
-			// query-training work per context stays what the monolithic build
-			// paid instead of multiplying by the shard count, which would
-			// cancel the latency win sharding exists for.
-			if q != nil && q.Rows() > ns {
-				sub := vec.NewMatrix(0, q.Cols())
-				for r := shard; r < q.Rows(); r += ns {
-					sub.Append(q.Row(r))
-				}
-				q = sub
-			}
-		}
-		gcfg := db.cfg.Graph
-		gcfg.Workers = 1 // parallelism is across (layer, group, shard) jobs here
-		g := graph.Build(keys, q, gcfg)
-		g.AttachQuantKeys(qk)
+		g.AttachQuantKeys(ctx.cache.QuantKeys(layer, kv))
 		ctx.graphs[i] = g
 	})
-	db.ctxpar.RecordBuild(time.Since(start).Nanoseconds(), ns)
+	db.ctxpar.RecordBuild(time.Since(start).Nanoseconds())
 }
 
 // sampleQueries synthesizes the historical-query training set for a graph:
@@ -542,44 +469,13 @@ func TrainingQueries(m *model.Model, doc *model.Document, layer int, heads []int
 	return qm
 }
 
-// nShards returns the context's shard count (1 when unsharded).
-func (c *Context) nShards() int {
-	if len(c.shards) > 1 {
-		return len(c.shards)
-	}
-	return 1
-}
-
-// Sharded reports whether the context's rows and indexes are partitioned
-// into more than one range shard.
-func (c *Context) Sharded() bool { return len(c.shards) > 1 }
-
-// ShardSpans returns the context's range-shard geometry (nil or a single
-// span when unsharded). Callers must not mutate the returned slice.
-func (c *Context) ShardSpans() []index.Span { return c.shards }
-
-// Graph returns the monolithic fine index for (layer, qHead) of a stored
-// context, or nil if not built — or if the context is range-sharded, in
-// which case there is no single graph and callers traverse the per-shard
-// set from ShardGraphs instead.
+// Graph returns the fine index for (layer, qHead) of a stored context, or
+// nil if not built.
 func (ctx *Context) Graph(db *DB, layer, qHead int) *graph.Graph {
-	if ctx.graphs == nil || ctx.Sharded() {
-		return nil
-	}
-	return ctx.graphs[layer*ctx.groups+db.groupOf(qHead)]
-}
-
-// ShardGraphs returns the per-shard fine indexes for (layer, qHead),
-// aliasing the context's graph table: one entry per shard span of
-// ShardSpans (a single entry when unsharded), each graph's node ids local
-// to its span. nil if indexes are not built.
-func (ctx *Context) ShardGraphs(db *DB, layer, qHead int) []*graph.Graph {
 	if ctx.graphs == nil {
 		return nil
 	}
-	ns := ctx.nShards()
-	base := (layer*ctx.groups + db.groupOf(qHead)) * ns
-	return ctx.graphs[base : base+ns]
+	return ctx.graphs[layer*ctx.groups+db.groupOf(qHead)]
 }
 
 // IndexBytes returns the total adjacency footprint of the context's graphs.

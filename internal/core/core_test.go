@@ -361,6 +361,42 @@ func TestStoreAndReuseStored(t *testing.T) {
 	}
 }
 
+// TestIndexBuildCounter pins the counter behind core.index_build_ms: each
+// Import builds the context's indexes once, and a copy-on-write Store
+// shares its base's indexes and builds none.
+func TestIndexBuildCounter(t *testing.T) {
+	db := testDB(t, nil)
+	baseDoc := model.NewFiller(13, 300, 8, 32)
+	if _, err := db.ImportDoc(baseDoc); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.CtxParStats().IndexBuilds; got != 1 {
+		t.Fatalf("after Import: %d index builds, want 1", got)
+	}
+	if _, err := db.ImportDoc(model.NewFiller(14, 200, 8, 32)); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.CtxParStats().IndexBuilds; got != 2 {
+		t.Fatalf("after a second Import: %d index builds, want 2", got)
+	}
+	sess, reused := db.CreateSession(diverge(baseDoc, 250, 20, 100))
+	defer sess.Close()
+	if reused != 250 {
+		t.Fatalf("reused = %d, want 250", reused)
+	}
+	sess.PrefillRemaining()
+	ctx, err := db.Store(sess)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ctx.Base() == nil {
+		t.Fatal("Store over a reused prefix did not take the copy-on-write path")
+	}
+	if got := db.CtxParStats().IndexBuilds; got != 2 {
+		t.Fatalf("after a CoW Store: %d index builds, want 2", got)
+	}
+}
+
 func TestStoreBeforePrefillFails(t *testing.T) {
 	db := testDB(t, nil)
 	doc := model.NewFiller(12, 50, 8, 32)

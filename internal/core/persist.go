@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"repro/internal/index"
 	"repro/internal/index/graph"
 	"repro/internal/kvcache"
 	"repro/internal/model"
@@ -24,12 +23,8 @@ import (
 // L<layer>H<head>.keys        KV keys + (shared) graph adjacency
 // L<layer>H<head>.vals        KV values
 // L<layer>G<group>.graph      adjacency when not GQA-shared
-// L<layer>G<group>S<shard>.graph  per-shard adjacency when range-sharded
 //
-// A range-sharded context (manifest ShardEnds) stores every shard's graph
-// in its own file regardless of GQA sharing, and its keys files carry no
-// adjacency — the shard geometry, not the head grouping, determines the
-// graph layout.
+// Every context holds exactly one graph per (layer, index group).
 
 type manifest struct {
 	Version   int           `json:"version"`
@@ -46,14 +41,6 @@ type manifest struct {
 	// here in the manifest, indexed layer*KVHeads+head. Values stay fp32.
 	Quant       bool        `json:"quant,omitempty"`
 	QuantScales [][]float32 `json:"quant_scales,omitempty"`
-	// ShardEnds marks a range-sharded context: shard i covers rows
-	// [ShardEnds[i-1], ShardEnds[i]) (from 0 for i == 0), with the last end
-	// equal to len(Tokens). Entries is then indexed
-	// (layer*Groups+group)*len(ShardEnds)+shard, each entry local to its
-	// shard's rows, and every graph lives in L<l>G<g>S<s>.graph. Absent =
-	// the legacy single-graph layout. Never set on a copy-on-write tail
-	// (tails carry no graphs; the root's shards come back with the root).
-	ShardEnds []int32 `json:"shard_ends,omitempty"`
 	// BaseHash/BaseLen mark a copy-on-write tail: the directory holds only
 	// rows [BaseLen, len(Tokens)) and no graphs; the leading BaseLen rows
 	// (and all indexes) belong to the context whose DocHash is BaseHash,
@@ -76,7 +63,6 @@ func (db *DB) SaveContext(ctx *Context, dir string) error {
 	}
 	mc := db.cfg.Model.Config()
 	quant := ctx.cache.QuantEnabled()
-	ns := ctx.nShards()
 	man := manifest{
 		Version:   1,
 		Model:     mc,
@@ -84,15 +70,9 @@ func (db *DB) SaveContext(ctx *Context, dir string) error {
 		Tokens:    ctx.doc.Tokens,
 		Groups:    ctx.groups,
 		ShareGQA:  *db.cfg.ShareGQA,
-		Entries:   make([]int32, mc.Layers*ctx.groups*ns),
+		Entries:   make([]int32, mc.Layers*ctx.groups),
 		BlockSize: vfs.DefaultBlock,
 		Quant:     quant,
-	}
-	if ns > 1 {
-		man.ShardEnds = make([]int32, ns)
-		for i, span := range ctx.shards {
-			man.ShardEnds[i] = int32(span.Hi)
-		}
 	}
 	if ctx.base != nil {
 		man.BaseHash = ctx.base.hash
@@ -129,7 +109,7 @@ func (db *DB) SaveContext(ctx *Context, dir string) error {
 				kf.Close()
 				return err
 			}
-			if man.ShareGQA && ns == 1 && ctx.graphs != nil {
+			if man.ShareGQA && ctx.graphs != nil {
 				g := ctx.graphs[l*ctx.groups+h]
 				if g != nil {
 					if err := kf.WriteAdjacency(adjacencyOf(g)); err != nil {
@@ -154,28 +134,22 @@ func (db *DB) SaveContext(ctx *Context, dir string) error {
 				return err
 			}
 		}
-		if (!man.ShareGQA || ns > 1) && ctx.graphs != nil {
+		if !man.ShareGQA && ctx.graphs != nil {
 			for g := 0; g < ctx.groups; g++ {
-				for sh := 0; sh < ns; sh++ {
-					gr := ctx.graphs[(l*ctx.groups+g)*ns+sh]
-					if gr == nil {
-						continue
-					}
-					name := fmt.Sprintf("L%dG%d.graph", l, g)
-					if ns > 1 {
-						name = fmt.Sprintf("L%dG%dS%d.graph", l, g, sh)
-					}
-					gf, err := vfs.Create(filepath.Join(dir, name), vfs.DefaultBlock, mc.HeadDim)
-					if err != nil {
-						return err
-					}
-					if err := gf.WriteAdjacency(adjacencyOf(gr)); err != nil {
-						gf.Close()
-						return err
-					}
-					if err := gf.Close(); err != nil {
-						return err
-					}
+				gr := ctx.graphs[l*ctx.groups+g]
+				if gr == nil {
+					continue
+				}
+				gf, err := vfs.Create(filepath.Join(dir, fmt.Sprintf("L%dG%d.graph", l, g)), vfs.DefaultBlock, mc.HeadDim)
+				if err != nil {
+					return err
+				}
+				if err := gf.WriteAdjacency(adjacencyOf(gr)); err != nil {
+					gf.Close()
+					return err
+				}
+				if err := gf.Close(); err != nil {
+					return err
 				}
 			}
 		}
@@ -263,39 +237,11 @@ func (db *DB) readManifest(dir string) (*manifest, error) {
 	if want := db.indexGroups(); man.Groups != want {
 		return nil, fmt.Errorf("core: manifest has %d index groups, DB expects %d", man.Groups, want)
 	}
-	ns := 1
-	if len(man.ShardEnds) > 0 {
-		if len(man.ShardEnds) < 2 {
-			return nil, fmt.Errorf("core: manifest shard ends %v describe fewer than 2 shards", man.ShardEnds)
-		}
-		if man.BaseHash != 0 {
-			return nil, fmt.Errorf("core: copy-on-write tail %016x saved with shard ends", man.BaseHash)
-		}
-		prev := int32(0)
-		for i, end := range man.ShardEnds {
-			if end <= prev {
-				return nil, fmt.Errorf("core: manifest shard end %d (%d) not past previous end %d", i, end, prev)
-			}
-			prev = end
-		}
-		if int(prev) != len(man.Tokens) {
-			return nil, fmt.Errorf("core: manifest shard ends stop at %d of %d tokens", prev, len(man.Tokens))
-		}
-		ns = len(man.ShardEnds)
+	if len(man.Entries) != mc.Layers*man.Groups {
+		return nil, fmt.Errorf("core: manifest has %d graph entries for %d slots", len(man.Entries), mc.Layers*man.Groups)
 	}
-	if len(man.Entries) != mc.Layers*man.Groups*ns {
-		return nil, fmt.Errorf("core: manifest has %d graph entries for %d slots", len(man.Entries), mc.Layers*man.Groups*ns)
-	}
+	rows := len(man.Tokens)
 	for i, e := range man.Entries {
-		// Sharded entries are node ids local to their shard's rows.
-		rows := len(man.Tokens)
-		if ns > 1 {
-			sh := i % ns
-			rows = int(man.ShardEnds[sh])
-			if sh > 0 {
-				rows -= int(man.ShardEnds[sh-1])
-			}
-		}
 		if e < 0 || (int(e) >= rows && !(e == 0 && rows == 0)) {
 			return nil, fmt.Errorf("core: manifest entry %d (%d) out of range for %d rows", i, e, rows)
 		}
@@ -371,15 +317,7 @@ func (db *DB) readContextDir(dir string, read matrixReader, resolveBase baseReso
 		}
 		ctx.base, ctx.baseLen = base, man.BaseLen
 	} else {
-		if len(man.ShardEnds) > 0 {
-			ctx.shards = make([]index.Span, len(man.ShardEnds))
-			lo := 0
-			for i, end := range man.ShardEnds {
-				ctx.shards[i] = index.Span{Lo: lo, Hi: int(end)}
-				lo = int(end)
-			}
-		}
-		ctx.graphs = make([]*graph.Graph, mc.Layers*man.Groups*ctx.nShards())
+		ctx.graphs = make([]*graph.Graph, mc.Layers*man.Groups)
 	}
 	if man.Quant {
 		ctx.cache.EnableQuantKeys() // empty cache: appends maintain the plane
@@ -400,7 +338,7 @@ func (db *DB) readContextDir(dir string, read matrixReader, resolveBase baseReso
 				return nil, err
 			}
 			var adj [][]int32
-			if man.ShareGQA && len(man.ShardEnds) == 0 {
+			if man.ShareGQA {
 				if adj, err = kf.ReadAdjacency(); err != nil {
 					kf.Close()
 					return nil, err
@@ -421,6 +359,12 @@ func (db *DB) readContextDir(dir string, read matrixReader, resolveBase baseReso
 
 			if keys.Rows() != vals.Rows() {
 				return nil, fmt.Errorf("core: layer %d head %d: %d keys vs %d values", l, h, keys.Rows(), vals.Rows())
+			}
+			// The manifest's entries were range-checked against its token
+			// count; the files must hold exactly the rows it claims before a
+			// graph is hung off them.
+			if want := len(man.Tokens) - man.BaseLen; keys.Rows() != want {
+				return nil, fmt.Errorf("core: layer %d head %d: %d rows on disk, manifest expects %d owned rows", l, h, keys.Rows(), want)
 			}
 			if man.Quant {
 				// Packed SQ8 rows: reconstruct codes bit-exactly and let the
@@ -448,38 +392,7 @@ func (db *DB) readContextDir(dir string, read matrixReader, resolveBase baseReso
 				ctx.graphs[slot] = g
 			}
 		}
-		if ns := ctx.nShards(); ns > 1 && ctx.graphs != nil {
-			// Range-sharded layout: one file per (group, shard), each graph
-			// built over a slice view of the full key plane so shard node ids
-			// stay span-local, exactly as BuildIndexes constructed them.
-			for g := 0; g < man.Groups; g++ {
-				kv := db.kvHeadOfGroup(g)
-				keys := ctx.cache.Keys(l, kv)
-				qk := ctx.cache.QuantKeys(l, kv)
-				for sh := 0; sh < ns; sh++ {
-					path := filepath.Join(dir, fmt.Sprintf("L%dG%dS%d.graph", l, g, sh))
-					if _, err := os.Stat(path); err != nil {
-						continue
-					}
-					gf, err := vfs.Open(path)
-					if err != nil {
-						return nil, err
-					}
-					adj, err := gf.ReadAdjacency()
-					gf.Close()
-					if err != nil {
-						return nil, err
-					}
-					slot := (l*man.Groups+g)*ns + sh
-					span := ctx.shards[sh]
-					gr := graph.FromAdjacency(keys.Slice(span.Lo, span.Hi), adj, man.Entries[slot], db.cfg.Graph)
-					if qk != nil {
-						gr.AttachQuantKeys(qk.Slice(span.Lo, span.Hi))
-					}
-					ctx.graphs[slot] = gr
-				}
-			}
-		} else if !man.ShareGQA && ctx.graphs != nil {
+		if !man.ShareGQA && ctx.graphs != nil {
 			for g := 0; g < man.Groups; g++ {
 				path := filepath.Join(dir, fmt.Sprintf("L%dG%d.graph", l, g))
 				if _, err := os.Stat(path); err != nil {
@@ -501,9 +414,6 @@ func (db *DB) readContextDir(dir string, read matrixReader, resolveBase baseReso
 				ctx.graphs[slot] = gr
 			}
 		}
-	}
-	if want := ctx.doc.Len() - man.BaseLen; ctx.cache.SeqLen(0) != want {
-		return nil, fmt.Errorf("core: loaded cache holds %d tokens, manifest expects %d owned rows", ctx.cache.SeqLen(0), want)
 	}
 	return ctx, nil
 }

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -263,5 +264,78 @@ func TestShareMismatchRejected(t *testing.T) {
 	defer db2.Close()
 	if _, err := db2.LoadContext(dir); err == nil {
 		t.Fatal("GQA sharing mismatch accepted")
+	}
+}
+
+// shardedManifest rewrites a saved manifest into the layout older builds
+// wrote for a range-sharded context: a shard_ends list and one graph entry
+// per (layer, group, shard).
+func shardedManifest(t testing.TB, raw []byte, shardEnds []int32) []byte {
+	t.Helper()
+	var man map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &man); err != nil {
+		t.Fatal(err)
+	}
+	var entries []int32
+	if err := json.Unmarshal(man["entries"], &entries); err != nil {
+		t.Fatal(err)
+	}
+	sharded := make([]int32, len(entries)*len(shardEnds))
+	set := func(key string, v interface{}) {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		man[key] = b
+	}
+	set("entries", sharded)
+	set("shard_ends", shardEnds)
+	out, err := json.Marshal(man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestShardedSpillDirRejected: a spill directory written by a build that
+// range-sharded its contexts carries L·G·S graph entries, which the
+// entries-count check rejects. LoadContext must return an error, and the
+// tier's restart recovery must skip the directory while still adopting an
+// unsharded neighbour.
+func TestShardedSpillDirRejected(t *testing.T) {
+	db := testDB(t, nil)
+	root := t.TempDir()
+	save := func(doc *model.Document) string {
+		ctx, err := db.ImportDoc(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := spillDirName(root, DocHash(doc))
+		if err := db.SaveContext(ctx, dir); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	save(model.NewFiller(25, 300, 16, 32))
+	old := save(model.NewFiller(26, 300, 16, 32))
+	path := filepath.Join(old, "manifest.json")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, shardedManifest(t, raw, []int32{150, 300}), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := testDB(t, nil).LoadContext(old); err == nil {
+		t.Fatal("sharded manifest accepted")
+	}
+	spill, err := New(Config{Model: testModel(), Workers: 2, SpillDir: root})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer spill.Close()
+	if got := spill.TierStats().SpilledContexts; got != 1 {
+		t.Fatalf("recovery catalogued %d spilled contexts, want only the unsharded one", got)
 	}
 }

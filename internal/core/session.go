@@ -16,18 +16,16 @@ import (
 )
 
 // decodeState bundles every reusable buffer one attention computation
-// needs: the partial-attention scratch arenas (prefix and tail, plus one
-// per shard when a sharded graph plan splits the prefix), the DIPRS search
-// states (monolithic and sharded), the flat-scan scratch, the dedup
-// bitset, and the index buffers the plan executor fills. States are drawn
-// from a sync.Pool, so a steady-state decode loop — serial or fanned
-// across the worker pool — reuses the same handful of states token after
-// token and allocates nothing. A state serves one attention call at a
-// time.
+// needs: the partial-attention scratch arenas (prefix and tail), the DIPRS
+// search state, the flat-scan scratch, the dedup bitset, and the index
+// buffers the plan executor fills. States are drawn from a sync.Pool, so a
+// steady-state decode loop — serial or fanned across the worker pool —
+// reuses the same handful of states token after token and allocates
+// nothing. A state serves one attention call at a time.
 type decodeState struct {
 	scPrefix  attention.Scratch
 	scTail    attention.Scratch
-	parts     []attention.Partial // grown to 2, or nShards+1 on sharded graph plans
+	parts     [2]attention.Partial // prefix, tail
 	search    query.SearchState
 	flat      flat.Scratch
 	seen      index.VisitSet
@@ -35,24 +33,6 @@ type decodeState struct {
 	prefixIdx []int
 	ids       []int
 	segs      []attention.KVSpan
-
-	// Sharded-context buffers: the per-shard DIPRS fan-out state, the
-	// assembled shard graph/offset lists, the per-shard prefix id
-	// partition, and one attention scratch per shard partial.
-	shardSearch query.ShardedState
-	shardGs     []query.Graph
-	shardOffs   []int
-	shardIdx    [][]int
-	shardSc     []attention.Scratch
-}
-
-// growParts returns ds.parts sized to n, retaining backing storage.
-func (ds *decodeState) growParts(n int) []attention.Partial {
-	if cap(ds.parts) < n {
-		ds.parts = make([]attention.Partial, n)
-	}
-	ds.parts = ds.parts[:n]
-	return ds.parts
 }
 
 var decodeStatePool = sync.Pool{New: func() interface{} { return new(decodeState) }}
@@ -487,18 +467,6 @@ func (s *Session) executeDIPR(ds *decodeState, plan query.Plan, layer, qHead, kv
 		return ids, limit, reranked
 	}
 
-	if s.root.Sharded() {
-		if ids, explored, reranked, ok := s.shardedGraphDIPR(ds, plan, layer, qHead, kv, q, beta, limit, resultCap); ok {
-			return ids, explored, reranked
-		}
-		// A shard graph is missing (partial reload): downgrade to the scan.
-		s.mu.Lock()
-		s.stats.FlatFallbacks++
-		s.mu.Unlock()
-		ids, reranked := s.flatDIPR(ds, layer, kv, q, beta, limit, resultCap)
-		return ids, limit, reranked
-	}
-
 	g := s.root.Graph(s.db, layer, qHead)
 	if g == nil {
 		s.mu.Lock()
@@ -534,69 +502,12 @@ func (s *Session) executeDIPR(ds *decodeState, plan query.Plan, layer, qHead, kv
 	return ids, r.Explored, r.Reranked
 }
 
-// shardedGraphDIPR fans the DIPRS probe across the root context's range
-// shards and merges the per-shard β-bands at the global maximum
-// (query.DIPRSShards). Shards entirely past the reused prefix are skipped
-// — the attribute filter would reject everything they return. Returns
-// ok=false when a needed shard graph is missing (a partially reloaded
-// context); the caller downgrades to the flat scan.
-func (s *Session) shardedGraphDIPR(ds *decodeState, plan query.Plan, layer, qHead, kv int, q []float32, beta float32, limit, resultCap int) ([]int, int, int, bool) {
-	graphs := s.root.ShardGraphs(s.db, layer, qHead)
-	if graphs == nil {
-		return nil, 0, 0, false
-	}
-	spans := s.root.ShardSpans()
-	gs := ds.shardGs[:0]
-	offs := ds.shardOffs[:0]
-	for i, g := range graphs {
-		if spans[i].Lo >= limit {
-			continue
-		}
-		if g == nil {
-			return nil, 0, 0, false
-		}
-		gs = append(gs, g)
-		offs = append(offs, spans[i].Lo)
-	}
-	ds.shardGs, ds.shardOffs = gs, offs
-	cfg := query.DIPRSConfig{Beta: beta, MaxResults: resultCap, MaxExplore: 4 * resultCap}
-	// The window seed is a lower bound on the *global* maximum, so it is a
-	// sound InitialMax for every shard — it only prunes harder; the merged
-	// band is re-filtered at the true global maximum regardless.
-	if max, ok := query.WindowMax(q, s.root.cache.Keys(layer, kv), ds.winPrefix); ok {
-		cfg.InitialMax = max
-		cfg.HasInitialMax = true
-	}
-	if plan.Filtered {
-		lim := int32(limit)
-		cfg.Filter = func(id int32) bool { return id < lim }
-	}
-	r := query.DIPRSShards(&ds.shardSearch, s.db.cfg.Pool, gs, offs, q, cfg)
-	s.db.ctxpar.RecordProbe(len(gs))
-	ids := ds.ids[:0]
-	for _, c := range r.Critical {
-		if int(c.ID) < limit { // unfiltered plans may index beyond the prefix
-			ids = append(ids, int(c.ID))
-		}
-	}
-	ds.ids = ids
-	return ids, r.Explored, r.Reranked, true
-}
-
 // flatDIPR runs the exact band scan over the reused prefix through ds's
 // flat scratch — on the SQ8 plane with an fp32 rerank when the stored
-// context carries one, and with the score fill fanned across the root's
-// range shards when it has them (bitwise-identical to the unsharded scan;
-// see flat.DIPRShardedScratch). The returned ids alias ds.
+// context carries one. The returned ids alias ds.
 func (s *Session) flatDIPR(ds *decodeState, layer, kv int, q []float32, beta float32, limit, resultCap int) ([]int, int) {
 	fx := flat.MakeQuant(s.root.cache.Keys(layer, kv), s.root.cache.QuantKeys(layer, kv), s.db.cfg.Workers)
-	var cands []index.Candidate
-	if spans := s.root.ShardSpans(); len(spans) > 1 {
-		cands, _ = fx.DIPRShardedScratch(&ds.flat, s.db.cfg.Pool, spans, q, beta, limit)
-		s.db.ctxpar.RecordProbe(len(spans))
-	} else {
-		cands, _ = fx.DIPRFilteredScratch(&ds.flat, q, beta, limit)
-	}
+	cands, _ := fx.DIPRFilteredScratch(&ds.flat, q, beta, limit)
 	if len(cands) > resultCap {
 		cands = cands[:resultCap] // best-first: keep the top of the band
 	}
@@ -669,29 +580,23 @@ func (s *Session) sparseOutputInto(ds *decodeState, plan query.Plan, layer, kv i
 	segRows += tailLen
 	ds.segs = segs
 
-	if K := s.shardPartialCount(plan, prefixIdx); K > 1 {
-		// Sharded graph plan: one prefix partial per range shard plus the
-		// tail, folded through the N-way log-sum-exp merge.
-		s.shardPrefixPartials(ds, ds.growParts(K+1), layer, kv, q, prefixIdx, segs)
-	} else {
-		parts := ds.growParts(2)
-		if p := s.db.cfg.Pool; p.Size() > 0 && s.root != nil && len(prefixIdx) > 0 {
-			p.Run(
-				func() {
-					parts[0] = s.prefixPartial(ds, layer, kv, q, prefixIdx)
-				},
-				func() {
-					parts[1] = attention.OverSegmentsScratch(&ds.scTail, q, segs)
-				},
-			)
-		} else {
-			if s.root != nil && len(prefixIdx) > 0 {
+	parts := ds.parts[:]
+	if p := s.db.cfg.Pool; p.Size() > 0 && s.root != nil && len(prefixIdx) > 0 {
+		p.Run(
+			func() {
 				parts[0] = s.prefixPartial(ds, layer, kv, q, prefixIdx)
-			} else {
-				parts[0] = attention.Partial{LSE: math.Inf(-1)}
-			}
-			parts[1] = attention.OverSegmentsScratch(&ds.scTail, q, segs)
+			},
+			func() {
+				parts[1] = attention.OverSegmentsScratch(&ds.scTail, q, segs)
+			},
+		)
+	} else {
+		if s.root != nil && len(prefixIdx) > 0 {
+			parts[0] = s.prefixPartial(ds, layer, kv, q, prefixIdx)
+		} else {
+			parts[0] = attention.Partial{LSE: math.Inf(-1)}
 		}
+		parts[1] = attention.OverSegmentsScratch(&ds.scTail, q, segs)
 	}
 
 	if cap(res.Output) < len(q) {
@@ -699,66 +604,9 @@ func (s *Session) sparseOutputInto(ds *decodeState, plan query.Plan, layer, kv i
 	} else {
 		res.Output = res.Output[:len(q)]
 	}
-	attention.MergeInto(res.Output, ds.parts)
-	res.LSE = attention.CombinedLSE(ds.parts)
+	attention.MergeInto(res.Output, parts)
+	res.LSE = attention.CombinedLSE(parts)
 	return len(prefixIdx) + segRows
-}
-
-// shardPartialCount decides the prefix partial fan-out of one attention
-// call: the root's shard count on a sharded fine-graph DIPR plan, 1
-// otherwise. Flat and full plans keep the classic 2-partial shape even on
-// sharded contexts — their score fill already parallelizes inside the scan,
-// and the 2-way fold is the bitwise-pinned one.
-func (s *Session) shardPartialCount(plan query.Plan, prefixIdx []int) int {
-	if s.root == nil || !s.root.Sharded() || len(prefixIdx) == 0 {
-		return 1
-	}
-	if plan.Query != query.KindDIPR || plan.Index != query.IndexFine {
-		return 1
-	}
-	return len(s.root.ShardSpans())
-}
-
-// shardPrefixPartials computes one prefix partial per range shard plus the
-// tail partial into parts (len K+1), fanned across the pool with one
-// scratch arena per shard. The prefix ids partition by shard span — spans
-// are sorted and contiguous, so a short forward probe places each id — and
-// every partial reads the chain root's cache with global ids, so no
-// per-shard KV view is needed. Empty shards contribute a −Inf partial the
-// merge skips.
-func (s *Session) shardPrefixPartials(ds *decodeState, parts []attention.Partial, layer, kv int, q []float32, prefixIdx []int, segs []attention.KVSpan) {
-	K := len(parts) - 1
-	spans := s.root.ShardSpans()
-	if cap(ds.shardIdx) < K {
-		grown := make([][]int, K)
-		copy(grown, ds.shardIdx)
-		ds.shardIdx = grown
-	}
-	ds.shardIdx = ds.shardIdx[:K]
-	for i := range ds.shardIdx {
-		ds.shardIdx[i] = ds.shardIdx[i][:0]
-	}
-	for _, id := range prefixIdx {
-		for sh := range spans {
-			if id < spans[sh].Hi {
-				ds.shardIdx[sh] = append(ds.shardIdx[sh], id)
-				break
-			}
-		}
-	}
-	if cap(ds.shardSc) < K {
-		grown := make([]attention.Scratch, K)
-		copy(grown, ds.shardSc)
-		ds.shardSc = grown
-	}
-	ds.shardSc = ds.shardSc[:K]
-	s.db.cfg.Pool.ForEach(K+1, func(i int) {
-		if i == K {
-			parts[K] = attention.OverSegmentsScratch(&ds.scTail, q, segs)
-			return
-		}
-		parts[i] = s.prefixPartialIn(&ds.shardSc[i], layer, kv, q, ds.shardIdx[i])
-	})
 }
 
 // prefixPartial computes the host-side partial over the indexed prefix —
@@ -767,16 +615,10 @@ func (s *Session) shardPrefixPartials(ds *decodeState, parts []attention.Partial
 // storage (a quarter of the key traffic); values are always mixed in
 // fp32.
 func (s *Session) prefixPartial(ds *decodeState, layer, kv int, q []float32, prefixIdx []int) attention.Partial {
-	return s.prefixPartialIn(&ds.scPrefix, layer, kv, q, prefixIdx)
-}
-
-// prefixPartialIn is prefixPartial through an explicit scratch arena — the
-// form the per-shard fan-out uses, one arena per shard partial.
-func (s *Session) prefixPartialIn(sc *attention.Scratch, layer, kv int, q []float32, idx []int) attention.Partial {
 	if qk := s.root.cache.QuantKeys(layer, kv); qk != nil {
-		return attention.OverQ8Scratch(sc, q, qk, s.root.cache.Values(layer, kv), idx)
+		return attention.OverQ8Scratch(&ds.scPrefix, q, qk, s.root.cache.Values(layer, kv), prefixIdx)
 	}
-	return attention.OverScratch(sc, q, s.root.cache.Keys(layer, kv), s.root.cache.Values(layer, kv), idx)
+	return attention.OverScratch(&ds.scPrefix, q, s.root.cache.Keys(layer, kv), s.root.cache.Values(layer, kv), prefixIdx)
 }
 
 // coarseIndex lazily builds (and device-registers) the coarse index for

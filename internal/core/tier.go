@@ -608,13 +608,7 @@ func (db *DB) SpilledDIPRS(doc *model.Document, layer, qHead int, q []float32, c
 	defer t.files.Remove(kf)
 
 	var adj [][]int32
-	if len(man.ShardEnds) > 0 {
-		// Range-sharded layout: graphs live in per-shard files with
-		// span-local node ids and the keys file carries no adjacency. The
-		// cold path doesn't compose per-shard disk traversals; leaving adj
-		// nil takes the exact paged flat band scan below — correct, just not
-		// shard-parallel, and cold probes are off the hot decode path.
-	} else if man.ShareGQA {
+	if man.ShareGQA {
 		adj, err = kf.ReadAdjacency()
 	} else {
 		gPath := filepath.Join(e.dir, fmt.Sprintf("L%dG%d.graph", layer, group))

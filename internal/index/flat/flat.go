@@ -14,11 +14,9 @@
 package flat
 
 import (
-	"math"
 	"sync"
 
 	"repro/internal/index"
-	"repro/internal/pool"
 	"repro/internal/vec"
 )
 
@@ -76,7 +74,6 @@ type Scratch struct {
 	qq     vec.QueryQ8
 	ids    []int
 	exact  []float32
-	bests  []float32 // per-span maxima of a sharded scan
 	// Reranked is the number of band candidates the last quantized DIPR
 	// scan reranked in fp32 (0 after an fp32 scan) — the observable cost of
 	// absorbing quantization error.
@@ -215,8 +212,8 @@ func (x Index) DIPRFilteredScratch(sc *Scratch, q []float32, beta float32, limit
 
 // selectBand is the serial fp32 band selection over a filled score buffer:
 // keep everything within beta of best, sorted best-first. Shared by the
-// serial, chunk-parallel, and shard-parallel scans so the selection
-// semantics (and bitwise results) cannot drift between them.
+// serial and chunk-parallel scans so the selection semantics (and bitwise
+// results) cannot drift between them.
 func (x Index) selectBand(sc *Scratch, beta float32, n int, scores []float32, best float32) ([]index.Candidate, float32) {
 	threshold := best - beta
 	h := sc.heap[:0]
@@ -228,72 +225,6 @@ func (x Index) selectBand(sc *Scratch, beta float32, n int, scores []float32, be
 	sc.heap = h[:0] // retain grown capacity for the next query
 	sc.out = h.SortedInto(sc.out)
 	return sc.out, best
-}
-
-// DIPRShardedScratch is DIPRFilteredScratch with the score fill fanned
-// per-shard across p: each span scores its rows into the shared buffer (the
-// spans are disjoint) and reports a local maximum; the global maximum and
-// the band selection — or, with a quantized plane, the widened-band fp32
-// rerank — then run the identical serial code the unsharded scan runs.
-// Per-row scores are independent of how the fill was partitioned and the
-// max reduction is exact, so the result is bitwise-identical to
-// DIPRFilteredScratch on the same index (sc.Reranked included). spans must
-// be disjoint and cover [0, Len()) — index.Shards produces exactly that;
-// spans beyond limit are clipped.
-func (x Index) DIPRShardedScratch(sc *Scratch, p *pool.Pool, spans []index.Span, q []float32, beta float32, limit int) ([]index.Candidate, float32) {
-	n := x.keys.Rows()
-	if limit < n {
-		n = limit
-	}
-	if n <= 0 || len(spans) == 0 {
-		return nil, 0
-	}
-	if cap(sc.scores) < n {
-		sc.scores = make([]float32, n)
-	}
-	scores := sc.scores[:n]
-	quant := x.qkeys != nil && x.qkeys.Rows() >= n
-	if quant {
-		sc.qq.Quantize(q)
-	}
-	if cap(sc.bests) < len(spans) {
-		sc.bests = make([]float32, len(spans))
-	}
-	bests := sc.bests[:len(spans)]
-	inf := float32(math.Inf(-1))
-	p.ForEach(len(spans), func(i int) {
-		lo, hi := spans[i].Lo, spans[i].Hi
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			bests[i] = inf
-			return
-		}
-		if quant {
-			vec.DotBatchQ8Range(&sc.qq, x.qkeys, lo, hi, scores[lo:hi])
-		} else {
-			vec.DotBatchRange(q, x.keys, lo, hi, scores[lo:hi])
-		}
-		localBest := scores[lo]
-		for _, s := range scores[lo+1 : hi] {
-			if s > localBest {
-				localBest = s
-			}
-		}
-		bests[i] = localBest
-	})
-	best := inf
-	for _, b := range bests {
-		if b > best {
-			best = b
-		}
-	}
-	sc.Reranked = 0
-	if quant {
-		return x.rerankBand(sc, q, beta, n, scores, best)
-	}
-	return x.selectBand(sc, beta, n, scores, best)
 }
 
 // scanBest fills scores[0:n] — fused SQ8 scores when quant is set, exact

@@ -2,21 +2,13 @@ package metrics
 
 import "sync/atomic"
 
-// CtxParCounters measures context-parallel index builds and sharded decode
-// probes: how many per-context index builds ran and how long they took
-// (the wall-clock the parallel shard build is meant to shrink), how many of
-// those builds were range-sharded and into how many shards, and how many
-// decode retrievals fanned across shards. Same atomics-not-mutex rationale
-// as QuantCounters: probes are recorded per head per decode token from
-// pooled workers. Safe for concurrent use; the zero value is ready.
+// CtxParCounters counts per-context index builds only: how many ran and
+// how long they took. Same atomics-not-mutex rationale as QuantCounters.
+// Safe for concurrent use; the zero value is ready.
 type CtxParCounters struct {
 	builds         atomic.Int64
 	buildNanos     atomic.Int64
 	lastBuildNanos atomic.Int64
-	shardedBuilds  atomic.Int64
-	shardsBuilt    atomic.Int64
-	shardedProbes  atomic.Int64
-	shardProbes    atomic.Int64
 }
 
 // CtxParSnapshot is a point-in-time copy of the counters.
@@ -27,48 +19,14 @@ type CtxParSnapshot struct {
 	IndexBuildMillis int64
 	// LastIndexBuildMillis is the wall-clock of the most recent build.
 	LastIndexBuildMillis int64
-	// ShardedBuilds counts builds whose contexts were range-sharded
-	// (shard count > 1).
-	ShardedBuilds int64
-	// ShardsBuilt is the total shard graphs constructed across sharded
-	// builds.
-	ShardsBuilt int64
-	// ShardedProbes counts decode retrievals that fanned across shards.
-	ShardedProbes int64
-	// ShardProbes is the total per-shard probes those retrievals issued.
-	ShardProbes int64
 }
 
-// ShardsPerProbe returns the mean fan-out of a sharded retrieval, or 0 with
-// none recorded — the observable shard occupancy of the decode path.
-func (s CtxParSnapshot) ShardsPerProbe() float64 {
-	if s.ShardedProbes == 0 {
-		return 0
-	}
-	return float64(s.ShardProbes) / float64(s.ShardedProbes)
-}
-
-// RecordBuild counts one per-context index build: its wall-clock in
-// nanoseconds and how many shards the context's geometry produced (1 = an
-// unsharded build).
-func (c *CtxParCounters) RecordBuild(nanos int64, shards int) {
+// RecordBuild counts one per-context index build and its wall-clock in
+// nanoseconds.
+func (c *CtxParCounters) RecordBuild(nanos int64) {
 	c.builds.Add(1)
 	c.buildNanos.Add(nanos)
 	c.lastBuildNanos.Store(nanos)
-	if shards > 1 {
-		c.shardedBuilds.Add(1)
-		c.shardsBuilt.Add(int64(shards))
-	}
-}
-
-// RecordProbe counts one decode retrieval that fanned across shards > 1
-// per-shard probes. Unsharded retrievals are not recorded.
-func (c *CtxParCounters) RecordProbe(shards int) {
-	if shards <= 1 {
-		return
-	}
-	c.shardedProbes.Add(1)
-	c.shardProbes.Add(int64(shards))
 }
 
 // Snapshot returns a copy of the counters, durations in milliseconds.
@@ -77,9 +35,5 @@ func (c *CtxParCounters) Snapshot() CtxParSnapshot {
 		IndexBuilds:          c.builds.Load(),
 		IndexBuildMillis:     c.buildNanos.Load() / 1e6,
 		LastIndexBuildMillis: c.lastBuildNanos.Load() / 1e6,
-		ShardedBuilds:        c.shardedBuilds.Load(),
-		ShardsBuilt:          c.shardsBuilt.Load(),
-		ShardedProbes:        c.shardedProbes.Load(),
-		ShardProbes:          c.shardProbes.Load(),
 	}
 }

@@ -335,17 +335,11 @@ type StatsResponse struct {
 	FP32Searches  int64   `json:"fp32_searches,omitempty"`
 	RerankedRows  int64   `json:"reranked_rows,omitempty"`
 	RerankPerSrch float64 `json:"rerank_per_search,omitempty"`
-	// Context-parallel index builds and sharded decode probes (absent
-	// until the first index build): per-context build latency plus how many
-	// builds and retrievals fanned across range shards.
-	IndexBuilds          int64   `json:"index_builds,omitempty"`
-	IndexBuildMillis     int64   `json:"index_build_ms,omitempty"`
-	LastIndexBuildMillis int64   `json:"last_index_build_ms,omitempty"`
-	ShardedBuilds        int64   `json:"sharded_builds,omitempty"`
-	ShardsBuilt          int64   `json:"shards_built,omitempty"`
-	ShardedProbes        int64   `json:"sharded_probes,omitempty"`
-	ShardProbes          int64   `json:"shard_probes,omitempty"`
-	ShardsPerProbe       float64 `json:"shards_per_probe,omitempty"`
+	// Per-context index builds (absent until the first build): how many
+	// ran and their wall-clock.
+	IndexBuilds          int64 `json:"index_builds,omitempty"`
+	IndexBuildMillis     int64 `json:"index_build_ms,omitempty"`
+	LastIndexBuildMillis int64 `json:"last_index_build_ms,omitempty"`
 	// Sched reports the continuous-batching decode scheduler: wave
 	// occupancy, queue depth, and admit/reject counters (absent from a
 	// zero-value Service with no scheduler).
@@ -843,11 +837,6 @@ func (s *Service) Stats() (resp *StatsResponse, err error) {
 		resp.IndexBuilds = cp.IndexBuilds
 		resp.IndexBuildMillis = cp.IndexBuildMillis
 		resp.LastIndexBuildMillis = cp.LastIndexBuildMillis
-		resp.ShardedBuilds = cp.ShardedBuilds
-		resp.ShardsBuilt = cp.ShardsBuilt
-		resp.ShardedProbes = cp.ShardedProbes
-		resp.ShardProbes = cp.ShardProbes
-		resp.ShardsPerProbe = cp.ShardsPerProbe()
 	}
 	if s.sched != nil {
 		snap := s.sched.Stats()

@@ -20,6 +20,10 @@ import "fmt"
 // amd64 under the default GOAMD64=v1), and the kernel uses MULPS then ADDPS
 // in the same order, so the two agree bit for bit; the pin tests in
 // dot4_test.go would catch a toolchain that starts fusing.
+//
+// The weighted sums accumulate four rows per pass over out (axpy4), in
+// row order, so each output element sees the same sequence of rounded adds
+// as an Axpy per row.
 
 // dotBlock is the number of rows scored per backing-array block.
 const dotBlock = 4
@@ -119,9 +123,33 @@ func WeightedSumRange(w []float32, m *Matrix, lo, hi int, out []float32) {
 	}
 	d := m.cols
 	span := m.RowSpan(lo, hi)
-	for i := 0; i < hi-lo; i++ {
+	i := 0
+	for ; i+dotBlock <= hi-lo; i += dotBlock {
+		off := i * d
+		blk := span[off : off+dotBlock*d : off+dotBlock*d]
+		axpy4((*[4]float32)(w[i:i+4]), blk[:d], blk[d:2*d], blk[2*d:3*d], blk[3*d:], out)
+	}
+	for ; i < hi-lo; i++ {
 		off := i * d
 		Axpy(w[i], span[off:off+d:off+d], out)
+	}
+}
+
+// axpy4 is Axpy(w[0], r0, out) through Axpy(w[3], r3, out) in one pass over
+// out, holding each out[j] in a register across the four rows. Every add
+// rounds to float32 in the same order as the four calls, so the result is
+// bitwise identical. Every row must have len(out) entries.
+func axpy4(w *[4]float32, r0, r1, r2, r3, out []float32) {
+	n := len(out)
+	r0, r1, r2, r3 = r0[:n], r1[:n], r2[:n], r3[:n]
+	w0, w1, w2, w3 := w[0], w[1], w[2], w[3]
+	for j := range out {
+		o := out[j]
+		o += w0 * r0[j]
+		o += w1 * r1[j]
+		o += w2 * r2[j]
+		o += w3 * r3[j]
+		out[j] = o
 	}
 }
 
@@ -137,8 +165,12 @@ func WeightedSumGather(w []float32, m *Matrix, idx []int, out []float32) {
 	}
 	d := m.cols
 	data := m.data
-	for j, i := range idx {
-		off := i * d
-		Axpy(w[j], data[off:off+d:off+d], out)
+	row := func(i int) []float32 { return data[i*d : i*d+d : i*d+d] }
+	j := 0
+	for ; j+dotBlock <= len(idx); j += dotBlock {
+		axpy4((*[4]float32)(w[j:j+4]), row(idx[j]), row(idx[j+1]), row(idx[j+2]), row(idx[j+3]), out)
+	}
+	for ; j < len(idx); j++ {
+		Axpy(w[j], row(idx[j]), out)
 	}
 }

@@ -83,7 +83,7 @@ func TestWeightedSumRangeMatchesAxpyLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	m := randMatrix(rng, 30, 12)
 	w := randSlice(rng, 30)
-	for _, span := range [][2]int{{0, 30}, {5, 21}, {11, 11}} {
+	for _, span := range [][2]int{{0, 30}, {5, 21}, {11, 11}, {3, 4}, {1, 8}} {
 		lo, hi := span[0], span[1]
 		got := make([]float32, 12)
 		WeightedSumRange(w[:hi-lo], m, lo, hi, got)

@@ -208,35 +208,6 @@ func (qm *QuantMatrix) Truncate(n int) {
 	}
 }
 
-// Slice returns a view of rows [lo, hi) sharing code and metadata storage
-// with qm — the quantized analogue of Matrix.Slice, used to hang a per-shard
-// SQ8 scoring plane off a range shard's graph without copying the plane.
-// The running maxima are recomputed over the range, so the view's error
-// bounds (DotErrBound) are as tight as a freshly built shard plane's.
-// Like Matrix.Slice, the view is a read-only window: appending to it or to
-// qm while the view is in use is the caller's race to avoid.
-func (qm *QuantMatrix) Slice(lo, hi int) *QuantMatrix {
-	if lo < 0 || hi < lo || hi > qm.Rows() {
-		panic(fmt.Sprintf("vec: slice [%d,%d) of %d-row quant matrix", lo, hi, qm.Rows()))
-	}
-	d := qm.cols
-	out := &QuantMatrix{
-		cols:   d,
-		codes:  qm.codes[lo*d : hi*d : hi*d],
-		scales: qm.scales[lo:hi:hi],
-		l1:     qm.l1[lo:hi:hi],
-	}
-	for i := lo; i < hi; i++ {
-		if qm.scales[i] > out.maxScale {
-			out.maxScale = qm.scales[i]
-		}
-		if qm.l1[i] > out.maxL1 {
-			out.maxL1 = qm.l1[i]
-		}
-	}
-	return out
-}
-
 // Clone returns a deep copy.
 func (qm *QuantMatrix) Clone() *QuantMatrix {
 	out := &QuantMatrix{cols: qm.cols, maxScale: qm.maxScale, maxL1: qm.maxL1}

@@ -260,71 +260,3 @@ func BenchmarkDotQ8(b *testing.B) {
 		DotBatchQ8(&qq, qm, out)
 	}
 }
-
-// TestQuantMatrixSlice: a slice view shares codes and scales with its
-// parent (same rows score identically) while its error bound tightens to
-// the worst row inside the range — the property the per-shard quant planes
-// of a range-sharded context rely on.
-func TestQuantMatrixSlice(t *testing.T) {
-	rng := rand.New(rand.NewSource(91))
-	const n, d = 200, 24
-	qm := NewQuantMatrix(d)
-	for i := 0; i < n; i++ {
-		// Spread magnitudes so per-range maxima genuinely differ.
-		qm.Append(randVec(rng, d, float32(1+i%17)))
-	}
-	var qq QueryQ8
-	qq.Quantize(randVec(rng, d, 1))
-
-	for _, r := range [][2]int{{0, n}, {0, 50}, {50, 125}, {125, n}, {70, 71}, {60, 60}} {
-		lo, hi := r[0], r[1]
-		sl := qm.Slice(lo, hi)
-		if sl.Rows() != hi-lo || sl.Cols() != d {
-			t.Fatalf("slice [%d,%d): %dx%d", lo, hi, sl.Rows(), sl.Cols())
-		}
-		for i := 0; i < sl.Rows(); i++ {
-			if got, want := sl.ScoreQ8(&qq, i), qm.ScoreQ8(&qq, lo+i); got != want {
-				t.Fatalf("slice [%d,%d) row %d scores %v, parent row %d scores %v", lo, hi, i, got, lo+i, want)
-			}
-			if sl.Scale(i) != qm.Scale(lo+i) {
-				t.Fatalf("slice [%d,%d) row %d scale diverges", lo, hi, i)
-			}
-		}
-		if sl.Rows() > 0 {
-			// The view's bound is the max over its own rows: no looser than
-			// the tightest per-row bound, no tighter than the loosest.
-			bound := sl.DotErrBound(&qq)
-			var worst float32
-			for i := 0; i < sl.Rows(); i++ {
-				if b := sl.ErrBoundRow(&qq, i); b > worst {
-					worst = b
-				}
-			}
-			if bound < worst {
-				t.Fatalf("slice [%d,%d): bound %v below worst row bound %v", lo, hi, bound, worst)
-			}
-			if full := qm.DotErrBound(&qq); bound > full {
-				t.Fatalf("slice [%d,%d): bound %v looser than full-matrix bound %v", lo, hi, bound, full)
-			}
-		}
-	}
-
-	// Batch scoring over the slice matches the parent's range scoring.
-	sl := qm.Slice(40, 160)
-	got := make([]float32, sl.Rows())
-	want := make([]float32, n)
-	DotBatchQ8(&qq, sl, got)
-	DotBatchQ8Range(&qq, qm, 40, 160, want[40:160])
-	for i := range got {
-		if got[i] != want[40+i] {
-			t.Fatalf("batch row %d: slice %v vs parent %v", i, got[i], want[40+i])
-		}
-	}
-
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-range slice did not panic")
-		}
-	}()
-	qm.Slice(10, n+1)
-}

@@ -55,15 +55,15 @@ func TestStatsOlderServer(t *testing.T) {
 		st.PrefixLookups != 0 || st.CoWStores != 0 || st.ReloadErrors != 0 || st.SpillErrors != 0 {
 		t.Fatalf("fields absent from the wire must decode to zero: %+v", st)
 	}
-	if st.IndexBuilds != 0 || st.ShardedBuilds != 0 || st.ShardedProbes != 0 || st.ShardsPerProbe != 0 {
-		t.Fatalf("sharding fields absent from the wire must decode to zero: %+v", st)
+	if st.IndexBuilds != 0 || st.IndexBuildMillis != 0 || st.LastIndexBuildMillis != 0 {
+		t.Fatalf("index-build fields absent from the wire must decode to zero: %+v", st)
 	}
 }
 
 // TestStatsNewerServer decodes a stats body carrying both the
-// prefix-sharing fields and unknown fields from some future version: the
-// known fields must land and the unknown ones must be ignored, not
-// rejected.
+// prefix-sharing fields and unknown fields: the known fields must land and
+// the unknown ones must be ignored, not rejected. The unknown set includes
+// the context-sharding counters older daemons still emit.
 func TestStatsNewerServer(t *testing.T) {
 	c := statsServer(t, `{
 		"contexts": 5,
@@ -103,9 +103,5 @@ func TestStatsNewerServer(t *testing.T) {
 	}
 	if st.IndexBuilds != 6 || st.IndexBuildMillis != 420 || st.LastIndexBuildMillis != 55 {
 		t.Fatalf("index-build fields mangled: %+v", st)
-	}
-	if st.ShardedBuilds != 3 || st.ShardsBuilt != 24 || st.ShardedProbes != 1000 ||
-		st.ShardProbes != 8000 || st.ShardsPerProbe != 8.0 {
-		t.Fatalf("sharding fields mangled: %+v", st)
 	}
 }
