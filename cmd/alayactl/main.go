@@ -1,7 +1,7 @@
 // Command alayactl inspects AlayaDB deployments: on-disk artefacts —
 // vector files (the vfs block format of §7.3), persisted context
 // directories, the spill tier written by a DB running with -spill-dir —
-// and live daemons over the v2 API through the Go SDK.
+// and live daemons over the serving API through the Go SDK.
 //
 // Usage:
 //

@@ -5,10 +5,11 @@
 //
 //	alayad -addr :8265 -grpc-addr :8266 -layers 4 -device-gb 0.2
 //
-// A v2 engine decodes one token per round trip through POST
+// An engine decodes one token per round trip through POST
 // /v1/sessions/{id}/step (binary or JSON body) or the alaya.v1.AlayaDB/Step
-// RPC; the v1 per-layer surface stays available. Both transports front one
-// service core, so sessions created over one are visible to the other.
+// RPC, and N per round trip through step_stream / StepStream. Both
+// transports front one service core, so sessions created over one are
+// visible to the other.
 // GET /v1/healthz answers load-balancer probes, and SIGINT/SIGTERM trigger
 // a graceful drain: every listener stops accepting, in-flight requests
 // finish, sessions are closed, then the process exits. See internal/serve
@@ -85,13 +86,16 @@ func run() error {
 		spillMB   = flag.Float64("spill-cache-mb", 64, "buffer pool capacity in MB for spilled-context block reads")
 		quant     = flag.Bool("quant-keys", false, "maintain an SQ8 (int8) key plane: retrieval and host attention score quantized keys with fp32 rerank; spilled key files shrink 4x (spill dirs are layout-specific)")
 		prefChunk = flag.Int("prefix-chunk", 0, "chunk width in tokens for the prefix trees behind CreateSession's longest-common-prefix lookup (0 = default 64)")
-		schedWave = flag.Int("sched-wave", 0, "continuous-batching wave size: decode steps from up to this many sessions execute as one fused fan-out over the worker pool (0 = pool size, negative = scheduler off: serial per-request decode)")
+		schedWave = flag.Int("sched-wave", 0, "continuous-batching wave size: decode steps from up to this many sessions execute as one fused fan-out over the worker pool (0 = pool size)")
 		schedQ    = flag.Int("sched-queue", serve.DefaultQueueDepth, "bounded admission queue for decode steps; requests beyond it are rejected with 429 overloaded")
 	)
 	flag.Parse()
 
 	if (*tlsCert == "") != (*tlsKey == "") {
 		return errors.New("-grpc-tls-cert and -grpc-tls-key must be set together")
+	}
+	if *schedWave < 0 {
+		return fmt.Errorf("-sched-wave must be >= 0, got %d", *schedWave)
 	}
 
 	if *peers != "" {
@@ -154,12 +158,8 @@ func run() error {
 	}
 	log.Printf("alayad: serving attention on %s (model %dL x %dQ x %dKV x d%d, pool %d, %d shards, keys %s)",
 		*addr, cfg.Layers, cfg.QHeads, cfg.KVHeads, cfg.HeadDim, workPool.Size(), *shards, keyPlane)
-	if sched := srv.Service().Scheduler(); sched != nil {
-		sst := sched.Stats()
-		log.Printf("alayad: decode scheduler: wave %d, queue %d", sst.WaveSize, sst.QueueCap)
-	} else {
-		log.Printf("alayad: decode scheduler: off (serial per-request decode)")
-	}
+	sst := srv.Service().Scheduler().Stats()
+	log.Printf("alayad: decode scheduler: wave %d, queue %d", sst.WaveSize, sst.QueueCap)
 	if *spillDir != "" {
 		ts := db.TierStats()
 		log.Printf("alayad: spill tier at %s (budget %.2f GB, %d contexts recovered)",

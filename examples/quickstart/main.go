@@ -1,4 +1,4 @@
-// Quickstart: store a long context in AlayaDB, serve it over the v2
+// Quickstart: store a long context in AlayaDB, serve it over the
 // attention API, and decode an answer through the Go SDK — the Figure 4(b)
 // integration in miniature, but through the real wire: the "engine" below
 // talks to the DB only via pkg/alayaclient, one round trip per decoded

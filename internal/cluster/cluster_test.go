@@ -180,10 +180,10 @@ func TestRendezvousPlacement(t *testing.T) {
 }
 
 // TestRoutedWholeBitwiseIdentity is the 3-node conformance check: a
-// whole-context session routed through the cluster must produce step,
-// attention_all and step_stream responses byte-for-byte identical to the
-// same sequence on a standalone single-node service — routing proxies
-// frames, it never re-computes.
+// whole-context session routed through the cluster must produce
+// attend-only step, step and step_stream responses byte-for-byte
+// identical to the same sequence on a standalone single-node service —
+// routing proxies frames, it never re-computes.
 func TestRoutedWholeBitwiseIdentity(t *testing.T) {
 	inst, m := testWorkload()
 	router, _ := newTestRouter(t, 3, 0)
@@ -192,23 +192,20 @@ func TestRoutedWholeBitwiseIdentity(t *testing.T) {
 	rid := createPrefilled(t, router, inst)
 	did := createPrefilled(t, direct, inst)
 
-	// attention_all on both layers before any decode.
-	mc := m.Config()
-	for layer := 0; layer < mc.Layers; layer++ {
-		req := &serve.AttentionAllRequest{Layer: layer, Queries: queriesFor(m, inst, 0)[layer]}
-		rresp, err := router.AttentionAll(rid, req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dresp, err := direct.AttentionAll(did, req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(mustFrame(t, rresp), mustFrame(t, dresp)) {
-			t.Fatalf("attention_all layer %d: routed response differs from single-node", layer)
-		}
-		dresp.Release()
+	// Attention on every layer and head before any decode.
+	areq := &serve.StepRequest{Queries: queriesFor(m, inst, 0), AttendOnly: true}
+	rresp, err := router.Step(rid, areq)
+	if err != nil {
+		t.Fatal(err)
 	}
+	dresp, err := direct.Step(did, areq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(mustFrame(t, rresp), mustFrame(t, dresp)) {
+		t.Fatal("attend-only step: routed response differs from single-node")
+	}
+	dresp.Release()
 
 	// A decode sequence, step by step.
 	for step := 0; step < 4; step++ {
@@ -278,17 +275,20 @@ func TestShardedTopologyInvariance(t *testing.T) {
 		}
 	}
 
-	req := &serve.AttentionAllRequest{Layer: 0, Queries: queriesFor(m, inst, 0)[0]}
-	aresp, err := one.AttentionAll(aid, req)
+	req := &serve.StepRequest{Queries: queriesFor(m, inst, 0), AttendOnly: true}
+	aresp, err := one.Step(aid, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bresp, err := three.AttentionAll(bid, req)
+	bresp, err := three.Step(bid, req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(mustFrame(t, aresp), mustFrame(t, bresp)) {
-		t.Fatal("sharded attention_all differs between 1-node and 3-node topologies")
+		t.Fatal("sharded attend-only step differs between 1-node and 3-node topologies")
+	}
+	if aresp.ContextLen != inst.Doc.Len() {
+		t.Fatalf("sharded attend-only step: context len %d, want %d", aresp.ContextLen, inst.Doc.Len())
 	}
 
 	for step := 0; step < 3; step++ {
@@ -351,10 +351,10 @@ func TestShardedMatchesMonolithic(t *testing.T) {
 }
 
 // TestShardedLifecycle covers the sharded session's non-tensor surface:
-// prefill counts span the whole document, updates land on the open tail,
-// store conflicts, close releases every shard.
+// prefill counts span the whole document, a step's token lands on the
+// open tail, store conflicts, close releases every shard.
 func TestShardedLifecycle(t *testing.T) {
-	inst, _ := testWorkload()
+	inst, m := testWorkload()
 	router, nodes := newTestRouter(t, 3, 100)
 
 	resp, err := router.CreateSession(&serve.CreateSessionRequest{Seed: inst.Doc.Seed, Tokens: inst.Doc.Tokens})
@@ -369,12 +369,12 @@ func TestShardedLifecycle(t *testing.T) {
 		t.Fatalf("sharded prefill: %+v, want %d tokens", pf, inst.Doc.Len())
 	}
 
-	up, err := router.Update(resp.SessionID, &serve.UpdateRequest{Token: inst.Doc.Tokens[0]})
+	up, err := router.Step(resp.SessionID, &serve.StepRequest{Token: inst.Doc.Tokens[0], Queries: queriesFor(m, inst, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if up.ContextLen != inst.Doc.Len()+1 {
-		t.Fatalf("sharded update: context len %d, want %d", up.ContextLen, inst.Doc.Len()+1)
+		t.Fatalf("sharded step: context len %d, want %d", up.ContextLen, inst.Doc.Len()+1)
 	}
 
 	if _, err := router.Store(resp.SessionID); err == nil {
@@ -534,9 +534,9 @@ func TestRouterUnknownSession(t *testing.T) {
 	}
 }
 
-// TestRoutedSurfaceParity covers the remaining whole-context surface —
-// single-head attention, batched steps, update, store, healthz — against
-// the direct single-node service.
+// TestRoutedSurfaceParity covers the rest of the whole-context surface —
+// an attend-only step after decoding, and healthz — against the direct
+// single-node service.
 func TestRoutedSurfaceParity(t *testing.T) {
 	inst, m := testWorkload()
 	router, _ := newTestRouter(t, 2, 0)
@@ -545,51 +545,25 @@ func TestRoutedSurfaceParity(t *testing.T) {
 	rid := createPrefilled(t, router, inst)
 	did := createPrefilled(t, direct, inst)
 
-	q := queriesFor(m, inst, 0)
-	areq := &serve.AttentionRequest{Layer: 0, QHead: 1, Query: q[0][1]}
-	rresp, err := router.Attention(rid, areq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dresp, err := direct.Attention(did, areq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(mustFrame(t, rresp), mustFrame(t, dresp)) {
-		t.Fatal("routed attention differs from single-node")
-	}
-
-	batch := &serve.StepsRequest{Steps: []serve.StepRequest{
+	for i, req := range []*serve.StepRequest{
 		{Token: inst.Doc.Tokens[0], Queries: queriesFor(m, inst, 0)},
-		{Token: inst.Doc.Tokens[1], Queries: queriesFor(m, inst, 1)},
-	}}
-	rsteps, err := router.Steps(rid, batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dsteps, err := direct.Steps(did, batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rsteps.Steps) != len(dsteps.Steps) {
-		t.Fatalf("steps: %d routed, %d direct", len(rsteps.Steps), len(dsteps.Steps))
-	}
-	for i := range rsteps.Steps {
-		if !bytes.Equal(mustFrame(t, &rsteps.Steps[i]), mustFrame(t, &dsteps.Steps[i])) {
-			t.Fatalf("steps item %d differs", i)
+		{Queries: queriesFor(m, inst, 1), AttendOnly: true},
+	} {
+		rresp, err := router.Step(rid, req)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-
-	rup, err := router.Update(rid, &serve.UpdateRequest{Token: inst.Doc.Tokens[2]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dup, err := direct.Update(did, &serve.UpdateRequest{Token: inst.Doc.Tokens[2]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rup.ContextLen != dup.ContextLen {
-		t.Fatalf("update context len: routed %d, direct %d", rup.ContextLen, dup.ContextLen)
+		dresp, err := direct.Step(did, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(mustFrame(t, rresp), mustFrame(t, dresp)) {
+			t.Fatalf("step %d (attend_only %v): routed response differs from single-node", i, req.AttendOnly)
+		}
+		if rresp.ContextLen != inst.Doc.Len()+1 {
+			t.Fatalf("step %d: context len %d, want %d", i, rresp.ContextLen, inst.Doc.Len()+1)
+		}
+		dresp.Release()
 	}
 
 	if hz := router.Healthz(); hz.Status != "ok" || hz.OpenSessions != 1 {
@@ -625,7 +599,7 @@ func TestRoutedStoreProxy(t *testing.T) {
 
 // TestShardedStreamMatchesSteps pins the sharded streaming path: the
 // per-step merged frames a 3-node sharded session streams are exactly
-// the frames its Steps batch returns.
+// the frames unary Steps return on a twin session.
 func TestShardedStreamMatchesSteps(t *testing.T) {
 	inst, m := testWorkload()
 	router, _ := newTestRouter(t, 3, 100)
@@ -642,33 +616,88 @@ func TestShardedStreamMatchesSteps(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	if len(streamed) != len(batch.Steps) {
+		t.Fatalf("stream yielded %d items, want %d", len(streamed), len(batch.Steps))
+	}
 
-	// A fresh identical session replays the same batch through Steps.
-	id2 := createPrefilled(t, router, inst)
-	bresp, err := router.Steps(id2, batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(streamed) != len(bresp.Steps) {
-		t.Fatalf("stream yielded %d items, steps %d", len(streamed), len(bresp.Steps))
-	}
-	for i := range streamed {
-		if !bytes.Equal(streamed[i], mustFrame(t, &bresp.Steps[i])) {
-			t.Fatalf("stream item %d differs from steps item", i)
+	// A fresh identical session replays the same batch step by step.
+	twin := createPrefilled(t, router, inst)
+	for i := range batch.Steps {
+		resp, err := router.Step(twin, &batch.Steps[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(streamed[i], mustFrame(t, resp)) {
+			t.Fatalf("stream item %d differs from the unary step", i)
 		}
 	}
 
-	// Sharded single-head attention exercises the one-head merge path.
-	q := queriesFor(m, inst, 0)
-	if _, err := router.Attention(id, &serve.AttentionRequest{Layer: 1, QHead: 0, Query: q[1][0]}); err != nil {
-		t.Fatal(err)
-	}
 	st, err := router.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Cluster.Merges == 0 || st.Cluster.Fanouts == 0 {
 		t.Fatalf("sharded traffic not accounted: %+v", st.Cluster)
+	}
+}
+
+// TestRoutedStreamChecksBatchFirst pins that a routed step_stream refuses
+// a batch a node would refuse before any step runs, whole or sharded: a
+// step with a ragged query grid, a step whose grid shape differs from
+// step 0's, or more than MaxSteps steps is a bad request with no item
+// streamed and no token ingested. A lone ragged Step is a bad request too.
+func TestRoutedStreamChecksBatchFirst(t *testing.T) {
+	inst, m := testWorkload()
+	for _, tc := range []struct {
+		name        string
+		shardTokens int
+	}{{"whole", 0}, {"sharded", 100}} {
+		t.Run(tc.name, func(t *testing.T) {
+			router, _ := newTestRouter(t, 3, tc.shardTokens)
+			id := createPrefilled(t, router, inst)
+			good := serve.StepRequest{Token: inst.Doc.Tokens[0], Queries: queriesFor(m, inst, 0)}
+
+			ragged := queriesFor(m, inst, 1)
+			ragged[1][2] = make([]float32, 3)
+			reshaped := queriesFor(m, inst, 1)[:1]
+			over := make([]serve.StepRequest, serve.MaxSteps+1)
+			for i := range over {
+				over[i] = good
+			}
+			for _, bad := range []struct {
+				name  string
+				steps []serve.StepRequest
+			}{
+				{"ragged step", []serve.StepRequest{good, good, {Token: good.Token, Queries: ragged}}},
+				{"reshaped step", []serve.StepRequest{good, good, {Token: good.Token, Queries: reshaped}}},
+				{"over MaxSteps", over},
+			} {
+				items := 0
+				err := router.StepStream(context.Background(), id, &serve.StepsRequest{Steps: bad.steps},
+					func(*serve.StepResponse) error { items++; return nil })
+				if se, ok := err.(*serve.Error); !ok || se.Kind != serve.KindBadRequest {
+					t.Fatalf("%s: err %v, want bad_request", bad.name, err)
+				}
+				if items != 0 {
+					t.Fatalf("%s: %d items streamed before the refusal", bad.name, items)
+				}
+			}
+
+			if _, err := router.Step(id, &serve.StepRequest{Token: good.Token, Queries: ragged}); err == nil {
+				t.Fatal("ragged step succeeded")
+			} else if se, ok := err.(*serve.Error); !ok || se.Kind != serve.KindBadRequest {
+				t.Fatalf("ragged step: err %v, want bad_request", err)
+			}
+
+			// Nothing was ingested: the context is still the document.
+			probe, err := router.Step(id, &serve.StepRequest{Queries: good.Queries, AttendOnly: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if probe.ContextLen != inst.Doc.Len() {
+				t.Fatalf("context len %d after refused batches, want %d", probe.ContextLen, inst.Doc.Len())
+			}
+		})
 	}
 }
 

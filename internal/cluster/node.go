@@ -101,24 +101,15 @@ func (n *node) prefill(ctx context.Context, id int64) (*serve.PrefillResponse, e
 	return &serve.PrefillResponse{Prefilled: int(resp.Prefilled), ContextLen: int(resp.ContextLen)}, nil
 }
 
-func (n *node) update(ctx context.Context, id int64, req *serve.UpdateRequest) (*serve.UpdateResponse, error) {
-	preq := &pb.UpdateRequest{SessionID: id, Token: pb.Token{
-		Topic: int64(req.Token.Topic), Payload: int64(req.Token.Payload), Salience: req.Token.Salience,
-	}}
-	var resp pb.UpdateResponse
-	if err := n.finish(n.conn.Invoke(ctx, pb.MethodUpdate, preq, &resp)); err != nil {
-		return nil, err
-	}
-	return &serve.UpdateResponse{ContextLen: int(resp.ContextLen)}, nil
-}
-
 // tensor runs one frame-carried RPC: the request is encoded with the
 // serve frame codec, carried in a FrameRequest, and the response frame
-// decoded back — the same bit-exact envelope both transports use.
+// decoded back — the same bit-exact envelope both transports use. A
+// request the frame layout cannot carry (a ragged query grid) is the
+// caller's bad request, as it would be at a node.
 func (n *node) tensor(ctx context.Context, method string, id int64, req, resp interface{}) error {
 	frame, err := serve.MarshalFrame(req)
 	if err != nil {
-		return serve.Internalf("encode frame: %v", err)
+		return serve.BadRequestf("encode frame: %v", err)
 	}
 	var out pb.FrameResponse
 	if err := n.finish(n.conn.Invoke(ctx, method, &pb.FrameRequest{SessionID: id, Frame: frame}, &out)); err != nil {
@@ -152,7 +143,7 @@ func (n *node) closeSession(ctx context.Context, id int64) (*serve.CloseResponse
 func (n *node) stepStream(ctx context.Context, id int64, req *serve.StepsRequest, sink func(*serve.StepResponse) error) error {
 	frame, err := serve.MarshalFrame(req)
 	if err != nil {
-		return serve.Internalf("encode frame: %v", err)
+		return serve.BadRequestf("encode frame: %v", err)
 	}
 	stream, err := n.conn.OpenStream(ctx, pb.MethodStepStream, &pb.FrameRequest{SessionID: id, Frame: frame})
 	if err != nil {

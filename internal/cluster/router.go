@@ -278,88 +278,6 @@ func (r *Router) Prefill(id int64) (*serve.PrefillResponse, error) {
 	return resp, nil
 }
 
-// Update ingests a decoded token. Only the open tail shard grows; fixed
-// spans are frozen by construction.
-func (r *Router) Update(id int64, req *serve.UpdateRequest) (*serve.UpdateResponse, error) {
-	s, serr := r.session(id)
-	if serr != nil {
-		return nil, serr
-	}
-	tail := s.tail()
-	r.cc.Routed()
-	resp, err := tail.node.update(context.Background(), tail.remoteID, req)
-	if err != nil {
-		return r.noteUnavailable(err)
-	}
-	return resp, nil
-}
-
-// noteUnavailable counts a routed (non-fanned) call that died against a
-// demoted node, then passes the error through.
-func (r *Router) noteUnavailable(err error) (*serve.UpdateResponse, error) {
-	if se, ok := err.(*serve.Error); ok && se.Kind == serve.KindUnavailable {
-		r.cc.Unavailable()
-	}
-	return nil, err
-}
-
-// Attention runs one head's query: proxied whole for single-shard
-// sessions, fanned and log-sum-exp-folded for sharded ones.
-func (r *Router) Attention(id int64, req *serve.AttentionRequest) (*serve.AttentionResponse, error) {
-	s, serr := r.session(id)
-	if serr != nil {
-		return nil, serr
-	}
-	out := make([]*serve.AttentionResponse, len(s.shards))
-	err := r.fanout(s.shards, func(i int, sh *shard) error {
-		var resp serve.AttentionResponse
-		if terr := sh.node.tensor(context.Background(), pb.MethodAttention, sh.remoteID, req, &resp); terr != nil {
-			return terr
-		}
-		out[i] = &resp
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if len(out) == 1 {
-		return out[0], nil
-	}
-	r.cc.Merged(1)
-	merged := mergeHead(out)
-	return &merged, nil
-}
-
-// AttentionAll runs one layer's heads across the shards and folds each
-// head independently.
-func (r *Router) AttentionAll(id int64, req *serve.AttentionAllRequest) (*serve.AttentionAllResponse, error) {
-	s, serr := r.session(id)
-	if serr != nil {
-		return nil, serr
-	}
-	out := make([]*serve.AttentionAllResponse, len(s.shards))
-	err := r.fanout(s.shards, func(i int, sh *shard) error {
-		var resp serve.AttentionAllResponse
-		if terr := sh.node.tensor(context.Background(), pb.MethodAttentionAll, sh.remoteID, req, &resp); terr != nil {
-			return terr
-		}
-		out[i] = &resp
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if len(out) == 1 {
-		return out[0], nil
-	}
-	byShard := make([][]serve.AttentionResponse, len(out))
-	for i, o := range out {
-		byShard[i] = o.Heads
-	}
-	r.cc.Merged(len(byShard[0]))
-	return &serve.AttentionAllResponse{Heads: mergeHeads(byShard)}, nil
-}
-
 // Step runs one decode step. Sharded sessions send the token to every
 // shard, but only the open tail span ingests it — the fixed spans serve
 // the step attend-only — and each (layer, head) output folds across the
@@ -400,42 +318,16 @@ func (r *Router) Step(id int64, req *serve.StepRequest) (*serve.StepResponse, er
 	return &serve.StepResponse{ContextLen: out[len(out)-1].ContextLen, Layers: layers}, nil
 }
 
-// Steps amortizes N steps: proxied in one round trip for single-shard
-// sessions, fanned step by step for sharded ones (each step must merge
-// before the next token lands).
-func (r *Router) Steps(id int64, req *serve.StepsRequest) (*serve.StepsResponse, error) {
-	s, serr := r.session(id)
-	if serr != nil {
-		return nil, serr
-	}
-	if !s.sharded() {
-		sh := s.tail()
-		r.cc.Routed()
-		var resp serve.StepsResponse
-		if terr := sh.node.tensor(context.Background(), pb.MethodSteps, sh.remoteID, req, &resp); terr != nil {
-			if se, ok := terr.(*serve.Error); ok && se.Kind == serve.KindUnavailable {
-				r.cc.Unavailable()
-			}
-			return nil, terr
-		}
-		return &resp, nil
-	}
-	resp := &serve.StepsResponse{Steps: make([]serve.StepResponse, 0, len(req.Steps))}
-	for i := range req.Steps {
-		step, err := r.Step(id, &req.Steps[i])
-		if err != nil {
-			return nil, err
-		}
-		resp.Steps = append(resp.Steps, *step)
-	}
-	return resp, nil
-}
-
 // StepStream streams per-step frames. Single-shard sessions proxy the
 // remote stream item by item; sharded sessions decode step by step,
 // merging each before it flushes — the client sees the identical
-// item/terminator sequence either way.
+// item/terminator sequence either way. The batch is checked whole before
+// anything is sent, as a node checks it, so a bad step never leaves the
+// earlier ones ingested.
 func (r *Router) StepStream(ctx context.Context, id int64, req *serve.StepsRequest, sink func(*serve.StepResponse) error) error {
+	if berr := checkBatch(req.Steps); berr != nil {
+		return berr
+	}
 	s, serr := r.session(id)
 	if serr != nil {
 		return serr
@@ -459,6 +351,29 @@ func (r *Router) StepStream(ctx context.Context, id int64, req *serve.StepsReque
 		}
 		if serr := sink(step); serr != nil {
 			return serr
+		}
+	}
+	return nil
+}
+
+// checkBatch rejects a step_stream batch that a node would refuse, in the
+// node's terms: more than serve.MaxSteps steps, a ragged query grid, or a
+// step whose grid shape differs from step 0's. Only the model geometry is
+// left to the node, and step 0's check there covers every step.
+func checkBatch(steps []serve.StepRequest) error {
+	if len(steps) > serve.MaxSteps {
+		return serve.BadRequestf("batch of %d steps exceeds the %d-step limit", len(steps), serve.MaxSteps)
+	}
+	var l0, h0, d0 int
+	for i := range steps {
+		l, h, d, err := serve.StepGeometry(steps[i].Queries)
+		if err != nil {
+			return serve.BadRequestf("step %d: %v", i, err)
+		}
+		if i == 0 {
+			l0, h0, d0 = l, h, d
+		} else if l != l0 || h != h0 || d != d0 {
+			return serve.BadRequestf("step %d: query grid %dx%dx%d, step 0's is %dx%dx%d", i, l, h, d, l0, h0, d0)
 		}
 	}
 	return nil

@@ -16,11 +16,7 @@ type Endpoint int
 const (
 	EPCreateSession Endpoint = iota
 	EPPrefill
-	EPUpdate
-	EPAttention
-	EPAttentionAll
 	EPStep
-	EPSteps
 	EPStepStream
 	EPStore
 	EPCloseSession
@@ -32,11 +28,7 @@ const (
 var endpointNames = [numEndpoints]string{
 	"create_session",
 	"prefill",
-	"update",
-	"attention",
-	"attention_all",
 	"step",
-	"steps",
 	"step_stream",
 	"store",
 	"close_session",

@@ -190,11 +190,15 @@ func httpTransport(e *env) transport {
 	return transport{name: "http", call: call, stream: stream}
 }
 
+// methodFor maps an HTTP action to its gRPC path. The retired decode
+// calls keep their old paths here so the conformance suite can pin what an
+// old client now gets.
 var methodFor = map[string]string{
 	"step":          pb.MethodStep,
-	"steps":         pb.MethodSteps,
-	"attention":     pb.MethodAttention,
-	"attention_all": pb.MethodAttentionAll,
+	"update":        "/alaya.v1.AlayaDB/Update",
+	"attention":     "/alaya.v1.AlayaDB/Attention",
+	"attention_all": "/alaya.v1.AlayaDB/AttentionAll",
+	"steps":         "/alaya.v1.AlayaDB/Steps",
 }
 
 func grpcTransport(e *env) transport {
@@ -266,6 +270,8 @@ func TestErrorModelConformance(t *testing.T) {
 	e := newEnv(t, nil, nil)
 	id := e.newSession(t)
 	stepFrame := mustFrame(t, &serve.StepRequest{Token: e.inst.Doc.Tokens[0], Queries: e.queries(0)})
+	removedKind := bytes.Clone(stepFrame)
+	removedKind[5] = 1 // the retired per-head attention request
 
 	probes := []struct {
 		name   string
@@ -276,6 +282,7 @@ func TestErrorModelConformance(t *testing.T) {
 	}{
 		{"unknown-session", 424242, "step", stepFrame, serve.KindNotFound},
 		{"malformed-frame", id, "step", []byte("not a frame"), serve.KindBadRequest},
+		{"removed-kind-frame", id, "step", removedKind, serve.KindBadRequest},
 	}
 	for _, probe := range probes {
 		for _, tr := range transports(e) {
@@ -284,6 +291,23 @@ func TestErrorModelConformance(t *testing.T) {
 				t.Fatalf("%s/%s: %v", tr.name, probe.name, err)
 			}
 			checkKind(t, tr, probe.name, res, probe.want)
+		}
+	}
+
+	// The retired decode calls are unknown on both wires: an unknown
+	// action over HTTP (not_found), the server's unknown-method status
+	// over gRPC (method_not_allowed, UNIMPLEMENTED).
+	for _, action := range []string{"update", "attention", "attention_all", "steps"} {
+		for _, tr := range transports(e) {
+			res, err := tr.call(id, action, stepFrame)
+			if err != nil {
+				t.Fatalf("%s/removed-%s: %v", tr.name, action, err)
+			}
+			want := serve.KindNotFound
+			if tr.name == "grpc" {
+				want = serve.KindMethodNotAllowed
+			}
+			checkKind(t, tr, "removed-"+action, res, want)
 		}
 	}
 
@@ -360,26 +384,47 @@ func TestStepBitwiseIdentity(t *testing.T) {
 		}
 	}
 
-	// Batched steps: same contract for the steps endpoint.
+	// A streamed batch: each item carries exactly the frame of the same
+	// step issued as a unary call on the direct session.
 	batch := &serve.StepsRequest{Steps: []serve.StepRequest{
 		{Token: tok, Queries: e.queries(3)},
 		{Token: tok, Queries: e.queries(4)},
 	}}
 	frame := mustFrame(t, batch)
-	resp, err := e.srv.Service().Steps(direct, batch)
-	if err != nil {
-		t.Fatal(err)
+	var want [][]byte
+	for i := range batch.Steps {
+		resp, err := e.srv.Service().Step(direct, &batch.Steps[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, mustFrame(t, resp))
 	}
-	want := mustFrame(t, resp)
 	for i, tr := range trs {
-		res, err := tr.call(ids[i], "steps", frame)
-		if err != nil || !res.ok {
-			t.Fatalf("%s steps: err %v, result kind %q", tr.name, err, res.kind)
+		sr, err := tr.stream(context.Background(), ids[i], frame)
+		if err != nil {
+			t.Fatalf("%s step_stream: %v", tr.name, err)
 		}
-		if !bytes.Equal(res.frame, want) {
-			t.Fatalf("%s steps: response frame differs from direct service (%d vs %d bytes)",
-				tr.name, len(res.frame), len(want))
+		for n := 0; ; n++ {
+			kind, payload, err := sr.next()
+			if err != nil {
+				t.Fatalf("%s step_stream: read: %v", tr.name, err)
+			}
+			if kind == serve.FrameStreamEnd {
+				items, env, err := serve.DecodeStreamEnd(payload)
+				if err != nil || env.Kind != "" || items != len(want) || n != len(want) {
+					t.Fatalf("%s step_stream: end after %d frames: items=%d env=%+v err=%v", tr.name, n, items, env, err)
+				}
+				break
+			}
+			if kind != serve.FrameStreamItem || n >= len(want) {
+				t.Fatalf("%s step_stream: frame %d kind %d", tr.name, n, kind)
+			}
+			if !bytes.Equal(payload, want[n]) {
+				t.Fatalf("%s step_stream item %d: frame differs from the unary step (%d vs %d bytes)",
+					tr.name, n, len(payload), len(want[n]))
+			}
 		}
+		sr.close()
 	}
 }
 

@@ -3,20 +3,16 @@ package serve
 import "context"
 
 // Core is the transport-facing operation set of a serving node: every
-// typed request/response pair of the v1+v2 API with no wire anywhere in
-// sight. The single-node *Service implements it directly; the cluster
-// shard router (internal/cluster) implements it by proxying to remote
-// nodes and merging partials — and because both the HTTP server and the
-// gRPC server are written against Core, either backend mounts on either
-// transport unchanged.
+// typed request/response pair of the API with no wire anywhere in sight.
+// Step and StepStream are its only decode calls. The single-node *Service
+// implements it directly; the cluster shard router (internal/cluster)
+// implements it by proxying to remote nodes and merging partials — and
+// because both the HTTP server and the gRPC server are written against
+// Core, either backend mounts on either transport unchanged.
 type Core interface {
 	CreateSession(req *CreateSessionRequest) (*CreateSessionResponse, error)
 	Prefill(id int64) (*PrefillResponse, error)
-	Update(id int64, req *UpdateRequest) (*UpdateResponse, error)
-	Attention(id int64, req *AttentionRequest) (*AttentionResponse, error)
-	AttentionAll(id int64, req *AttentionAllRequest) (*AttentionAllResponse, error)
 	Step(id int64, req *StepRequest) (*StepResponse, error)
-	Steps(id int64, req *StepsRequest) (*StepsResponse, error)
 	StepStream(ctx context.Context, id int64, req *StepsRequest, sink func(*StepResponse) error) error
 	Store(id int64) (*StoreResponse, error)
 	CloseSession(id int64) (*CloseResponse, error)

@@ -134,8 +134,7 @@ func HTTPStatus(kind Kind) int {
 }
 
 // ErrorEnvelope is the JSON error body every failing response carries:
-// the human-readable message (the v1 shape) plus the machine-matchable
-// kind added by the v2 API.
+// the human-readable message plus the machine-matchable kind.
 type ErrorEnvelope struct {
 	Error string `json:"error"`
 	Kind  Kind   `json:"kind"`

@@ -11,8 +11,8 @@ import (
 
 // The binary tensor wire: `application/x-alaya-frame`.
 //
-// The tensor-heavy endpoints (attention, attention_all, step, steps) speak
-// an alternative little-endian binary codec negotiated by Content-Type
+// The tensor-heavy endpoints (step, step_stream) speak an alternative
+// little-endian binary codec negotiated by Content-Type
 // (request bodies) and Accept (response bodies); JSON remains the default.
 // A frame is one length-delimited message:
 //
@@ -30,25 +30,31 @@ import (
 // binary and JSON byte-identical in value space). Strings are u16 length
 // + UTF-8 bytes. Composite layouts:
 //
-//	token        := topic u32 | payload u32 | salience f32
-//	vec(d)       := d × f32
-//	attnReq      := layer u32 | qhead u32 | dim u32 | vec(dim)
-//	attnResp     := plan string | retrieved u32 | attended u32 | lse f64 | dim u32 | vec(dim)
-//	attnAllReq   := layer u32 | heads u32 | dim u32 | heads × vec(dim)
-//	attnAllResp  := heads u32 | heads × attnResp
-//	stepReq      := token | flags u8 | layers u32 | heads u32 | dim u32 | layers × heads × vec(dim)
-//	stepResp     := ctxlen u32 | layers u32 | layers × (heads u32 | heads × attnResp)
-//	stepsReq     := count u32 | count × stepReq
-//	stepsResp    := count u32 | count × stepResp
+//	token     := topic u32 | payload u32 | salience f32
+//	vec(d)    := d × f32
+//	attnResp  := plan string | retrieved u32 | attended u32 | lse f64 | dim u32 | vec(dim)
+//	stepReq   := token | flags u8 | layers u32 | heads u32 | dim u32 | layers × heads × vec(dim)
+//	stepResp  := ctxlen u32 | layers u32 | layers × (heads u32 | heads × attnResp)
+//	stepsReq  := count u32 | count × stepReq
+//
+// Kinds: 5 stepReq, 6 stepResp, 7 stepsReq, 9 stream item, 10 stream end
+// (stream.go). Kinds 1–4 and 8 (the per-head and per-layer attention
+// calls and the buffered steps response) are retired and never reused.
 //
 // stepReq flags: bit 0 = attend-only (score the queries without ingesting
-// the token — the fixed-span shard leg of a routed decode step); higher
-// bits reserved (must be 0).
+// the token — attention over the context as it stands, and the
+// fixed-span shard leg of a routed decode step); higher bits reserved
+// (must be 0). A stepReq's geometry is canonical: heads is 0 when layers
+// is, and dim is 0 when heads is.
 //
 // Version history: v1 had no lse field in attnResp and no flags byte in
 // stepReq; v2 (this codec) added both for the cluster router's partial
 // merge. Both peers of a deployment speak one version — decoders reject
 // any other.
+//
+// Every frame decodes to one message that re-encodes to the same bytes:
+// decoders reject nonzero reserved header bytes, unknown flags and
+// non-canonical geometry.
 //
 // Geometry fields are authoritative: decoders allocate from them only
 // after checking they fit in the remaining payload, so a crafted frame
@@ -62,21 +68,17 @@ const FrameVersion = 2
 
 const frameMagic = "ALYF"
 
-// Frame kinds.
+// Frame kinds. The values are wire bytes: retired kinds (1–4, 8) leave
+// gaps rather than renumbering what survives.
 const (
-	FrameAttentionRequest byte = iota + 1
-	FrameAttentionResponse
-	FrameAttentionAllRequest
-	FrameAttentionAllResponse
-	FrameStepRequest
-	FrameStepResponse
-	FrameStepsRequest
-	FrameStepsResponse
+	FrameStepRequest  byte = 5
+	FrameStepResponse byte = 6
+	FrameStepsRequest byte = 7
 	// FrameStreamItem wraps one complete inner frame as an element of a
 	// step_stream response; FrameStreamEnd terminates the stream. See
 	// stream.go for the streaming layouts.
-	FrameStreamItem
-	FrameStreamEnd
+	FrameStreamItem byte = 9
+	FrameStreamEnd  byte = 10
 )
 
 const frameHeaderLen = 12
@@ -90,10 +92,8 @@ func getFrameBuf() []byte  { return (*frameBufPool.Get().(*[]byte))[:0] }
 func putFrameBuf(b []byte) { frameBufPool.Put(&b) }
 
 // MarshalFrame encodes one wire message as a binary frame. Supported
-// types: *AttentionRequest, *AttentionResponse, *AttentionAllRequest,
-// *AttentionAllResponse, *StepRequest, *StepResponse, *StepsRequest,
-// *StepsResponse. The returned slice is freshly allocated and owned by the
-// caller.
+// types: *StepRequest, *StepResponse and *StepsRequest. The returned slice
+// is freshly allocated and owned by the caller.
 func MarshalFrame(v interface{}) ([]byte, error) {
 	buf := getFrameBuf()
 	out, err := appendFrame(buf, v)
@@ -124,26 +124,6 @@ func appendFrame(buf []byte, v interface{}) ([]byte, error) {
 	buf = append(buf, FrameVersion, 0, 0, 0) // kind patched below, reserved
 	buf = append(buf, 0, 0, 0, 0)            // payload length patched below
 	switch m := v.(type) {
-	case *AttentionRequest:
-		kind = FrameAttentionRequest
-		buf = appendU32(buf, uint32(m.Layer))
-		buf = appendU32(buf, uint32(m.QHead))
-		buf = appendVec(buf, m.Query)
-	case *AttentionResponse:
-		kind = FrameAttentionResponse
-		buf = appendAttnResp(buf, m)
-	case *AttentionAllRequest:
-		kind = FrameAttentionAllRequest
-		var err error
-		if buf, err = appendAttnAllReq(buf, m); err != nil {
-			return nil, err
-		}
-	case *AttentionAllResponse:
-		kind = FrameAttentionAllResponse
-		buf = appendU32(buf, uint32(len(m.Heads)))
-		for h := range m.Heads {
-			buf = appendAttnResp(buf, &m.Heads[h])
-		}
 	case *StepRequest:
 		kind = FrameStepRequest
 		var err error
@@ -161,12 +141,6 @@ func appendFrame(buf []byte, v interface{}) ([]byte, error) {
 			if buf, err = appendStepReq(buf, &m.Steps[i]); err != nil {
 				return nil, err
 			}
-		}
-	case *StepsResponse:
-		kind = FrameStepsResponse
-		buf = appendU32(buf, uint32(len(m.Steps)))
-		for i := range m.Steps {
-			buf = appendStepResp(buf, &m.Steps[i])
 		}
 	default:
 		return nil, fmt.Errorf("serve: no frame encoding for %T", v)
@@ -190,6 +164,9 @@ func UnmarshalFrame(data []byte, v interface{}) error {
 	if data[4] != FrameVersion {
 		return fmt.Errorf("serve: unsupported frame version %d", data[4])
 	}
+	if data[6] != 0 || data[7] != 0 {
+		return fmt.Errorf("serve: nonzero reserved frame header bytes %#x %#x", data[6], data[7])
+	}
 	kind := data[5]
 	plen := binary.LittleEndian.Uint32(data[8:])
 	if uint64(plen) != uint64(len(data)-frameHeaderLen) {
@@ -198,32 +175,6 @@ func UnmarshalFrame(data []byte, v interface{}) error {
 	r := frameReader{buf: data[frameHeaderLen:]}
 	var want byte
 	switch m := v.(type) {
-	case *AttentionRequest:
-		want = FrameAttentionRequest
-		if kind == want {
-			m.Layer = int(r.u32())
-			m.QHead = int(r.u32())
-			m.Query = r.vec()
-		}
-	case *AttentionResponse:
-		want = FrameAttentionResponse
-		if kind == want {
-			r.attnResp(m)
-		}
-	case *AttentionAllRequest:
-		want = FrameAttentionAllRequest
-		if kind == want {
-			r.attnAllReq(m)
-		}
-	case *AttentionAllResponse:
-		want = FrameAttentionAllResponse
-		if kind == want {
-			n := r.count(attnRespMinLen)
-			m.Heads = make([]AttentionResponse, n)
-			for h := 0; h < n && r.err == nil; h++ {
-				r.attnResp(&m.Heads[h])
-			}
-		}
 	case *StepRequest:
 		want = FrameStepRequest
 		if kind == want {
@@ -241,15 +192,6 @@ func UnmarshalFrame(data []byte, v interface{}) error {
 			m.Steps = make([]StepRequest, n)
 			for i := 0; i < n && r.err == nil; i++ {
 				r.stepReq(&m.Steps[i])
-			}
-		}
-	case *StepsResponse:
-		want = FrameStepsResponse
-		if kind == want {
-			n := r.count(stepRespMinLen)
-			m.Steps = make([]StepResponse, n)
-			for i := 0; i < n && r.err == nil; i++ {
-				r.stepResp(&m.Steps[i])
 			}
 		}
 	default:
@@ -315,49 +257,34 @@ func appendAttnResp(buf []byte, m *AttentionResponse) []byte {
 	return appendVec(buf, m.Output)
 }
 
-// uniformDims pins the geometry of a query grid: every row the same head
-// count, every query the same dimension. The binary layout depends on it.
-func uniformDims(qs [][]float32) (heads, dim int, err error) {
-	heads = len(qs)
-	for h, q := range qs {
-		if h == 0 {
-			dim = len(q)
-		} else if len(q) != dim {
-			return 0, 0, fmt.Errorf("serve: ragged query dims %d vs %d", len(q), dim)
+// StepGeometry pins the shape of a step's [layer][head] query grid: every
+// layer the same head count, every query the same dimension. The binary
+// layout depends on it, so MarshalFrame rejects a ragged grid with this
+// error; a cluster router checks a whole batch with it before any step
+// runs.
+func StepGeometry(qs [][][]float32) (layers, heads, dim int, err error) {
+	layers = len(qs)
+	for l, row := range qs {
+		if l == 0 {
+			heads = len(row)
+		} else if len(row) != heads {
+			return 0, 0, 0, fmt.Errorf("serve: ragged step geometry: layer %d has %d heads, layer 0 has %d", l, len(row), heads)
+		}
+		for h, q := range row {
+			if l == 0 && h == 0 {
+				dim = len(q)
+			} else if len(q) != dim {
+				return 0, 0, 0, fmt.Errorf("serve: ragged query dims %d vs %d", len(q), dim)
+			}
 		}
 	}
-	return heads, dim, nil
-}
-
-func appendAttnAllReq(buf []byte, m *AttentionAllRequest) ([]byte, error) {
-	heads, dim, err := uniformDims(m.Queries)
-	if err != nil {
-		return nil, err
-	}
-	buf = appendU32(buf, uint32(m.Layer))
-	buf = appendU32(buf, uint32(heads))
-	buf = appendU32(buf, uint32(dim))
-	for _, q := range m.Queries {
-		for _, f := range q {
-			buf = appendF32(buf, f)
-		}
-	}
-	return buf, nil
+	return layers, heads, dim, nil
 }
 
 func appendStepReq(buf []byte, m *StepRequest) ([]byte, error) {
-	layers := len(m.Queries)
-	heads, dim := 0, 0
-	for l, row := range m.Queries {
-		h, d, err := uniformDims(row)
-		if err != nil {
-			return nil, err
-		}
-		if l == 0 {
-			heads, dim = h, d
-		} else if h != heads || d != dim {
-			return nil, fmt.Errorf("serve: ragged step geometry: layer %d is %dx%d, layer 0 is %dx%d", l, h, d, heads, dim)
-		}
+	layers, heads, dim, err := StepGeometry(m.Queries)
+	if err != nil {
+		return nil, err
 	}
 	buf = appendToken(buf, m.Token)
 	var flags byte
@@ -396,7 +323,6 @@ func appendStepResp(buf []byte, m *StepResponse) []byte {
 const (
 	attnRespMinLen = 2 + 4 + 4 + 8 + 4 // empty plan, lse, empty output
 	stepReqMinLen  = 12 + 1 + 4 + 4 + 4
-	stepRespMinLen = 4 + 4
 )
 
 // frameReader consumes a payload with sticky errors: after the first
@@ -526,19 +452,15 @@ func (r *frameReader) grid(layers, heads, dim int) [][][]float32 {
 		r.fail("frame geometry %dx%dx%d exceeds payload (%d bytes left)", layers, heads, dim, len(r.buf))
 		return nil
 	}
-	// The lh bound holds even at dim == 0: every decoded vector slot must
-	// be paid for by payload bytes, or a zero-dim frame could demand
-	// billions of slice headers from a tiny body.
-	lh := layers * heads
-	if lh > lim {
+	// The layers×heads bound holds even at dim == 0: every decoded vector
+	// slot must be paid for by payload bytes, or a zero-dim frame could
+	// demand billions of slice headers from a tiny body. Both bounds
+	// divide rather than multiply, so neither overflows a 32-bit int.
+	if (heads > 0 && layers > lim/heads) || (dim > 0 && layers*heads > len(r.buf)/4/dim) {
 		r.fail("frame geometry %dx%dx%d exceeds payload (%d bytes left)", layers, heads, dim, len(r.buf))
 		return nil
 	}
-	total := lh * dim
-	if total*4 > len(r.buf) {
-		r.fail("frame geometry %dx%dx%d exceeds payload (%d bytes left)", layers, heads, dim, len(r.buf))
-		return nil
-	}
+	total := layers * heads * dim
 	out := make([][][]float32, layers)
 	flat := make([]float32, total)
 	for i := range flat {
@@ -552,23 +474,6 @@ func (r *frameReader) grid(layers, heads, dim int) [][][]float32 {
 		}
 	}
 	return out
-}
-
-func (r *frameReader) attnAllReq(m *AttentionAllRequest) {
-	m.Layer = int(r.u32())
-	heads := int(r.u32())
-	dim := int(r.u32())
-	if r.err != nil {
-		return
-	}
-	if heads < 0 || dim < 0 {
-		r.fail("negative geometry %dx%d", heads, dim)
-		return
-	}
-	g := r.grid(1, heads, dim)
-	if r.err == nil {
-		m.Queries = g[0]
-	}
 }
 
 func (r *frameReader) stepReq(m *StepRequest) {
@@ -587,6 +492,10 @@ func (r *frameReader) stepReq(m *StepRequest) {
 	}
 	if layers < 0 || heads < 0 || dim < 0 {
 		r.fail("negative geometry %dx%dx%d", layers, heads, dim)
+		return
+	}
+	if (layers == 0 && heads != 0) || (heads == 0 && dim != 0) {
+		r.fail("non-canonical empty geometry %dx%dx%d", layers, heads, dim)
 		return
 	}
 	m.Queries = r.grid(layers, heads, dim)

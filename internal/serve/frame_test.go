@@ -65,39 +65,19 @@ func roundTrip(t *testing.T, v, fresh interface{}) []byte {
 }
 
 func TestFrameRoundTrip(t *testing.T) {
-	attnReq := &AttentionRequest{Layer: 2, QHead: 5, Query: sampleVec(16, 1)}
-	var gotAttnReq AttentionRequest
-	roundTrip(t, attnReq, &gotAttnReq)
-	if !reflect.DeepEqual(*attnReq, gotAttnReq) {
-		t.Fatalf("attention request: got %+v want %+v", gotAttnReq, *attnReq)
-	}
-
-	attnResp := &AttentionResponse{Output: sampleVec(8, 2), Plan: "dipr/fine[filtered]", Retrieved: 3, Attended: 99}
-	var gotAttnResp AttentionResponse
-	roundTrip(t, attnResp, &gotAttnResp)
-	if !reflect.DeepEqual(*attnResp, gotAttnResp) {
-		t.Fatalf("attention response: got %+v want %+v", gotAttnResp, *attnResp)
-	}
-
-	allReq := &AttentionAllRequest{Layer: 1, Queries: [][]float32{sampleVec(8, 3), sampleVec(8, 4)}}
-	var gotAllReq AttentionAllRequest
-	roundTrip(t, allReq, &gotAllReq)
-	if !reflect.DeepEqual(*allReq, gotAllReq) {
-		t.Fatalf("attention_all request: got %+v want %+v", gotAllReq, *allReq)
-	}
-
-	allResp := &AttentionAllResponse{Heads: sampleStepResp(1, 3, 8).Layers[0]}
-	var gotAllResp AttentionAllResponse
-	roundTrip(t, allResp, &gotAllResp)
-	if !reflect.DeepEqual(allResp.Heads, gotAllResp.Heads) {
-		t.Fatalf("attention_all response: got %+v want %+v", gotAllResp.Heads, allResp.Heads)
-	}
-
 	stepReq := sampleStepReq(3, 2, 8)
 	var gotStepReq StepRequest
 	roundTrip(t, stepReq, &gotStepReq)
 	if !reflect.DeepEqual(*stepReq, gotStepReq) {
 		t.Fatalf("step request: got %+v want %+v", gotStepReq, *stepReq)
+	}
+
+	attendOnly := sampleStepReq(1, 3, 4)
+	attendOnly.AttendOnly = true
+	var gotAttendOnly StepRequest
+	roundTrip(t, attendOnly, &gotAttendOnly)
+	if !reflect.DeepEqual(*attendOnly, gotAttendOnly) {
+		t.Fatalf("attend-only step request: got %+v want %+v", gotAttendOnly, *attendOnly)
 	}
 
 	stepResp := sampleStepResp(2, 3, 8)
@@ -113,13 +93,6 @@ func TestFrameRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(*stepsReq, gotStepsReq) {
 		t.Fatalf("steps request: got %+v want %+v", gotStepsReq, *stepsReq)
 	}
-
-	stepsResp := &StepsResponse{Steps: []StepResponse{*sampleStepResp(1, 2, 4), *sampleStepResp(1, 2, 4)}}
-	var gotStepsResp StepsResponse
-	roundTrip(t, stepsResp, &gotStepsResp)
-	if len(gotStepsResp.Steps) != 2 || !reflect.DeepEqual(stepsResp.Steps[1].Layers, gotStepsResp.Steps[1].Layers) {
-		t.Fatalf("steps response: got %+v want %+v", gotStepsResp, *stepsResp)
-	}
 }
 
 // TestFrameFloatBits pins the IEEE-754 bit preservation the codec's
@@ -132,23 +105,23 @@ func TestFrameFloatBits(t *testing.T) {
 		math.MaxFloat32, math.SmallestNonzeroFloat32,
 		float32(math.NaN()),
 	}
-	req := &AttentionRequest{Layer: 0, QHead: 0, Query: specials}
-	var got AttentionRequest
+	req := &StepRequest{Queries: [][][]float32{{specials}}}
+	var got StepRequest
 	roundTrip(t, req, &got)
 	for i := range specials {
-		if math.Float32bits(specials[i]) != math.Float32bits(got.Query[i]) {
+		if math.Float32bits(specials[i]) != math.Float32bits(got.Queries[0][0][i]) {
 			t.Fatalf("float %d: bits %08x -> %08x", i,
-				math.Float32bits(specials[i]), math.Float32bits(got.Query[i]))
+				math.Float32bits(specials[i]), math.Float32bits(got.Queries[0][0][i]))
 		}
 	}
 }
 
 func TestFrameHeaderValidation(t *testing.T) {
-	good, err := MarshalFrame(&AttentionRequest{Layer: 1, QHead: 1, Query: sampleVec(4, 0)})
+	good, err := MarshalFrame(sampleStepReq(1, 1, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var req AttentionRequest
+	var req StepRequest
 
 	cases := []struct {
 		name string
@@ -160,6 +133,8 @@ func TestFrameHeaderValidation(t *testing.T) {
 		{"bad magic", append([]byte("NOPE"), good[4:]...), "magic"},
 		{"bad version", func() []byte { d := bytes.Clone(good); d[4] = 9; return d }(), "version"},
 		{"bad kind", func() []byte { d := bytes.Clone(good); d[5] = FrameStepResponse; return d }(), "kind"},
+		{"removed kind", removedKindFrame(t), "kind 1"},
+		{"nonzero reserved byte", func() []byte { d := bytes.Clone(good); d[7] = 1; return d }(), "reserved"},
 		{"truncated payload", good[:len(good)-3], "payload length"},
 		{"trailing byte outside payload", func() []byte {
 			d := bytes.Clone(good)
@@ -192,42 +167,40 @@ func TestFrameHeaderValidation(t *testing.T) {
 // TestFrameCraftedGeometry feeds frames whose counts and geometry claim
 // far more data than the body holds; decoders must fail cleanly instead of
 // over-allocating or panicking.
-func TestFrameCraftedGeometry(t *testing.T) {
-	// A step request claiming 1e9 layers in a tiny body.
+// craftedStepReq is a step request frame with an empty token, no flags and
+// the given declared geometry, and no query floats behind it.
+func craftedStepReq(layers, heads, dim uint32) []byte {
 	crafted := []byte(frameMagic)
 	crafted = append(crafted, FrameVersion, FrameStepRequest, 0, 0)
 	payload := appendToken(nil, model.Token{})
-	payload = append(payload, 0)                // flags
-	payload = appendU32(payload, 1_000_000_000) // layers
-	payload = appendU32(payload, 1_000_000_000) // heads
-	payload = appendU32(payload, 1_000_000_000) // dim
+	payload = append(payload, 0) // flags
+	payload = appendU32(payload, layers)
+	payload = appendU32(payload, heads)
+	payload = appendU32(payload, dim)
 	crafted = appendU32(crafted, uint32(len(payload)))
-	crafted = append(crafted, payload...)
+	return append(crafted, payload...)
+}
+
+func TestFrameCraftedGeometry(t *testing.T) {
+	// A step request claiming 1e9 layers in a tiny body.
 	var step StepRequest
-	if err := UnmarshalFrame(crafted, &step); err == nil || !strings.Contains(err.Error(), "geometry") {
+	err := UnmarshalFrame(craftedStepReq(1_000_000_000, 1_000_000_000, 1_000_000_000), &step)
+	if err == nil || !strings.Contains(err.Error(), "geometry") {
 		t.Fatalf("crafted geometry: err = %v", err)
 	}
 
 	// Zero dim with a huge layers×heads product: no float payload is
 	// claimed, but decoding would still demand billions of slice headers.
-	crafted = []byte(frameMagic)
-	crafted = append(crafted, FrameVersion, FrameStepRequest, 0, 0)
-	payload = appendToken(nil, model.Token{})
-	payload = append(payload, 0)             // flags
-	payload = appendU32(payload, 16_000_000) // layers
-	payload = appendU32(payload, 16_000_000) // heads
-	payload = appendU32(payload, 0)          // dim
-	crafted = appendU32(crafted, uint32(len(payload)))
-	crafted = append(crafted, payload...)
 	var zeroDim StepRequest
-	if err := UnmarshalFrame(crafted, &zeroDim); err == nil || !strings.Contains(err.Error(), "geometry") {
+	err = UnmarshalFrame(craftedStepReq(16_000_000, 16_000_000, 0), &zeroDim)
+	if err == nil || !strings.Contains(err.Error(), "geometry") {
 		t.Fatalf("zero-dim crafted geometry: err = %v", err)
 	}
 
 	// A steps request claiming a huge step count.
-	crafted = []byte(frameMagic)
+	crafted := []byte(frameMagic)
 	crafted = append(crafted, FrameVersion, FrameStepsRequest, 0, 0)
-	payload = appendU32(nil, 4_000_000_000)
+	payload := appendU32(nil, 4_000_000_000)
 	crafted = appendU32(crafted, uint32(len(payload)))
 	crafted = append(crafted, payload...)
 	var steps StepsRequest
@@ -237,23 +210,43 @@ func TestFrameCraftedGeometry(t *testing.T) {
 
 	// A vector length past the payload end.
 	crafted = []byte(frameMagic)
-	crafted = append(crafted, FrameVersion, FrameAttentionRequest, 0, 0)
-	payload = appendU32(nil, 0)
+	crafted = append(crafted, FrameVersion, FrameStepResponse, 0, 0)
+	payload = appendU32(nil, 1) // ctxlen
+	payload = appendU32(payload, 1)
+	payload = appendU32(payload, 1)
+	payload = appendString(payload, "full")
 	payload = appendU32(payload, 0)
+	payload = appendU32(payload, 0)
+	payload = appendF64(payload, 0)
 	payload = appendU32(payload, 500) // dim with no floats behind it
 	crafted = appendU32(crafted, uint32(len(payload)))
 	crafted = append(crafted, payload...)
-	var attn AttentionRequest
-	if err := UnmarshalFrame(crafted, &attn); err == nil {
+	var resp StepResponse
+	if err := UnmarshalFrame(crafted, &resp); err == nil {
 		t.Fatal("oversized vector accepted")
+	}
+}
+
+// TestFrameNonCanonicalGeometry: an empty query grid has one encoding.
+// Frames that declare heads without layers, or a dimension without heads,
+// decode to a grid that would re-encode differently, so they are refused.
+func TestFrameNonCanonicalGeometry(t *testing.T) {
+	for _, geom := range [][3]uint32{{0, 2, 0}, {0, 0, 4}, {3, 0, 4}} {
+		var step StepRequest
+		err := UnmarshalFrame(craftedStepReq(geom[0], geom[1], geom[2]), &step)
+		if err == nil || !strings.Contains(err.Error(), "non-canonical") {
+			t.Errorf("geometry %v: err = %v", geom, err)
+		}
 	}
 }
 
 // TestFrameRaggedGeometry: encoders refuse query grids the fixed-geometry
 // layout cannot represent.
 func TestFrameRaggedGeometry(t *testing.T) {
-	if _, err := MarshalFrame(&AttentionAllRequest{Queries: [][]float32{make([]float32, 4), make([]float32, 5)}}); err == nil {
-		t.Fatal("ragged attention_all accepted")
+	dims := sampleStepReq(2, 2, 4)
+	dims.Queries[1][1] = dims.Queries[1][1][:3]
+	if _, err := MarshalFrame(dims); err == nil {
+		t.Fatal("ragged query dims accepted")
 	}
 	bad := sampleStepReq(2, 2, 4)
 	bad.Queries[1] = bad.Queries[1][:1]

@@ -82,8 +82,8 @@ func stepFrame(t *testing.T, m *model.Model, doc *model.Document, topics []int, 
 }
 
 // TestGRPCLifecycle drives the whole engine protocol over the wire:
-// create, prefill, step (binary frame in a proto envelope), update,
-// store, stats, close.
+// create, prefill, step (binary frame in a proto envelope), attend-only
+// step, store, stats, close.
 func TestGRPCLifecycle(t *testing.T) {
 	conn, m, _ := testConn(t)
 	ctx := context.Background()
@@ -124,19 +124,30 @@ func TestGRPCLifecycle(t *testing.T) {
 		t.Fatalf("step = ctx %d, %d layers", sr.ContextLen, len(sr.Layers))
 	}
 
-	var upd pb.UpdateResponse
-	if err := conn.Invoke(ctx, pb.MethodUpdate, &pb.UpdateRequest{SessionID: id, Token: pb.Token{Topic: 1, Payload: 9}}, &upd); err != nil {
+	var attend serve.StepRequest
+	if err := serve.UnmarshalFrame(stepFrame(t, m, inst.Doc, inst.Question, 1), &attend); err != nil {
 		t.Fatal(err)
 	}
-	if upd.ContextLen != 302 {
-		t.Fatalf("update ctx = %d", upd.ContextLen)
+	attend.AttendOnly = true
+	attendFrame, err := serve.MarshalFrame(&attend)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.Invoke(ctx, pb.MethodStep, &pb.FrameRequest{SessionID: id, Frame: attendFrame}, &stepOut); err != nil {
+		t.Fatal(err)
+	}
+	if err := serve.UnmarshalFrame(stepOut.Frame, &sr); err != nil {
+		t.Fatal(err)
+	}
+	if sr.ContextLen != 301 {
+		t.Fatalf("attend-only step ctx = %d, want 301 (nothing ingested)", sr.ContextLen)
 	}
 
 	var stored pb.StoreResponse
 	if err := conn.Invoke(ctx, pb.MethodStore, &pb.SessionRequest{SessionID: id}, &stored); err != nil {
 		t.Fatal(err)
 	}
-	if stored.StoredTokens != 302 {
+	if stored.StoredTokens != 301 {
 		t.Fatalf("stored = %d", stored.StoredTokens)
 	}
 
@@ -257,7 +268,7 @@ func TestGRPCStepStream(t *testing.T) {
 // TestGRPCErrorModel sweeps wire-visible errors: typed kinds cross as
 // their canonical codes plus the exact kind in the alaya-kind trailer.
 func TestGRPCErrorModel(t *testing.T) {
-	conn, _, svc := testConn(t)
+	conn, m, svc := testConn(t)
 	ctx := context.Background()
 
 	var pf pb.PrefillResponse
@@ -274,10 +285,27 @@ func TestGRPCErrorModel(t *testing.T) {
 		t.Fatalf("bad frame: %v", err)
 	}
 
-	// Unknown method → Unimplemented.
-	err = conn.Invoke(ctx, "/alaya.v1.AlayaDB/Bogus", &pb.StatsRequest{}, &pb.StatsResponse{})
-	if !errors.As(err, &st) || st.Code != CodeUnimplemented {
-		t.Fatalf("unknown method: %v", err)
+	// A frame of a retired kind → InvalidArgument.
+	removed := stepFrame(t, m, &model.Document{}, nil, 0)
+	removed[5] = 1 // the retired per-head attention request
+	err = conn.Invoke(ctx, pb.MethodStep, &pb.FrameRequest{SessionID: 1, Frame: removed}, &fr)
+	if !errors.As(err, &st) || st.Code != CodeInvalidArgument || st.Kind != serve.KindBadRequest {
+		t.Fatalf("removed-kind frame: %v", err)
+	}
+
+	// Unknown method → Unimplemented, and the retired decode calls are
+	// unknown methods.
+	for _, method := range []string{
+		"/alaya.v1.AlayaDB/Bogus",
+		"/alaya.v1.AlayaDB/Update",
+		"/alaya.v1.AlayaDB/Attention",
+		"/alaya.v1.AlayaDB/AttentionAll",
+		"/alaya.v1.AlayaDB/Steps",
+	} {
+		err = conn.Invoke(ctx, method, &pb.FrameRequest{SessionID: 1, Frame: removed}, &fr)
+		if !errors.As(err, &st) || st.Code != CodeUnimplemented || st.Kind != serve.KindMethodNotAllowed {
+			t.Fatalf("%s: %v", method, err)
+		}
 	}
 
 	// After Close the service drains with unavailable.

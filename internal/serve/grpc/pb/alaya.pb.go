@@ -14,11 +14,7 @@ const ServiceName = "alaya.v1.AlayaDB"
 const (
 	MethodCreateSession = "/alaya.v1.AlayaDB/CreateSession"
 	MethodPrefill       = "/alaya.v1.AlayaDB/Prefill"
-	MethodUpdate        = "/alaya.v1.AlayaDB/Update"
-	MethodAttention     = "/alaya.v1.AlayaDB/Attention"
-	MethodAttentionAll  = "/alaya.v1.AlayaDB/AttentionAll"
 	MethodStep          = "/alaya.v1.AlayaDB/Step"
-	MethodSteps         = "/alaya.v1.AlayaDB/Steps"
 	MethodStepStream    = "/alaya.v1.AlayaDB/StepStream"
 	MethodStore         = "/alaya.v1.AlayaDB/Store"
 	MethodCloseSession  = "/alaya.v1.AlayaDB/CloseSession"
@@ -248,82 +244,6 @@ func (m *PrefillResponse) UnmarshalProto(data []byte) error {
 			}
 			m.Prefilled = int64(r.varint())
 		case 2:
-			if wt != wireVarint {
-				r.skip(wt)
-				break
-			}
-			m.ContextLen = int64(r.varint())
-		default:
-			r.skip(wt)
-		}
-	}
-	return r.err
-}
-
-// UpdateRequest ingests one decoded token.
-type UpdateRequest struct {
-	SessionID int64
-	Token     Token
-}
-
-// AppendProto appends the message's proto3 encoding to b.
-func (m *UpdateRequest) AppendProto(b []byte) []byte {
-	b = appendVarintField(b, 1, uint64(m.SessionID))
-	b = appendMessageField(b, 2, &m.Token)
-	return b
-}
-
-// UnmarshalProto replaces the message with the decoding of data.
-func (m *UpdateRequest) UnmarshalProto(data []byte) error {
-	*m = UpdateRequest{}
-	r := reader{buf: data}
-	for {
-		num, wt, ok := r.tag()
-		if !ok {
-			break
-		}
-		switch num {
-		case 1:
-			if wt != wireVarint {
-				r.skip(wt)
-				break
-			}
-			m.SessionID = int64(r.varint())
-		case 2:
-			if wt != wireBytes {
-				r.skip(wt)
-				break
-			}
-			r.message(&m.Token)
-		default:
-			r.skip(wt)
-		}
-	}
-	return r.err
-}
-
-// UpdateResponse reports the context length after the update.
-type UpdateResponse struct {
-	ContextLen int64
-}
-
-// AppendProto appends the message's proto3 encoding to b.
-func (m *UpdateResponse) AppendProto(b []byte) []byte {
-	b = appendVarintField(b, 1, uint64(m.ContextLen))
-	return b
-}
-
-// UnmarshalProto replaces the message with the decoding of data.
-func (m *UpdateResponse) UnmarshalProto(data []byte) error {
-	*m = UpdateResponse{}
-	r := reader{buf: data}
-	for {
-		num, wt, ok := r.tag()
-		if !ok {
-			break
-		}
-		switch num {
-		case 1:
 			if wt != wireVarint {
 				r.skip(wt)
 				break

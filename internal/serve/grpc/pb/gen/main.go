@@ -93,21 +93,6 @@ var messages = []message{
 		},
 	},
 	{
-		name: "UpdateRequest",
-		doc:  "UpdateRequest ingests one decoded token.",
-		fields: []field{
-			{"SessionID", "session_id", 1, "int64", false, "", ""},
-			{"Token", "token", 2, "message", false, "Token", ""},
-		},
-	},
-	{
-		name: "UpdateResponse",
-		doc:  "UpdateResponse reports the context length after the update.",
-		fields: []field{
-			{"ContextLen", "context_len", 1, "int64", false, "", ""},
-		},
-	},
-	{
 		name: "FrameRequest",
 		doc: "FrameRequest carries a tensor request as one application/x-alaya-frame\n" +
 			"binary frame (serve.MarshalFrame), the same encoding the HTTP binary\n" +
@@ -170,11 +155,7 @@ var messages = []message{
 var methods = []method{
 	{"CreateSession", "CreateSessionRequest", "CreateSessionResponse", false, "CreateSession opens (or prefix-reuses) a session over a document."},
 	{"Prefill", "SessionRequest", "PrefillResponse", false, "Prefill ingests the session's prompt into the KV substrate."},
-	{"Update", "UpdateRequest", "UpdateResponse", false, "Update appends one decoded token to the context."},
-	{"Attention", "FrameRequest", "FrameResponse", false, "Attention runs one head's query (frame: AttentionRequest)."},
-	{"AttentionAll", "FrameRequest", "FrameResponse", false, "AttentionAll runs one layer's heads (frame: AttentionAllRequest)."},
-	{"Step", "FrameRequest", "FrameResponse", false, "Step is the v2 decode step: token in, every layer and head out (frame: StepRequest)."},
-	{"Steps", "FrameRequest", "FrameResponse", false, "Steps batches decode steps in one round trip (frame: StepsRequest)."},
+	{"Step", "FrameRequest", "FrameResponse", false, "Step is the decode step: token in, every layer and head out (frame: StepRequest)."},
 	{"StepStream", "FrameRequest", "FrameResponse", true, "StepStream streams per-step frames as the scheduler retires each wave."},
 	{"Store", "SessionRequest", "StoreResponse", false, "Store persists the session's context for later reuse."},
 	{"CloseSession", "SessionRequest", "CloseSessionResponse", false, "CloseSession releases the session."},
@@ -403,7 +384,7 @@ func emitProto() []byte {
 	}
 	p("")
 	p("// AlayaDB is the engine-facing decode service: session lifecycle plus")
-	p("// the v2 step protocol. Tensor payloads ride inside frame bytes fields")
+	p("// the step protocol. Tensor payloads ride inside frame bytes fields")
 	p("// using the same binary encoding as the HTTP transport.")
 	p("service %s {", serviceName)
 	for _, m := range methods {

@@ -22,8 +22,6 @@ func TestRoundTrip(t *testing.T) {
 		&CreateSessionResponse{SessionID: 7, Reused: 500},
 		&SessionRequest{SessionID: math.MaxInt64},
 		&PrefillResponse{Prefilled: 500, ContextLen: 500},
-		&UpdateRequest{SessionID: 3, Token: Token{Topic: 9, Salience: 0.25}},
-		&UpdateResponse{ContextLen: 501},
 		&FrameRequest{SessionID: 12, Frame: bytes.Repeat([]byte{0xAB, 0x00, 0x7F}, 100)},
 		&FrameResponse{Frame: []byte{1}},
 		&StoreResponse{StoredTokens: 503},

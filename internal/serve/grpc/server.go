@@ -205,34 +205,9 @@ func (s *Server) dispatch(path string, body []byte) (pb.Message, error) {
 		}
 		return &pb.PrefillResponse{Prefilled: int64(resp.Prefilled), ContextLen: int64(resp.ContextLen)}, nil
 
-	case pb.MethodUpdate:
-		var req pb.UpdateRequest
-		if err := req.UnmarshalProto(body); err != nil {
-			return nil, serve.BadRequestf("bad request proto: %v", err)
-		}
-		resp, err := s.core.Update(req.SessionID, &serve.UpdateRequest{Token: model.Token{
-			Topic: int(req.Token.Topic), Payload: int(req.Token.Payload), Salience: req.Token.Salience,
-		}})
-		if err != nil {
-			return nil, err
-		}
-		return &pb.UpdateResponse{ContextLen: int64(resp.ContextLen)}, nil
-
-	case pb.MethodAttention:
-		var sr serve.AttentionRequest
-		return s.frameCall(body, &sr, func(id int64) (interface{}, error) { return s.core.Attention(id, &sr) })
-
-	case pb.MethodAttentionAll:
-		var sr serve.AttentionAllRequest
-		return s.frameCall(body, &sr, func(id int64) (interface{}, error) { return s.core.AttentionAll(id, &sr) })
-
 	case pb.MethodStep:
 		var sr serve.StepRequest
 		return s.frameCall(body, &sr, func(id int64) (interface{}, error) { return s.core.Step(id, &sr) })
-
-	case pb.MethodSteps:
-		var sr serve.StepsRequest
-		return s.frameCall(body, &sr, func(id int64) (interface{}, error) { return s.core.Steps(id, &sr) })
 
 	case pb.MethodStore:
 		var req pb.SessionRequest

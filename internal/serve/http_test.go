@@ -34,12 +34,13 @@ func TestServeErrorEnvelopeEverywhere(t *testing.T) {
 	postJSON(t, ts.URL+"/v1/sessions", DocumentWire{Seed: 1}, &created)
 	base := fmt.Sprintf("%s/v1/sessions/%d", ts.URL, created.SessionID)
 
-	cases := []struct {
+	type errCase struct {
 		name   string
 		do     func() (*http.Response, error)
 		status int
 		kind   Kind
-	}{
+	}
+	cases := []errCase{
 		{"malformed json", func() (*http.Response, error) {
 			return http.Post(ts.URL+"/v1/sessions", "application/json", strings.NewReader("{nope"))
 		}, 400, KindBadRequest},
@@ -67,16 +68,26 @@ func TestServeErrorEnvelopeEverywhere(t *testing.T) {
 		{"missing session", func() (*http.Response, error) {
 			return http.Post(ts.URL+"/v1/sessions/99999/prefill", "application/json", strings.NewReader("{}"))
 		}, 404, KindNotFound},
-		{"out of range layer", func() (*http.Response, error) {
-			raw, _ := json.Marshal(AttentionRequest{Layer: 42, Query: make([]float32, m.Config().HeadDim)})
-			return http.Post(base+"/attention", "application/json", bytes.NewReader(raw))
+		{"wrong layer count", func() (*http.Response, error) {
+			raw, _ := json.Marshal(StepRequest{Queries: [][][]float32{{make([]float32, m.Config().HeadDim)}}})
+			return http.Post(base+"/step", "application/json", bytes.NewReader(raw))
 		}, 400, KindBadRequest},
 		{"frame body on non-tensor endpoint", func() (*http.Response, error) {
-			return http.Post(base+"/update", FrameContentType, bytes.NewReader([]byte("ALYF")))
+			return http.Post(ts.URL+"/v1/sessions", FrameContentType, bytes.NewReader([]byte("ALYF")))
 		}, 415, KindUnsupportedMedia},
 		{"garbage frame on tensor endpoint", func() (*http.Response, error) {
 			return http.Post(base+"/step", FrameContentType, bytes.NewReader([]byte("not a frame")))
 		}, 400, KindBadRequest},
+		{"removed-kind frame on tensor endpoint", func() (*http.Response, error) {
+			return http.Post(base+"/step", FrameContentType, bytes.NewReader(removedKindFrame(t)))
+		}, 400, KindBadRequest},
+	}
+	// The retired v1 actions and the buffered batch are unknown actions.
+	for _, action := range []string{"update", "attention", "attention_all", "steps"} {
+		action := action
+		cases = append(cases, errCase{"removed action " + action, func() (*http.Response, error) {
+			return http.Post(base+"/"+action, "application/json", strings.NewReader("{}"))
+		}, 404, KindNotFound})
 	}
 	for _, tc := range cases {
 		resp, err := tc.do()

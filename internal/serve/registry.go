@@ -11,10 +11,10 @@ import (
 // from one atomic counter (no lock), and each ID is hashed to a shard
 // holding its own mutex and map slice, so registrations and lookups for
 // different sessions almost never contend. Each entry additionally carries
-// a per-session RWMutex that serializes *state-mutating* requests
-// (prefill/update/store/close) against each other while letting attention
-// reads on the same session — and everything on other sessions — proceed
-// in parallel. See the package comment for the full locking discipline.
+// a per-session mutex that serializes the requests on that session —
+// every one of them (prefill, step, store, close) grows, reads or
+// consumes its KV tail — while everything on other sessions proceeds in
+// parallel. See the package comment for the full locking discipline.
 type Registry struct {
 	nextID atomic.Int64
 	shards []registryShard
@@ -25,15 +25,11 @@ type registryShard struct {
 	sessions map[int64]*sessionEntry
 }
 
-// sessionEntry pairs a session with its request lock. The lock is held in
-// read mode for Session methods that are internally thread-safe and do not
-// grow the context (Attention, AttentionAll, Stats, ContextLen) and in
-// write mode for methods that mutate session state (PrefillRemaining,
-// AppendToken, Store's materialization, Close). closed is set under mu
-// when Remove/Drain detach the entry: an Acquire that looked the entry up
-// before removal but locked it after must not serve the closed session.
+// sessionEntry pairs a session with its request lock. closed is set under
+// mu when Remove/Drain detach the entry: an Acquire that looked the entry
+// up before removal but locked it after must not serve the closed session.
 type sessionEntry struct {
-	mu     sync.RWMutex
+	mu     sync.Mutex
 	sess   *core.Session
 	closed bool
 }
@@ -72,13 +68,12 @@ func (r *Registry) Add(sess *core.Session) int64 {
 	return id
 }
 
-// Acquire looks up a session and locks its entry — exclusively for
-// state-mutating requests, shared otherwise. It returns the session, a
-// release function that must be called exactly once when the request
+// Acquire looks up a session and locks its entry. It returns the session,
+// a release function that must be called exactly once when the request
 // finishes, and whether the session exists. The shard lock is dropped
 // before the entry lock is taken, so a slow request on one session never
 // stalls lookups of its shard siblings.
-func (r *Registry) Acquire(id int64, exclusive bool) (*core.Session, func(), bool) {
+func (r *Registry) Acquire(id int64) (*core.Session, func(), bool) {
 	sh := r.shardFor(id)
 	sh.mu.RLock()
 	e, ok := sh.sessions[id]
@@ -86,20 +81,12 @@ func (r *Registry) Acquire(id int64, exclusive bool) (*core.Session, func(), boo
 	if !ok {
 		return nil, nil, false
 	}
-	if exclusive {
-		e.mu.Lock()
-		if e.closed {
-			e.mu.Unlock()
-			return nil, nil, false
-		}
-		return e.sess, e.mu.Unlock, true
-	}
-	e.mu.RLock()
+	e.mu.Lock()
 	if e.closed {
-		e.mu.RUnlock()
+		e.mu.Unlock()
 		return nil, nil, false
 	}
-	return e.sess, e.mu.RUnlock, true
+	return e.sess, e.mu.Unlock, true
 }
 
 // Remove unregisters a session and returns it for closing. It waits for

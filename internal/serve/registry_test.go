@@ -33,12 +33,12 @@ func TestRegistryAddAcquireRemove(t *testing.T) {
 	if r.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", r.Len())
 	}
-	_, release, ok := r.Acquire(id, false)
+	_, release, ok := r.Acquire(id)
 	if !ok {
 		t.Fatal("Acquire missed a registered session")
 	}
 	release()
-	if _, _, ok := r.Acquire(999, true); ok {
+	if _, _, ok := r.Acquire(999); ok {
 		t.Fatal("Acquire found an unregistered id")
 	}
 	if _, ok := r.Remove(id); !ok {
@@ -101,7 +101,7 @@ func TestRegistryAcquireRemoveChurn(t *testing.T) {
 				inner.Add(2)
 				go func() {
 					defer inner.Done()
-					if _, release, ok := r.Acquire(id, i%2 == 0); ok {
+					if _, release, ok := r.Acquire(id); ok {
 						release()
 					}
 				}()
@@ -110,7 +110,7 @@ func TestRegistryAcquireRemoveChurn(t *testing.T) {
 					r.Remove(id)
 				}()
 				inner.Wait()
-				if _, _, ok := r.Acquire(id, true); ok {
+				if _, _, ok := r.Acquire(id); ok {
 					t.Error("acquired a removed session")
 					return
 				}
@@ -121,7 +121,7 @@ func TestRegistryAcquireRemoveChurn(t *testing.T) {
 }
 
 // TestServeConcurrentSessions hammers one server with parallel
-// create/prefill/attention/attention_all/update/close cycles across many
+// create/prefill/attend-only step/step/close cycles across many
 // goroutines plus concurrent stats polling. Run under -race this is the
 // regression for the sharded-registry refactor.
 func TestServeConcurrentSessions(t *testing.T) {
@@ -150,33 +150,23 @@ func TestServeConcurrentSessions(t *testing.T) {
 					errs <- fmt.Errorf("prefill: status %d", code)
 					return
 				}
-				q := m.QueryVector(inst.Doc, 1, 0, model.QuerySpec{FocusTopics: inst.Question, ContextLen: inst.Doc.Len()})
-				var att AttentionResponse
-				if code := postJSON(t, base+"/attention", AttentionRequest{Layer: 1, QHead: 0, Query: q}, &att); code != http.StatusOK {
-					errs <- fmt.Errorf("attention: status %d", code)
+				qs := stepQueriesFor(m, inst.Doc, inst.Question, 0)
+				var att StepResponse
+				if code := postJSON(t, base+"/step", StepRequest{Queries: qs, AttendOnly: true}, &att); code != http.StatusOK {
+					errs <- fmt.Errorf("attend-only step: status %d", code)
 					return
 				}
-				qs := make([][]float32, mc.QHeads)
-				for h := range qs {
-					qs[h] = m.QueryVector(inst.Doc, 1, h, model.QuerySpec{FocusTopics: inst.Question, ContextLen: inst.Doc.Len()})
-				}
-				var all AttentionAllResponse
-				if code := postJSON(t, base+"/attention_all", AttentionAllRequest{Layer: 1, Queries: qs}, &all); code != http.StatusOK {
-					errs <- fmt.Errorf("attention_all: status %d", code)
+				if att.ContextLen != inst.Doc.Len() || len(att.Layers) != mc.Layers || len(att.Layers[1]) != mc.QHeads {
+					errs <- fmt.Errorf("attend-only step: context %d, %d layers", att.ContextLen, len(att.Layers))
 					return
 				}
-				if len(all.Heads) != mc.QHeads {
-					errs <- fmt.Errorf("attention_all returned %d heads, want %d", len(all.Heads), mc.QHeads)
+				var step StepResponse
+				if code := postJSON(t, base+"/step", StepRequest{Token: inst.Doc.Tokens[0], Queries: qs}, &step); code != http.StatusOK {
+					errs <- fmt.Errorf("step: status %d", code)
 					return
 				}
-				for i := range att.Output {
-					if att.Output[i] != all.Heads[0].Output[i] {
-						errs <- fmt.Errorf("attention_all head 0 diverges from single-head attention at dim %d", i)
-						return
-					}
-				}
-				if code := postJSON(t, base+"/update", UpdateRequest{Token: inst.Doc.Tokens[0]}, nil); code != http.StatusOK {
-					errs <- fmt.Errorf("update: status %d", code)
+				if step.ContextLen != inst.Doc.Len()+1 {
+					errs <- fmt.Errorf("step: context %d, want %d", step.ContextLen, inst.Doc.Len()+1)
 					return
 				}
 				req, _ := http.NewRequest(http.MethodDelete, base, nil)

@@ -8,8 +8,8 @@ import (
 	"repro/internal/metrics"
 )
 
-// The continuous-batching decode scheduler. The per-request Step path
-// decodes one session at a time: a step on a small model leaves most of
+// The continuous-batching decode scheduler. Decoding per request handles
+// one session at a time: a step on a small model leaves most of
 // the worker pool idle, and sixteen tenants decoding at batch size 1
 // saturate nothing. The Scheduler instead admits Step work from *all*
 // sessions into one queue and dispatches it in shared decode waves — up
@@ -19,8 +19,8 @@ import (
 //
 // Ordering: steps of one session never share a wave (a wave carries at
 // most the head of each session's queue), so per-session execution is
-// strictly FIFO and runs under the session's exclusive lock exactly like
-// the serial path; outputs are bitwise-identical to serial Step calls.
+// strictly FIFO and runs under the session's lock exactly like a serial
+// step; outputs are bitwise-identical to serial steps on each session.
 // Fairness: the ready list is a FIFO of sessions, so a session streaming
 // thousands of steps cannot starve a session submitting its first.
 //
@@ -225,8 +225,8 @@ func (sch *Scheduler) reserveLocked(n int) *Error {
 }
 
 // StepOne schedules a single validated step and blocks until its wave
-// completes, returning the wire response exactly as the direct path
-// would.
+// completes, returning the wire response exactly as a serial step on
+// the session would.
 func (sch *Scheduler) StepOne(id int64, req *StepRequest) (*StepResponse, error) {
 	job := getStepJob()
 	job.id, job.req = id, req
@@ -367,7 +367,7 @@ func (sch *Scheduler) execWave(jobs []*stepJob) {
 			j.finish(nil, errStepCanceled)
 			continue
 		}
-		sess, release, ok := sch.svc.reg.Acquire(j.id, true)
+		sess, release, ok := sch.svc.reg.Acquire(j.id)
 		if !ok {
 			j.finish(nil, NotFoundf("no session %d", j.id))
 			continue

@@ -88,6 +88,36 @@ func diffStep(label string, got, want *StepResponse) error {
 	return nil
 }
 
+// stepWire runs one validated decode step on an acquired session, writing
+// into a pooled scratch, and returns the wire response (sans done hook).
+func stepWire(sess *core.Session, req *StepRequest, sc *stepScratch, mc model.Config) *StepResponse {
+	results := sc.grab(mc.Layers, mc.QHeads)
+	if req.AttendOnly {
+		sess.StepAttendOnlyInto(req.Queries, results)
+	} else {
+		sess.StepInto(req.Token, req.Queries, results)
+	}
+	return stepRespFromResults(results, sess.ContextLen(0))
+}
+
+// stepDirect is the serial reference the scheduler is measured against:
+// one step on the caller's goroutine, under the session's lock, with no
+// wave around it.
+func (s *Service) stepDirect(id int64, req *StepRequest, mc model.Config) (*StepResponse, error) {
+	sess, release, ok := s.reg.Acquire(id)
+	if !ok {
+		return nil, NotFoundf("no session %d", id)
+	}
+	defer release()
+	if verr := checkSpanStep(sess, req); verr != nil {
+		return nil, verr
+	}
+	sc := stepScratchPool.Get().(*stepScratch)
+	resp := stepWire(sess, req, sc, mc)
+	resp.done = func() { stepScratchPool.Put(sc) }
+	return resp, nil
+}
+
 // newSchedSession creates and prefills one session for doc.
 func newSchedSession(t *testing.T, svc *Service, doc *model.Document) int64 {
 	t.Helper()
@@ -126,7 +156,7 @@ func TestSchedulerBitwiseIdentityHammer(t *testing.T) {
 		streams[i] = &stream{doc: inst.Doc, topics: inst.Question}
 	}
 
-	// Expected outputs: the serial scheduler-less path, one session per
+	// Expected outputs: the serial reference path, one session per
 	// stream, decoded strictly in order.
 	for _, st := range streams {
 		id := newSchedSession(t, svc, st.doc)
@@ -488,44 +518,60 @@ func TestStepStreamSinkErrorAbandonsTail(t *testing.T) {
 	}
 
 	// Only the first step decoded; the abandoned tail never touched the
-	// session. The update token is the +1 probe.
-	resp, err := svc.Update(id, &UpdateRequest{Token: model.Token{Topic: 1, Payload: 99}})
+	// session. The probe step's token is the +1.
+	resp, err := svc.Step(id, &StepRequest{Token: model.Token{Topic: 1, Payload: 99},
+		Queries: stepQueriesFor(m, inst.Doc, inst.Question, 4)})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer resp.Release()
 	if resp.ContextLen != inst.Doc.Len()+2 {
 		t.Fatalf("context %d, want %d: abandoned tail was decoded", resp.ContextLen, inst.Doc.Len()+2)
 	}
 }
 
-// TestStepsBoundTyped: oversized batches are refused up front with the
-// typed invalid-argument error — before any proportional allocation — on
-// both the buffered and streaming paths.
+// TestStepsBoundTyped: a batch over MaxSteps is refused up front with the
+// typed invalid-argument error — before any step runs — and a batch at
+// the bound streams every step, bitwise-identical to unary Steps on a
+// twin session.
 func TestStepsBoundTyped(t *testing.T) {
-	svc, m := schedService(t, pool.Default(), WithMaxSteps(2))
+	svc, m := schedService(t, pool.Default())
 	p, _ := workload.ProfileByName("Retr.P")
 	inst := workload.Generate(p, 13, 300, 64, 32)
 	id := newSchedSession(t, svc, inst.Doc)
+	twin := newSchedSession(t, svc, inst.Doc)
 
-	req := &StepsRequest{Steps: make([]StepRequest, 3)}
+	qs := stepQueriesFor(m, inst.Doc, inst.Question, 0)
+	req := &StepsRequest{Steps: make([]StepRequest, MaxSteps+1)}
 	for i := range req.Steps {
-		req.Steps[i] = StepRequest{Token: model.Token{Topic: 1, Payload: i + 1},
-			Queries: stepQueriesFor(m, inst.Doc, inst.Question, i)}
-	}
-	if _, err := svc.Steps(id, req); !errors.Is(err, ErrBadRequest) {
-		t.Fatalf("oversized Steps err = %v, want ErrBadRequest", err)
+		req.Steps[i] = StepRequest{Token: model.Token{Topic: 1, Payload: i % 32}, Queries: qs}
 	}
 	err := svc.StepStream(context.Background(), id, req, func(*StepResponse) error { return nil })
 	if !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("oversized StepStream err = %v, want ErrBadRequest", err)
 	}
-	// At the bound is fine.
-	ok := &StepsRequest{Steps: req.Steps[:2]}
-	resp, err := svc.Steps(id, ok)
+
+	// At the bound is fine, and nothing of the refused batch ran.
+	ok := &StepsRequest{Steps: req.Steps[:MaxSteps]}
+	n := 0
+	err = svc.StepStream(context.Background(), id, ok, func(got *StepResponse) error {
+		want, werr := svc.Step(twin, &ok.Steps[n])
+		if werr != nil {
+			return werr
+		}
+		defer want.Release()
+		if derr := diffStep(fmt.Sprintf("step %d", n), got, want); derr != nil {
+			return derr
+		}
+		n++
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Release()
+	if n != MaxSteps {
+		t.Fatalf("streamed %d steps, want %d", n, MaxSteps)
+	}
 }
 
 // TestSchedulerSteadyStateAllocs guards the hot decode loop: once pools

@@ -14,26 +14,22 @@
 //
 // # Endpoints
 //
-//	method+path                            api  operation
-//	POST   /v1/sessions                    v1   create a session (body: document)
-//	POST   /v1/sessions/{id}/prefill       v1   generate KV for unreused tokens
-//	POST   /v1/sessions/{id}/update        v1   ingest one generated token
-//	POST   /v1/sessions/{id}/attention     v1   compute one head's attention
-//	POST   /v1/sessions/{id}/attention_all v1   compute every head of a layer
-//	POST   /v1/sessions/{id}/step          v2   ingest a token + attention for all layers×heads
-//	POST   /v1/sessions/{id}/steps         v2   batch of N steps in one round trip
-//	POST   /v1/sessions/{id}/step_stream   v2   batch of N steps, one streamed frame per step
-//	POST   /v1/sessions/{id}/store         v1   persist as a reusable context
-//	DELETE /v1/sessions/{id}               v1   close the session
-//	GET    /v1/stats                       v1   DB + endpoint statistics
-//	GET    /v1/healthz                     v2   liveness probe
+//	method+path                           operation
+//	POST   /v1/sessions                   create a session (body: document)
+//	POST   /v1/sessions/{id}/prefill      generate KV for unreused tokens
+//	POST   /v1/sessions/{id}/step         ingest a token + attention for all layers×heads
+//	POST   /v1/sessions/{id}/step_stream  batch of N steps, one streamed frame per step
+//	POST   /v1/sessions/{id}/store        persist as a reusable context
+//	DELETE /v1/sessions/{id}              close the session
+//	GET    /v1/stats                      DB + endpoint statistics
+//	GET    /v1/healthz                    liveness probe
 //
-// The v1 surface is kept for compatibility; a v2 engine decodes one token
-// per round trip through step (or N per round trip through steps), where
-// v1 needed 1 + Layers round trips per token. step_stream is steps with
-// streamed delivery: each StepResponse goes on the wire — its own binary
-// frame, flushed — the moment its decode wave completes, so the engine
-// overlaps reading step N with the service decoding step N+1.
+// An engine decodes one token per round trip through step, or N per round
+// trip through step_stream; a step with attend_only set computes the
+// attention without ingesting its token. step_stream delivers each
+// StepResponse on the wire — its own binary frame, flushed — the moment
+// its decode wave completes, so the engine overlaps reading step N with
+// the service decoding step N+1.
 //
 // # Continuous batching
 //
@@ -47,8 +43,8 @@
 //
 // # Codecs
 //
-// Every endpoint speaks JSON. The tensor-heavy ones — attention,
-// attention_all, step, steps — also speak the binary frame codec
+// Every endpoint speaks JSON. The tensor-heavy ones — step and
+// step_stream — also speak the binary frame codec
 // `application/x-alaya-frame` (frame.go documents the wire layout):
 // request bodies are selected by Content-Type, response bodies by Accept,
 // and JSON remains the default for both. Binary and JSON carry identical
@@ -68,12 +64,10 @@
 //  2. The session table is sharded (Registry); a shard mutex guards only
 //     its map slice and is held just for insert/lookup/delete, so requests
 //     for different sessions never serialize on the table.
-//  3. Each session carries a request RWMutex: attention and stats take it
-//     shared (Session is internally thread-safe for reads and fans its
-//     per-head work across the worker pool), while prefill, update, step,
-//     steps, store and close take it exclusive because they grow or
-//     consume the session's KV tail. Requests on *different* sessions
-//     therefore only ever share the worker pool, never a lock.
+//  3. Each session carries a request mutex, taken by prefill, every
+//     step, store and close, because each grows, reads or consumes the
+//     session's KV tail. Requests on *different* sessions therefore only
+//     ever share the worker pool, never a lock.
 package serve
 
 import (
@@ -93,7 +87,7 @@ import (
 const DefaultShards = 32
 
 // DefaultMaxBodyBytes is the request-body limit when no option overrides
-// it: generous for steps batches at production model geometry, small
+// it: generous for step_stream batches at production model geometry, small
 // enough that a misbehaving client cannot buffer the server into the
 // ground.
 const DefaultMaxBodyBytes int64 = 64 << 20
@@ -253,9 +247,7 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 
 // knownActions is the session action vocabulary; anything else is 404.
 var knownActions = map[string]bool{
-	"prefill": true, "update": true, "attention": true,
-	"attention_all": true, "step": true, "steps": true,
-	"step_stream": true, "store": true,
+	"prefill": true, "step": true, "step_stream": true, "store": true,
 }
 
 func (s *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
@@ -320,27 +312,6 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 	switch action {
 	case "prefill":
 		resp, serr = s.core.Prefill(id)
-	case "update":
-		var req UpdateRequest
-		if derr := s.decodeBody(w, r, &req, false); derr != nil {
-			s.writeError(w, derr)
-			return
-		}
-		resp, serr = s.core.Update(id, &req)
-	case "attention":
-		var req AttentionRequest
-		if derr := s.decodeBody(w, r, &req, true); derr != nil {
-			s.writeError(w, derr)
-			return
-		}
-		resp, serr = s.core.Attention(id, &req)
-	case "attention_all":
-		var req AttentionAllRequest
-		if derr := s.decodeBody(w, r, &req, true); derr != nil {
-			s.writeError(w, derr)
-			return
-		}
-		resp, serr = s.core.AttentionAll(id, &req)
 	case "step":
 		var req StepRequest
 		if derr := s.decodeBody(w, r, &req, true); derr != nil {
@@ -348,13 +319,6 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		resp, serr = s.core.Step(id, &req)
-	case "steps":
-		var req StepsRequest
-		if derr := s.decodeBody(w, r, &req, true); derr != nil {
-			s.writeError(w, derr)
-			return
-		}
-		resp, serr = s.core.Steps(id, &req)
 	case "step_stream":
 		var req StepsRequest
 		if derr := s.decodeBody(w, r, &req, true); derr != nil {

@@ -68,8 +68,8 @@ func postJSON(t *testing.T, url string, body, out interface{}) int {
 }
 
 // TestServeEndToEnd drives the full inference-engine protocol over HTTP:
-// create a session, prefill, run attention queries, append a generated
-// token, store, and verify reuse on a second session.
+// create a session, prefill, run attention queries without ingesting,
+// step a generated token, store, and verify reuse on a second session.
 func TestServeEndToEnd(t *testing.T) {
 	_, ts, m := testServer(t)
 	p, _ := workload.ProfileByName("Retr.P")
@@ -93,26 +93,26 @@ func TestServeEndToEnd(t *testing.T) {
 		t.Fatalf("context_len = %d", pf["context_len"])
 	}
 
-	// Attention on a retrieval head.
-	q := m.QueryVector(inst.Doc, 1, 0, model.QuerySpec{FocusTopics: inst.Question, ContextLen: 600})
-	var att AttentionResponse
-	if code := postJSON(t, base+"/attention", AttentionRequest{Layer: 1, QHead: 0, Query: q}, &att); code != http.StatusOK {
-		t.Fatalf("attention: status %d", code)
+	// Attention without ingesting; layer 1 head 0 is a retrieval head.
+	qs := stepQueriesFor(m, inst.Doc, inst.Question, 0)
+	var att StepResponse
+	if code := postJSON(t, base+"/step", StepRequest{Queries: qs, AttendOnly: true}, &att); code != http.StatusOK {
+		t.Fatalf("attend-only step: status %d", code)
 	}
-	if len(att.Output) != m.Config().HeadDim {
-		t.Fatalf("output dim = %d", len(att.Output))
+	if att.ContextLen != 600 {
+		t.Fatalf("context_len after attend-only step = %d", att.ContextLen)
 	}
-	if att.Plan == "" || att.Attended == 0 {
-		t.Fatalf("attention metadata missing: %+v", att)
+	if head := att.Layers[1][0]; len(head.Output) != m.Config().HeadDim || head.Plan == "" || head.Attended == 0 {
+		t.Fatalf("attention metadata missing: %+v", head)
 	}
 
 	// Generate a token, store, reuse.
-	var upd map[string]int
-	if code := postJSON(t, base+"/update", UpdateRequest{Token: model.Token{Topic: 1, Payload: 2}}, &upd); code != http.StatusOK {
-		t.Fatalf("update: status %d", code)
+	var step StepResponse
+	if code := postJSON(t, base+"/step", StepRequest{Token: model.Token{Topic: 1, Payload: 2}, Queries: qs}, &step); code != http.StatusOK {
+		t.Fatalf("step: status %d", code)
 	}
-	if upd["context_len"] != 601 {
-		t.Fatalf("context_len after update = %d", upd["context_len"])
+	if step.ContextLen != 601 {
+		t.Fatalf("context_len after step = %d", step.ContextLen)
 	}
 	var stored map[string]int
 	if code := postJSON(t, base+"/store", struct{}{}, &stored); code != http.StatusOK {
@@ -163,8 +163,15 @@ func TestServeErrors(t *testing.T) {
 	resp.Body.Close()
 
 	// Unknown session.
-	if code := postJSON(t, ts.URL+"/v1/sessions/999/attention",
-		AttentionRequest{Layer: 0, QHead: 0, Query: make([]float32, m.Config().HeadDim)}, nil); code != http.StatusNotFound {
+	mc := m.Config()
+	qs := make([][][]float32, mc.Layers)
+	for l := range qs {
+		qs[l] = make([][]float32, mc.QHeads)
+		for h := range qs[l] {
+			qs[l][h] = make([]float32, mc.HeadDim)
+		}
+	}
+	if code := postJSON(t, ts.URL+"/v1/sessions/999/step", StepRequest{Queries: qs}, nil); code != http.StatusNotFound {
 		t.Errorf("unknown session: status %d", code)
 	}
 
@@ -173,21 +180,19 @@ func TestServeErrors(t *testing.T) {
 	postJSON(t, ts.URL+"/v1/sessions", DocumentWire{Seed: 1}, &created)
 	base := fmt.Sprintf("%s/v1/sessions/%d", ts.URL, created.SessionID)
 
-	if code := postJSON(t, base+"/attention",
-		AttentionRequest{Layer: 99, QHead: 0, Query: make([]float32, m.Config().HeadDim)}, nil); code != http.StatusBadRequest {
-		t.Errorf("bad layer: status %d", code)
+	if code := postJSON(t, base+"/step", StepRequest{Queries: qs[:1]}, nil); code != http.StatusBadRequest {
+		t.Errorf("bad layer count: status %d", code)
 	}
-	if code := postJSON(t, base+"/attention",
-		AttentionRequest{Layer: 0, QHead: 0, Query: make([]float32, 3)}, nil); code != http.StatusBadRequest {
+	short := [][][]float32{{make([]float32, 3)}}
+	if code := postJSON(t, base+"/step", StepRequest{Queries: append(short, qs[1:]...)}, nil); code != http.StatusBadRequest {
 		t.Errorf("bad query dim: status %d", code)
 	}
-	// Store before prefill on a session with pending tokens is fine for an
-	// empty doc; storing with missing KV errors (conflict).
-	postJSON(t, base+"/update", UpdateRequest{Token: model.Token{Topic: 1}}, nil)
-	var upd map[string]int
-	postJSON(t, base+"/update", UpdateRequest{Token: model.Token{Topic: 2}}, &upd)
-	if upd["context_len"] != 2 {
-		t.Errorf("context after updates = %d", upd["context_len"])
+	// Steps on an empty document grow its context from zero.
+	postJSON(t, base+"/step", StepRequest{Token: model.Token{Topic: 1}, Queries: qs}, nil)
+	var step StepResponse
+	postJSON(t, base+"/step", StepRequest{Token: model.Token{Topic: 2}, Queries: qs}, &step)
+	if step.ContextLen != 2 {
+		t.Errorf("context after steps = %d", step.ContextLen)
 	}
 	// Bad id in path.
 	if code := postJSON(t, ts.URL+"/v1/sessions/abc/prefill", struct{}{}, nil); code != http.StatusBadRequest {

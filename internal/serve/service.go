@@ -20,11 +20,10 @@ import (
 // exercise exactly the deployed logic. Safe for concurrent use — session
 // lookup and locking follow the package comment's discipline.
 type Service struct {
-	db       *core.DB
-	reg      *Registry
-	eps      metrics.EndpointCounters
-	sched    *Scheduler
-	maxSteps int
+	db    *core.DB
+	reg   *Registry
+	eps   metrics.EndpointCounters
+	sched *Scheduler
 
 	closeOnce sync.Once
 	closeErr  error
@@ -34,10 +33,10 @@ type Service struct {
 // steps) when no option overrides it.
 const DefaultQueueDepth = 1024
 
-// DefaultMaxSteps is the per-request step-batch bound when no option
-// overrides it: a steps/step_stream request may carry at most this many
-// steps, so response allocation is bounded before any is performed.
-const DefaultMaxSteps = 512
+// MaxSteps bounds one step_stream batch: a request may carry at most this
+// many steps, so nothing proportional to the batch is allocated or run
+// before it is checked. Nodes and the cluster router share it.
+const MaxSteps = 512
 
 // options collects the knobs shared by NewService and NewServer.
 type options struct {
@@ -45,7 +44,6 @@ type options struct {
 	maxBody  int64
 	waveSize int
 	queueCap int
-	maxSteps int
 }
 
 // Option configures a Service or Server.
@@ -64,10 +62,8 @@ func WithMaxBodyBytes(n int64) Option {
 }
 
 // WithWaveSize caps how many sessions the decode scheduler batches into
-// one shared wave. Default (0): the DB's worker-pool size (at least 4).
-// Negative disables the scheduler entirely — steps decode serially on the
-// caller's goroutine, the per-request execution model that predates
-// continuous batching (kept for comparison benchmarks and debugging).
+// one shared wave. Default (0 or less): the DB's worker-pool size (at
+// least 4).
 func WithWaveSize(n int) Option {
 	return func(o *options) { o.waveSize = n }
 }
@@ -79,12 +75,6 @@ func WithQueueDepth(n int) Option {
 	return func(o *options) { o.queueCap = n }
 }
 
-// WithMaxSteps bounds how many steps one steps/step_stream request may
-// carry. Default DefaultMaxSteps.
-func WithMaxSteps(n int) Option {
-	return func(o *options) { o.maxSteps = n }
-}
-
 // NewService returns the service core over db, with the continuous-
 // batching decode scheduler running.
 func NewService(db *core.DB, opts ...Option) *Service {
@@ -92,13 +82,8 @@ func NewService(db *core.DB, opts ...Option) *Service {
 	for _, fn := range opts {
 		fn(&o)
 	}
-	s := &Service{db: db, reg: NewRegistry(o.shards), maxSteps: o.maxSteps}
-	if s.maxSteps <= 0 {
-		s.maxSteps = DefaultMaxSteps
-	}
-	if o.waveSize >= 0 {
-		s.sched = newScheduler(s, o.waveSize, o.queueCap)
-	}
+	s := &Service{db: db, reg: NewRegistry(o.shards)}
+	s.sched = newScheduler(s, o.waveSize, o.queueCap)
 	return s
 }
 
@@ -111,8 +96,7 @@ func (s *Service) Registry() *Registry { return s.reg }
 // EndpointStats snapshots the per-endpoint request/latency counters.
 func (s *Service) EndpointStats() []metrics.EndpointSnapshot { return s.eps.Snapshot() }
 
-// Scheduler returns the decode scheduler (tests and stats inspect it);
-// nil only on a zero-value Service.
+// Scheduler returns the decode scheduler (tests and stats inspect it).
 func (s *Service) Scheduler() *Scheduler { return s.sched }
 
 // Close stops the decode scheduler (draining queued work with the typed
@@ -122,9 +106,7 @@ func (s *Service) Scheduler() *Scheduler { return s.sched }
 // caller blocks until it is done and returns the same result.
 func (s *Service) Close() error {
 	s.closeOnce.Do(func() {
-		if s.sched != nil {
-			s.sched.Close()
-		}
+		s.sched.Close()
 		for _, sess := range s.reg.Drain() {
 			if err := sess.Close(); err != nil && s.closeErr == nil {
 				s.closeErr = err
@@ -147,8 +129,7 @@ func (s *Service) track(ep metrics.Endpoint, errp *error) func() {
 // These structs are the protocol: the JSON codec marshals them directly,
 // the binary frame codec (frame.go) encodes the tensor-heavy ones, and
 // pkg/alayaclient exposes them to engine authors. Tensor-bearing responses
-// (attention/attention_all/step/steps) may alias pooled buffers — see
-// Release.
+// (StepResponse) may alias pooled buffers — see Release.
 
 // DocumentWire is the JSON form of a document and the create-session
 // request body.
@@ -185,26 +166,7 @@ type PrefillResponse struct {
 	ContextLen int `json:"context_len"`
 }
 
-// UpdateRequest ingests one token: its document entry plus nothing else —
-// the server generates KV through the substrate. (A real deployment ships
-// the K/V tensors; the substrate owns them here.)
-type UpdateRequest struct {
-	Token model.Token `json:"token"`
-}
-
-// UpdateResponse reports the context length after the update.
-type UpdateResponse struct {
-	ContextLen int `json:"context_len"`
-}
-
-// AttentionRequest asks for one head's attention output.
-type AttentionRequest struct {
-	Layer int       `json:"layer"`
-	QHead int       `json:"q_head"`
-	Query []float32 `json:"query"`
-}
-
-// AttentionResponse carries the output and the execution facts. LSE is
+// AttentionResponse carries one head's output and the execution facts. LSE is
 // the result's combined log-sum-exp — the weight a cluster router needs
 // to fold per-node partials into one output. JSON cannot encode −Inf
 // (nothing attended), so the wire pins that case to -math.MaxFloat64;
@@ -222,30 +184,19 @@ type AttentionResponse struct {
 // and skipped by a second-level merge.
 const LSESentinel = -math.MaxFloat64
 
-// AttentionAllRequest asks for every query head of a layer in one round
-// trip; the server fans the heads across its worker pool. Queries is
-// indexed by query head and must cover all heads.
-type AttentionAllRequest struct {
-	Layer   int         `json:"layer"`
-	Queries [][]float32 `json:"queries"`
-}
-
-// AttentionAllResponse carries one AttentionResponse per query head.
-type AttentionAllResponse struct {
-	Heads []AttentionResponse `json:"heads"`
-	released
-}
-
-// StepRequest is one whole decode step — the v2 coarse API. It ingests
-// the generated token and asks for attention outputs of every layer and
-// head in a single round trip; Queries is indexed [layer][query head] and
-// must cover the full model geometry.
+// StepRequest is one whole decode step. It ingests the generated token
+// and asks for attention outputs of every layer and head in a single
+// round trip; Queries is indexed [layer][query head] and must cover the
+// full model geometry. The token is its document entry only: the server
+// generates KV through the substrate (a real deployment ships the K/V
+// tensors; the substrate owns them here).
 type StepRequest struct {
 	Token   model.Token   `json:"token"`
 	Queries [][][]float32 `json:"queries"`
 	// AttendOnly computes the step's attention without ingesting Token —
-	// the request shape a cluster router sends every fixed-span shard of
-	// a sharded context (only the open tail-owner shard ingests).
+	// attention over the context as it stands, and the request shape a
+	// cluster router sends every fixed-span shard of a sharded context
+	// (only the open tail-owner shard ingests).
 	AttendOnly bool `json:"attend_only,omitempty"`
 }
 
@@ -257,16 +208,10 @@ type StepResponse struct {
 	released
 }
 
-// StepsRequest amortizes N decode steps in one round trip; steps execute
-// in order against the same session.
+// StepsRequest is a step_stream batch: N decode steps in one round trip,
+// executed in order against the same session.
 type StepsRequest struct {
 	Steps []StepRequest `json:"steps"`
-}
-
-// StepsResponse carries one StepResponse per requested step.
-type StepsResponse struct {
-	Steps []StepResponse `json:"steps"`
-	released
 }
 
 // StoreResponse reports a successful context store.
@@ -341,8 +286,8 @@ type StatsResponse struct {
 	IndexBuildMillis     int64 `json:"index_build_ms,omitempty"`
 	LastIndexBuildMillis int64 `json:"last_index_build_ms,omitempty"`
 	// Sched reports the continuous-batching decode scheduler: wave
-	// occupancy, queue depth, and admit/reject counters (absent from a
-	// zero-value Service with no scheduler).
+	// occupancy, queue depth, and admit/reject counters (absent behind a
+	// cluster router, which runs no scheduler of its own).
 	Sched *metrics.SchedSnapshot `json:"sched,omitempty"`
 	// Cluster reports the shard router fronting this surface: per-node
 	// health and routed-call counters (absent on a single-node daemon;
@@ -446,7 +391,7 @@ func (s *Service) CreateSession(req *CreateSessionRequest) (resp *CreateSessionR
 // prefix.
 func (s *Service) Prefill(id int64) (resp *PrefillResponse, err error) {
 	defer s.track(metrics.EPPrefill, &err)()
-	sess, release, ok := s.reg.Acquire(id, true)
+	sess, release, ok := s.reg.Acquire(id)
 	if !ok {
 		return nil, NotFoundf("no session %d", id)
 	}
@@ -455,92 +400,22 @@ func (s *Service) Prefill(id int64) (resp *PrefillResponse, err error) {
 	return &PrefillResponse{Prefilled: fed, ContextLen: sess.ContextLen(0)}, nil
 }
 
-// Update ingests one generated token (the v1 fine-grained API; the v2
-// decode path uses Step).
-func (s *Service) Update(id int64, req *UpdateRequest) (resp *UpdateResponse, err error) {
-	defer s.track(metrics.EPUpdate, &err)()
-	sess, release, ok := s.reg.Acquire(id, true)
-	if !ok {
-		return nil, NotFoundf("no session %d", id)
-	}
-	defer release()
-	if sess.FixedSpan() {
-		return nil, Conflictf("session %d is a fixed-span shard; it never ingests tokens", id)
-	}
-	sess.AppendToken(req.Token)
-	return &UpdateResponse{ContextLen: sess.ContextLen(0)}, nil
-}
-
-// Attention computes one head's attention output.
-func (s *Service) Attention(id int64, req *AttentionRequest) (resp *AttentionResponse, err error) {
-	defer s.track(metrics.EPAttention, &err)()
-	mc := s.db.Model().Config()
-	if req.Layer < 0 || req.Layer >= mc.Layers || req.QHead < 0 || req.QHead >= mc.QHeads {
-		return nil, BadRequestf("layer/head out of range")
-	}
-	if len(req.Query) != mc.HeadDim {
-		return nil, BadRequestf("query dim %d, want %d", len(req.Query), mc.HeadDim)
-	}
-	sess, release, ok := s.reg.Acquire(id, false)
-	if !ok {
-		return nil, NotFoundf("no session %d", id)
-	}
-	defer release()
-	res := sess.Attention(req.Layer, req.QHead, req.Query)
-	out := attentionWire(&res)
-	return &out, nil
-}
-
-// checkLayerQueries validates one layer's worth of per-head queries.
-func checkLayerQueries(qs [][]float32, mc model.Config) *Error {
-	if len(qs) != mc.QHeads {
-		return BadRequestf("%d queries, want one per head (%d)", len(qs), mc.QHeads)
-	}
-	for h, q := range qs {
-		if len(q) != mc.HeadDim {
-			return BadRequestf("head %d query dim %d, want %d", h, len(q), mc.HeadDim)
-		}
-	}
-	return nil
-}
-
 // checkStepQueries validates a full layers×heads query block.
 func checkStepQueries(qs [][][]float32, mc model.Config) *Error {
 	if len(qs) != mc.Layers {
 		return BadRequestf("%d query layers, want one per layer (%d)", len(qs), mc.Layers)
 	}
-	for l := range qs {
-		if err := checkLayerQueries(qs[l], mc); err != nil {
-			return BadRequestf("layer %d: %s", l, err.Message)
+	for l, row := range qs {
+		if len(row) != mc.QHeads {
+			return BadRequestf("layer %d: %d queries, want one per head (%d)", l, len(row), mc.QHeads)
+		}
+		for h, q := range row {
+			if len(q) != mc.HeadDim {
+				return BadRequestf("layer %d: head %d query dim %d, want %d", l, h, len(q), mc.HeadDim)
+			}
 		}
 	}
 	return nil
-}
-
-// AttentionAll computes every head of one layer (the v1 per-layer batch).
-func (s *Service) AttentionAll(id int64, req *AttentionAllRequest) (resp *AttentionAllResponse, err error) {
-	defer s.track(metrics.EPAttentionAll, &err)()
-	mc := s.db.Model().Config()
-	if req.Layer < 0 || req.Layer >= mc.Layers {
-		return nil, BadRequestf("layer out of range")
-	}
-	if verr := checkLayerQueries(req.Queries, mc); verr != nil {
-		return nil, verr
-	}
-	sess, release, ok := s.reg.Acquire(id, false)
-	if !ok {
-		return nil, NotFoundf("no session %d", id)
-	}
-	defer release()
-	sc := stepScratchPool.Get().(*stepScratch)
-	results := sc.grab(1, len(req.Queries))[0]
-	sess.AttentionAllInto(req.Layer, req.Queries, results)
-	resp = &AttentionAllResponse{Heads: make([]AttentionResponse, len(results))}
-	for h := range results {
-		resp.Heads[h] = attentionWire(&results[h])
-	}
-	resp.done = func() { stepScratchPool.Put(sc) }
-	return resp, nil
 }
 
 // stepRespFromResults builds the wire response over a filled layers×heads
@@ -557,18 +432,6 @@ func stepRespFromResults(results [][]core.AttentionResult, ctxLen int) *StepResp
 	return resp
 }
 
-// stepWire runs one validated decode step on an acquired session, writing
-// into a pooled scratch, and returns the wire response (sans done hook).
-func stepWire(sess *core.Session, req *StepRequest, sc *stepScratch, mc model.Config) *StepResponse {
-	results := sc.grab(mc.Layers, mc.QHeads)
-	if req.AttendOnly {
-		sess.StepAttendOnlyInto(req.Queries, results)
-	} else {
-		sess.StepInto(req.Token, req.Queries, results)
-	}
-	return stepRespFromResults(results, sess.ContextLen(0))
-}
-
 // checkSpanStep rejects an ingesting step on a fixed-span shard session:
 // its span is frozen, so only attend-only steps are well-defined.
 func checkSpanStep(sess *core.Session, req *StepRequest) *Error {
@@ -578,104 +441,42 @@ func checkSpanStep(sess *core.Session, req *StepRequest) *Error {
 	return nil
 }
 
-// Step is the v2 coarse decode API: ingest the step's token and return
-// attention outputs for all layers × all heads in one call. Steps are
-// admitted to the continuous-batching scheduler and executed in shared
-// cross-session decode waves; the response is bitwise-identical to both
-// the direct serial path and the v1 sequence (Update, then AttentionAll
-// per layer) it replaces.
+// Step is the decode API: ingest the step's token (unless AttendOnly) and
+// return attention outputs for all layers × all heads in one call. Steps
+// are admitted to the continuous-batching scheduler and executed in shared
+// cross-session decode waves; the response is bitwise-identical to a
+// serial step on the session.
 func (s *Service) Step(id int64, req *StepRequest) (resp *StepResponse, err error) {
 	defer s.track(metrics.EPStep, &err)()
 	mc := s.db.Model().Config()
 	if verr := checkStepQueries(req.Queries, mc); verr != nil {
 		return nil, verr
 	}
-	if s.sched != nil {
-		return s.sched.StepOne(id, req)
-	}
-	return s.stepDirect(id, req, mc)
-}
-
-// stepDirect is the scheduler-less serial step path (zero-value Service).
-func (s *Service) stepDirect(id int64, req *StepRequest, mc model.Config) (*StepResponse, error) {
-	sess, release, ok := s.reg.Acquire(id, true)
-	if !ok {
-		return nil, NotFoundf("no session %d", id)
-	}
-	defer release()
-	if verr := checkSpanStep(sess, req); verr != nil {
-		return nil, verr
-	}
-	sc := stepScratchPool.Get().(*stepScratch)
-	resp := stepWire(sess, req, sc, mc)
-	resp.done = func() { stepScratchPool.Put(sc) }
-	return resp, nil
+	return s.sched.StepOne(id, req)
 }
 
 // checkStepsBound enforces the per-request step-batch bound before
 // anything is allocated proportionally to the request.
-func (s *Service) checkStepsBound(n int) *Error {
-	max := s.maxSteps
-	if max <= 0 {
-		max = DefaultMaxSteps
-	}
-	if n > max {
-		return BadRequestf("batch of %d steps exceeds the %d-step limit", n, max)
+func checkStepsBound(n int) *Error {
+	if n > MaxSteps {
+		return BadRequestf("batch of %d steps exceeds the %d-step limit", n, MaxSteps)
 	}
 	return nil
 }
 
-// Steps amortizes N decode steps over one round trip, executing them in
-// order under a single session acquisition and replying only once the
-// whole batch is done (the buffered alternative to StepStream).
-func (s *Service) Steps(id int64, req *StepsRequest) (resp *StepsResponse, err error) {
-	defer s.track(metrics.EPSteps, &err)()
-	if verr := s.checkStepsBound(len(req.Steps)); verr != nil {
-		return nil, verr
-	}
-	mc := s.db.Model().Config()
-	for i := range req.Steps {
-		if verr := checkStepQueries(req.Steps[i].Queries, mc); verr != nil {
-			return nil, BadRequestf("step %d: %s", i, verr.Message)
-		}
-	}
-	sess, release, ok := s.reg.Acquire(id, true)
-	if !ok {
-		return nil, NotFoundf("no session %d", id)
-	}
-	defer release()
-	for i := range req.Steps {
-		if verr := checkSpanStep(sess, &req.Steps[i]); verr != nil {
-			return nil, verr
-		}
-	}
-	scratches := make([]*stepScratch, len(req.Steps))
-	resp = &StepsResponse{Steps: make([]StepResponse, len(req.Steps))}
-	for i := range req.Steps {
-		scratches[i] = stepScratchPool.Get().(*stepScratch)
-		resp.Steps[i] = *stepWire(sess, &req.Steps[i], scratches[i], mc)
-	}
-	resp.done = func() {
-		for _, sc := range scratches {
-			stepScratchPool.Put(sc)
-		}
-	}
-	return resp, nil
-}
-
 // StepStream runs a batch of decode steps through the continuous-batching
 // scheduler and delivers each StepResponse to sink the moment its wave
-// completes, in step order, instead of buffering the batch the way Steps
-// does — the caller overlaps reading step N with the service decoding
-// step N+1. The response passed to sink is valid only for the duration of
-// the call: its buffers are released when sink returns. A sink error or a
+// completes, in step order, instead of buffering the batch — the caller
+// overlaps reading step N with the service decoding step N+1. The
+// response passed to sink is valid only for the duration of the call:
+// its buffers are released when sink returns. A sink error or a
 // ctx cancellation abandons the batch's remaining steps (they are drained
 // without compute) and is returned; the first step error aborts the same
 // way. StepStream returns only after every admitted step has been
 // accounted for, so pooled state never leaks.
 func (s *Service) StepStream(ctx context.Context, id int64, req *StepsRequest, sink func(*StepResponse) error) (err error) {
 	defer s.track(metrics.EPStepStream, &err)()
-	if verr := s.checkStepsBound(len(req.Steps)); verr != nil {
+	if verr := checkStepsBound(len(req.Steps)); verr != nil {
 		return verr
 	}
 	mc := s.db.Model().Config()
@@ -686,9 +487,6 @@ func (s *Service) StepStream(ctx context.Context, id int64, req *StepsRequest, s
 	}
 	if len(req.Steps) == 0 {
 		return nil
-	}
-	if s.sched == nil {
-		return s.stepStreamDirect(id, req, sink, mc)
 	}
 
 	// The channel holds the whole batch so the dispatcher never blocks on
@@ -732,31 +530,10 @@ func (s *Service) StepStream(ctx context.Context, id int64, req *StepsRequest, s
 	return firstErr
 }
 
-// stepStreamDirect is the scheduler-less serial stream path.
-func (s *Service) stepStreamDirect(id int64, req *StepsRequest, sink func(*StepResponse) error, mc model.Config) error {
-	sess, release, ok := s.reg.Acquire(id, true)
-	if !ok {
-		return NotFoundf("no session %d", id)
-	}
-	defer release()
-	sc := stepScratchPool.Get().(*stepScratch)
-	defer stepScratchPool.Put(sc)
-	for i := range req.Steps {
-		if verr := checkSpanStep(sess, &req.Steps[i]); verr != nil {
-			return verr
-		}
-		resp := stepWire(sess, &req.Steps[i], sc, mc)
-		if err := sink(resp); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Store persists the session's full state as a reusable context.
 func (s *Service) Store(id int64) (resp *StoreResponse, err error) {
 	defer s.track(metrics.EPStore, &err)()
-	sess, release, ok := s.reg.Acquire(id, true)
+	sess, release, ok := s.reg.Acquire(id)
 	if !ok {
 		return nil, NotFoundf("no session %d", id)
 	}
@@ -838,10 +615,8 @@ func (s *Service) Stats() (resp *StatsResponse, err error) {
 		resp.IndexBuildMillis = cp.IndexBuildMillis
 		resp.LastIndexBuildMillis = cp.LastIndexBuildMillis
 	}
-	if s.sched != nil {
-		snap := s.sched.Stats()
-		resp.Sched = &snap
-	}
+	snap := s.sched.Stats()
+	resp.Sched = &snap
 	resp.Endpoints = s.eps.Snapshot()
 	return resp, nil
 }

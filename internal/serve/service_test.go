@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -76,7 +77,7 @@ func TestServiceInProcess(t *testing.T) {
 		t.Fatalf("prefill = %+v", pf)
 	}
 
-	// One v2 step: token in, every layer and head out.
+	// One step: token in, every layer and head out.
 	qs := stepQueriesFor(m, inst.Doc, inst.Question, 0)
 	step, err := svc.Step(id, &StepRequest{Token: model.Token{Topic: 1, Payload: 2}, Queries: qs})
 	if err != nil {
@@ -98,19 +99,22 @@ func TestServiceInProcess(t *testing.T) {
 	}
 	step.Release()
 
-	// A batch of two more steps.
+	// A streamed batch of two more steps.
 	batch := &StepsRequest{Steps: []StepRequest{
 		{Token: model.Token{Topic: 1, Payload: 3}, Queries: stepQueriesFor(m, inst.Doc, inst.Question, 1)},
 		{Token: model.Token{Topic: 1, Payload: 4}, Queries: stepQueriesFor(m, inst.Doc, inst.Question, 2)},
 	}}
-	steps, err := svc.Steps(id, batch)
+	var lens []int
+	err = svc.StepStream(context.Background(), id, batch, func(r *StepResponse) error {
+		lens = append(lens, r.ContextLen)
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(steps.Steps) != 2 || steps.Steps[0].ContextLen != 502 || steps.Steps[1].ContextLen != 503 {
-		t.Fatalf("steps = %+v", steps.Steps)
+	if len(lens) != 2 || lens[0] != 502 || lens[1] != 503 {
+		t.Fatalf("streamed context lens = %v", lens)
 	}
-	steps.Release()
 
 	stored, err := svc.Store(id)
 	if err != nil {
@@ -140,7 +144,7 @@ func TestServiceInProcess(t *testing.T) {
 		byName[ep.Endpoint] = ep.Requests
 	}
 	for name, want := range map[string]int64{
-		"create_session": 1, "prefill": 1, "step": 1, "steps": 1,
+		"create_session": 1, "prefill": 1, "step": 1, "step_stream": 1,
 		"store": 1, "close_session": 2,
 	} {
 		if byName[name] != want {
@@ -157,8 +161,15 @@ func TestServiceErrorModel(t *testing.T) {
 	if _, err := svc.Prefill(404); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("prefill missing session: %v", err)
 	}
-	if _, err := svc.Update(404, &UpdateRequest{}); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("update missing session: %v", err)
+	geom := make([][][]float32, mc.Layers)
+	for l := range geom {
+		geom[l] = make([][]float32, mc.QHeads)
+		for h := range geom[l] {
+			geom[l][h] = make([]float32, mc.HeadDim)
+		}
+	}
+	if _, err := svc.Step(404, &StepRequest{Queries: geom}); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("step missing session: %v", err)
 	}
 	if _, err := svc.Store(404); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("store missing session: %v", err)
@@ -170,27 +181,26 @@ func TestServiceErrorModel(t *testing.T) {
 	}
 	id := created.SessionID
 
-	if _, err := svc.Attention(id, &AttentionRequest{Layer: 99, Query: make([]float32, mc.HeadDim)}); !errors.Is(err, ErrBadRequest) {
-		t.Fatalf("bad layer: %v", err)
-	}
-	if _, err := svc.Attention(id, &AttentionRequest{Query: make([]float32, 3)}); !errors.Is(err, ErrBadRequest) {
-		t.Fatalf("bad dim: %v", err)
-	}
-	if _, err := svc.AttentionAll(id, &AttentionAllRequest{Layer: 0, Queries: make([][]float32, 1)}); !errors.Is(err, ErrBadRequest) {
-		t.Fatalf("bad head count: %v", err)
-	}
 	if _, err := svc.Step(id, &StepRequest{Queries: nil}); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("bad step geometry: %v", err)
 	}
+	oneHead := make([][][]float32, mc.Layers)
+	for l := range oneHead {
+		oneHead[l] = geom[l][:1]
+	}
+	if _, err := svc.Step(id, &StepRequest{Queries: oneHead}); !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("bad head count: %v", err)
+	}
+	shortDim := [][][]float32{geom[0], append([][]float32{make([]float32, 3)}, geom[1][1:]...)}
+	if _, err := svc.Step(id, &StepRequest{Queries: shortDim}); !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("bad dim: %v", err)
+	}
 	badBatch := &StepsRequest{Steps: []StepRequest{{Queries: make([][][]float32, 1)}}}
-	if _, err := svc.Steps(id, badBatch); !errors.Is(err, ErrBadRequest) {
+	if err := svc.StepStream(context.Background(), id, badBatch, func(*StepResponse) error { return nil }); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("bad batch geometry: %v", err)
 	}
 
 	// Conflict: storing a session whose KV was never prefilled.
-	if _, err := svc.Update(id, &UpdateRequest{Token: model.Token{Topic: 1}}); err != nil {
-		t.Fatal(err)
-	}
 	doc := model.NewFiller(9, 50, 8, 32)
 	c2, _ := svc.CreateSession(&CreateSessionRequest{Seed: doc.Seed, Tokens: doc.Tokens})
 	if _, err := svc.Store(c2.SessionID); !errors.Is(err, ErrConflict) {

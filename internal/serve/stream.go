@@ -136,6 +136,9 @@ func (s *StreamScanner) ReadFrame() (kind byte, payload []byte, err error) {
 	if s.hdr[4] != FrameVersion {
 		return 0, nil, fmt.Errorf("serve: unsupported stream frame version %d", s.hdr[4])
 	}
+	if s.hdr[6] != 0 || s.hdr[7] != 0 {
+		return 0, nil, fmt.Errorf("serve: nonzero reserved stream frame header bytes %#x %#x", s.hdr[6], s.hdr[7])
+	}
 	plen := binary.LittleEndian.Uint32(s.hdr[8:])
 	if plen > maxStreamFramePayload {
 		return 0, nil, fmt.Errorf("serve: stream frame payload %d exceeds %d-byte bound", plen, maxStreamFramePayload)

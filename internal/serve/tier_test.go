@@ -102,21 +102,26 @@ func itoa(id int64) string {
 	return string(buf[i:])
 }
 
-// attnAll queries every head of every layer, returning the raw responses.
-func attnAll(t *testing.T, base string, m *model.Model, doc *model.Document, focus int) []AttentionAllResponse {
+// attnAll queries every head of every layer in one step, returning the raw
+// response: attend-only when tok is nil, otherwise ingesting tok first
+// (doc must then already end with it).
+func attnAll(t *testing.T, base string, m *model.Model, doc *model.Document, focus int, tok *model.Token) StepResponse {
 	t.Helper()
 	mc := m.Config()
-	out := make([]AttentionAllResponse, mc.Layers)
-	for l := 0; l < mc.Layers; l++ {
-		qs := make([][]float32, mc.QHeads)
-		for h := range qs {
-			qs[h] = m.QueryVector(doc, l, h, model.QuerySpec{
+	req := StepRequest{Queries: make([][][]float32, mc.Layers), AttendOnly: tok == nil}
+	if tok != nil {
+		req.Token = *tok
+	}
+	for l := range req.Queries {
+		req.Queries[l] = make([][]float32, mc.QHeads)
+		for h := range req.Queries[l] {
+			req.Queries[l][h] = m.QueryVector(doc, l, h, model.QuerySpec{
 				FocusTopics: []int{focus}, ContextLen: doc.Len()})
 		}
-		if code := postJSON(t, base+"/attention_all",
-			AttentionAllRequest{Layer: l, Queries: qs}, &out[l]); code != http.StatusOK {
-			t.Fatalf("attention_all layer %d: status %d", l, code)
-		}
+	}
+	var out StepResponse
+	if code := postJSON(t, base+"/step", req, &out); code != http.StatusOK {
+		t.Fatalf("step (attend_only %v): status %d", req.AttendOnly, code)
 	}
 	return out
 }
@@ -175,14 +180,11 @@ func testEvictSpillReloadBitwise(t *testing.T, quant bool) {
 		t.Fatalf("reused = %d, want %d (transparent reload)", created.Reused, tokens)
 	}
 	tieredBase := tiered.URL + "/v1/sessions/" + itoa(created.SessionID)
-	gotDecode := attnAll(t, tieredBase, m, docA, 9)
-	// Generate a token, then query again: decode over a reloaded base.
+	gotDecode := attnAll(t, tieredBase, m, docA, 9, nil)
+	// Step a generated token: decode over a reloaded base.
 	tok := model.Token{Topic: 9, Payload: 5}
-	if code := postJSON(t, tieredBase+"/update", UpdateRequest{Token: tok}, nil); code != http.StatusOK {
-		t.Fatalf("update: status %d", code)
-	}
 	docA2 := &model.Document{Seed: docA.Seed, Tokens: append(append([]model.Token(nil), docA.Tokens...), tok)}
-	gotDecode2 := attnAll(t, tieredBase, m, docA2, 9)
+	gotDecode2 := attnAll(t, tieredBase, m, docA2, 9, &tok)
 
 	// Reference server: unlimited budget, nothing ever evicted.
 	ref, _ := tierServerQuant(t, tokens, 0, quant)
@@ -195,11 +197,8 @@ func testEvictSpillReloadBitwise(t *testing.T, quant bool) {
 		t.Fatalf("reference reused = %d", created.Reused)
 	}
 	refBase := ref.URL + "/v1/sessions/" + itoa(created.SessionID)
-	wantDecode := attnAll(t, refBase, m, docA, 9)
-	if code := postJSON(t, refBase+"/update", UpdateRequest{Token: tok}, nil); code != http.StatusOK {
-		t.Fatalf("reference update: status %d", code)
-	}
-	wantDecode2 := attnAll(t, refBase, m, docA2, 9)
+	wantDecode := attnAll(t, refBase, m, docA, 9, nil)
+	wantDecode2 := attnAll(t, refBase, m, docA2, 9, &tok)
 
 	compareAttention(t, "pre-decode", gotDecode, wantDecode)
 	compareAttention(t, "post-decode", gotDecode2, wantDecode2)
@@ -218,11 +217,14 @@ func testEvictSpillReloadBitwise(t *testing.T, quant bool) {
 	}
 }
 
-func compareAttention(t *testing.T, phase string, got, want []AttentionAllResponse) {
+func compareAttention(t *testing.T, phase string, got, want StepResponse) {
 	t.Helper()
-	for l := range want {
-		for h := range want[l].Heads {
-			g, w := got[l].Heads[h], want[l].Heads[h]
+	if got.ContextLen != want.ContextLen {
+		t.Fatalf("%s: context len %d vs %d", phase, got.ContextLen, want.ContextLen)
+	}
+	for l := range want.Layers {
+		for h := range want.Layers[l] {
+			g, w := got.Layers[l][h], want.Layers[l][h]
 			if g.Plan != w.Plan || g.Retrieved != w.Retrieved || g.Attended != w.Attended {
 				t.Fatalf("%s: layer %d head %d execution diverges: %+v vs %+v", phase, l, h, g, w)
 			}
@@ -287,7 +289,7 @@ func TestServeQuantStats(t *testing.T) {
 	if created.Reused != tokens {
 		t.Fatalf("reused = %d", created.Reused)
 	}
-	attnAll(t, ts.URL+"/v1/sessions/"+itoa(created.SessionID), m, doc, 9)
+	attnAll(t, ts.URL+"/v1/sessions/"+itoa(created.SessionID), m, doc, 9, nil)
 
 	var stats StatsResponse
 	resp, err := http.Get(ts.URL + "/v1/stats")

@@ -11,14 +11,13 @@
 //	sess.Store(ctx)                            // persist for future reuse
 //	sess.CloseSession(ctx)
 //
-// Step is the v2 decode API: it ships the generated token plus the query
-// vectors of every layer and head, and returns attention outputs for all
-// of them in a single round trip — where the v1 surface (Update +
-// AttentionAll per layer, also exposed here) needed 1 + Layers round
-// trips per token. Steps batches N tokens per round trip; StepStream
-// submits the same batch but iterates responses as the server streams
-// them, one frame per completed decode wave, so the engine consumes step
-// N while the service decodes step N+1.
+// Step and StepStream are the only decode calls. Step ships the generated
+// token plus the query vectors of every layer and head, and returns
+// attention outputs for all of them in a single round trip. StepStream
+// submits N steps in one round trip and iterates responses as the server
+// streams them, one frame per completed decode wave, so the engine
+// consumes step N while the service decodes step N+1; a StepRequest with
+// AttendOnly set computes attention without ingesting its token.
 //
 // Every method takes a context.Context as its first argument and honors
 // cancellation, including mid-stream.
@@ -62,8 +61,6 @@ type (
 	StepResponse = serve.StepResponse
 	// AttentionResponse is one head's output plus execution facts.
 	AttentionResponse = serve.AttentionResponse
-	// AttentionAllResponse is one layer's per-head outputs.
-	AttentionAllResponse = serve.AttentionAllResponse
 	// StatsResponse is the DB/endpoint statistics document.
 	StatsResponse = serve.StatsResponse
 	// HealthzResponse is the liveness probe body.
@@ -317,39 +314,6 @@ func (s *Session) Prefill(ctx context.Context) (serve.PrefillResponse, error) {
 	return resp, err
 }
 
-// Update ingests one generated token (v1 fine-grained API; v2 decode
-// loops use Step).
-func (s *Session) Update(ctx context.Context, tok Token) (serve.UpdateResponse, error) {
-	if s.c.gc != nil {
-		return s.grpcUpdate(ctx, tok)
-	}
-	var resp serve.UpdateResponse
-	err := s.c.postJSON(ctx, s.path("update"), serve.UpdateRequest{Token: tok}, &resp)
-	return resp, err
-}
-
-// Attention computes one head's attention output (v1).
-func (s *Session) Attention(ctx context.Context, layer, qHead int, query []float32) (AttentionResponse, error) {
-	var resp AttentionResponse
-	req := &serve.AttentionRequest{Layer: layer, QHead: qHead, Query: query}
-	if s.c.gc != nil {
-		return resp, s.grpcTensor(ctx, pb.MethodAttention, req, &resp)
-	}
-	err := s.c.postTensor(ctx, s.path("attention"), req, &resp)
-	return resp, err
-}
-
-// AttentionAll computes every head of one layer (v1).
-func (s *Session) AttentionAll(ctx context.Context, layer int, queries [][]float32) (AttentionAllResponse, error) {
-	var resp AttentionAllResponse
-	req := &serve.AttentionAllRequest{Layer: layer, Queries: queries}
-	if s.c.gc != nil {
-		return resp, s.grpcTensor(ctx, pb.MethodAttentionAll, req, &resp)
-	}
-	err := s.c.postTensor(ctx, s.path("attention_all"), req, &resp)
-	return resp, err
-}
-
 // Step decodes one token in one round trip: tok is ingested across all
 // layers, and queries (indexed [layer][query head], covering the full
 // model geometry) are answered with attention outputs for every layer and
@@ -364,24 +328,6 @@ func (s *Session) Step(ctx context.Context, tok Token, queries [][][]float32) (S
 	}
 	err := s.c.postTensor(ctx, s.path("step"), req, &resp)
 	return resp, err
-}
-
-// Steps amortizes N decode steps over one round trip; steps execute in
-// order and the response arrives only when the whole batch is done. For
-// streamed delivery use StepStream.
-func (s *Session) Steps(ctx context.Context, steps []StepRequest) ([]StepResponse, error) {
-	var resp serve.StepsResponse
-	req := &serve.StepsRequest{Steps: steps}
-	if s.c.gc != nil {
-		if err := s.grpcTensor(ctx, pb.MethodSteps, req, &resp); err != nil {
-			return nil, err
-		}
-		return resp.Steps, nil
-	}
-	if err := s.c.postTensor(ctx, s.path("steps"), req, &resp); err != nil {
-		return nil, err
-	}
-	return resp.Steps, nil
 }
 
 // Store persists the session's full state as a reusable stored context.

@@ -119,11 +119,12 @@ func sameOutputs(t *testing.T, label string, a, b AttentionResponse) {
 	}
 }
 
-// TestStepOneRoundTripBothCodecsMatchV1 is the protocol acceptance test:
-// one decoded token costs exactly one round trip via Client.Step, and the
-// binary and JSON codecs return outputs bitwise-identical to each other
-// and to the v1 per-layer path (1 update + Layers × attention_all).
-func TestStepOneRoundTripBothCodecsMatchV1(t *testing.T) {
+// TestStepOneRoundTripBothCodecs is the protocol acceptance test: one
+// decoded token costs exactly one round trip via Client.Step, and the
+// binary and JSON codecs return bitwise-identical outputs. (That a step
+// equals ingesting the token and then attending every layer is pinned in
+// the engine, by core's TestStepMatchesV1Path.)
+func TestStepOneRoundTripBothCodecs(t *testing.T) {
 	env := newTestEnv(t, 400)
 	mc := env.m.Config()
 
@@ -131,30 +132,15 @@ func TestStepOneRoundTripBothCodecsMatchV1(t *testing.T) {
 	ct := &countingTransport{base: http.DefaultTransport}
 	binCli := env.cl(t, WithHTTPClient(&http.Client{Transport: ct}))
 	jsonCli := env.cl(t, WithJSONWire())
-	v1Cli := env.cl(t, WithJSONWire())
 
 	binSess := env.session(t, binCli)
 	jsonSess := env.session(t, jsonCli)
-	v1Sess := env.session(t, v1Cli)
 
 	for step := 0; step < 3; step++ {
 		tok := Token{Topic: 1, Payload: step + 1}
 		qs := env.queries(step)
 
-		// v1: 1 + Layers round trips.
-		if _, err := v1Sess.Update(ctx, tok); err != nil {
-			t.Fatal(err)
-		}
-		v1Out := make([][]AttentionResponse, mc.Layers)
-		for l := 0; l < mc.Layers; l++ {
-			resp, err := v1Sess.AttentionAll(ctx, l, qs[l])
-			if err != nil {
-				t.Fatal(err)
-			}
-			v1Out[l] = resp.Heads
-		}
-
-		// v2 binary: exactly one round trip.
+		// Binary: exactly one round trip.
 		before := ct.n.Load()
 		binResp, err := binSess.Step(ctx, tok, qs)
 		if err != nil {
@@ -164,7 +150,7 @@ func TestStepOneRoundTripBothCodecsMatchV1(t *testing.T) {
 			t.Fatalf("binary step used %d round trips, want 1", got)
 		}
 
-		// v2 JSON.
+		// JSON.
 		jsonResp, err := jsonSess.Step(ctx, tok, qs)
 		if err != nil {
 			t.Fatal(err)
@@ -177,48 +163,6 @@ func TestStepOneRoundTripBothCodecsMatchV1(t *testing.T) {
 			for h := 0; h < mc.QHeads; h++ {
 				label := fmt.Sprintf("step %d L%dH%d", step, l, h)
 				sameOutputs(t, label+" bin-vs-json", binResp.Layers[l][h], jsonResp.Layers[l][h])
-				sameOutputs(t, label+" bin-vs-v1", binResp.Layers[l][h], v1Out[l][h])
-			}
-		}
-	}
-}
-
-// TestStepsBatchMatchesSingles: the batched endpoint equals N single
-// steps, bit for bit.
-func TestStepsBatchMatchesSingles(t *testing.T) {
-	env := newTestEnv(t, 300)
-	ctx := context.Background()
-	single := env.session(t, env.cl(t))
-	batch := env.session(t, env.cl(t))
-
-	const n = 3
-	var reqs []StepRequest
-	var singles []StepResponse
-	for i := 0; i < n; i++ {
-		tok := Token{Topic: 2, Payload: i + 1}
-		qs := env.queries(i)
-		reqs = append(reqs, StepRequest{Token: tok, Queries: qs})
-		resp, err := single.Step(ctx, tok, qs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		singles = append(singles, resp)
-	}
-	batched, err := batch.Steps(ctx, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batched) != n {
-		t.Fatalf("batch returned %d steps", len(batched))
-	}
-	for i := range batched {
-		if batched[i].ContextLen != singles[i].ContextLen {
-			t.Fatalf("step %d context %d vs %d", i, batched[i].ContextLen, singles[i].ContextLen)
-		}
-		for l := range batched[i].Layers {
-			for h := range batched[i].Layers[l] {
-				sameOutputs(t, fmt.Sprintf("batch step %d L%dH%d", i, l, h),
-					batched[i].Layers[l][h], singles[i].Layers[l][h])
 			}
 		}
 	}
@@ -231,12 +175,15 @@ func TestErrorConformance(t *testing.T) {
 	ctx := context.Background()
 	c := env.cl(t)
 	sess := env.session(t, c)
-	mc := env.m.Config()
-	goodQ := make([]float32, mc.HeadDim)
-
 	ghost := &Session{c: c, ID: 999999}
 	badQs := env.queries(0)
 	badQs[0] = badQs[0][:1] // ragged head count on layer 0
+	shortQs := env.queries(0)
+	shortQs[1][0] = shortQs[1][0][:3] // ragged query dim on layer 1
+	over := make([]StepRequest, serve.MaxSteps+1)
+	for i := range over {
+		over[i] = StepRequest{Queries: env.queries(0)}
+	}
 
 	cases := []struct {
 		name string
@@ -244,27 +191,17 @@ func TestErrorConformance(t *testing.T) {
 		kind serve.Kind
 	}{
 		{"prefill missing session", func() error { _, err := ghost.Prefill(ctx); return err }, serve.KindNotFound},
-		{"update missing session", func() error { _, err := ghost.Update(ctx, Token{}); return err }, serve.KindNotFound},
 		{"step missing session", func() error { _, err := ghost.Step(ctx, Token{}, env.queries(0)); return err }, serve.KindNotFound},
 		{"store missing session", func() error { _, err := ghost.Store(ctx); return err }, serve.KindNotFound},
 		{"close missing session", func() error { return ghost.CloseSession(ctx) }, serve.KindNotFound},
-		{"attention bad layer", func() error { _, err := sess.Attention(ctx, 99, 0, goodQ); return err }, serve.KindBadRequest},
-		{"attention bad head", func() error { _, err := sess.Attention(ctx, 0, 99, goodQ); return err }, serve.KindBadRequest},
-		{"attention bad dim", func() error { _, err := sess.Attention(ctx, 0, 0, goodQ[:3]); return err }, serve.KindBadRequest},
-		{"attention_all bad layer", func() error {
-			_, err := sess.AttentionAll(ctx, 99, env.queries(0)[0])
-			return err
-		}, serve.KindBadRequest},
-		{"attention_all missing heads", func() error {
-			_, err := sess.AttentionAll(ctx, 0, env.queries(0)[0][:1])
-			return err
-		}, serve.KindBadRequest},
 		{"step ragged geometry", func() error { _, err := sess.Step(ctx, Token{}, badQs); return err }, serve.KindBadRequest},
+		{"step ragged dim", func() error { _, err := sess.Step(ctx, Token{}, shortQs); return err }, serve.KindBadRequest},
 		{"step missing layers", func() error { _, err := sess.Step(ctx, Token{}, env.queries(0)[:1]); return err }, serve.KindBadRequest},
-		{"steps bad inner step", func() error {
-			_, err := sess.Steps(ctx, []StepRequest{{Token: Token{}, Queries: env.queries(0)[:1]}})
+		{"step_stream bad inner step", func() error {
+			_, err := sess.StepStream(ctx, []StepRequest{{Token: Token{}, Queries: env.queries(0)[:1]}})
 			return err
 		}, serve.KindBadRequest},
+		{"step_stream over MaxSteps", func() error { _, err := sess.StepStream(ctx, over); return err }, serve.KindBadRequest},
 	}
 	for _, tc := range cases {
 		err := tc.do()

@@ -167,15 +167,6 @@ func (s *Session) grpcPrefill(ctx context.Context) (serve.PrefillResponse, error
 	return serve.PrefillResponse{Prefilled: int(out.Prefilled), ContextLen: int(out.ContextLen)}, nil
 }
 
-func (s *Session) grpcUpdate(ctx context.Context, tok Token) (serve.UpdateResponse, error) {
-	var out pb.UpdateResponse
-	in := &pb.UpdateRequest{SessionID: s.ID, Token: pb.Token{Topic: int64(tok.Topic), Payload: int64(tok.Payload), Salience: tok.Salience}}
-	if err := s.c.invoke(ctx, pb.MethodUpdate, in, &out); err != nil {
-		return serve.UpdateResponse{}, grpcErr(err)
-	}
-	return serve.UpdateResponse{ContextLen: int(out.ContextLen)}, nil
-}
-
 // grpcTensor runs one frame-carrying unary RPC: in encoded as a binary
 // frame, the response frame decoded into out.
 func (s *Session) grpcTensor(ctx context.Context, method string, in, out interface{}) error {

@@ -58,29 +58,29 @@ func TestGRPCSDKMatchesHTTP(t *testing.T) {
 		}
 	}
 
+	// Attention without ingesting: a one-step attend-only stream.
+	attend := []StepRequest{{Queries: e.queries(0), AttendOnly: true}}
+	var attended [2]StepResponse
+	for i, sess := range []*Session{hsess, gsess} {
+		stream, err := sess.StepStream(ctx, attend)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if attended[i], err = stream.Recv(); err != nil {
+			t.Fatal(err)
+		}
+		stream.Close()
+		if attended[i].ContextLen != e.inst.Doc.Len() {
+			t.Fatalf("attend-only step ingested: context len %d", attended[i].ContextLen)
+		}
+	}
+	for l := range attended[0].Layers {
+		for h := range attended[0].Layers[l] {
+			sameOutputs(t, "attend-only step", attended[0].Layers[l][h], attended[1].Layers[l][h])
+		}
+	}
+
 	tok := e.inst.Doc.Tokens[0]
-	hu, herr := hsess.Update(ctx, tok)
-	gu, gerr := gsess.Update(ctx, tok)
-	if herr != nil || gerr != nil || hu.ContextLen != gu.ContextLen {
-		t.Fatalf("update: http %+v %v, grpc %+v %v", hu, herr, gu, gerr)
-	}
-
-	qs0 := e.queries(0)
-	ha, herr := hsess.Attention(ctx, 0, 0, qs0[0][0])
-	ga, gerr := gsess.Attention(ctx, 0, 0, qs0[0][0])
-	if herr != nil || gerr != nil {
-		t.Fatalf("attention: http %v, grpc %v", herr, gerr)
-	}
-	sameOutputs(t, "attention", ha, ga)
-	hl, herr := hsess.AttentionAll(ctx, 0, qs0[0])
-	gl, gerr := gsess.AttentionAll(ctx, 0, qs0[0])
-	if herr != nil || gerr != nil || len(hl.Heads) != len(gl.Heads) {
-		t.Fatalf("attention_all: http %v, grpc %v", herr, gerr)
-	}
-	for h := range hl.Heads {
-		sameOutputs(t, "attention_all", hl.Heads[h], gl.Heads[h])
-	}
-
 	for step := 0; step < 3; step++ {
 		qs := e.queries(step)
 		hr, herr := hsess.Step(ctx, tok, qs)
@@ -125,7 +125,7 @@ func TestGRPCSDKMatchesHTTP(t *testing.T) {
 }
 
 // TestGRPCSDKStepStream checks the streaming iterator over gRPC against
-// the same batch submitted as a unary Steps call over HTTP.
+// the same batch issued as unary Step calls over HTTP.
 func TestGRPCSDKStepStream(t *testing.T) {
 	e := newTestEnv(t, 300)
 	hc := e.cl(t)
@@ -142,10 +142,7 @@ func TestGRPCSDKStepStream(t *testing.T) {
 	for step := 0; step < 3; step++ {
 		batch = append(batch, StepRequest{Token: tok, Queries: e.queries(step)})
 	}
-	want, err := hsess.Steps(ctx, batch)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := unarySteps(t, ctx, hsess, batch)
 
 	stream, err := gsess.StepStream(ctx, batch)
 	if err != nil {

@@ -28,8 +28,8 @@ type StepStream struct {
 }
 
 // StepStream submits a batch of decode steps and returns an iterator
-// over their responses. Unlike Steps, responses become readable one by
-// one while later steps are still decoding. Cancel ctx to abandon the
+// over their responses, which become readable one by one while later
+// steps are still decoding. Cancel ctx to abandon the
 // stream (the server drains the remaining steps without computing them);
 // always Close the stream.
 func (s *Session) StepStream(ctx context.Context, steps []StepRequest) (*StepStream, error) {

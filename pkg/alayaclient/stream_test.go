@@ -18,9 +18,24 @@ func (e *testEnv) streamSteps(n int) []StepRequest {
 	return steps
 }
 
+// unarySteps issues steps one Step call at a time — the reference a
+// streamed batch must match.
+func unarySteps(t *testing.T, ctx context.Context, sess *Session, steps []StepRequest) []StepResponse {
+	t.Helper()
+	out := make([]StepResponse, len(steps))
+	for i, st := range steps {
+		resp, err := sess.Step(ctx, st.Token, st.Queries)
+		if err != nil {
+			t.Fatalf("unary step %d: %v", i, err)
+		}
+		out[i] = resp
+	}
+	return out
+}
+
 // TestStepStreamMatchesSteps: the streaming endpoint yields the same
-// responses, in order and bit for bit, as the buffered batch endpoint —
-// over both the binary frame wire and the NDJSON fallback.
+// responses, in order and bit for bit, as N unary Step calls on a twin
+// session — over both the binary frame wire and the NDJSON fallback.
 func TestStepStreamMatchesSteps(t *testing.T) {
 	for _, mode := range []struct {
 		name string
@@ -34,11 +49,8 @@ func TestStepStreamMatchesSteps(t *testing.T) {
 			ctx := context.Background()
 			const n = 4
 
-			batchSess := env.session(t, env.cl(t, mode.opts...))
-			want, err := batchSess.Steps(ctx, env.streamSteps(n))
-			if err != nil {
-				t.Fatal(err)
-			}
+			twin := env.session(t, env.cl(t, mode.opts...))
+			want := unarySteps(t, ctx, twin, env.streamSteps(n))
 
 			streamSess := env.session(t, env.cl(t, mode.opts...))
 			stream, err := streamSess.StepStream(ctx, env.streamSteps(n))
