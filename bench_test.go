@@ -175,6 +175,27 @@ func BenchmarkDotBatchRange(b *testing.B) {
 	}
 }
 
+// BenchmarkDotBatchRangeGroup4 is one flat scan of a 4096-token KV group
+// for its four query heads in one multi-query pass (the 4-query × 2-row
+// kernel): the same work as four BenchmarkDotBatchRange iterations, with
+// each key row read once instead of four times.
+func BenchmarkDotBatchRangeGroup4(b *testing.B) {
+	rng := rand.New(rand.NewSource(15))
+	K := randomMatrix(rng, 4096, 128)
+	qs := make([][]float32, 4)
+	outs := make([][]float32, 4)
+	for j := range qs {
+		qs[j] = randomVec(rng, 128)
+		outs[j] = make([]float32, 4096)
+	}
+	b.SetBytes(4096 * 128 * 4)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		vec.DotBatchRangeMulti(qs, K, 0, 4096, outs)
+	}
+}
+
 // --- Micro-benchmarks of the hot paths ---
 
 func randomVec(rng *rand.Rand, d int) []float32 {

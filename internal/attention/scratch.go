@@ -136,10 +136,39 @@ func OverRangeScratch(sc *Scratch, q []float32, K, V *vec.Matrix, lo, hi int) Pa
 	}
 	logits, w, out := sc.buffers(n, V.Cols())
 	vec.DotBatchRange(q, K, lo, hi, logits)
-	scaleLogits(logits, len(q))
+	return rangePartial(logits, w, out, len(q), V, lo, hi)
+}
+
+// OverLogitsScratch is OverRangeScratch with the raw inner products already
+// computed: logits[i] must hold q·K.Row(lo+i) for a query q of d floats,
+// as one multi-query pass (vec.DotBatchRangeMulti) fills them for all the
+// query heads of a KV group. It scales logits in place. The Partial is
+// bitwise OverRangeScratch's over the same rows, and so OverScratch's over
+// the index list lo..hi-1; its Output is valid until sc's next use.
+func OverLogitsScratch(sc *Scratch, logits []float32, d int, V *vec.Matrix, lo, hi int) Partial {
+	if lo < 0 || hi < lo || hi > V.Rows() || len(logits) != hi-lo {
+		panic(fmt.Sprintf("attention: %d logits for range [%d,%d) of %d rows", len(logits), lo, hi, V.Rows()))
+	}
+	if hi == lo {
+		return Partial{Output: sc.outBuf(V.Cols()), LSE: math.Inf(-1)}
+	}
+	var w []float32
+	if sc == nil {
+		w = make([]float32, hi-lo)
+	} else {
+		sc.w = growF32(sc.w, hi-lo)
+		w = sc.w
+	}
+	return rangePartial(logits, w, sc.outBuf(V.Cols()), d, V, lo, hi)
+}
+
+// rangePartial finishes a partial over rows [lo, hi) from their raw logits:
+// scale, softmax into w, and mix V's rows into the zeroed out.
+func rangePartial(logits, w, out []float32, d int, V *vec.Matrix, lo, hi int) Partial {
+	scaleLogits(logits, d)
 	lse := vec.Softmax(logits, w)
 	vec.WeightedSumRange(w, V, lo, hi, out)
-	return Partial{Output: out, LSE: lse, Count: n}
+	return Partial{Output: out, LSE: lse, Count: hi - lo}
 }
 
 // SparseScratch is Sparse computing into sc's arena.

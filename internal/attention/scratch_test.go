@@ -167,3 +167,39 @@ func TestScratchZeroAllocWarm(t *testing.T) {
 		t.Fatalf("warm scratch attention allocated %.1f times per run, want 0", allocs)
 	}
 }
+
+// TestOverLogitsMatchesOverScratch pins the full plan's group prefix
+// partial: logits from one multi-query pass, handed to OverLogitsScratch
+// per head, give exactly OverScratch's partial over the index list
+// lo..hi-1 and OverRangeScratch's over [lo, hi) — output, LSE and count.
+func TestOverLogitsMatchesOverScratch(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	K, V := randKV(rng, 300, 16)
+	qs := [][]float32{randQ(rng, 16), randQ(rng, 16), randQ(rng, 16)}
+	var sc, scWant Scratch
+	for _, span := range [][2]int{{0, 300}, {0, 257}, {17, 18}, {40, 40}} {
+		lo, hi := span[0], span[1]
+		rows := make([][]float32, len(qs))
+		for h := range rows {
+			rows[h] = make([]float32, hi-lo)
+		}
+		vec.DotBatchRangeMulti(qs, K, lo, hi, rows)
+		idx := make([]int, 0, hi-lo)
+		for i := lo; i < hi; i++ {
+			idx = append(idx, i)
+		}
+		for h, q := range qs {
+			got := OverLogitsScratch(&sc, rows[h], len(q), V, lo, hi)
+			for _, want := range []Partial{OverScratch(&scWant, q, K, V, idx), OverRangeScratch(nil, q, K, V, lo, hi)} {
+				if got.LSE != want.LSE || got.Count != want.Count {
+					t.Fatalf("[%d,%d) head %d: LSE/Count %v/%d vs %v/%d", lo, hi, h, got.LSE, got.Count, want.LSE, want.Count)
+				}
+				for i := range want.Output {
+					if got.Output[i] != want.Output[i] {
+						t.Fatalf("[%d,%d) head %d dim %d: %v != %v", lo, hi, h, i, got.Output[i], want.Output[i])
+					}
+				}
+			}
+		}
+	}
+}

@@ -18,6 +18,12 @@ import (
 // cache, and a configurable pool.
 func decodeFixture(t testing.TB, p *pool.Pool, workers int) (*DB, *Session, [][][]float32) {
 	t.Helper()
+	return decodeFixtureLen(t, p, workers, 1024)
+}
+
+// decodeFixtureLen is decodeFixture over a ctxLen-token context.
+func decodeFixtureLen(t testing.TB, p *pool.Pool, workers, ctxLen int) (*DB, *Session, [][][]float32) {
+	t.Helper()
 	cfg := model.Default()
 	cfg.Layers = 2
 	cfg.QHeads = 4
@@ -43,7 +49,7 @@ func decodeFixture(t testing.TB, p *pool.Pool, workers int) (*DB, *Session, [][]
 	}
 	t.Cleanup(func() { db.Close() })
 	prof, _ := workload.ProfileByName("Retr.P")
-	inst := workload.Generate(prof, 9, 1024, 64, 32)
+	inst := workload.Generate(prof, 9, ctxLen, 64, 32)
 	if _, err := db.ImportDoc(inst.Doc); err != nil {
 		t.Fatal(err)
 	}

@@ -17,11 +17,12 @@ import (
 
 // decodeState bundles every reusable buffer one attention computation
 // needs: the partial-attention scratch arenas (prefix and tail), the DIPRS
-// search state, the flat-scan scratch, the dedup bitset, and the index
-// buffers the plan executor fills. States are drawn from a sync.Pool, so a
-// steady-state decode loop — serial or fanned across the worker pool —
-// reuses the same handful of states token after token and allocates
-// nothing. A state serves one attention call at a time.
+// search state, the flat-scan scratch, the dedup bitset, the index
+// buffers the plan executor fills, and a group task's per-head score rows.
+// States are drawn from a sync.Pool, so a steady-state decode loop —
+// serial or fanned across the worker pool — reuses the same handful of
+// states token after token and allocates nothing. A state serves one
+// attention call (or one group task) at a time.
 type decodeState struct {
 	scPrefix  attention.Scratch
 	scTail    attention.Scratch
@@ -33,6 +34,25 @@ type decodeState struct {
 	prefixIdx []int
 	ids       []int
 	segs      []attention.KVSpan
+	// groupScores holds one score row per query head of a group task:
+	// the multi-query pass's dots over the indexed prefix.
+	groupScores [][]float32
+}
+
+// scoreRows returns g score rows of n entries from ds, growing them only
+// when a larger group or prefix arrives. Contents are unspecified.
+func (ds *decodeState) scoreRows(g, n int) [][]float32 {
+	for len(ds.groupScores) < g {
+		ds.groupScores = append(ds.groupScores, nil)
+	}
+	rows := ds.groupScores[:g]
+	for k := range rows {
+		if cap(rows[k]) < n {
+			rows[k] = make([]float32, n)
+		}
+		rows[k] = rows[k][:n]
+	}
+	return rows
 }
 
 var decodeStatePool = sync.Pool{New: func() interface{} { return new(decodeState) }}
@@ -81,6 +101,10 @@ type Session struct {
 	coarseH  map[int]int           // devmem handles for coarse block cache
 	windowH  int                   // devmem handle for the device window
 	closed   bool
+	// tasks is the decode fan-out's task list, kept across steps so a warm
+	// step allocates none. A fan-out takes it (takeTasks) and hands it
+	// back; a concurrent caller that finds it taken builds its own.
+	tasks []decodeTask
 
 	stats Stats
 }
@@ -341,43 +365,77 @@ func (s *Session) AttentionAll(layer int, qs [][]float32) []AttentionResult {
 }
 
 // AttentionAllInto is AttentionAll writing into out (len(out) must equal
-// len(qs)), reusing each entry's buffers as AttentionInto does. Heads fan
-// across the DB's worker pool with one pooled decode state per worker; on
-// the Serial pool the whole fan-out runs inline on one state with no
+// len(qs)), reusing each entry's buffers as AttentionInto does. The layer
+// fans across the DB's worker pool as decode tasks (see
+// AttentionAllLayersInto) with one pooled decode state per worker; on the
+// Serial pool the whole fan-out runs inline on one state with no
 // allocation at all.
 func (s *Session) AttentionAllInto(layer int, qs [][]float32, out []AttentionResult) {
 	if len(out) != len(qs) {
 		panic(fmt.Sprintf("core: AttentionAllInto got %d result slots for %d heads", len(out), len(qs)))
 	}
-	p := s.db.cfg.Pool
-	if p.Size() == 0 || len(qs) == 1 {
-		ds := getDecodeState()
-		for h := range qs {
-			s.attentionInto(ds, layer, h, qs[h], &out[h])
-		}
-		putDecodeState(ds)
-		return
-	}
-	p.ForEachScratch(len(qs), getDecodeStateAny, putDecodeStateAny,
-		func(sc interface{}, h int) {
-			s.attentionInto(sc.(*decodeState), layer, h, qs[h], &out[h])
-		})
+	tasks := s.appendLayerTasks(s.takeTasks(), layer, qs, out)
+	runTasks(s.db.cfg.Pool, tasks)
+	s.putTasks(tasks)
 }
 
-// attentionInto plans and executes one head's attention through ds's
-// arenas, writing the result into *res.
-func (s *Session) attentionInto(ds *decodeState, layer, qHead int, q []float32, res *AttentionResult) {
-	n := s.ContextLen(layer)
-	plan := query.Optimize(query.Request{
-		ContextLen:    n,
+// plan runs the optimizer (Figure 8) for one query of layer over the
+// session's current context.
+func (s *Session) plan(layer int) query.Plan {
+	return query.Optimize(query.Request{
+		ContextLen:    s.ContextLen(layer),
 		LongThreshold: s.db.cfg.LongThreshold,
 		PartialReuse:  s.PartialReuse(),
 		DeviceFree:    s.deviceFree(),
 		CoarseNeed:    s.coarseNeed(),
 		Layer:         layer,
 	})
+}
+
+// groupPlan plans layer once and reports whether its query heads may run
+// as group tasks: a full+none or dipr+flat plan over an indexed prefix on
+// the fp32 plane scores every prefix key for every head, so one
+// multi-query pass per KV group serves them all. SQ8 planes, graph and
+// coarse plans, and sessions with no indexed prefix stay per head.
+func (s *Session) groupPlan(layer int) (query.Plan, bool) {
+	if s.root == nil || s.indexedLen == 0 || s.root.cache.QuantEnabled() {
+		return query.Plan{}, false
+	}
+	plan := s.plan(layer)
+	flatDIPR := plan.Query == query.KindDIPR && plan.Index == query.IndexFlat
+	return plan, plan.Query == query.KindFull || flatDIPR
+}
+
+// attendGroup executes a group task: the query heads qs, heads head.. of
+// layer, all of one KV group, under the layer's full+none or dipr+flat
+// plan (groupPlan). One multi-query pass scores the whole indexed prefix
+// for every head; each head then selects its band (dipr+flat) or takes
+// its scores as the prefix partial's logits (full), and finishes exactly
+// as attentionInto does — so every result, and every counter, is bitwise
+// the per-head path's.
+func (s *Session) attendGroup(ds *decodeState, plan query.Plan, layer, head int, qs [][]float32, out []AttentionResult) {
+	kv := s.db.cfg.Model.KVGroup(head)
+	s.windowPrefixInto(ds, s.ContextLen(layer))
+	fx := flat.Make(s.root.cache.Keys(layer, kv), 1)
+	rows := ds.scoreRows(len(qs), s.indexedLen)
+	n := fx.ScoreGroup(qs, s.indexedLen, rows)
+	for k, q := range qs {
+		if plan.Query == query.KindFull {
+			s.finishHead(ds, plan, layer, kv, q, &out[k], nil, 0, 0, rows[k][:n])
+			continue
+		}
+		cands, _ := fx.BandScratch(&ds.flat, rows[k][:n], s.db.cfg.Beta)
+		s.db.quant.RecordSearch(false, 0)
+		s.finishHead(ds, plan, layer, kv, q, &out[k], s.bandIDs(ds, cands), n, 0, nil)
+	}
+}
+
+// attentionInto plans and executes one head's attention through ds's
+// arenas, writing the result into *res.
+func (s *Session) attentionInto(ds *decodeState, layer, qHead int, q []float32, res *AttentionResult) {
+	plan := s.plan(layer)
 	kv := s.db.cfg.Model.KVGroup(qHead)
-	s.windowPrefixInto(ds, n)
+	s.windowPrefixInto(ds, s.ContextLen(layer))
 
 	var retrieved []int
 	explored := 0
@@ -406,7 +464,14 @@ func (s *Session) attentionInto(ds *decodeState, layer, qHead int, q []float32, 
 		}
 	}
 
-	attended := s.sparseOutputInto(ds, plan, layer, kv, q, res, retrieved)
+	s.finishHead(ds, plan, layer, kv, q, res, retrieved, explored, reranked, nil)
+}
+
+// finishHead computes one head's output from its retrieved prefix
+// positions (or, for a group task's full plan, its prefix logits), fills
+// *res, and records the head in the session's counters.
+func (s *Session) finishHead(ds *decodeState, plan query.Plan, layer, kv int, q []float32, res *AttentionResult, retrieved []int, explored, reranked int, logits []float32) {
+	attended := s.sparseOutputInto(ds, plan, layer, kv, q, res, retrieved, logits)
 	res.Plan = plan
 	res.Retrieved = len(retrieved)
 	res.RetrievedIDs = append(res.RetrievedIDs[:0], retrieved...)
@@ -457,13 +522,10 @@ func (s *Session) executeDIPR(ds *decodeState, plan query.Plan, layer, qHead, kv
 	}
 	beta := s.db.cfg.Beta
 	limit := s.indexedLen
-	resultCap := limit / 8
-	if resultCap < 64 {
-		resultCap = 64
-	}
+	resultCap := s.resultCap()
 
 	if plan.Index == query.IndexFlat {
-		ids, reranked := s.flatDIPR(ds, layer, kv, q, beta, limit, resultCap)
+		ids, reranked := s.flatDIPR(ds, layer, kv, q, beta, limit)
 		return ids, limit, reranked
 	}
 
@@ -472,7 +534,7 @@ func (s *Session) executeDIPR(ds *decodeState, plan query.Plan, layer, qHead, kv
 		s.mu.Lock()
 		s.stats.FlatFallbacks++
 		s.mu.Unlock()
-		ids, reranked := s.flatDIPR(ds, layer, kv, q, beta, limit, resultCap)
+		ids, reranked := s.flatDIPR(ds, layer, kv, q, beta, limit)
 		return ids, limit, reranked
 	}
 
@@ -502,21 +564,33 @@ func (s *Session) executeDIPR(ds *decodeState, plan query.Plan, layer, qHead, kv
 	return ids, r.Explored, r.Reranked
 }
 
+// resultCap is the bound on a DIPR retrieval's attended set: an eighth of
+// the indexed prefix, min 64.
+func (s *Session) resultCap() int {
+	return max(s.indexedLen/8, 64)
+}
+
 // flatDIPR runs the exact band scan over the reused prefix through ds's
 // flat scratch — on the SQ8 plane with an fp32 rerank when the stored
 // context carries one. The returned ids alias ds.
-func (s *Session) flatDIPR(ds *decodeState, layer, kv int, q []float32, beta float32, limit, resultCap int) ([]int, int) {
+func (s *Session) flatDIPR(ds *decodeState, layer, kv int, q []float32, beta float32, limit int) ([]int, int) {
 	fx := flat.MakeQuant(s.root.cache.Keys(layer, kv), s.root.cache.QuantKeys(layer, kv), s.db.cfg.Workers)
 	cands, _ := fx.DIPRFilteredScratch(&ds.flat, q, beta, limit)
-	if len(cands) > resultCap {
-		cands = cands[:resultCap] // best-first: keep the top of the band
+	return s.bandIDs(ds, cands), ds.flat.Reranked
+}
+
+// bandIDs keeps the top resultCap of a best-first flat band as positions
+// in ds.ids, which the returned slice aliases.
+func (s *Session) bandIDs(ds *decodeState, cands []index.Candidate) []int {
+	if rc := s.resultCap(); len(cands) > rc {
+		cands = cands[:rc] // best-first: keep the top of the band
 	}
 	ids := ds.ids[:0]
 	for _, c := range cands {
 		ids = append(ids, int(c.ID))
 	}
 	ds.ids = ids
-	return ids, ds.flat.Reranked
+	return ids
 }
 
 // windowPrefixInto collects into ds.winPrefix the device-window positions
@@ -541,15 +615,19 @@ func (s *Session) windowPrefixInto(ds *decodeState, n int) {
 // in its own arena (scPrefix/scTail). On the Serial pool they run
 // back-to-back on this goroutine with no closure constructed, keeping the
 // measured decode step allocation-free once warm; there, decode
-// parallelism comes from the per-head fan-out in AttentionAllInto. It
-// returns the attended token count.
-func (s *Session) sparseOutputInto(ds *decodeState, plan query.Plan, layer, kv int, q []float32, res *AttentionResult, retrieved []int) int {
+// parallelism comes from the task fan-out in AttentionAllInto. A group
+// task's full plan passes the head's prefix logits, which cover the whole
+// indexed prefix. It returns the attended token count.
+func (s *Session) sparseOutputInto(ds *decodeState, plan query.Plan, layer, kv int, q []float32, res *AttentionResult, retrieved []int, logits []float32) int {
 	prefixIdx := ds.prefixIdx[:0]
-	if plan.Query == query.KindFull {
+	switch {
+	case logits != nil:
+		// The group pass already scored the prefix; no index list needed.
+	case plan.Query == query.KindFull:
 		for i := 0; i < s.indexedLen; i++ {
 			prefixIdx = append(prefixIdx, i)
 		}
-	} else {
+	default:
 		// Window positions first, then retrieved positions not already in
 		// the window: the dedup set is an epoch-cleared bitset over the
 		// prefix, not a per-call map.
@@ -580,19 +658,23 @@ func (s *Session) sparseOutputInto(ds *decodeState, plan query.Plan, layer, kv i
 	segRows += tailLen
 	ds.segs = segs
 
+	prefixN := len(prefixIdx)
+	if logits != nil {
+		prefixN = len(logits)
+	}
 	parts := ds.parts[:]
-	if p := s.db.cfg.Pool; p.Size() > 0 && s.root != nil && len(prefixIdx) > 0 {
+	if p := s.db.cfg.Pool; p.Size() > 0 && s.root != nil && prefixN > 0 {
 		p.Run(
 			func() {
-				parts[0] = s.prefixPartial(ds, layer, kv, q, prefixIdx)
+				parts[0] = s.prefixPartial(ds, layer, kv, q, prefixIdx, logits)
 			},
 			func() {
 				parts[1] = attention.OverSegmentsScratch(&ds.scTail, q, segs)
 			},
 		)
 	} else {
-		if s.root != nil && len(prefixIdx) > 0 {
-			parts[0] = s.prefixPartial(ds, layer, kv, q, prefixIdx)
+		if s.root != nil && prefixN > 0 {
+			parts[0] = s.prefixPartial(ds, layer, kv, q, prefixIdx, logits)
 		} else {
 			parts[0] = attention.Partial{LSE: math.Inf(-1)}
 		}
@@ -606,19 +688,24 @@ func (s *Session) sparseOutputInto(ds *decodeState, plan query.Plan, layer, kv i
 	}
 	attention.MergeInto(res.Output, parts)
 	res.LSE = attention.CombinedLSE(parts)
-	return len(prefixIdx) + segRows
+	return prefixN + segRows
 }
 
 // prefixPartial computes the host-side partial over the indexed prefix —
 // the data-centric engine's host half (§7.2), reading the chain root's
-// cache. With the SQ8 plane enabled, logits gather from the quantized
-// storage (a quarter of the key traffic); values are always mixed in
-// fp32.
-func (s *Session) prefixPartial(ds *decodeState, layer, kv int, q []float32, prefixIdx []int) attention.Partial {
-	if qk := s.root.cache.QuantKeys(layer, kv); qk != nil {
-		return attention.OverQ8Scratch(&ds.scPrefix, q, qk, s.root.cache.Values(layer, kv), prefixIdx)
+// cache. Precomputed logits (a group task's full plan) cover rows
+// [0, len(logits)) and replace the index list. With the SQ8 plane enabled,
+// logits gather from the quantized storage (a quarter of the key
+// traffic); values are always mixed in fp32.
+func (s *Session) prefixPartial(ds *decodeState, layer, kv int, q []float32, prefixIdx []int, logits []float32) attention.Partial {
+	V := s.root.cache.Values(layer, kv)
+	if logits != nil {
+		return attention.OverLogitsScratch(&ds.scPrefix, logits, len(q), V, 0, len(logits))
 	}
-	return attention.OverScratch(&ds.scPrefix, q, s.root.cache.Keys(layer, kv), s.root.cache.Values(layer, kv), prefixIdx)
+	if qk := s.root.cache.QuantKeys(layer, kv); qk != nil {
+		return attention.OverQ8Scratch(&ds.scPrefix, q, qk, V, prefixIdx)
+	}
+	return attention.OverScratch(&ds.scPrefix, q, s.root.cache.Keys(layer, kv), V, prefixIdx)
 }
 
 // coarseIndex lazily builds (and device-registers) the coarse index for

@@ -11,8 +11,9 @@ import (
 // layer's continuous-batching scheduler: where step.go collapses one
 // session's decode step into a single fan-out, StepWave collapses the
 // steps of *many* sessions into one. A wave of W single-token steps on a
-// model with L layers and H query heads is one W×L×H task set over the
-// worker pool — so the pool saturates even when every tenant decodes at
+// model with L layers and H query heads is one task set over the worker
+// pool — up to W×L×H tasks, fewer where a layer's KV groups each run as
+// one task — so the pool saturates even when every tenant decodes at
 // batch size 1, which is exactly the multi-tenant serving shape the
 // decoupled-attention architecture targets.
 
@@ -38,9 +39,11 @@ type StepItem struct {
 // item's results are bitwise-identical to the serial call on an
 // unconstrained device (the same determinism contract, and caveat under
 // a tight device budget, as AttentionAllLayersInto). The difference is
-// scheduling: all items' tokens ingest concurrently, then every
-// (item, layer, head) attention task competes for the same pool slots,
-// so a straggling session no longer leaves workers idle between steps.
+// scheduling: all items' tokens ingest concurrently, then every item's
+// decode tasks — built per layer exactly as AttentionAllLayersInto builds
+// them, one per (layer, KV group) on group-planned layers and one per
+// (layer, head) elsewhere — compete for the same pool slots, so a
+// straggling session no longer leaves workers idle between steps.
 //
 // All items must share the DB's model geometry; per-item query grids are
 // validated with the same panics StepInto raises. An empty wave is a
@@ -93,31 +96,16 @@ func StepWave(p *pool.Pool, items []StepItem) {
 		items[i].Sess.AppendToken(items[i].Token)
 	})
 
-	// Phase 2: one combined fan-out over items×layers×heads, one pooled
-	// decode state per worker for the whole wave.
-	per := layers * heads
-	n := len(items) * per
-	if n == 0 {
-		return
-	}
-	if p.Size() == 0 || n == 1 {
-		ds := getDecodeState()
-		for i := range items {
-			it := &items[i]
-			for l := 0; l < layers; l++ {
-				for h := 0; h < heads; h++ {
-					it.Sess.attentionInto(ds, l, h, it.Queries[l][h], &it.Out[l][h])
-				}
-			}
+	// Phase 2: one combined fan-out over every item's decode tasks, one
+	// pooled decode state per worker for the whole wave. The wave borrows
+	// its first item's task list.
+	tasks := items[0].Sess.takeTasks()
+	for i := range items {
+		it := &items[i]
+		for l := 0; l < layers; l++ {
+			tasks = it.Sess.appendLayerTasks(tasks, l, it.Queries[l], it.Out[l])
 		}
-		putDecodeState(ds)
-		return
 	}
-	p.ForEachScratch(n, getDecodeStateAny, putDecodeStateAny,
-		func(sc interface{}, i int) {
-			it := &items[i/per]
-			r := i % per
-			l, h := r/heads, r%heads
-			it.Sess.attentionInto(sc.(*decodeState), l, h, it.Queries[l][h], &it.Out[l][h])
-		})
+	runTasks(p, tasks)
+	items[0].Sess.putTasks(tasks)
 }

@@ -10,7 +10,9 @@
 // that restores the exact result. The DIPR and TopK paths have scratch
 // forms (DIPRFilteredScratch, TopKScratch) whose score buffer, selection
 // heap, and result slice live in a caller-owned Scratch reused across
-// queries, making warm scans allocation-free.
+// queries, making warm scans allocation-free. Query heads that share one
+// key matrix take the group form instead: ScoreGroup scores all of them in
+// one multi-query pass, then BandScratch selects each head's band.
 package flat
 
 import (
@@ -210,10 +212,53 @@ func (x Index) DIPRFilteredScratch(sc *Scratch, q []float32, beta float32, limit
 	return x.selectBand(sc, beta, n, scores, best)
 }
 
+// ScoreGroup is the score pass of the group form of the fp32 DIPR scan,
+// for query heads that share this index's keys: one multi-query pass
+// (vec.DotBatchRangeMulti) over the first n = min(limit, Len()) keys sets
+// scores[h][i] = qs[h]·key_i, and n is returned. Each key row is read once
+// per four queries instead of once per query, and every score is bitwise
+// the one DIPRFilteredScratch computes on the fp32 plane. It runs inline on
+// the caller's goroutine: a group scan is already one task of a fan-out, so
+// it spawns no chunk workers. Each scores[h] must hold at least n entries;
+// an attached SQ8 plane is not used. BandScratch then selects each head's
+// band.
+func (x Index) ScoreGroup(qs [][]float32, limit int, scores [][]float32) int {
+	n := min(x.keys.Rows(), limit)
+	if n <= 0 {
+		return 0
+	}
+	vec.DotBatchRangeMulti(qs, x.keys, 0, n, scores)
+	return n
+}
+
+// BandScratch is the band selection of the group form: the DIPR result of
+// one head whose score row ScoreGroup filled, through sc's arena —
+// identical to what DIPRFilteredScratch returns for that query on the fp32
+// plane. The returned slice aliases sc and is valid until its next use.
+func (x Index) BandScratch(sc *Scratch, scores []float32, beta float32) ([]index.Candidate, float32) {
+	if len(scores) == 0 {
+		return nil, 0
+	}
+	sc.Reranked = 0
+	return x.selectBand(sc, beta, len(scores), scores, maxScore(scores))
+}
+
+// maxScore returns the largest of a non-empty score row, keeping the first
+// of equal maxima.
+func maxScore(scores []float32) float32 {
+	best := scores[0]
+	for _, s := range scores[1:] {
+		if s > best {
+			best = s
+		}
+	}
+	return best
+}
+
 // selectBand is the serial fp32 band selection over a filled score buffer:
 // keep everything within beta of best, sorted best-first. Shared by the
-// serial and chunk-parallel scans so the selection semantics (and bitwise
-// results) cannot drift between them.
+// serial, chunk-parallel and group scans so the selection semantics (and
+// bitwise results) cannot drift between them.
 func (x Index) selectBand(sc *Scratch, beta float32, n int, scores []float32, best float32) ([]index.Candidate, float32) {
 	threshold := best - beta
 	h := sc.heap[:0]
@@ -238,13 +283,7 @@ func (x Index) scanBest(sc *Scratch, q []float32, quant bool, n int, scores []fl
 		} else {
 			vec.DotBatchRange(q, x.keys, 0, n, scores)
 		}
-		best := scores[0]
-		for _, s := range scores[1:] {
-			if s > best {
-				best = s
-			}
-		}
-		return best
+		return maxScore(scores)
 	}
 	scan := func(lo, hi int) float32 {
 		if quant {
@@ -252,13 +291,7 @@ func (x Index) scanBest(sc *Scratch, q []float32, quant bool, n int, scores []fl
 		} else {
 			vec.DotBatchRange(q, x.keys, lo, hi, scores[lo:hi])
 		}
-		localBest := scores[lo]
-		for _, s := range scores[lo+1 : hi] {
-			if s > localBest {
-				localBest = s
-			}
-		}
-		return localBest
+		return maxScore(scores[lo:hi])
 	}
 	bests := make([]float32, x.workers)
 	var wg sync.WaitGroup
@@ -314,12 +347,7 @@ func (x Index) rerankBand(sc *Scratch, q []float32, beta float32, n int, scores 
 	}
 	exact := sc.exact[:len(ids)]
 	vec.DotGather(q, x.keys, ids, exact)
-	best := exact[0] // the band always holds the quantized argmax
-	for _, s := range exact[1:] {
-		if s > best {
-			best = s
-		}
-	}
+	best := maxScore(exact) // the band always holds the quantized argmax
 	threshold := best - beta
 	h := sc.heap[:0]
 	for j, i := range ids {

@@ -401,3 +401,78 @@ func TestQuantDIPRDegenerateBetaNoPanic(t *testing.T) {
 		t.Fatalf("large negative beta returned %d candidates", len(got))
 	}
 }
+
+// TestGroupDIPRMatchesPerHead pins the group form against the per-head
+// scan: ScoreGroup then BandScratch per head returns exactly the
+// candidates, scores, order and best DIPRFilteredScratch returns for each
+// query — serial and chunk-parallel, filtered and not, on every group size
+// DotBatchRangeMulti pads differently.
+func TestGroupDIPRMatchesPerHead(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for _, workers := range []int{1, 4} {
+		for _, n := range []int{1, 50, 701, 5000} {
+			keys := randomKeys(rng, n, 16)
+			x := Make(keys, workers)
+			for _, g := range []int{1, 2, 3, 4, 5, 8} {
+				qs := make([][]float32, g)
+				scores := make([][]float32, g)
+				for h := range qs {
+					qs[h] = make([]float32, 16)
+					for j := range qs[h] {
+						qs[h][j] = rng.Float32()*2 - 1
+					}
+					scores[h] = make([]float32, n)
+				}
+				for _, limit := range []int{n, n/2 + 1} {
+					beta := float32(g) * 0.3
+					if got := x.ScoreGroup(qs, limit, scores); got != limit {
+						t.Fatalf("ScoreGroup scored %d rows, want %d", got, limit)
+					}
+					var want, group Scratch
+					for h, q := range qs {
+						wantC, wantBest := x.DIPRFilteredScratch(&want, q, beta, limit)
+						gotC, gotBest := x.BandScratch(&group, scores[h][:limit], beta)
+						if gotBest != wantBest || len(gotC) != len(wantC) {
+							t.Fatalf("workers=%d n=%d g=%d limit=%d head %d: best %v/%d vs %v/%d",
+								workers, n, g, limit, h, gotBest, len(gotC), wantBest, len(wantC))
+						}
+						for i := range wantC {
+							if gotC[i] != wantC[i] {
+								t.Fatalf("workers=%d n=%d g=%d head %d rank %d: %v vs %v", workers, n, g, h, i, gotC[i], wantC[i])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestGroupDIPRZeroAlloc: the group form allocates nothing once its score
+// rows and arena are warm, even with workers > 1 over a scan large enough
+// that the per-head form would fan out chunk goroutines.
+func TestGroupDIPRZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	keys := randomKeys(rng, 5000, 16)
+	x := Make(keys, 4)
+	qs := make([][]float32, 4)
+	scores := make([][]float32, 4)
+	for h := range qs {
+		qs[h] = make([]float32, 16)
+		for j := range qs[h] {
+			qs[h][j] = rng.Float32()*2 - 1
+		}
+		scores[h] = make([]float32, 5000)
+	}
+	var sc Scratch
+	scan := func() {
+		n := x.ScoreGroup(qs, 5000, scores)
+		for h := range qs {
+			x.BandScratch(&sc, scores[h][:n], 0.5)
+		}
+	}
+	scan()
+	if allocs := testing.AllocsPerRun(10, scan); allocs != 0 {
+		t.Fatalf("warm group DIPR allocated %.1f times per run, want 0", allocs)
+	}
+}

@@ -207,10 +207,11 @@ func IDs(cs []Candidate) []int {
 }
 
 // Score sets each candidate's Score to vec.Dot(q, row(ID)), scoring four
-// rows per vec.Dot4 pass. Scores are bitwise identical to per-candidate Dot
-// calls, so a caller may collect the nodes a traversal step will score,
-// score them here, and then apply its accept rule in collection order
-// without changing any decision.
+// rows per vec.Dot4 pass; a 1–3 candidate tail takes one more pass with
+// its last row repeated and the extra lanes dropped. Scores are bitwise
+// identical to per-candidate Dot calls, so a caller may collect the nodes
+// a traversal step will score, score them here, and then apply its accept
+// rule in collection order without changing any decision.
 func Score(q []float32, row func(int32) []float32, cs []Candidate) {
 	var out [4]float32
 	i := 0
@@ -219,7 +220,15 @@ func Score(q []float32, row func(int32) []float32, cs []Candidate) {
 		vec.Dot4(q, row(c[0].ID), row(c[1].ID), row(c[2].ID), row(c[3].ID), &out)
 		c[0].Score, c[1].Score, c[2].Score, c[3].Score = out[0], out[1], out[2], out[3]
 	}
-	for ; i < len(cs); i++ {
-		cs[i].Score = vec.Dot(q, row(cs[i].ID))
+	if tail := cs[i:]; len(tail) > 0 {
+		last := row(tail[len(tail)-1].ID)
+		rows := [4][]float32{last, last, last, last}
+		for k := range tail[:len(tail)-1] {
+			rows[k] = row(tail[k].ID)
+		}
+		vec.Dot4(q, rows[0], rows[1], rows[2], rows[3], &out)
+		for k := range tail {
+			tail[k].Score = out[k]
+		}
 	}
 }

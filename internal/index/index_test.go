@@ -2,9 +2,12 @@ package index
 
 import (
 	"container/heap"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/vec"
 )
 
 func TestMinHeapPushBounded(t *testing.T) {
@@ -102,5 +105,37 @@ func TestIDs(t *testing.T) {
 	}
 	if got := IDs(nil); len(got) != 0 {
 		t.Errorf("IDs(nil) = %v", got)
+	}
+}
+
+// TestScoreMatchesDot pins Score for candidate counts 0–9, so every 1–3
+// row tail's padded Dot4 pass runs: each score is vec.Dot's bit for bit,
+// and candidates past the list are never touched.
+func TestScoreMatchesDot(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	const d = 12
+	rows := make([][]float32, 30)
+	for i := range rows {
+		rows[i] = make([]float32, d)
+		for j := range rows[i] {
+			rows[i][j] = rng.Float32()*2 - 1
+		}
+	}
+	q := rows[0]
+	row := func(id int32) []float32 { return rows[id] }
+	for n := 0; n <= 9; n++ {
+		cs := make([]Candidate, n+1)
+		for i := range cs {
+			cs[i] = Candidate{ID: int32(rng.Intn(len(rows))), Score: 12345}
+		}
+		Score(q, row, cs[:n])
+		for i, c := range cs[:n] {
+			if want := vec.Dot(q, rows[c.ID]); math.Float32bits(c.Score) != math.Float32bits(want) {
+				t.Fatalf("n=%d candidate %d: %v, Dot = %v", n, i, c.Score, want)
+			}
+		}
+		if cs[n].Score != 12345 {
+			t.Fatalf("n=%d: Score wrote past the list", n)
+		}
 	}
 }

@@ -365,14 +365,22 @@ func DIPRSWith(st *SearchState, g Graph, q []float32, cfg DIPRSConfig) Result {
 
 // WindowMax computes the maximum inner product between q and the key rows
 // listed in window — the seed for the window-cache-enhanced DIPRS (§7.1).
+// Rows are scored four per vec.Dot4 pass, the last pass padded with the
+// last row, so every score is bitwise vec.Dot's.
 func WindowMax(q []float32, keys *vec.Matrix, window []int) (float32, bool) {
 	if len(window) == 0 {
 		return 0, false
 	}
-	best := vec.Dot(q, keys.Row(window[0]))
-	for _, i := range window[1:] {
-		if s := vec.Dot(q, keys.Row(i)); s > best {
-			best = s
+	var out [4]float32
+	last := len(window) - 1
+	best := float32(0)
+	for j := 0; j <= last; j += 4 {
+		vec.Dot4(q, keys.Row(window[j]), keys.Row(window[min(j+1, last)]),
+			keys.Row(window[min(j+2, last)]), keys.Row(window[min(j+3, last)]), &out)
+		for k, s := range out[:min(4, len(window)-j)] {
+			if (j == 0 && k == 0) || s > best {
+				best = s
+			}
 		}
 	}
 	return best, true

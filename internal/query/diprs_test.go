@@ -181,6 +181,33 @@ func TestDIPRSWindowSeedPrunes(t *testing.T) {
 	}
 }
 
+// TestWindowMaxMatchesDot pins WindowMax's padded Dot4 passes: for every
+// window size 1–9, including repeated positions, the seed is the first
+// maximum of per-row Dot scores, bit for bit.
+func TestWindowMaxMatchesDot(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	keys := randomKeys(rng, 40, 12)
+	q := make([]float32, 12)
+	for i := range q {
+		q[i] = rng.Float32()*2 - 1
+	}
+	for size := 1; size <= 9; size++ {
+		window := make([]int, size)
+		for i := range window {
+			window[i] = rng.Intn(keys.Rows())
+		}
+		want := vec.Dot(q, keys.Row(window[0]))
+		for _, i := range window[1:] {
+			if s := vec.Dot(q, keys.Row(i)); s > want {
+				want = s
+			}
+		}
+		if got, ok := WindowMax(q, keys, window); !ok || math.Float32bits(got) != math.Float32bits(want) {
+			t.Fatalf("size %d: WindowMax = %v/%v, want %v", size, got, ok, want)
+		}
+	}
+}
+
 func TestWindowMaxEmpty(t *testing.T) {
 	if _, ok := WindowMax([]float32{1}, vec.NewMatrix(0, 1), nil); ok {
 		t.Error("WindowMax on empty window reported ok")

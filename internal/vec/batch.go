@@ -19,7 +19,16 @@ import "fmt"
 // and ADDSS there (the Go compiler does not fuse float multiply-add on
 // amd64 under the default GOAMD64=v1), and the kernel uses MULPS then ADDPS
 // in the same order, so the two agree bit for bit; the pin tests in
-// dot4_test.go would catch a toolchain that starts fusing.
+// dot4_test.go and dot4x2_test.go would catch a toolchain that starts
+// fusing.
+//
+// A 1–3 row tail takes one more Dot4 pass with the last real row repeated
+// and the extra lanes dropped: lanes are independent, so the kept scores
+// are unchanged. Several queries over the same rows (the query heads of one
+// KV group) take DotBatchRangeMulti instead, whose Dot4x2 kernel
+// (dot4x2_amd64.s) scores four queries against two rows per pass with one
+// such accumulator per (query, row) pair, reading each row once for all
+// four queries.
 //
 // The weighted sums accumulate four rows per pass over out (axpy4), in
 // row order, so each output element sees the same sequence of rounded adds
@@ -72,9 +81,90 @@ func DotBatchRange(q []float32, m *Matrix, lo, hi int, out []float32) {
 		blk := span[off : off+dotBlock*d : off+dotBlock*d]
 		dot4(q, blk[:d], blk[d:2*d], blk[2*d:3*d], blk[3*d:], (*[4]float32)(out[i:i+4]))
 	}
-	for ; i < n; i++ {
-		off := i * d
-		out[i] = Dot(q, span[off:off+d:off+d])
+	if i < n {
+		row := func(r int) []float32 {
+			off := min(r, n-1) * d
+			return span[off : off+d : off+d]
+		}
+		var tail [4]float32
+		dot4(q, row(i), row(i+1), row(i+2), row(i+3), &tail)
+		copy(out[i:n], tail[:])
+	}
+}
+
+// Dot4x2 sets out[r][j] = Dot(qj, rr) for the four queries q0..q3 and the
+// two rows r0, r1 in one pass over the rows. Every query and row must have
+// len(q0) entries; Dot4x2 panics otherwise. Results are bitwise identical
+// to eight Dot calls.
+func Dot4x2(q0, q1, q2, q3, r0, r1 []float32, out *[2][4]float32) {
+	n := len(q0)
+	if len(q1) != n || len(q2) != n || len(q3) != n || len(r0) != n || len(r1) != n {
+		panic(fmt.Sprintf("vec: dot4x2 length mismatch: queries %d %d %d %d, rows %d %d",
+			n, len(q1), len(q2), len(q3), len(r0), len(r1)))
+	}
+	dot4x2(q0, q1, q2, q3, r0, r1, out)
+}
+
+// dot4x2Generic is Dot4x2 as eight Dot calls: the portable build's kernel
+// and the amd64 kernel's path for widths that are not a multiple of 4.
+func dot4x2Generic(q0, q1, q2, q3, r0, r1 []float32, out *[2][4]float32) {
+	for r, row := range [2][]float32{r0, r1} {
+		out[r] = [4]float32{Dot(q0, row), Dot(q1, row), Dot(q2, row), Dot(q3, row)}
+	}
+}
+
+// DotBatchRangeMulti computes outs[j][i] = qs[j] · m.Row(lo+i) for every
+// query j and i in [0, hi-lo): DotBatchRange for a set of queries sharing
+// one matrix, reading each row once per four queries instead of once per
+// query. Queries go four at a time through Dot4x2 over row pairs; a last
+// pass of two or three queries repeats its last query, and an odd last row
+// is scored as a pair with itself, the extra outputs dropped. A single
+// leftover query takes DotBatchRange, which scores it with a quarter of the
+// work a padded pass would. Every score is bitwise identical to Dot.
+// len(outs) must equal len(qs), each outs[j] must have at least hi-lo
+// entries, and every query must match the matrix width.
+func DotBatchRangeMulti(qs [][]float32, m *Matrix, lo, hi int, outs [][]float32) {
+	n := hi - lo
+	if lo < 0 || hi < lo || hi > m.Rows() {
+		panic(fmt.Sprintf("vec: dot batch range [%d,%d) of %d-row matrix", lo, hi, m.Rows()))
+	}
+	if len(outs) != len(qs) {
+		panic(fmt.Sprintf("vec: dot batch multi has %d outputs for %d queries", len(outs), len(qs)))
+	}
+	for j, q := range qs {
+		if len(q) != m.cols {
+			panic(fmt.Sprintf("vec: dot batch query %d dim %d, matrix width %d", j, len(q), m.cols))
+		}
+		if len(outs[j]) < n {
+			panic(fmt.Sprintf("vec: dot batch output %d has %d of %d entries", j, len(outs[j]), n))
+		}
+	}
+	d := m.cols
+	span := m.RowSpan(lo, hi)
+	for j := 0; j < len(qs); j += 4 {
+		if len(qs)-j == 1 {
+			DotBatchRange(qs[j], m, lo, hi, outs[j])
+			break
+		}
+		// A padded query's scores equal its twin's bit for bit, so its
+		// output row may alias the twin's.
+		last := len(qs) - 1
+		q0, q1, q2, q3 := qs[j], qs[min(j+1, last)], qs[min(j+2, last)], qs[min(j+3, last)]
+		o0, o1, o2, o3 := outs[j][:n], outs[min(j+1, last)][:n], outs[min(j+2, last)][:n], outs[min(j+3, last)][:n]
+		var pair [2][4]float32
+		i := 0
+		for ; i+2 <= n; i += 2 {
+			off := i * d
+			blk := span[off : off+2*d : off+2*d]
+			dot4x2(q0, q1, q2, q3, blk[:d], blk[d:], &pair)
+			o0[i], o1[i], o2[i], o3[i] = pair[0][0], pair[0][1], pair[0][2], pair[0][3]
+			o0[i+1], o1[i+1], o2[i+1], o3[i+1] = pair[1][0], pair[1][1], pair[1][2], pair[1][3]
+		}
+		if i < n {
+			row := span[i*d : i*d+d : i*d+d]
+			dot4x2(q0, q1, q2, q3, row, row, &pair)
+			o0[i], o1[i], o2[i], o3[i] = pair[0][0], pair[0][1], pair[0][2], pair[0][3]
+		}
 	}
 }
 
@@ -102,8 +192,12 @@ func DotGather(q []float32, m *Matrix, idx []int, out []float32) {
 	for ; j+dotBlock <= len(idx); j += dotBlock {
 		dot4(q, row(idx[j]), row(idx[j+1]), row(idx[j+2]), row(idx[j+3]), (*[4]float32)(out[j:j+4]))
 	}
-	for ; j < len(idx); j++ {
-		out[j] = Dot(q, row(idx[j]))
+	if j < len(idx) {
+		last := len(idx) - 1
+		tailRow := func(k int) []float32 { return row(idx[min(k, last)]) }
+		var tail [4]float32
+		dot4(q, tailRow(j), tailRow(j+1), tailRow(j+2), tailRow(j+3), &tail)
+		copy(out[j:len(idx)], tail[:])
 	}
 }
 

@@ -8,3 +8,10 @@ package vec
 func dot4(q, r0, r1, r2, r3 []float32, out *[4]float32) {
 	dot4Generic(q, r0, r1, r2, r3, out)
 }
+
+// dot4x2 scores four queries against two rows. The amd64 build replaces
+// this with an SSE kernel (dot4x2_amd64.s) that is bitwise identical to the
+// eight Dot calls made here.
+func dot4x2(q0, q1, q2, q3, r0, r1 []float32, out *[2][4]float32) {
+	dot4x2Generic(q0, q1, q2, q3, r0, r1, out)
+}
