@@ -75,8 +75,7 @@ type Config struct {
 	// unlimited.
 	SpillBudget int64
 	// SpillCacheBytes is the capacity of the buffer pool backing
-	// spilled-context block reads (reloads and cold scans). Defaults to
-	// 64 MiB.
+	// spilled-context reloads. Defaults to 64 MiB.
 	SpillCacheBytes int64
 	// PrefixChunk is the chunk width, in tokens, of the prefix trees that
 	// index resident and spilled documents for CreateSession's
@@ -85,12 +84,12 @@ type Config struct {
 	// QuantKeys enables the SQ8 key plane: stored contexts keep an int8
 	// shadow of every key row (per-row scales), the fp32 key rows are
 	// snapped to the dequantized values, and the whole read path — flat and
-	// graph DIPR retrieval, the host attention partial, spill files, and
-	// cold probes — scores against the quantized plane, reranking
-	// retrieval candidates in fp32 so the returned token sets match the
-	// fp32 configuration. Values are never quantized. Spilled key files
-	// shrink to a quarter of their fp32 size. A spill directory written
-	// with one setting cannot be adopted under the other.
+	// graph DIPR retrieval, the host attention partial, and spill files —
+	// scores against the quantized plane, reranking retrieval candidates
+	// in fp32 so the returned token sets match the fp32 configuration.
+	// Values are never quantized. Spilled key files shrink to a quarter
+	// of their fp32 size. A spill directory written with one setting
+	// cannot be adopted under the other.
 	QuantKeys bool
 }
 

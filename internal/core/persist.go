@@ -101,7 +101,7 @@ func (db *DB) SaveContext(ctx *Context, dir string) error {
 				return err
 			}
 			if quant {
-				if err := appendQuantRows(kf, ctx.cache.QuantKeys(l, h), &man, l*mc.KVHeads+h); err != nil {
+				if err := appendPackedKeys(kf, ctx.cache.QuantKeys(l, h), &man, l*mc.KVHeads+h); err != nil {
 					kf.Close()
 					return err
 				}
@@ -190,10 +190,10 @@ func (db *DB) residentBase(hash uint64) (*Context, error) {
 	return ctx, nil
 }
 
-// appendQuantRows writes one head's SQ8 key rows into kf in packed code
+// appendPackedKeys writes one head's SQ8 key rows into kf in packed code
 // form (vec.PackRow), as one matrix append, and records the per-row scales
 // in the manifest slot.
-func appendQuantRows(kf *vfs.FS, qm *vec.QuantMatrix, man *manifest, slot int) error {
+func appendPackedKeys(kf *vfs.FS, qm *vec.QuantMatrix, man *manifest, slot int) error {
 	packed := vec.NewMatrix(qm.Rows(), vec.PackedWords(qm.Cols()))
 	scales := make([]float32, qm.Rows())
 	for i := range scales {

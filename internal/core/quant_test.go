@@ -299,61 +299,6 @@ func TestQuantSpillReloadBitwiseIdentical(t *testing.T) {
 	}
 }
 
-// TestQuantSpilledDIPRSColdProbe runs the cold probe over a quant spill:
-// packed key rows page in through the buffer pool, and the probe's critical
-// set matches the resident quantized retrieval.
-func TestQuantSpilledDIPRSColdProbe(t *testing.T) {
-	mdl := testModel()
-	mc := mdl.Config()
-	perCtx := int64(400) * int64(mc.Layers) * int64(mc.KVHeads) * int64(mc.HeadDim) * 4 * 2
-	db, err := New(Config{
-		Model:         mdl,
-		Window:        attention.Window{Sinks: 4, Recent: 16},
-		LongThreshold: 256,
-		Graph:         graph.Config{Degree: 12, QueryKNN: 8, EfConstruction: 48},
-		Workers:       2,
-		ContextBudget: perCtx + perCtx/2,
-		SpillDir:      t.TempDir(),
-		QuantKeys:     true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-
-	doc := model.NewFiller(140, 400, 16, 32)
-	doc.Plant(200, 77, 5, 1)
-	ctx, err := db.ImportDoc(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := mdl.QueryVector(doc, 1, 0, model.QuerySpec{FocusTopics: []int{77}, ContextLen: doc.Len()})
-	cfg := query.DIPRSConfig{Beta: db.cfg.Beta, MaxResults: 32, MaxExplore: 4096}
-	want := query.DIPRS(ctx.Graph(db, 1, 0), q, cfg)
-
-	if _, err := db.ImportDoc(model.NewFiller(141, 400, 16, 32)); err != nil {
-		t.Fatal(err)
-	}
-	if db.TierStats().SpilledContexts != 1 {
-		t.Fatal("context not spilled")
-	}
-	got, err := db.SpilledDIPRS(doc, 1, 0, q, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Critical) == 0 || len(got.Critical) != len(want.Critical) {
-		t.Fatalf("cold probe found %d critical tokens, resident found %d", len(got.Critical), len(want.Critical))
-	}
-	for i := range want.Critical {
-		if got.Critical[i].ID != want.Critical[i].ID {
-			t.Fatalf("critical[%d] = %d, want %d", i, got.Critical[i].ID, want.Critical[i].ID)
-		}
-	}
-	if db.TierStats().SpilledContexts != 1 {
-		t.Error("cold probe consumed the spill entry")
-	}
-}
-
 // TestQuantConfigBetaValidation covers the Config-level input validation
 // added with the DIPRSConfig satellite.
 func TestQuantConfigBetaValidation(t *testing.T) {

@@ -8,10 +8,9 @@ package core
 // catalog during prefix matching; a spilled context with a longer matching
 // prefix than any resident one is reloaded — off the store lock, with
 // concurrent requests for the same context collapsed into one load — and
-// re-registered as a resident. Reloads and cold scans read vector blocks
-// through a shared buffer pool (internal/storage/buffer), so a DIPRS scan
-// over a cold context pages in only the key rows it touches instead of
-// materializing the whole KV cache up front.
+// re-registered as a resident. Reloads read vector blocks through a shared
+// buffer pool (internal/storage/buffer), so blocks a previous reload of
+// identical content paged in are served from memory.
 
 import (
 	"fmt"
@@ -19,14 +18,11 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 
-	"repro/internal/index"
 	"repro/internal/metrics"
 	"repro/internal/model"
-	"repro/internal/query"
 	"repro/internal/storage"
 	"repro/internal/storage/buffer"
 	"repro/internal/storage/vfs"
@@ -521,8 +517,8 @@ func (t *tierState) waitInflight(hash uint64) *reloadOp {
 // readMatrixBuffered materializes one spill file's vectors through the
 // shared buffer pool: the file registers with the tier's file set for the
 // duration of the scan, and every block read goes through the buffer
-// manager, so blocks already paged in by a cold scan (or a previous reload
-// of identical content) are served from memory.
+// manager, so blocks already paged in by a previous reload of identical
+// content are served from memory.
 func (t *tierState) readMatrixBuffered(fs *vfs.FS) (*vec.Matrix, error) {
 	t.files.Add(fs)
 	defer t.files.Remove(fs)
@@ -543,293 +539,6 @@ func (t *tierState) readMatrixBuffered(fs *vfs.FS) (*vec.Matrix, error) {
 		return nil, fmt.Errorf("core: spill file %s: read %d of %d vectors", fs.Path(), rows, vs.Len())
 	}
 	return m, nil
-}
-
-// SpilledDIPRS runs a DIPR range search over a spilled context's
-// (layer, qHead) slice without reloading it: graph adjacency is read from
-// the spill file and key rows page in through the buffer pool only as the
-// traversal touches them — the cold-context probe path. doc must match a
-// spilled context exactly (same hash). Falls back to a paged flat band
-// scan when the slot has no graph. Result.Critical is freshly allocated.
-func (db *DB) SpilledDIPRS(doc *model.Document, layer, qHead int, q []float32, cfg query.DIPRSConfig) (query.Result, error) {
-	t := db.tier
-	if t == nil {
-		return query.Result{}, fmt.Errorf("core: no spill tier configured")
-	}
-	hash := DocHash(doc)
-	t.mu.Lock()
-	e, ok := t.entries[hash]
-	if ok {
-		t.clock++
-		e.lastUsed = t.clock
-	}
-	t.mu.Unlock()
-	if !ok {
-		return query.Result{}, fmt.Errorf("core: document %016x is not spilled", hash)
-	}
-
-	man, err := db.readManifest(e.dir)
-	if err != nil {
-		return query.Result{}, err
-	}
-	group := db.groupOf(qHead)
-	kv := db.kvHeadOfGroup(group)
-	slot := layer*man.Groups + group
-
-	if man.BaseHash != 0 {
-		// A copy-on-write tail carries no graphs; the probe is a flat band
-		// scan over the whole logical context, chaining the base chain's
-		// rows (resident caches or spilled files, whichever each link is)
-		// ahead of the tail's own file.
-		var closers []func()
-		defer func() {
-			for _, c := range closers {
-				c()
-			}
-		}()
-		srcs, err := db.chainRowSources(man, e.dir, layer, kv, len(man.Tokens), &closers)
-		if err != nil {
-			return query.Result{}, err
-		}
-		rows, err := storage.NewChainedRows(srcs...)
-		if err != nil {
-			return query.Result{}, err
-		}
-		return coldFlatDIPR(rows, q, cfg)
-	}
-
-	keysPath := filepath.Join(e.dir, fmt.Sprintf("L%dH%d.keys", layer, kv))
-	kf, err := vfs.Open(keysPath)
-	if err != nil {
-		return query.Result{}, err
-	}
-	defer kf.Close()
-	t.files.Add(kf)
-	defer t.files.Remove(kf)
-
-	var adj [][]int32
-	if man.ShareGQA {
-		adj, err = kf.ReadAdjacency()
-	} else {
-		gPath := filepath.Join(e.dir, fmt.Sprintf("L%dG%d.graph", layer, group))
-		if _, statErr := os.Stat(gPath); statErr == nil {
-			gf, gErr := vfs.Open(gPath)
-			if gErr != nil {
-				return query.Result{}, gErr
-			}
-			adj, err = gf.ReadAdjacency()
-			gf.Close()
-		}
-	}
-	if err != nil {
-		return query.Result{}, err
-	}
-
-	vs, err := storage.NewVectorStore(kf, t.bm)
-	if err != nil {
-		return query.Result{}, err
-	}
-	// Under the SQ8 layout the keys file holds packed codes: wrap it in the
-	// decoding row source, so the traversal pages in a quarter of the bytes
-	// and scores the same snapped fp32 plane a resident search would.
-	var rows storage.RowSource = vs
-	if man.Quant {
-		rows, err = storage.NewQuantRows(vs, man.QuantScales[layer*db.cfg.Model.Config().KVHeads+kv], db.cfg.Model.Config().HeadDim)
-		if err != nil {
-			return query.Result{}, err
-		}
-	}
-	if adj == nil {
-		return coldFlatDIPR(rows, q, cfg)
-	}
-	g, err := storage.NewDiskGraph(adj, man.Entries[slot], rows)
-	if err != nil {
-		return query.Result{}, err
-	}
-	res := query.DIPRS(g, q, cfg)
-	if err := g.Err(); err != nil {
-		return query.Result{}, err
-	}
-	out := make([]index.Candidate, len(res.Critical))
-	copy(out, res.Critical)
-	res.Critical = out
-	return res, nil
-}
-
-// matrixRows adapts a resident key matrix to storage.RowSource so chained
-// cold probes can mix in-memory chain links with demand-paged ones.
-type matrixRows struct{ m *vec.Matrix }
-
-func (r matrixRows) Len() int { return r.m.Rows() }
-func (r matrixRows) Dim() int { return r.m.Cols() }
-func (r matrixRows) Vector(id int, buf []float32) error {
-	if id < 0 || id >= r.m.Rows() {
-		return fmt.Errorf("core: resident row %d out of range [0, %d)", id, r.m.Rows())
-	}
-	copy(buf, r.m.Row(id))
-	return nil
-}
-func (r matrixRows) Scan(emit func(id int, v []float32) error) error {
-	for i := 0; i < r.m.Rows(); i++ {
-		if err := emit(i, r.m.Row(i)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// openSpillRows opens one spilled context directory's (layer, kv) keys as
-// a RowSource — SQ8-decoding when the manifest says the file holds packed
-// codes — appending the file's release to closers.
-func (db *DB) openSpillRows(man *manifest, dir string, layer, kv int, closers *[]func()) (storage.RowSource, error) {
-	t := db.tier
-	kf, err := vfs.Open(filepath.Join(dir, fmt.Sprintf("L%dH%d.keys", layer, kv)))
-	if err != nil {
-		return nil, err
-	}
-	t.files.Add(kf)
-	*closers = append(*closers, func() {
-		t.files.Remove(kf)
-		kf.Close()
-	})
-	vs, err := storage.NewVectorStore(kf, t.bm)
-	if err != nil {
-		return nil, err
-	}
-	var rows storage.RowSource = vs
-	if man.Quant {
-		rows, err = storage.NewQuantRows(vs, man.QuantScales[layer*db.cfg.Model.Config().KVHeads+kv], db.cfg.Model.Config().HeadDim)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return rows, nil
-}
-
-// chainRowSources builds the row sources covering rows [0, upTo) of a
-// spilled context described by man: the base chain's contribution first
-// (capped at the shared prefix length), then the context's own rows. The
-// caller runs closers when done scanning.
-func (db *DB) chainRowSources(man *manifest, dir string, layer, kv, upTo int, closers *[]func()) ([]storage.RowSource, error) {
-	var srcs []storage.RowSource
-	if man.BaseHash != 0 && upTo > 0 {
-		cover := man.BaseLen
-		if cover > upTo {
-			cover = upTo
-		}
-		bs, err := db.baseRowSources(man.BaseHash, layer, kv, cover, closers)
-		if err != nil {
-			return nil, err
-		}
-		srcs = append(srcs, bs...)
-	}
-	if own := upTo - man.BaseLen; own > 0 {
-		src, err := db.openSpillRows(man, dir, layer, kv, closers)
-		if err != nil {
-			return nil, err
-		}
-		if own < src.Len() {
-			if src, err = storage.NewPrefixRows(src, own); err != nil {
-				return nil, err
-			}
-		}
-		srcs = append(srcs, src)
-	}
-	return srcs, nil
-}
-
-// baseRowSources resolves a base hash to the row sources covering its
-// first upTo rows: a resident context serves from memory (its own chain,
-// recursively), a spilled one from its directory.
-func (db *DB) baseRowSources(hash uint64, layer, kv, upTo int, closers *[]func()) ([]storage.RowSource, error) {
-	db.mu.RLock()
-	ctx := db.byHash[hash]
-	db.mu.RUnlock()
-	if ctx != nil {
-		return residentRowSources(ctx, layer, kv, upTo)
-	}
-	t := db.tier
-	t.mu.Lock()
-	e, ok := t.entries[hash]
-	t.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("core: base context %016x neither resident nor spilled", hash)
-	}
-	man, err := db.readManifest(e.dir)
-	if err != nil {
-		return nil, err
-	}
-	return db.chainRowSources(man, e.dir, layer, kv, upTo, closers)
-}
-
-// residentRowSources covers rows [0, upTo) of a resident context from its
-// chain's caches. Quant-enabled caches expose the snapped fp32 key plane,
-// so scores match what the packed spill file would decode to.
-func residentRowSources(ctx *Context, layer, kv, upTo int) ([]storage.RowSource, error) {
-	var srcs []storage.RowSource
-	if ctx.base != nil && upTo > 0 {
-		cover := ctx.baseLen
-		if cover > upTo {
-			cover = upTo
-		}
-		bs, err := residentRowSources(ctx.base, layer, kv, cover)
-		if err != nil {
-			return nil, err
-		}
-		srcs = append(srcs, bs...)
-	}
-	if own := upTo - ctx.baseLen; own > 0 {
-		var src storage.RowSource = matrixRows{m: ctx.cache.Keys(layer, kv)}
-		if own < src.Len() {
-			var err error
-			if src, err = storage.NewPrefixRows(src, own); err != nil {
-				return nil, err
-			}
-		}
-		srcs = append(srcs, src)
-	}
-	return srcs, nil
-}
-
-// coldFlatDIPR is the index-less cold probe: a sequential block scan over
-// the spilled keys, keeping the β-band of the running maximum — the flat
-// DIPR semantics of internal/index/flat, but demand-paged.
-func coldFlatDIPR(vs storage.RowSource, q []float32, cfg query.DIPRSConfig) (query.Result, error) {
-	maxIP := float32(math.Inf(-1))
-	if cfg.HasInitialMax {
-		maxIP = cfg.InitialMax
-	}
-	var cands []index.Candidate
-	explored := 0
-	err := vs.Scan(func(id int, v []float32) error {
-		if cfg.Filter != nil && !cfg.Filter(int32(id)) {
-			return nil
-		}
-		explored++
-		s := vec.Dot(q, v)
-		if s > maxIP {
-			maxIP = s
-		}
-		if s >= maxIP-cfg.Beta {
-			cands = append(cands, index.Candidate{ID: int32(id), Score: s})
-		}
-		return nil
-	})
-	if err != nil {
-		return query.Result{}, err
-	}
-	// The running maximum only grows; re-filter against the final band.
-	kept := cands[:0]
-	for _, c := range cands {
-		if c.Score >= maxIP-cfg.Beta {
-			kept = append(kept, c)
-		}
-	}
-	sort.Slice(kept, func(i, j int) bool { return kept[i].Score > kept[j].Score })
-	if cfg.MaxResults > 0 && len(kept) > cfg.MaxResults {
-		kept = kept[:cfg.MaxResults]
-	}
-	return query.Result{Critical: kept, MaxIP: maxIP, Explored: explored}, nil
 }
 
 // TierStats summarises the spill tier for Stats endpoints and tooling.
@@ -871,26 +580,4 @@ func (db *DB) TierStats() TierStats {
 		Counters:         t.counters.Snapshot(),
 		Buffer:           t.bm.Stats(),
 	}
-}
-
-// SpilledDocs returns the documents currently catalogued in the spill
-// tier, most recently used first. Tooling and tests use it; the catalog
-// itself is consulted internally by CreateSession.
-func (db *DB) SpilledDocs() []*model.Document {
-	t := db.tier
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	entries := make([]*spillEntry, 0, len(t.entries))
-	for _, e := range t.entries {
-		entries = append(entries, e)
-	}
-	t.mu.Unlock()
-	sort.Slice(entries, func(i, j int) bool { return entries[i].lastUsed > entries[j].lastUsed })
-	docs := make([]*model.Document, len(entries))
-	for i, e := range entries {
-		docs[i] = e.doc
-	}
-	return docs
 }

@@ -102,44 +102,6 @@ func TestConcurrentReloadAndImportChurn(t *testing.T) {
 	}
 }
 
-// TestConcurrentColdProbesShareSpillFile runs many SpilledDIPRS probes of
-// the same spilled slot at once: the file-set registrations stack, so one
-// probe finishing (and closing its handle) must not fail another mid-scan.
-func TestConcurrentColdProbesShareSpillFile(t *testing.T) {
-	db := tierDB(t, 300, 1, t.TempDir(), 0)
-	doc := model.NewFiller(180, 300, 16, 32)
-	doc.Plant(150, 8, 2, 1)
-	if _, err := db.ImportDoc(doc); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.ImportDoc(model.NewFiller(181, 300, 16, 32)); err != nil {
-		t.Fatal(err) // evicts doc to the spill tier
-	}
-	q := db.Model().QueryVector(doc, 1, 0, model.QuerySpec{FocusTopics: []int{8}, ContextLen: doc.Len()})
-	cfg := query.DIPRSConfig{Beta: db.cfg.Beta, MaxResults: 16, MaxExplore: 2048}
-	want, err := db.SpilledDIPRS(doc, 1, 0, q, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			got, err := db.SpilledDIPRS(doc, 1, 0, q, cfg)
-			if err != nil {
-				t.Errorf("concurrent cold probe failed: %v", err)
-				return
-			}
-			if len(got.Critical) != len(want.Critical) {
-				t.Errorf("concurrent probe found %d critical, want %d", len(got.Critical), len(want.Critical))
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // TestDecodeZeroAllocWithTieringEnabled keeps the PR 2 allocation guarantee
 // with the spill tier active: a decode step over a context that was
 // evicted, spilled and reloaded must still allocate nothing once warm.

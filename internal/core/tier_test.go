@@ -10,7 +10,6 @@ import (
 	"repro/internal/attention"
 	"repro/internal/index/graph"
 	"repro/internal/model"
-	"repro/internal/query"
 )
 
 // tierDB builds a DB whose resident store fits roughly `contexts` stored
@@ -214,56 +213,6 @@ func TestRecoverSpilledAcrossRestart(t *testing.T) {
 	defer sess.Close()
 	if reused != 300 {
 		t.Fatalf("reused = %d, want 300 from recovered spill", reused)
-	}
-}
-
-func TestSpilledDIPRSMatchesResidentRetrieval(t *testing.T) {
-	dir := t.TempDir()
-	db := tierDB(t, 400, 1, dir, 0)
-	doc := model.NewFiller(120, 400, 16, 32)
-	doc.Plant(200, 77, 5, 1)
-	ctx, err := db.ImportDoc(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mdl := db.Model()
-	q := mdl.QueryVector(doc, 1, 0, model.QuerySpec{FocusTopics: []int{77}, ContextLen: doc.Len()})
-	cfg := query.DIPRSConfig{Beta: db.cfg.Beta, MaxResults: 32, MaxExplore: 4096}
-	want := query.DIPRS(ctx.Graph(db, 1, 0), q, cfg)
-
-	// Evict the context to disk, then probe it cold.
-	if _, err := db.ImportDoc(model.NewFiller(121, 400, 16, 32)); err != nil {
-		t.Fatal(err)
-	}
-	if db.TierStats().SpilledContexts != 1 {
-		t.Fatal("context not spilled")
-	}
-	got, err := db.SpilledDIPRS(doc, 1, 0, q, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Critical) != len(want.Critical) {
-		t.Fatalf("cold scan found %d critical tokens, resident found %d", len(got.Critical), len(want.Critical))
-	}
-	for i := range want.Critical {
-		if got.Critical[i].ID != want.Critical[i].ID {
-			t.Fatalf("critical[%d] = %d, want %d", i, got.Critical[i].ID, want.Critical[i].ID)
-		}
-	}
-	// The probe must not have materialized the context back into memory.
-	if db.TierStats().SpilledContexts != 1 {
-		t.Error("cold probe consumed the spill entry")
-	}
-	// And it paged in only part of the file: the graph traversal touches a
-	// subset of rows, so buffered block fetches stay below the file's data
-	// blocks (1 vector per 4KiB block at dim 128 ⇒ 400 blocks).
-	if st := db.TierStats().Buffer; st.Misses >= 400 {
-		t.Errorf("cold probe fetched %d blocks; expected a partial page-in", st.Misses)
-	}
-
-	// Unknown documents are rejected.
-	if _, err := db.SpilledDIPRS(model.NewFiller(999, 50, 16, 32), 1, 0, q, cfg); err == nil {
-		t.Error("probe of unspilled document succeeded")
 	}
 }
 

@@ -6,7 +6,6 @@
 package query
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/index"
@@ -102,33 +101,9 @@ type DIPRSConfig struct {
 	MaxResults int
 }
 
-// Validate reports degenerate configurations as explicit errors — the form
-// callers with an error path (SpilledDIPRS, servers) should use before
-// searching, instead of letting a nonsensical parameter run a silently
-// empty or unbounded search.
-func (c DIPRSConfig) Validate() error {
-	if math.IsNaN(float64(c.Beta)) {
-		return fmt.Errorf("query: DIPRSConfig.Beta is NaN")
-	}
-	if c.Beta < 0 {
-		return fmt.Errorf("query: DIPRSConfig.Beta is negative (%v); a DIPR range cannot be negative", c.Beta)
-	}
-	if c.Capacity < 0 {
-		return fmt.Errorf("query: DIPRSConfig.Capacity is negative (%d)", c.Capacity)
-	}
-	if c.MaxExplore < 0 {
-		return fmt.Errorf("query: DIPRSConfig.MaxExplore is negative (%d)", c.MaxExplore)
-	}
-	if c.MaxResults < 0 {
-		return fmt.Errorf("query: DIPRSConfig.MaxResults is negative (%d)", c.MaxResults)
-	}
-	return nil
-}
-
-// defaults sanitizes the configuration for the panic-based entry points: a
-// NaN β is a programming error and panics loudly (the error-path callers
-// run Validate first); a negative β is clamped to 0 — the argmax-only band
-// — instead of silently producing an empty result; a non-positive Capacity
+// defaults sanitizes the configuration: a NaN β is a programming error and
+// panics loudly; a negative β is clamped to 0 — the argmax-only band —
+// instead of silently producing an empty result; a non-positive Capacity
 // takes the documented default of 96.
 func (c *DIPRSConfig) defaults() {
 	if math.IsNaN(float64(c.Beta)) {

@@ -543,26 +543,6 @@ func TestBetaClampsExplicitly(t *testing.T) {
 	}
 }
 
-// TestDIPRSConfigValidate covers the explicit error form of the config
-// checks.
-func TestDIPRSConfigValidate(t *testing.T) {
-	good := DIPRSConfig{Beta: 1, Capacity: 32}
-	if err := good.Validate(); err != nil {
-		t.Fatalf("valid config rejected: %v", err)
-	}
-	for name, cfg := range map[string]DIPRSConfig{
-		"nan beta":             {Beta: float32(math.NaN())},
-		"negative beta":        {Beta: -1},
-		"negative capacity":    {Beta: 1, Capacity: -2},
-		"negative max explore": {Beta: 1, MaxExplore: -1},
-		"negative max results": {Beta: 1, MaxResults: -1},
-	} {
-		if err := cfg.Validate(); err == nil {
-			t.Errorf("%s: Validate accepted %+v", name, cfg)
-		}
-	}
-}
-
 // TestDIPRSNegativeBetaClamps pins the clamp on the panic-free degenerate
 // input: a negative β behaves as β = 0 (argmax-only band) instead of
 // silently returning nothing.

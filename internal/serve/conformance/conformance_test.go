@@ -548,7 +548,7 @@ func TestStreamArrivalOverlap(t *testing.T) {
 			}()
 
 			deadline := time.After(30 * time.Second)
-			for wave := 0; wave < steps; wave++ {
+			for wave := 0; wave < steps-1; wave++ {
 				select {
 				case w := <-gateCh:
 					if w != wave {
@@ -572,6 +572,10 @@ func TestStreamArrivalOverlap(t *testing.T) {
 				}
 				goCh <- struct{}{}
 			}
+			// The last wave holds no later wave behind its gate, and the
+			// gate runs after the wave's jobs finish, so its item and the
+			// stream end may cross before the gate reports it. stop
+			// releases that gate at cleanup.
 			select {
 			case err := <-done:
 				if err != nil {
@@ -579,6 +583,10 @@ func TestStreamArrivalOverlap(t *testing.T) {
 				}
 			case <-deadline:
 				t.Fatal("stream did not finish")
+			}
+			// The reader queues each item before it reads the end frame.
+			if i := <-arrived; i != steps-1 {
+				t.Fatalf("last item %d arrived, want %d", i, steps-1)
 			}
 		})
 	}

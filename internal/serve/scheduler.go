@@ -315,7 +315,6 @@ func (sch *Scheduler) run() {
 		sch.mu.Unlock()
 
 		sch.execWave(jobs)
-		sch.sc.ObserveWave(len(jobs))
 
 		sch.mu.Lock()
 		for _, ss := range sess {
@@ -357,8 +356,11 @@ func (sch *Scheduler) drainLocked() {
 // every live item in a single cross-session core.StepWave fan-out, build
 // the wire responses from pooled scratch, release the locks, and deliver
 // the jobs. Jobs whose session vanished (or whose stream was abandoned)
-// finish immediately without touching the wave.
+// finish immediately without touching the wave. The wave is counted
+// before any job finishes, so a caller that has received a step's result
+// also sees the wave that produced it in the counters.
 func (sch *Scheduler) execWave(jobs []*stepJob) {
+	sch.sc.ObserveWave(len(jobs))
 	mc := sch.svc.db.Model().Config()
 	items := sch.waveItems[:0]
 	live := sch.waveLive[:0]

@@ -49,6 +49,30 @@ func schedService(t *testing.T, p *pool.Pool, opts ...Option) (*Service, *model.
 	return svc, m
 }
 
+// gateWave0 holds sch's dispatcher after its first wave until gate or
+// stop closes. A test closes gate to release the dispatcher; stop, closed
+// at test end, releases a hold that a failed assertion left behind, so
+// teardown (which waits for the dispatcher) fails fast instead of hanging.
+func gateWave0(sch *Scheduler, gate, stop <-chan struct{}) {
+	sch.waveGate = func(wave int) {
+		if wave == 0 {
+			select {
+			case <-gate:
+			case <-stop:
+			}
+		}
+	}
+}
+
+// gateWave0Cleanup is gateWave0 with stop closed by a t.Cleanup. Cleanups
+// run last-registered first, so it runs before schedService's teardown.
+func gateWave0Cleanup(t *testing.T, sch *Scheduler) chan struct{} {
+	gate, stop := make(chan struct{}), make(chan struct{})
+	t.Cleanup(func() { close(stop) })
+	gateWave0(sch, gate, stop)
+	return gate
+}
+
 // cloneStep deep-copies a StepResponse so it survives Release.
 func cloneStep(r *StepResponse) *StepResponse {
 	out := &StepResponse{ContextLen: r.ContextLen, Layers: make([][]AttentionResponse, len(r.Layers))}
@@ -238,12 +262,7 @@ func TestStepStreamOverlap(t *testing.T) {
 	inst := workload.Generate(p, 7, 300, 64, 32)
 	id := newSchedSession(t, svc, inst.Doc)
 
-	gate := make(chan struct{})
-	svc.sched.waveGate = func(wave int) {
-		if wave == 0 {
-			<-gate
-		}
-	}
+	gate := gateWave0Cleanup(t, svc.sched)
 
 	const steps = 3
 	req := &StepsRequest{Steps: make([]StepRequest, steps)}
@@ -319,13 +338,12 @@ func TestStepStreamHTTPOverlap(t *testing.T) {
 	inst := workload.Generate(p, 11, 300, 64, 32)
 	id := newSchedSession(t, svc, inst.Doc)
 
-	gate := make(chan struct{})
+	// The server tears down in a defer, so stop must close in a defer
+	// registered after it (defers run last-registered first).
+	gate, stop := make(chan struct{}), make(chan struct{})
+	defer close(stop)
+	gateWave0(svc.sched, gate, stop)
 	released := false
-	svc.sched.waveGate = func(wave int) {
-		if wave == 0 {
-			<-gate
-		}
-	}
 
 	const steps = 3
 	req := &StepsRequest{Steps: make([]StepRequest, steps)}
@@ -407,12 +425,7 @@ func TestSchedulerBackpressure(t *testing.T) {
 			Queries: stepQueriesFor(m, inst.Doc, inst.Question, n)}
 	}
 
-	gate := make(chan struct{})
-	svc.sched.waveGate = func(wave int) {
-		if wave == 0 {
-			<-gate
-		}
-	}
+	gate := gateWave0Cleanup(t, svc.sched)
 
 	// Wave 0 executes immediately; afterwards the dispatcher blocks in the
 	// gate and everything below queues without being drained.
@@ -480,12 +493,7 @@ func TestStepStreamSinkErrorAbandonsTail(t *testing.T) {
 
 	// Gate the dispatcher after the first wave so cancellation is visible
 	// before any later step can decode.
-	gate := make(chan struct{})
-	svc.sched.waveGate = func(wave int) {
-		if wave == 0 {
-			<-gate
-		}
-	}
+	gate := gateWave0Cleanup(t, svc.sched)
 
 	req := &StepsRequest{Steps: make([]StepRequest, 4)}
 	for i := range req.Steps {
@@ -633,12 +641,7 @@ func TestSchedulerShutdownDrains(t *testing.T) {
 	inst := workload.Generate(p, 23, 300, 64, 32)
 	id := newSchedSession(t, svc, inst.Doc)
 
-	gate := make(chan struct{})
-	svc.sched.waveGate = func(wave int) {
-		if wave == 0 {
-			<-gate
-		}
-	}
+	gate := gateWave0Cleanup(t, svc.sched)
 	first := StepRequest{Token: model.Token{Topic: 1, Payload: 1},
 		Queries: stepQueriesFor(m, inst.Doc, inst.Question, 0)}
 	if resp, err := svc.Step(id, &first); err != nil {

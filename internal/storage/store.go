@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/storage/buffer"
 	"repro/internal/storage/vfs"
-	"repro/internal/vec"
 )
 
 // VectorStore serves one head's vectors from a vfs file through a buffer
@@ -129,12 +128,11 @@ func fetchBlock(fs *vfs.FS, block int64) ([]byte, error) {
 
 // FileSet is a mutable registry of open vfs files serving one buffer
 // manager's fetches. The spill tier registers a context's head files for
-// the duration of a reload or cold scan and removes them afterwards.
-// Registrations stack per path: concurrent readers of the same file (two
-// cold probes, or a probe racing a reload) each Add their own handle and
-// Remove it when done, and fetches are served through any handle still
-// registered — so one reader finishing (and closing its handle) never
-// breaks another mid-scan. Cached blocks keyed by a fully removed path
+// the duration of a reload and removes them afterwards. Registrations
+// stack per path: concurrent readers of the same file each Add their own
+// handle and Remove it when done, and fetches are served through any
+// handle still registered — so one reader finishing (and closing its
+// handle) never breaks another mid-scan. Cached blocks keyed by a fully removed path
 // survive in the manager (hits need no fetch) but a post-removal miss
 // surfaces as an error rather than reading a stale descriptor. Safe for
 // concurrent use.
@@ -191,107 +189,14 @@ func (s *FileSet) Fetcher() buffer.Fetcher {
 	}
 }
 
-// RowSource serves fp32 vector rows by id — the abstraction that lets the
-// demand-paged read paths (DiskGraph, cold flat scans) run over either raw
-// fp32 storage (VectorStore) or SQ8 storage decoded on the fly
-// (QuantRows).
-type RowSource interface {
-	// Len returns the number of rows.
-	Len() int
-	// Dim returns the logical fp32 dimensionality of a row.
-	Dim() int
-	// Vector reads row id into buf (len must equal Dim).
-	Vector(id int, buf []float32) error
-	// Scan streams every row in storage order; the emitted slice is valid
-	// only during the call.
-	Scan(emit func(id int, v []float32) error) error
-}
-
-// Scan implements RowSource by streaming blocks (ScanBlocks).
-func (s *VectorStore) Scan(emit func(id int, v []float32) error) error {
-	return s.ScanBlocks(emit)
-}
-
-// QuantRows decodes an SQ8 key file (packed int8 rows of
-// vec.PackedWords(dim) words, written by core's quantized SaveContext)
-// into fp32 rows on demand: each read pages in a quarter of the bytes an
-// fp32 file would, unpacks the codes, and dequantizes with the row's
-// scale. It implements RowSource.
-type QuantRows struct {
-	store  *VectorStore
-	scales []float32
-	dim    int
-	// Decode scratch: QuantRows serves one reader at a time, so the packed
-	// word and code buffers are reused across reads instead of allocated
-	// per graph hop.
-	codes []int8
-	words []float32
-}
-
-// NewQuantRows wraps a packed store. scales must hold one dequantization
-// scale per row; the store's word width must match vec.PackedWords(dim).
-func NewQuantRows(store *VectorStore, scales []float32, dim int) (*QuantRows, error) {
-	if store.Dim() != vec.PackedWords(dim) {
-		return nil, fmt.Errorf("storage: packed store width %d, want %d for dim %d",
-			store.Dim(), vec.PackedWords(dim), dim)
-	}
-	if store.Len() != len(scales) {
-		return nil, fmt.Errorf("storage: %d packed rows for %d scales", store.Len(), len(scales))
-	}
-	return &QuantRows{
-		store:  store,
-		scales: scales,
-		dim:    dim,
-		codes:  make([]int8, dim),
-		words:  make([]float32, vec.PackedWords(dim)),
-	}, nil
-}
-
-// Len returns the number of rows.
-func (qr *QuantRows) Len() int { return qr.store.Len() }
-
-// Dim returns the logical (unpacked) row dimensionality.
-func (qr *QuantRows) Dim() int { return qr.dim }
-
-// decode expands one packed row (words) into buf.
-func (qr *QuantRows) decode(id int, words, buf []float32) {
-	vec.UnpackCodes(words, qr.codes)
-	s := qr.scales[id]
-	for j, c := range qr.codes {
-		buf[j] = s * float32(c)
-	}
-}
-
-// Vector reads row id into buf, paging only the packed bytes.
-func (qr *QuantRows) Vector(id int, buf []float32) error {
-	if len(buf) != qr.dim {
-		return fmt.Errorf("storage: buffer dim %d != %d", len(buf), qr.dim)
-	}
-	if err := qr.store.Vector(id, qr.words); err != nil {
-		return err
-	}
-	qr.decode(id, qr.words, buf)
-	return nil
-}
-
-// Scan streams every row dequantized, in storage order.
-func (qr *QuantRows) Scan(emit func(id int, v []float32) error) error {
-	buf := make([]float32, qr.dim)
-	return qr.store.ScanBlocks(func(id int, words []float32) error {
-		qr.decode(id, words, buf)
-		return emit(id, buf)
-	})
-}
-
 // DiskGraph is a graph index whose adjacency sits in memory while vector
-// payloads are read through a RowSource — the deployment §7.3 targets:
-// the graph structure is hot, the vectors are demand-paged (and, for SQ8
-// spills, decoded from packed codes as they page in). It satisfies
+// payloads are read through a VectorStore — the deployment §7.3 targets:
+// the graph structure is hot, the vectors are demand-paged. It satisfies
 // internal/query.Graph, so DIPRS runs over it unchanged.
 type DiskGraph struct {
 	adj   [][]int32
 	entry int32
-	store RowSource
+	store *VectorStore
 
 	mu      sync.Mutex
 	lastErr error
@@ -299,7 +204,7 @@ type DiskGraph struct {
 
 // NewDiskGraph assembles a disk-backed graph. adj must address vectors in
 // the store's range.
-func NewDiskGraph(adj [][]int32, entry int32, store RowSource) (*DiskGraph, error) {
+func NewDiskGraph(adj [][]int32, entry int32, store *VectorStore) (*DiskGraph, error) {
 	if len(adj) != store.Len() {
 		return nil, fmt.Errorf("storage: adjacency has %d nodes for %d vectors", len(adj), store.Len())
 	}

@@ -211,3 +211,46 @@ func TestDataBlockIDs(t *testing.T) {
 		t.Fatalf("chain has %d blocks, want %d", len(ids), want)
 	}
 }
+
+// TestFileSetStackedHandles pins that registrations stack per path: with
+// two handles on one file, removing (and closing) one leaves the other
+// serving fetches, and only removing both makes a fetch fail.
+func TestFileSetStackedHandles(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	_, _, fs := setupStore(t, randomMatrix(rng, 20, 8), 1<<20)
+	ids, err := fs.DataBlockIDs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fs.ReadBlock(ids[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	set := NewFileSet()
+	fetch := set.Fetcher()
+	key := buffer.Key{File: fs.Path(), Block: ids[1]}
+	var handles [2]*vfs.FS
+	for i := range handles {
+		if handles[i], err = vfs.Open(fs.Path()); err != nil {
+			t.Fatal(err)
+		}
+		defer handles[i].Close()
+		set.Add(handles[i])
+	}
+
+	set.Remove(handles[0])
+	handles[0].Close()
+	got, err := fetch(key)
+	if err != nil {
+		t.Fatalf("fetch with one handle still registered: %v", err)
+	}
+	if string(got) != string(want.Payload) {
+		t.Fatal("fetched payload differs from the block on disk")
+	}
+
+	set.Remove(handles[1])
+	if _, err := fetch(key); err == nil {
+		t.Fatal("fetch succeeded after every handle was removed")
+	}
+}
