@@ -83,7 +83,6 @@ func run() error {
 		drainSecs = flag.Int("drain-secs", 15, "graceful shutdown deadline in seconds for in-flight requests")
 		spillDir  = flag.String("spill-dir", "", "directory for the disk spill tier: evicted contexts are persisted there and transparently reloaded (empty = eviction drops contexts)")
 		spillGB   = flag.Float64("spill-budget-gb", 0, "spill tier byte budget in GB; LRU spilled contexts are deleted over it (0 = unlimited)")
-		spillMB   = flag.Float64("spill-cache-mb", 64, "buffer pool capacity in MB for spilled-context block reads")
 		quant     = flag.Bool("quant-keys", false, "maintain an SQ8 (int8) key plane: retrieval and host attention score quantized keys with fp32 rerank; spilled key files shrink 4x (spill dirs are layout-specific)")
 		prefChunk = flag.Int("prefix-chunk", 0, "chunk width in tokens for the prefix trees behind CreateSession's longest-common-prefix lookup (0 = default 64)")
 		schedWave = flag.Int("sched-wave", 0, "continuous-batching wave size: decode steps from up to this many sessions execute as one fused fan-out over the worker pool (0 = pool size)")
@@ -130,16 +129,15 @@ func run() error {
 		dev = devmem.New(int64(*deviceGB * 1e9))
 	}
 	db, err := core.New(core.Config{
-		Model:           m,
-		Device:          dev,
-		Window:          attention.Window{Sinks: 32, Recent: 64},
-		ContextBudget:   int64(*budgetGB * 1e9),
-		Pool:            workPool,
-		SpillDir:        *spillDir,
-		SpillBudget:     int64(*spillGB * 1e9),
-		SpillCacheBytes: int64(*spillMB * 1e6),
-		PrefixChunk:     *prefChunk,
-		QuantKeys:       *quant,
+		Model:         m,
+		Device:        dev,
+		Window:        attention.Window{Sinks: 32, Recent: 64},
+		ContextBudget: int64(*budgetGB * 1e9),
+		Pool:          workPool,
+		SpillDir:      *spillDir,
+		SpillBudget:   int64(*spillGB * 1e9),
+		PrefixChunk:   *prefChunk,
+		QuantKeys:     *quant,
 	})
 	if err != nil {
 		return err

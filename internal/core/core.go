@@ -37,23 +37,12 @@ type Config struct {
 	Window attention.Window
 	// Beta is the default DIPR range parameter. Defaults to Beta(0.5, d).
 	Beta float32
-	// TopK is the retrieval size used when the optimizer selects a top-k
-	// plan. Defaults to 100.
-	TopK int
-	// CoarseBudget is the number of tokens the coarse path attends to per
-	// query (InfLLM's retrieval budget). Defaults to 4096.
-	CoarseBudget int
 	// LongThreshold forwards to the optimizer (0 = default 4096).
 	LongThreshold int
-	// Graph configures fine-index construction.
+	// Graph configures fine-index construction. Every context holds one
+	// graph per (layer, kv head), shared by that kv head's query heads and
+	// trained on all of their sampled queries (§7.2 index sharing).
 	Graph graph.Config
-	// QuerySampleRate is the fraction of positions whose synthetic queries
-	// train the bipartite graph build (§7.2 uses 40%). Defaults to 0.4.
-	QuerySampleRate float64
-	// ShareGQA enables one index per kv-head group instead of one per
-	// query head (§7.2 index sharing). Defaults to true; the ablation in
-	// bench/fig11 turns it off.
-	ShareGQA *bool
 	// Workers bounds build/scan parallelism. Defaults to 2.
 	Workers int
 	// Pool schedules the DB's fan-out work: per-head attention, per-layer
@@ -74,9 +63,6 @@ type Config struct {
 	// used spilled context is deleted when a spill exceeds it. 0 =
 	// unlimited.
 	SpillBudget int64
-	// SpillCacheBytes is the capacity of the buffer pool backing
-	// spilled-context reloads. Defaults to 64 MiB.
-	SpillCacheBytes int64
 	// PrefixChunk is the chunk width, in tokens, of the prefix trees that
 	// index resident and spilled documents for CreateSession's
 	// longest-common-prefix lookup. Defaults to 64.
@@ -92,6 +78,15 @@ type Config struct {
 	// cannot be adopted under the other.
 	QuantKeys bool
 }
+
+const (
+	// coarseBudget is the number of tokens the coarse path attends to per
+	// query (InfLLM's retrieval budget).
+	coarseBudget = 4096
+	// querySampleRate is the fraction of positions whose synthetic queries
+	// train the bipartite graph build (§7.2 uses 40%).
+	querySampleRate = 0.4
+)
 
 func (c *Config) defaults() error {
 	if c.Model == nil {
@@ -109,27 +104,11 @@ func (c *Config) defaults() error {
 	if c.Beta == 0 {
 		c.Beta = query.Beta(0.5, c.Model.Config().HeadDim)
 	}
-	if c.TopK <= 0 {
-		c.TopK = 100
-	}
-	if c.CoarseBudget <= 0 {
-		c.CoarseBudget = 4096
-	}
-	if c.QuerySampleRate <= 0 || c.QuerySampleRate > 1 {
-		c.QuerySampleRate = 0.4
-	}
-	if c.ShareGQA == nil {
-		t := true
-		c.ShareGQA = &t
-	}
 	if c.Workers < 1 {
 		c.Workers = 2
 	}
 	if c.Pool == nil {
 		c.Pool = pool.Default()
-	}
-	if c.SpillCacheBytes <= 0 {
-		c.SpillCacheBytes = 64 << 20
 	}
 	if c.PrefixChunk <= 0 {
 		c.PrefixChunk = defaultPrefixChunk
@@ -163,7 +142,7 @@ type Context struct {
 	doc      *model.Document
 	cache    *kvcache.Cache // full KV, or rows [baseLen, Len()) when base != nil
 	graphs   []*graph.Graph // layer*groups + group; nil until built
-	groups   int            // query-head groups per layer (1 per kv head if shared)
+	groups   int            // index groups per layer: one per kv head
 	lastUsed int64          // recency under the DB's logical clock
 	hash     uint64         // DocHash(doc), fixed at construction
 
@@ -286,11 +265,9 @@ func (db *DB) Import(doc *model.Document, cache *kvcache.Cache) (*Context, error
 
 // attachQuantPlanes points every graph of ctx at its kv head's SQ8 plane.
 func (db *DB) attachQuantPlanes(ctx *Context) {
-	for l := 0; l < db.cfg.Model.Config().Layers; l++ {
-		for g := 0; g < ctx.groups; g++ {
-			if gr := ctx.graphs[l*ctx.groups+g]; gr != nil {
-				gr.AttachQuantKeys(ctx.cache.QuantKeys(l, db.kvHeadOfGroup(g)))
-			}
+	for i, gr := range ctx.graphs {
+		if gr != nil {
+			gr.AttachQuantKeys(ctx.cache.QuantKeys(i/ctx.groups, i%ctx.groups))
 		}
 	}
 }
@@ -341,39 +318,19 @@ func (db *DB) ImportDoc(doc *model.Document) (*Context, error) {
 	return db.Import(doc, db.cfg.Model.BuildKV(doc))
 }
 
-// indexGroups returns how many indexes each layer carries: one per kv head
-// under GQA sharing, one per query head otherwise.
+// indexGroups returns how many indexes each layer carries: one per kv head,
+// shared by its query heads (§7.2).
 func (db *DB) indexGroups() int {
-	if *db.cfg.ShareGQA {
-		return db.cfg.Model.Config().KVHeads
-	}
-	return db.cfg.Model.Config().QHeads
+	return db.cfg.Model.Config().KVHeads
 }
 
-// groupOf maps a query head to its index group.
-func (db *DB) groupOf(qHead int) int {
-	if *db.cfg.ShareGQA {
-		return db.cfg.Model.KVGroup(qHead)
-	}
-	return qHead
-}
-
-// kvHeadOfGroup maps an index group back to the kv head whose keys it
-// indexes.
-func (db *DB) kvHeadOfGroup(group int) int {
-	if *db.cfg.ShareGQA {
-		return group
-	}
-	return db.cfg.Model.KVGroup(group)
-}
-
-// BuildIndexes constructs the fine (graph) indexes for every layer and
-// index group of ctx. Under GQA sharing, the training queries for a group
-// merge samples from all of the group's query heads, so one graph captures
-// every head's distribution (§7.2). Query sampling, then the graph builds,
-// fan across the pool one (layer, group) per job. They stay two fan-outs:
-// fusing them into one sample-then-build job made concurrent imports about
-// 13 % slower on a 2-vCPU Xeon.
+// BuildIndexes constructs the fine (graph) indexes for every layer and kv
+// head of ctx. The training queries for a kv head merge samples from all of
+// its query heads, so one graph captures every head's distribution (§7.2).
+// Query sampling, then the graph builds, fan across the pool one (layer,
+// kv head) per job. They stay two fan-outs: fusing them into one
+// sample-then-build job made concurrent imports about 13 % slower on a
+// 2-vCPU Xeon.
 func (db *DB) BuildIndexes(ctx *Context) {
 	start := time.Now()
 	mc := db.cfg.Model.Config()
@@ -385,7 +342,7 @@ func (db *DB) BuildIndexes(ctx *Context) {
 		queries[i] = db.sampleQueries(ctx.doc, i/groups, i%groups)
 	})
 	db.cfg.Pool.ForEach(len(ctx.graphs), func(i int) {
-		layer, kv := i/groups, db.kvHeadOfGroup(i%groups)
+		layer, kv := i/groups, i%groups
 		gcfg := db.cfg.Graph
 		gcfg.Workers = 1 // parallelism is across (layer, group) jobs here
 		g := graph.Build(ctx.cache.Keys(layer, kv), queries[i], gcfg)
@@ -398,17 +355,11 @@ func (db *DB) BuildIndexes(ctx *Context) {
 }
 
 // sampleQueries synthesizes the historical-query training set for a graph:
-// queries from every query head mapped to the group, at sampled positions
-// and topics drawn from the document itself.
-func (db *DB) sampleQueries(doc *model.Document, layer, group int) *vec.Matrix {
+// queries from every query head of the kv head, at sampled positions and
+// topics drawn from the document itself.
+func (db *DB) sampleQueries(doc *model.Document, layer, kv int) *vec.Matrix {
 	m := db.cfg.Model
-	var heads []int
-	if *db.cfg.ShareGQA {
-		heads = m.QueryHeadsOf(group)
-	} else {
-		heads = []int{group}
-	}
-	return TrainingQueries(m, doc, layer, heads, db.cfg.QuerySampleRate)
+	return TrainingQueries(m, doc, layer, m.QueryHeadsOf(kv), querySampleRate)
 }
 
 // TrainingQueries synthesizes the historical-query set used to train a
@@ -474,7 +425,7 @@ func (ctx *Context) Graph(db *DB, layer, qHead int) *graph.Graph {
 	if ctx.graphs == nil {
 		return nil
 	}
-	return ctx.graphs[layer*ctx.groups+db.groupOf(qHead)]
+	return ctx.graphs[layer*ctx.groups+db.cfg.Model.KVGroup(qHead)]
 }
 
 // IndexBytes returns the total adjacency footprint of the context's graphs.

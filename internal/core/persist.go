@@ -14,17 +14,16 @@ import (
 )
 
 // Persistence layout: one directory per context, one vector file per
-// (layer, kv-head) for keys and one for values; each index group's graph
-// adjacency lives in the keys file of its kv head (ShareGQA) or in a
-// dedicated file (per-query-head indexes); a JSON manifest records the
-// document and graph entry points.
+// (layer, kv-head) for keys and one for values; each kv head's graph
+// adjacency lives in its keys file; a JSON manifest records the document
+// and graph entry points.
 //
 // manifest.json
-// L<layer>H<head>.keys        KV keys + (shared) graph adjacency
+// L<layer>H<head>.keys        KV keys + the kv head's graph adjacency
 // L<layer>H<head>.vals        KV values
-// L<layer>G<group>.graph      adjacency when not GQA-shared
 //
-// Every context holds exactly one graph per (layer, index group).
+// Every context holds exactly one graph per (layer, kv head), shared by
+// that kv head's query heads; the manifest's share_gqa is always true.
 
 type manifest struct {
 	Version   int           `json:"version"`
@@ -32,8 +31,8 @@ type manifest struct {
 	Seed      uint64        `json:"seed"`
 	Tokens    []model.Token `json:"tokens"`
 	Groups    int           `json:"groups"`
-	ShareGQA  bool          `json:"share_gqa"`
-	Entries   []int32       `json:"entries"` // graph entry points, layer*groups+group
+	ShareGQA  bool          `json:"share_gqa"` // always true; false is rejected
+	Entries   []int32       `json:"entries"`   // graph entry points, layer*groups+group
 	BlockSize int           `json:"block_size"`
 	// Quant marks the SQ8 layout: every .keys file stores packed int8 codes
 	// (vec.PackedWords(HeadDim) words per row — a quarter of the fp32
@@ -69,7 +68,7 @@ func (db *DB) SaveContext(ctx *Context, dir string) error {
 		Seed:      ctx.doc.Seed,
 		Tokens:    ctx.doc.Tokens,
 		Groups:    ctx.groups,
-		ShareGQA:  *db.cfg.ShareGQA,
+		ShareGQA:  true,
 		Entries:   make([]int32, mc.Layers*ctx.groups),
 		BlockSize: vfs.DefaultBlock,
 		Quant:     quant,
@@ -109,7 +108,7 @@ func (db *DB) SaveContext(ctx *Context, dir string) error {
 				kf.Close()
 				return err
 			}
-			if man.ShareGQA && ctx.graphs != nil {
+			if ctx.graphs != nil {
 				g := ctx.graphs[l*ctx.groups+h]
 				if g != nil {
 					if err := kf.WriteAdjacency(adjacencyOf(g)); err != nil {
@@ -134,25 +133,6 @@ func (db *DB) SaveContext(ctx *Context, dir string) error {
 				return err
 			}
 		}
-		if !man.ShareGQA && ctx.graphs != nil {
-			for g := 0; g < ctx.groups; g++ {
-				gr := ctx.graphs[l*ctx.groups+g]
-				if gr == nil {
-					continue
-				}
-				gf, err := vfs.Create(filepath.Join(dir, fmt.Sprintf("L%dG%d.graph", l, g)), vfs.DefaultBlock, mc.HeadDim)
-				if err != nil {
-					return err
-				}
-				if err := gf.WriteAdjacency(adjacencyOf(gr)); err != nil {
-					gf.Close()
-					return err
-				}
-				if err := gf.Close(); err != nil {
-					return err
-				}
-			}
-		}
 	}
 
 	raw, err := json.MarshalIndent(man, "", "  ")
@@ -169,7 +149,7 @@ func (db *DB) SaveContext(ctx *Context, dir string) error {
 // normal store lifecycle: the loaded context counts against the context
 // budget and may evict (and spill) older residents.
 func (db *DB) LoadContext(dir string) (*Context, error) {
-	ctx, err := db.readContextDir(dir, (*vfs.FS).ReadAll, db.residentBase)
+	ctx, err := db.readContextDir(dir, db.residentBase)
 	if err != nil {
 		return nil, err
 	}
@@ -207,11 +187,6 @@ func appendPackedKeys(kf *vfs.FS, qm *vec.QuantMatrix, man *manifest, slot int) 
 	return nil
 }
 
-// matrixReader materializes the vector payload of one open spill file. The
-// direct path is (*vfs.FS).ReadAll; the spill tier substitutes a reader
-// that pages blocks through the shared buffer manager (tier.go).
-type matrixReader func(fs *vfs.FS) (*vec.Matrix, error)
-
 // readManifest loads and validates a context directory's manifest against
 // the DB's configuration.
 func (db *DB) readManifest(dir string) (*manifest, error) {
@@ -227,8 +202,8 @@ func (db *DB) readManifest(dir string) (*manifest, error) {
 	if man.Model != mc {
 		return nil, fmt.Errorf("core: context was saved for model %+v, DB runs %+v", man.Model, mc)
 	}
-	if man.ShareGQA != *db.cfg.ShareGQA {
-		return nil, fmt.Errorf("core: context GQA sharing (%v) differs from DB (%v)", man.ShareGQA, *db.cfg.ShareGQA)
+	if !man.ShareGQA {
+		return nil, fmt.Errorf("core: manifest has share_gqa false; only GQA-shared indexes are supported")
 	}
 	// The manifest is operator-editable JSON: geometry fields feed
 	// allocation sizes and slot indexes, so a corrupt or crafted manifest
@@ -286,13 +261,14 @@ func (db *DB) readManifest(dir string) (*manifest, error) {
 type baseResolver func(hash uint64) (*Context, error)
 
 // readContextDir rebuilds a context from a directory written by
-// SaveContext, reading vector payloads through read. A copy-on-write tail
+// SaveContext, reading each file once, whole, with (*vfs.FS).ReadAll. A
+// copy-on-write tail
 // resolves its base through resolveBase and re-attaches to the chain; the
 // restored context then owns only its tail rows, exactly as stored. It
 // does not register the context; callers decide the lifecycle
 // (LoadContext registers, the spill tier registers through its reload
 // path).
-func (db *DB) readContextDir(dir string, read matrixReader, resolveBase baseResolver) (*Context, error) {
+func (db *DB) readContextDir(dir string, resolveBase baseResolver) (*Context, error) {
 	man, err := db.readManifest(dir)
 	if err != nil {
 		return nil, err
@@ -332,25 +308,22 @@ func (db *DB) readContextDir(dir string, read matrixReader, resolveBase baseReso
 			if err != nil {
 				return nil, err
 			}
-			keys, err := read(kf)
+			keys, err := kf.ReadAll()
 			if err != nil {
 				kf.Close()
 				return nil, err
 			}
-			var adj [][]int32
-			if man.ShareGQA {
-				if adj, err = kf.ReadAdjacency(); err != nil {
-					kf.Close()
-					return nil, err
-				}
-			}
+			adj, err := kf.ReadAdjacency()
 			kf.Close()
+			if err != nil {
+				return nil, err
+			}
 
 			vf, err := vfs.Open(filepath.Join(dir, fmt.Sprintf("L%dH%d.vals", l, h)))
 			if err != nil {
 				return nil, err
 			}
-			vals, err := read(vf)
+			vals, err := vf.ReadAll()
 			if err != nil {
 				vf.Close()
 				return nil, err
@@ -385,33 +358,11 @@ func (db *DB) readContextDir(dir string, read matrixReader, resolveBase baseReso
 					ctx.cache.Append(l, h, keys.Row(i), vals.Row(i))
 				}
 			}
-			if man.ShareGQA && adj != nil && ctx.graphs != nil {
+			if adj != nil && ctx.graphs != nil {
 				slot := l*man.Groups + h
 				g := graph.FromAdjacency(ctx.cache.Keys(l, h), adj, man.Entries[slot], db.cfg.Graph)
 				g.AttachQuantKeys(ctx.cache.QuantKeys(l, h))
 				ctx.graphs[slot] = g
-			}
-		}
-		if !man.ShareGQA && ctx.graphs != nil {
-			for g := 0; g < man.Groups; g++ {
-				path := filepath.Join(dir, fmt.Sprintf("L%dG%d.graph", l, g))
-				if _, err := os.Stat(path); err != nil {
-					continue
-				}
-				gf, err := vfs.Open(path)
-				if err != nil {
-					return nil, err
-				}
-				adj, err := gf.ReadAdjacency()
-				gf.Close()
-				if err != nil {
-					return nil, err
-				}
-				slot := l*man.Groups + g
-				kv := db.kvHeadOfGroup(g)
-				gr := graph.FromAdjacency(ctx.cache.Keys(l, kv), adj, man.Entries[slot], db.cfg.Graph)
-				gr.AttachQuantKeys(ctx.cache.QuantKeys(l, kv))
-				ctx.graphs[slot] = gr
 			}
 		}
 	}

@@ -212,61 +212,6 @@ func TestLoadContextCorruptManifest(t *testing.T) {
 	}
 }
 
-func TestSaveLoadWithoutGQASharing(t *testing.T) {
-	noShare := false
-	mdl := testModel()
-	db, err := New(Config{Model: mdl, ShareGQA: &noShare, Workers: 2,
-		LongThreshold: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	doc := model.NewFiller(23, 300, 16, 32)
-	ctx, err := db.ImportDoc(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ctx.groups != mdl.Config().QHeads {
-		t.Fatalf("groups = %d, want one per query head", ctx.groups)
-	}
-	dir := filepath.Join(t.TempDir(), "ctx")
-	if err := db.SaveContext(ctx, dir); err != nil {
-		t.Fatal(err)
-	}
-
-	db2, err := New(Config{Model: testModel(), ShareGQA: &noShare, Workers: 2, LongThreshold: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	loaded, err := db2.LoadContext(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Graph(db2, 1, 3) == nil {
-		t.Error("per-head graph missing after load")
-	}
-}
-
-func TestShareMismatchRejected(t *testing.T) {
-	db := testDB(t, nil) // sharing on
-	doc := model.NewFiller(24, 300, 16, 32)
-	ctx, _ := db.ImportDoc(doc)
-	dir := filepath.Join(t.TempDir(), "ctx")
-	if err := db.SaveContext(ctx, dir); err != nil {
-		t.Fatal(err)
-	}
-	noShare := false
-	db2, err := New(Config{Model: testModel(), ShareGQA: &noShare, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	if _, err := db2.LoadContext(dir); err == nil {
-		t.Fatal("GQA sharing mismatch accepted")
-	}
-}
-
 // shardedManifest rewrites a saved manifest into the layout older builds
 // wrote for a range-sharded context: a shard_ends list and one graph entry
 // per (layer, group, shard).

@@ -445,7 +445,7 @@ func (s *Session) attentionInto(ds *decodeState, layer, qHead int, q []float32, 
 		// Everything participates; no retrieval.
 	case query.KindTopK:
 		if idx, ok := s.coarseIndex(layer, kv); ok {
-			retrieved = idx.SelectTokens(q, s.db.cfg.CoarseBudget)
+			retrieved = idx.SelectTokens(q, coarseBudget)
 			explored = idx.Blocks()
 		} else {
 			// Device could not hold the coarse working set after all:
@@ -504,7 +504,7 @@ func (s *Session) coarseNeed() int64 {
 	}
 	mc := s.db.cfg.Model.Config()
 	perTokenBytes := int64(mc.HeadDim) * 4 * 2 * int64(mc.KVHeads)
-	budget := int64(s.db.cfg.CoarseBudget) * perTokenBytes * int64(mc.Layers)
+	budget := int64(coarseBudget) * perTokenBytes * int64(mc.Layers)
 	reps := s.root.cache.Bytes() / 8 // min/max/mean summaries at block granularity
 	return budget + reps
 }
@@ -723,7 +723,7 @@ func (s *Session) coarseIndex(layer, kv int) (*coarse.Index, bool) {
 	}
 	ix := coarse.New(s.root.cache.Keys(layer, kv), 128, coarse.Mean)
 	mc := s.db.cfg.Model.Config()
-	need := ix.RepresentativeBytes() + int64(s.db.cfg.CoarseBudget)*int64(mc.HeadDim)*4*2
+	need := ix.RepresentativeBytes() + int64(coarseBudget)*int64(mc.HeadDim)*4*2
 	h, err := s.db.cfg.Device.Alloc(need, devmem.BlockCache)
 	if err != nil {
 		s.coarseIx[key] = nil // remember the failure

@@ -8,9 +8,8 @@ package core
 // catalog during prefix matching; a spilled context with a longer matching
 // prefix than any resident one is reloaded — off the store lock, with
 // concurrent requests for the same context collapsed into one load — and
-// re-registered as a resident. Reloads read vector blocks through a shared
-// buffer pool (internal/storage/buffer), so blocks a previous reload of
-// identical content paged in are served from memory.
+// re-registered as a resident. A reload reads each file of the context
+// directory once, directly — the same reader LoadContext uses.
 
 import (
 	"fmt"
@@ -23,10 +22,7 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/model"
-	"repro/internal/storage"
 	"repro/internal/storage/buffer"
-	"repro/internal/storage/vfs"
-	"repro/internal/vec"
 )
 
 // spillEntry is one catalogued spilled context: where it lives on disk,
@@ -54,14 +50,12 @@ type reloadOp struct {
 	err  error
 }
 
-// tierState is the DB's spill tier: the on-disk catalog, the buffer pool
-// backing spilled block reads, and the tier counters. Its mutex guards the
-// catalog maps and clock only — never held across file I/O.
+// tierState is the DB's spill tier: the on-disk catalog and the tier
+// counters. Its mutex guards the catalog maps and clock only — never held
+// across file I/O.
 type tierState struct {
 	dir    string
 	budget int64
-	bm     *buffer.Manager
-	files  *storage.FileSet
 
 	counters metrics.TierCounters
 
@@ -112,9 +106,9 @@ func (t *tierState) removeEntryLocked(e *spillEntry) {
 	t.tree.Remove(e.doc, e)
 }
 
-// initTier creates the spill directory, the buffer pool, and recovers any
-// compatible spilled contexts already present (a previous process's spill
-// tier survives restarts).
+// initTier creates the spill directory and recovers any compatible spilled
+// contexts already present (a previous process's spill tier survives
+// restarts).
 func (db *DB) initTier() error {
 	if err := os.MkdirAll(db.cfg.SpillDir, 0o755); err != nil {
 		return fmt.Errorf("core: spill dir: %w", err)
@@ -122,7 +116,6 @@ func (db *DB) initTier() error {
 	t := &tierState{
 		dir:      db.cfg.SpillDir,
 		budget:   db.cfg.SpillBudget,
-		files:    storage.NewFileSet(),
 		entries:  make(map[uint64]*spillEntry),
 		inflight: make(map[uint64]*reloadOp),
 		spilling: make(map[uint64]bool),
@@ -130,7 +123,6 @@ func (db *DB) initTier() error {
 		draining: newPrefixTree[*Context](db.cfg.PrefixChunk),
 		tree:     newPrefixTree[*spillEntry](db.cfg.PrefixChunk),
 	}
-	t.bm = buffer.New(db.cfg.SpillCacheBytes, t.files.Fetcher())
 	db.tier = t
 	db.recoverSpilled()
 	return nil
@@ -263,7 +255,7 @@ func (db *DB) spillOne(ctx *Context) {
 	}
 	t.counters.RecordSpill(bytes)
 	for _, d := range drops {
-		t.deleteSpillDir(d.dir)
+		os.RemoveAll(d.dir)
 		t.counters.RecordSpillDrop()
 	}
 }
@@ -300,17 +292,6 @@ func (t *tierState) enforceSpillBudgetLocked(keep uint64) []*spillEntry {
 		drops = append(drops, victim)
 	}
 	return drops
-}
-
-// deleteSpillDir invalidates any buffered blocks of the directory's files
-// and removes it from disk.
-func (t *tierState) deleteSpillDir(dir string) {
-	if entries, err := os.ReadDir(dir); err == nil {
-		for _, e := range entries {
-			t.bm.InvalidateFile(filepath.Join(dir, e.Name()))
-		}
-	}
-	os.RemoveAll(dir)
 }
 
 // recoverSpilled adopts spilled contexts left by a previous process:
@@ -440,13 +421,13 @@ func (db *DB) resolveSpilledBase(hash uint64) (*Context, error) {
 // followers block until the leader finishes and share its result). On
 // success the context is registered as a resident — which may in turn
 // spill another context — and the spill entry is consumed: catalog entry
-// removed, buffered blocks invalidated, directory deleted. A failed reload
-// also consumes the entry; a spill that cannot be read back will not be
-// read better on retry. Exception: an entry that catalogued copy-on-write
-// tails still depend on (baseRefs > 0) is never consumed — its directory
-// must outlive the reload so the tails stay resolvable, including across a
-// restart — so the context then exists both resident and on disk until
-// the last dependant goes away.
+// removed, directory deleted. A failed reload also consumes the entry; a
+// spill that cannot be read back will not be read better on retry.
+// Exception: an entry that catalogued copy-on-write tails still depend on
+// (baseRefs > 0) is never consumed — its directory must outlive the reload
+// so the tails stay resolvable, including across a restart — so the
+// context then exists both resident and on disk until the last dependant
+// goes away.
 func (db *DB) reloadSpilled(e *spillEntry) (*Context, error) {
 	t := db.tier
 	t.mu.Lock()
@@ -469,7 +450,7 @@ func (db *DB) reloadSpilled(e *spillEntry) (*Context, error) {
 	t.mu.Unlock()
 
 	start := time.Now()
-	ctx, err := db.readContextDir(e.dir, t.readMatrixBuffered, db.resolveSpilledBase)
+	ctx, err := db.readContextDir(e.dir, db.resolveSpilledBase)
 	if err == nil {
 		err = db.registerContext(ctx)
 	}
@@ -490,7 +471,7 @@ func (db *DB) reloadSpilled(e *spillEntry) (*Context, error) {
 	}
 	t.mu.Unlock()
 	if removed {
-		t.deleteSpillDir(e.dir)
+		os.RemoveAll(e.dir)
 	}
 	t.mu.Lock()
 	delete(t.inflight, e.hash)
@@ -514,33 +495,6 @@ func (t *tierState) waitInflight(hash uint64) *reloadOp {
 	return op
 }
 
-// readMatrixBuffered materializes one spill file's vectors through the
-// shared buffer pool: the file registers with the tier's file set for the
-// duration of the scan, and every block read goes through the buffer
-// manager, so blocks already paged in by a previous reload of identical
-// content are served from memory.
-func (t *tierState) readMatrixBuffered(fs *vfs.FS) (*vec.Matrix, error) {
-	t.files.Add(fs)
-	defer t.files.Remove(fs)
-	vs, err := storage.NewVectorStore(fs, t.bm)
-	if err != nil {
-		return nil, err
-	}
-	m := vec.NewMatrix(vs.Len(), vs.Dim())
-	rows := 0
-	if err := vs.ScanBlocks(func(id int, v []float32) error {
-		copy(m.Row(id), v)
-		rows++
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	if rows != vs.Len() {
-		return nil, fmt.Errorf("core: spill file %s: read %d of %d vectors", fs.Path(), rows, vs.Len())
-	}
-	return m, nil
-}
-
 // TierStats summarises the spill tier for Stats endpoints and tooling.
 type TierStats struct {
 	// Enabled reports whether a spill tier is configured.
@@ -556,7 +510,9 @@ type TierStats struct {
 	// Counters is the activity snapshot: spills, hits, misses, reload
 	// latency.
 	Counters metrics.TierSnapshot
-	// Buffer is the spill buffer pool's cache activity.
+	// Buffer is always zero: a reload reads each file once, directly,
+	// through no buffer pool. The field stays only while the benchmark
+	// harness (benchmark/counters.go) still reads it.
 	Buffer buffer.Stats
 }
 
@@ -578,6 +534,5 @@ func (db *DB) TierStats() TierStats {
 		SpilledDiskBytes: bytes,
 		SpillBudget:      t.budget,
 		Counters:         t.counters.Snapshot(),
-		Buffer:           t.bm.Stats(),
 	}
 }

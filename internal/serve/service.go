@@ -238,16 +238,14 @@ type StatsResponse struct {
 	DeviceUsedGB float64 `json:"device_used_gb"`
 	OpenSessions int     `json:"open_sessions"`
 	// Spill tier (zero/absent when no spill directory is configured).
-	SpillEnabled     bool    `json:"spill_enabled"`
-	SpilledContexts  int     `json:"spilled_contexts,omitempty"`
-	SpilledBytes     int64   `json:"spilled_bytes,omitempty"`
-	Spills           int64   `json:"spills,omitempty"`
-	ReloadHits       int64   `json:"reload_hits,omitempty"`
-	ReloadMisses     int64   `json:"reload_misses,omitempty"`
-	ReloadP50Millis  float64 `json:"reload_p50_ms,omitempty"`
-	ReloadP95Millis  float64 `json:"reload_p95_ms,omitempty"`
-	SpillCacheHits   int64   `json:"spill_cache_hits,omitempty"`
-	SpillCacheMisses int64   `json:"spill_cache_misses,omitempty"`
+	SpillEnabled    bool    `json:"spill_enabled"`
+	SpilledContexts int     `json:"spilled_contexts,omitempty"`
+	SpilledBytes    int64   `json:"spilled_bytes,omitempty"`
+	Spills          int64   `json:"spills,omitempty"`
+	ReloadHits      int64   `json:"reload_hits,omitempty"`
+	ReloadMisses    int64   `json:"reload_misses,omitempty"`
+	ReloadP50Millis float64 `json:"reload_p50_ms,omitempty"`
+	ReloadP95Millis float64 `json:"reload_p95_ms,omitempty"`
 	// Tier failure counters: spills that could not be written (the context
 	// was dropped instead) and spilled contexts that could not be read
 	// back (the session fell back to its best resident prefix). Nonzero
@@ -596,8 +594,6 @@ func (s *Service) Stats() (resp *StatsResponse, err error) {
 		resp.ReloadMisses = ts.Counters.ReloadMisses
 		resp.ReloadP50Millis = float64(ts.Counters.ReloadP50) / float64(time.Millisecond)
 		resp.ReloadP95Millis = float64(ts.Counters.ReloadP95) / float64(time.Millisecond)
-		resp.SpillCacheHits = ts.Buffer.Hits
-		resp.SpillCacheMisses = ts.Buffer.Misses
 		resp.SpillErrors = ts.Counters.SpillErrors
 		resp.ReloadErrors = ts.Counters.ReloadErrors
 	}

@@ -67,41 +67,9 @@ func (s *VectorStore) Vector(id int, buf []float32) error {
 	return vfs.DecodeVector(payload, slot, buf)
 }
 
-// ScanBlocks streams every vector in storage order: emit is called with
-// (vector id, vector contents); the slice is only valid during the call.
-// The sequential block access pattern is what makes the disk-backed flat
-// scan competitive at large k (Table 4).
-func (s *VectorStore) ScanBlocks(emit func(id int, v []float32) error) error {
-	buf := make([]float32, s.dim)
-	id := 0
-	for _, blockID := range s.blocks {
-		key := buffer.Key{File: s.fs.Path(), Block: blockID}
-		payload, err := s.bm.Get(key, buffer.Data)
-		if err != nil {
-			return err
-		}
-		inBlock := len(payload) / (s.dim * 4)
-		for slot := 0; slot < inBlock && id < s.n; slot++ {
-			if err := vfs.DecodeVector(payload, slot, buf); err != nil {
-				s.bm.Release(key)
-				return err
-			}
-			if err := emit(id, buf); err != nil {
-				s.bm.Release(key)
-				return err
-			}
-			id++
-		}
-		if err := s.bm.Release(key); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Fetcher returns a buffer.Fetcher that reads blocks from any of the given
-// vfs files, keyed by path. Used to share one buffer manager across many
-// head files, as the DB does.
+// vfs files, keyed by path, so one buffer manager can serve many head
+// files.
 func Fetcher(files map[string]*vfs.FS) buffer.Fetcher {
 	var mu sync.Mutex
 	return func(k buffer.Key) ([]byte, error) {
@@ -124,69 +92,6 @@ func fetchBlock(fs *vfs.FS, block int64) ([]byte, error) {
 	out := make([]byte, len(blk.Payload))
 	copy(out, blk.Payload)
 	return out, nil
-}
-
-// FileSet is a mutable registry of open vfs files serving one buffer
-// manager's fetches. The spill tier registers a context's head files for
-// the duration of a reload and removes them afterwards. Registrations
-// stack per path: concurrent readers of the same file each Add their own
-// handle and Remove it when done, and fetches are served through any
-// handle still registered — so one reader finishing (and closing its
-// handle) never breaks another mid-scan. Cached blocks keyed by a fully removed path
-// survive in the manager (hits need no fetch) but a post-removal miss
-// surfaces as an error rather than reading a stale descriptor. Safe for
-// concurrent use.
-type FileSet struct {
-	mu    sync.Mutex
-	files map[string][]*vfs.FS
-}
-
-// NewFileSet returns an empty file set.
-func NewFileSet() *FileSet {
-	return &FileSet{files: make(map[string][]*vfs.FS)}
-}
-
-// Add registers an open handle under its path.
-func (s *FileSet) Add(fs *vfs.FS) {
-	s.mu.Lock()
-	s.files[fs.Path()] = append(s.files[fs.Path()], fs)
-	s.mu.Unlock()
-}
-
-// Remove deregisters one handle; its path stays fetchable while other
-// readers' handles remain. The caller closes its own handle after Remove.
-func (s *FileSet) Remove(fs *vfs.FS) {
-	s.mu.Lock()
-	path := fs.Path()
-	handles := s.files[path]
-	for i, h := range handles {
-		if h == fs {
-			handles = append(handles[:i], handles[i+1:]...)
-			break
-		}
-	}
-	if len(handles) == 0 {
-		delete(s.files, path)
-	} else {
-		s.files[path] = handles
-	}
-	s.mu.Unlock()
-}
-
-// Fetcher returns the buffer.Fetcher view of the set. The set's mutex is
-// held across the block read so a reader cannot Remove (and then close)
-// the serving handle mid-fetch; the buffer manager serializes fetches
-// under its own lock anyway, so this adds no contention in practice.
-func (s *FileSet) Fetcher() buffer.Fetcher {
-	return func(k buffer.Key) ([]byte, error) {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		handles := s.files[k.File]
-		if len(handles) == 0 {
-			return nil, fmt.Errorf("storage: no open file %q", k.File)
-		}
-		return fetchBlock(handles[0], k.Block)
-	}
 }
 
 // DiskGraph is a graph index whose adjacency sits in memory while vector

@@ -114,29 +114,6 @@ func TestVectorStoreUnderMemoryPressure(t *testing.T) {
 	}
 }
 
-func TestScanBlocksVisitsEverything(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	m := randomMatrix(rng, 123, 8)
-	store, _, _ := setupStore(t, m, 1<<20)
-	seen := 0
-	err := store.ScanBlocks(func(id int, v []float32) error {
-		if id != seen {
-			t.Fatalf("scan out of order: %d after %d", id, seen-1)
-		}
-		if v[0] != m.Row(id)[0] {
-			t.Fatalf("scan vector %d wrong", id)
-		}
-		seen++
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seen != 123 {
-		t.Fatalf("scanned %d of 123", seen)
-	}
-}
-
 func TestFetcherUnknownFile(t *testing.T) {
 	f := Fetcher(map[string]*vfs.FS{})
 	if _, err := f(buffer.Key{File: "missing", Block: 0}); err == nil {
@@ -209,48 +186,5 @@ func TestDataBlockIDs(t *testing.T) {
 	want := (40 + fs.VectorsPerBlock() - 1) / fs.VectorsPerBlock()
 	if len(ids) != want {
 		t.Fatalf("chain has %d blocks, want %d", len(ids), want)
-	}
-}
-
-// TestFileSetStackedHandles pins that registrations stack per path: with
-// two handles on one file, removing (and closing) one leaves the other
-// serving fetches, and only removing both makes a fetch fail.
-func TestFileSetStackedHandles(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	_, _, fs := setupStore(t, randomMatrix(rng, 20, 8), 1<<20)
-	ids, err := fs.DataBlockIDs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := fs.ReadBlock(ids[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	set := NewFileSet()
-	fetch := set.Fetcher()
-	key := buffer.Key{File: fs.Path(), Block: ids[1]}
-	var handles [2]*vfs.FS
-	for i := range handles {
-		if handles[i], err = vfs.Open(fs.Path()); err != nil {
-			t.Fatal(err)
-		}
-		defer handles[i].Close()
-		set.Add(handles[i])
-	}
-
-	set.Remove(handles[0])
-	handles[0].Close()
-	got, err := fetch(key)
-	if err != nil {
-		t.Fatalf("fetch with one handle still registered: %v", err)
-	}
-	if string(got) != string(want.Payload) {
-		t.Fatal("fetched payload differs from the block on disk")
-	}
-
-	set.Remove(handles[1])
-	if _, err := fetch(key); err == nil {
-		t.Fatal("fetch succeeded after every handle was removed")
 	}
 }
