@@ -212,6 +212,42 @@ func TestLoadContextCorruptManifest(t *testing.T) {
 	}
 }
 
+// TestShareMismatchRejected pins that a manifest with share_gqa false, the
+// per-query-head index layout no build reads, is rejected on load.
+func TestShareMismatchRejected(t *testing.T) {
+	db := testDB(t, nil)
+	doc := model.NewFiller(24, 300, 16, 32)
+	ctx, err := db.ImportDoc(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "ctx")
+	if err := db.SaveContext(ctx, dir); err != nil {
+		t.Fatal(err)
+	}
+	manPath := filepath.Join(dir, "manifest.json")
+	raw, err := os.ReadFile(manPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &man); err != nil {
+		t.Fatal(err)
+	}
+	man["share_gqa"] = json.RawMessage("false")
+	raw, err = json.Marshal(man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(manPath, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	db2 := testDB(t, nil)
+	if _, err := db2.LoadContext(dir); err == nil {
+		t.Fatal("GQA sharing mismatch accepted")
+	}
+}
+
 // shardedManifest rewrites a saved manifest into the layout older builds
 // wrote for a range-sharded context: a shard_ends list and one graph entry
 // per (layer, group, shard).

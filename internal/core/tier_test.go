@@ -214,8 +214,7 @@ func TestRecoverSpilledAcrossRestart(t *testing.T) {
 
 // TestCorruptManifestGeometryRejected pins that a corrupt or hand-edited
 // manifest surfaces an error instead of panicking the reload path: the
-// entries and groups fields feed slot indexes and allocation sizes, and
-// share_gqa false names a per-query-head layout no build reads.
+// entries and groups fields feed slot indexes and allocation sizes.
 func TestCorruptManifestGeometryRejected(t *testing.T) {
 	db := testDB(t, nil)
 	doc := model.NewFiller(170, 200, 16, 32)
@@ -237,7 +236,6 @@ func TestCorruptManifestGeometryRejected(t *testing.T) {
 		{"zero groups", `"groups": 2`, `"groups": 0`},
 		{"oversized groups", `"groups": 2`, `"groups": 64`},
 		{"out-of-range entry", `"entries": [`, `"entries": [99999,`},
-		{"per-query-head layout", `"share_gqa": true`, `"share_gqa": false`},
 	} {
 		if err := os.WriteFile(manPath, []byte(strings.Replace(string(good), mut.old, mut.new, 1)), 0o644); err != nil {
 			t.Fatal(err)
