@@ -14,6 +14,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 
 	"repro/internal/attention"
@@ -193,6 +194,40 @@ func BenchmarkDotBatchRangeGroup4(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		vec.DotBatchRangeMulti(qs, K, 0, 4096, outs)
+	}
+}
+
+// BenchmarkWeightedSumRange256 is the value mix over a 256-token prefix
+// (a short-http context's full plan): the strided shape of the 4-row axpy
+// kernel.
+func BenchmarkWeightedSumRange256(b *testing.B) {
+	rng := rand.New(rand.NewSource(16))
+	V := randomMatrix(rng, 256, 128)
+	w := randomVec(rng, 256)
+	out := make([]float32, 128)
+	b.SetBytes(256 * 128 * 4)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		vec.WeightedSumRange(w, V, 0, 256, out)
+	}
+}
+
+// BenchmarkWeightedSumGather122of4096 is the value mix over the 122 rows a
+// long-local step attends out of a 4096-token head: the gathered shape of
+// the 4-row axpy kernel.
+func BenchmarkWeightedSumGather122of4096(b *testing.B) {
+	rng := rand.New(rand.NewSource(17))
+	V := randomMatrix(rng, 4096, 128)
+	w := randomVec(rng, 122)
+	idx := rng.Perm(4096)[:122]
+	sort.Ints(idx)
+	out := make([]float32, 128)
+	b.SetBytes(122 * 128 * 4)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		vec.WeightedSumGather(w, V, idx, out)
 	}
 }
 

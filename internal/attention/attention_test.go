@@ -73,6 +73,47 @@ func TestFullMatchesManual(t *testing.T) {
 	}
 }
 
+// TestFullMatchesZeroSkippingLoop pins Full's value mix (one weighted sum
+// over every row) against the loop it replaced, which skipped rows whose
+// softmax weight underflowed to exactly 0. The accumulator starts at +0 and
+// so never holds −0, and adding the ±0 a zero weight contributes leaves it
+// unchanged: the two agree bit for bit for finite values.
+func TestFullMatchesZeroSkippingLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, d := range []int{128, 7} {
+		K, V := randomKV(rng, 301, d)
+		q := randomQ(rng, d)
+		// Push a third of the keys far from q: their logits sit hundreds
+		// below the maximum, so float32 weights underflow to 0 or to
+		// subnormals.
+		for i := 0; i < K.Rows(); i += 3 {
+			for j, x := range q {
+				K.Row(i)[j] = -x * float32(2+i%40)
+			}
+		}
+		w := Weights(q, K)
+		zeros := 0
+		want := make([]float32, d)
+		for i, a := range w {
+			if a != 0 {
+				vec.Axpy(a, V.Row(i), want)
+			} else {
+				zeros++
+			}
+		}
+		if zeros == 0 {
+			t.Fatalf("d=%d: no weight underflowed to 0", d)
+		}
+		got := Full(q, K, V)
+		for j := range want {
+			if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
+				t.Fatalf("d=%d: out[%d] = %v, zero-skipping loop = %v (%d zero weights)",
+					d, j, got[j], want[j], zeros)
+			}
+		}
+	}
+}
+
 func TestFullOnlineEqualsFull(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 30; trial++ {

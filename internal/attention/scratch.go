@@ -100,11 +100,7 @@ func FullScratch(sc *Scratch, q []float32, K, V *vec.Matrix) []float32 {
 	vec.DotBatch(q, K, logits)
 	scaleLogits(logits, len(q))
 	vec.Softmax(logits, w)
-	for i, a := range w {
-		if a != 0 {
-			vec.Axpy(a, V.Row(i), out)
-		}
-	}
+	vec.WeightedSumRange(w, V, 0, n, out)
 	return out
 }
 

@@ -30,9 +30,15 @@ import "fmt"
 // such accumulator per (query, row) pair, reading each row once for all
 // four queries.
 //
-// The weighted sums accumulate four rows per pass over out (axpy4), in
-// row order, so each output element sees the same sequence of rounded adds
-// as an Axpy per row.
+// The weighted sums (the value mix of attention) accumulate four rows per
+// pass over out through axpy4, which on amd64 is one SSE pass
+// (axpy4_amd64.s): the four weights are broadcast once, and each 4-float
+// chunk of out is loaded once, takes MULPS then ADDPS for rows 0..3 in
+// order, and is stored once. Each output element therefore sees the same
+// sequence of rounded adds as an Axpy per row, which compiles to separate
+// MULSS and ADDSS for the same reason Dot does; axpy4_test.go pins the
+// kernel against axpy4Generic and four Axpy calls. A 1–3 row tail takes
+// one Axpy per row.
 
 // dotBlock is the number of rows scored per backing-array block.
 const dotBlock = 4
@@ -229,11 +235,13 @@ func WeightedSumRange(w []float32, m *Matrix, lo, hi int, out []float32) {
 	}
 }
 
-// axpy4 is Axpy(w[0], r0, out) through Axpy(w[3], r3, out) in one pass over
-// out, holding each out[j] in a register across the four rows. Every add
-// rounds to float32 in the same order as the four calls, so the result is
-// bitwise identical. Every row must have len(out) entries.
-func axpy4(w *[4]float32, r0, r1, r2, r3, out []float32) {
+// axpy4Generic is Axpy(w[0], r0, out) through Axpy(w[3], r3, out) in one
+// pass over out, holding each out[j] in a register across the four rows.
+// Every add rounds to float32 in the same order as the four calls, so the
+// result is bitwise identical. It is the portable build's axpy4 and the
+// amd64 kernel's path for widths that are not a multiple of 4. Every row
+// must have len(out) entries.
+func axpy4Generic(w *[4]float32, r0, r1, r2, r3, out []float32) {
 	n := len(out)
 	r0, r1, r2, r3 = r0[:n], r1[:n], r2[:n], r3[:n]
 	w0, w1, w2, w3 := w[0], w[1], w[2], w[3]

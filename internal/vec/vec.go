@@ -5,11 +5,14 @@
 // All kernels operate on []float32 because KV-cache entries are half/bfloat16
 // on real hardware; float32 is the closest stdlib-representable width and
 // keeps memory pressure comparable. Hot loops are written in Go, 4-way
-// unrolled. Three inner loops are amd64 assembly using only baseline
+// unrolled. Four inner loops are amd64 assembly using only baseline
 // SSE/SSE2, each with a pure-Go build for other architectures: Dot4, which
 // scores one query against four rows (dot4_amd64.s); Dot4x2, which scores
 // four queries against two rows (dot4x2_amd64.s) so the query heads of one
-// KV group share a pass over its keys; and the SQ8 code dot (dotq8_amd64.s).
+// KV group share a pass over its keys; axpy4, which accumulates four
+// weighted value rows in one pass over the output (axpy4_amd64.s), the
+// value mix under WeightedSumRange and WeightedSumGather; and the SQ8 code
+// dot (dotq8_amd64.s).
 //
 // Two calling conventions coexist. The per-row kernels (Dot, Axpy, Softmax)
 // take plain slices. The batch kernels in batch.go (Dot4, DotBatch,
@@ -18,7 +21,9 @@
 // backing array in row blocks and never allocate, which is what keeps the
 // steady-state decode path garbage-free. Batch results are bitwise-identical
 // to the per-row loops they replace — Dot4 and Dot4x2 included, whose vector
-// lanes are Dot's four scalar accumulators (see batch.go).
+// lanes are Dot's four scalar accumulators, and axpy4, whose lanes are four
+// output elements each taking Axpy's rounded adds in row order (see
+// batch.go).
 package vec
 
 import (
