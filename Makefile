@@ -44,19 +44,23 @@ cover:
 	awk -v t="$$total" -v m="$(COVER_MIN)" 'BEGIN { exit (t+0 < m+0) ? 1 : 0 }' || \
 		{ echo "coverage fell below the ratchet floor"; exit 1; }
 
-# Short coverage-guided fuzz passes over the spill format and the frame wire:
+# Short coverage-guided fuzz passes over the spill format and the wires:
 # the vfs file parser (FuzzOpen), the run writer against its per-row
 # reference (FuzzAppendMatrix), a context directory's manifest through
-# LoadContext (FuzzLoadContextManifest), then the binary frame wire's
-# decoders and stream scanner (FuzzUnmarshalFrame), each for FUZZTIME. go
-# test fuzzes one target per invocation; the seeds of all four also run as
-# ordinary tests in `make test`.
+# LoadContext (FuzzLoadContextManifest), the binary frame wire's decoders
+# and stream scanner (FuzzUnmarshalFrame), then the gRPC message reader
+# (FuzzReadMessage) and the CreateSessionRequest and FrameRequest protobuf
+# decoders (FuzzRoundTrip), each for FUZZTIME. go test fuzzes one target
+# per invocation; the seeds of all six also run as ordinary tests in
+# `make test`.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/storage/vfs -run '^FuzzOpen$$' -fuzz '^FuzzOpen$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/storage/vfs -run '^FuzzAppendMatrix$$' -fuzz '^FuzzAppendMatrix$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^FuzzLoadContextManifest$$' -fuzz '^FuzzLoadContextManifest$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve -run '^FuzzUnmarshalFrame$$' -fuzz '^FuzzUnmarshalFrame$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/serve/grpc -run '^FuzzReadMessage$$' -fuzz '^FuzzReadMessage$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/serve/grpc/pb -run '^FuzzRoundTrip$$' -fuzz '^FuzzRoundTrip$$' -fuzztime $(FUZZTIME)
 
 fmt:
 	@out="$$(gofmt -l .)"; \

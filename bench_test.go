@@ -392,6 +392,18 @@ func BenchmarkExactKNN(b *testing.B) {
 	}
 }
 
+// BenchmarkTrainingQueries4096 is the training-query synthesis for one
+// (layer, KV head) of a 4096-token import: every query head of the group,
+// each at the document's full length.
+func BenchmarkTrainingQueries4096(b *testing.B) {
+	m := model.New(model.Default())
+	doc := model.NewFiller(14, 4096, 64, m.Config().Vocab)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		core.TrainingQueries(m, doc, 1, m.QueryHeadsOf(0), 0.4)
+	}
+}
+
 func BenchmarkNNDescent(b *testing.B) {
 	rng := rand.New(rand.NewSource(13))
 	keys := randomMatrix(rng, 1024, 128)

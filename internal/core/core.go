@@ -394,8 +394,17 @@ func TrainingQueries(m *model.Model, doc *model.Document, layer int, heads []int
 		}
 	}
 
+	// Every query sits at ContextLen n, so the query heads of one KV group
+	// lean on the same recency rows: compute them once per group.
+	recent := make(map[int][][]float32)
 	qm := vec.NewMatrix(0, m.Config().HeadDim)
 	for _, h := range heads {
+		kv := m.KVGroup(h)
+		rows, ok := recent[kv]
+		if !ok {
+			rows = m.RecencyKeys(doc, layer, kv, n)
+			recent[kv] = rows
+		}
 		for s := 0; s < perHead; s++ {
 			// Positional samples cycle through the document at a stride,
 			// covering the bulk topic mix.
@@ -405,7 +414,7 @@ func TrainingQueries(m *model.Model, doc *model.Document, layer int, heads []int
 				Step:        s,
 				ContextLen:  n,
 			}
-			qm.Append(m.QueryVector(doc, layer, h, spec))
+			qm.Append(m.QueryWithRecency(doc, layer, h, spec, rows))
 		}
 		for i, topic := range topics {
 			spec := model.QuerySpec{
@@ -413,7 +422,7 @@ func TrainingQueries(m *model.Model, doc *model.Document, layer int, heads []int
 				Step:        perHead + i,
 				ContextLen:  n,
 			}
-			qm.Append(m.QueryVector(doc, layer, h, spec))
+			qm.Append(m.QueryWithRecency(doc, layer, h, spec, rows))
 		}
 	}
 	return qm

@@ -2,9 +2,9 @@
 // an exact tiled parallel search and an approximate NN-Descent graph
 // builder. It is the CPU substitute for the NVIDIA cuVS kNN construction
 // the paper offloads to the GPU (§7.2): Exact plays the role of the GPU
-// kernel — key tiles swept by batches of queries through the 4-row SIMD dot
-// kernel (vec.DotBatchRange), query chunks in parallel — and its serial
-// form (workers = 1) the CPU baseline of Figure 11.
+// kernel — key tiles swept by four queries at a time through the 4-query ×
+// 2-row SIMD dot kernel (vec.DotBatchRangeMulti), query chunks in parallel
+// — and its serial form (workers = 1) the CPU baseline of Figure 11.
 package knn
 
 import (
@@ -22,11 +22,13 @@ const exactTile = 512
 // Exact returns, for each query row, its k highest-inner-product key rows,
 // best first. Queries are split into contiguous chunks across `workers`
 // goroutines (workers <= 1 means serial); each worker walks the keys in
-// tiles of exactTile rows, scoring every query of its chunk against a tile
-// with vec.DotBatchRange before moving to the next. Each query keeps one
-// bounded heap across tiles and receives its keys in ascending id order, so
-// every heap — and every returned list — is exactly the one a per-key
-// vec.Dot loop builds, for any worker count.
+// tiles of exactTile rows, scoring the queries of its chunk four at a time
+// against a tile with vec.DotBatchRangeMulti, which reads each key once
+// per four queries, before moving to the next tile. Every score is
+// bitwise vec.Dot's, and each query keeps one bounded heap across tiles and
+// receives its keys in ascending id order, so every heap — and every
+// returned list — is exactly the one a per-key vec.Dot loop builds, for
+// any worker count.
 func Exact(queries, keys *vec.Matrix, k, workers int) [][]index.Candidate {
 	nq, nk := queries.Rows(), keys.Rows()
 	if k > nk {
@@ -56,18 +58,26 @@ func Exact(queries, keys *vec.Matrix, k, workers int) [][]index.Candidate {
 			for i := range heaps {
 				heaps[i] = make(index.MinHeap, 0, k)
 			}
-			scores := make([]float32, min(exactTile, nk))
+			var qs, tiles [4][]float32
+			for j := range tiles {
+				tiles[j] = make([]float32, min(exactTile, nk))
+			}
 			for b := 0; b < nk; b += exactTile {
 				e := min(b+exactTile, nk)
-				tile := scores[:e-b]
-				for qi := lo; qi < hi; qi++ {
-					vec.DotBatchRange(queries.Row(qi), keys, b, e, tile)
-					h := &heaps[qi-lo]
-					for i, s := range tile {
-						if len(*h) == k && !(s > (*h)[0].Score) {
-							continue // the rejection PushBounded would make, without the call
+				for qi := lo; qi < hi; qi += 4 {
+					g := min(4, hi-qi)
+					for j := 0; j < g; j++ {
+						qs[j] = queries.Row(qi + j)
+					}
+					vec.DotBatchRangeMulti(qs[:g], keys, b, e, tiles[:g])
+					for j := 0; j < g; j++ {
+						h := &heaps[qi-lo+j]
+						for i, s := range tiles[j][:e-b] {
+							if len(*h) == k && !(s > (*h)[0].Score) {
+								continue // the rejection PushBounded would make, without the call
+							}
+							h.PushBounded(index.Candidate{ID: int32(b + i), Score: s}, k)
 						}
-						h.PushBounded(index.Candidate{ID: int32(b + i), Score: s}, k)
 					}
 				}
 			}

@@ -315,8 +315,33 @@ type QuerySpec struct {
 
 // QueryVector synthesizes the query for (layer, qHead) under spec. Sharp
 // heads emphasise the focus topics; diffuse heads are dominated by noise.
-// The caller owns the returned slice.
+// The caller owns the returned slice. It is QueryWithRecency over the
+// RecencyKeys of spec.ContextLen.
 func (m *Model) QueryVector(doc *Document, layer, qHead int, spec QuerySpec) []float32 {
+	recent := m.RecencyKeys(doc, layer, m.KVGroup(qHead), spec.ContextLen)
+	return m.QueryWithRecency(doc, layer, qHead, spec, recent)
+}
+
+// RecencyKeys is the recency pass of QueryVector: the key-noise rows a
+// query at contextLen leans on, newest first — positions contextLen-1 down
+// to contextLen-recencySpan, skipping any past the end of the document.
+// Every query head of one KV group at one context length leans on the same
+// rows, so a caller synthesizing many such queries computes them once. The
+// rows are the caller's; QueryWithRecency only reads them.
+func (m *Model) RecencyKeys(doc *Document, layer, kvHead, contextLen int) [][]float32 {
+	var rows [][]float32
+	for j := contextLen - 1; j >= 0 && j >= contextLen-recencySpan; j-- {
+		if j < len(doc.Tokens) {
+			rows = append(rows, m.keyNoise(doc, j, layer, kvHead))
+		}
+	}
+	return rows
+}
+
+// QueryWithRecency is the rest of QueryVector: the query for (layer, qHead)
+// under spec, leaning on recent, which must be what RecencyKeys returns for
+// qHead's KV group at spec.ContextLen. spec.ContextLen itself is not read.
+func (m *Model) QueryWithRecency(doc *Document, layer, qHead int, spec QuerySpec, recent [][]float32) []float32 {
 	kv := m.KVGroup(qHead)
 	s := m.Sharpness(layer, qHead)
 	signalW := float32(1 + 8.5*s)
@@ -332,15 +357,10 @@ func (m *Model) QueryVector(doc *Document, layer, qHead int, spec QuerySpec) []f
 	vec.Axpy(noiseW, noise, q)
 	vec.Axpy(sinkQueryWeight, m.sinkDirFor(layer, kv), q)
 
-	if spec.ContextLen > 0 {
-		w := float32(recencyWeight)
-		for j := spec.ContextLen - 1; j >= 0 && j >= spec.ContextLen-recencySpan; j-- {
-			if j >= len(doc.Tokens) {
-				continue
-			}
-			vec.Axpy(w, m.keyNoise(doc, j, layer, kv), q)
-			w *= recencyDecay
-		}
+	w := float32(recencyWeight)
+	for _, row := range recent {
+		vec.Axpy(w, row, q)
+		w *= recencyDecay
 	}
 
 	// A head's effective attention temperature: diffuse heads produce small
