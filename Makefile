@@ -36,7 +36,7 @@ proto:
 	$(GO) run ./internal/serve/grpc/pb/gen -dir internal/serve/grpc/pb
 
 # Coverage ratchet: fail if total statement coverage falls below COVER_MIN.
-COVER_MIN ?= 80.0
+COVER_MIN ?= 83.0
 cover:
 	$(GO) test -coverprofile=cover.out ./...
 	@total=$$($(GO) tool cover -func=cover.out | awk '/^total:/ { gsub("%","",$$3); print $$3 }'); \

@@ -30,7 +30,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/pool"
 	"repro/internal/query"
-	"repro/internal/storage/buffer"
 	"repro/internal/storage/vfs"
 	"repro/internal/vec"
 	"repro/internal/workload"
@@ -401,31 +400,6 @@ func BenchmarkTrainingQueries4096(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		core.TrainingQueries(m, doc, 1, m.QueryHeadsOf(0), 0.4)
-	}
-}
-
-func BenchmarkNNDescent(b *testing.B) {
-	rng := rand.New(rand.NewSource(13))
-	keys := randomMatrix(rng, 1024, 128)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		knn.NNDescent(keys, knn.NNDescentConfig{K: 10, Seed: uint64(i), Workers: 2})
-	}
-}
-
-func BenchmarkBufferGetHit(b *testing.B) {
-	payload := make([]byte, 4096)
-	m := buffer.New(1<<20, func(buffer.Key) ([]byte, error) { return payload, nil })
-	k := buffer.Key{File: "f", Block: 1}
-	if _, err := m.Get(k, buffer.Index); err != nil {
-		b.Fatal(err)
-	}
-	m.Release(k)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Get(k, buffer.Index)
-		m.Release(k)
 	}
 }
 

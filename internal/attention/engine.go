@@ -27,30 +27,9 @@ type Engine struct {
 // window and the retrieved token set. Retrieved indices that fall inside
 // the window are dropped first so the union is disjoint.
 func (e *Engine) SparseWindowed(q []float32, K, V *vec.Matrix, retrieved []int) []float32 {
-	return e.sparseWindowed(q, K, nil, V, retrieved)
-}
-
-// SparseWindowedQuant is SparseWindowed with the host partial gathering its
-// scores from the SQ8 key plane qK: the device-resident window keeps exact
-// fp32 scoring, while the host-resident retrieved tokens — the partial that
-// streams the most key bytes — read a quarter of the traffic. Values stay
-// fp32; the output tolerance is OverQ8Scratch's.
-func (e *Engine) SparseWindowedQuant(q []float32, K *vec.Matrix, qK *vec.QuantMatrix, V *vec.Matrix, retrieved []int) []float32 {
-	return e.sparseWindowed(q, K, qK, V, retrieved)
-}
-
-// sparseWindowed is the shared split-compute-merge core: the host partial
-// scores the fp32 keys, or the SQ8 plane when qK is non-nil.
-func (e *Engine) sparseWindowed(q []float32, K *vec.Matrix, qK *vec.QuantMatrix, V *vec.Matrix, retrieved []int) []float32 {
 	n := K.Rows()
 	winIdx := e.Window.Indices(n)
 	hostIdx := e.Window.Outside(retrieved, n)
-	host := func() Partial {
-		if qK != nil {
-			return OverQ8(q, qK, V, hostIdx)
-		}
-		return Over(q, K, V, hostIdx)
-	}
 
 	var winPart, hostPart Partial
 	if e.Parallel {
@@ -60,11 +39,11 @@ func (e *Engine) sparseWindowed(q []float32, K *vec.Matrix, qK *vec.QuantMatrix,
 		}
 		p.Run(
 			func() { winPart = Over(q, K, V, winIdx) },
-			func() { hostPart = host() },
+			func() { hostPart = Over(q, K, V, hostIdx) },
 		)
 	} else {
 		winPart = Over(q, K, V, winIdx)
-		hostPart = host()
+		hostPart = Over(q, K, V, hostIdx)
 	}
 	return Merge(winPart, hostPart)
 }

@@ -140,29 +140,3 @@ func TestOverQ8ScratchZeroAllocWarm(t *testing.T) {
 		t.Fatalf("warm OverQ8Scratch allocated %.1f times per run, want 0", allocs)
 	}
 }
-
-// TestSparseWindowedQuantMergesBothSides exercises the engine split: the
-// window partial is exact fp32, the host partial quantized; the merged
-// output must stay within the host partial's tolerance of the all-fp32
-// engine output.
-func TestSparseWindowedQuantMergesBothSides(t *testing.T) {
-	rng := rand.New(rand.NewSource(35))
-	const n, d = 256, 16
-	K, qK, V := quantFixture(rng, n, d)
-	q := make([]float32, d)
-	for j := range q {
-		q[j] = rng.Float32()*2 - 1
-	}
-	e := &Engine{Window: Window{Sinks: 4, Recent: 8}}
-	retrieved := []int{20, 40, 60, 80, 100, 250} // 250 falls inside the window
-	exact := e.SparseWindowed(q, K, V, retrieved)
-	quant := e.SparseWindowedQuant(q, K, qK, V, retrieved)
-	if len(exact) != len(quant) {
-		t.Fatalf("output dims diverge: %d vs %d", len(exact), len(quant))
-	}
-	for j := range exact {
-		if diff := math.Abs(float64(exact[j] - quant[j])); diff > 0.05 {
-			t.Fatalf("dim %d: |%v - %v| = %v", j, exact[j], quant[j], diff)
-		}
-	}
-}

@@ -167,11 +167,6 @@ func rangePartial(logits, w, out []float32, d int, V *vec.Matrix, lo, hi int) Pa
 	return Partial{Output: out, LSE: lse, Count: hi - lo}
 }
 
-// SparseScratch is Sparse computing into sc's arena.
-func SparseScratch(sc *Scratch, q []float32, K, V *vec.Matrix, idx []int) []float32 {
-	return OverScratch(sc, q, K, V, idx).Output
-}
-
 // OverQ8Scratch is OverScratch with logits gathered from the SQ8 key plane:
 // the query is quantized once into the arena and each listed row is scored
 // by the fused int8 kernel (one int32 code dot, one dequantizing multiply).

@@ -10,13 +10,12 @@ import (
 	"repro/internal/index/knn"
 	"repro/internal/model"
 	"repro/internal/query"
-	"repro/internal/storage/buffer"
 	"repro/internal/vec"
 	"repro/internal/workload"
 )
 
 func init() {
-	register("ablation", "design-choice ablations: GQA sharing, bridge edges, window seed, l0 capacity, buffer policy", runAblation)
+	register("ablation", "design-choice ablations: GQA sharing, bridge edges, window seed, l0 capacity", runAblation)
 }
 
 // runAblation measures the design choices the paper argues for:
@@ -27,8 +26,6 @@ func init() {
 //	    pruning exemption on vs off.
 //	A3  Window-seeded DIPRS: nodes explored with vs without the §7.1 seed.
 //	A4  DIPRS capacity threshold l₀: recall and exploration across values.
-//	A5  Buffer manager policy: hit rate of type-aware eviction vs plain
-//	    LRU on a graph-traversal block trace.
 func runAblation(s Scale, w io.Writer) error {
 	m := model.New(s.Model)
 	p, _ := workload.ProfileByName("En.QA")
@@ -122,52 +119,7 @@ func runAblation(s Scale, w io.Writer) error {
 		t4.add(fmt.Sprintf("%d", l0), fmt.Sprintf("%d", exp/trials), fmt.Sprintf("%d", crit/trials))
 	}
 	t4.write(w)
-	fmt.Fprintln(w)
-
-	// A5: buffer policy on a graph-traversal block trace. Index blocks are
-	// re-read constantly (adjacency), data blocks streamed: the type-aware
-	// policy should out-hit plain LRU under pressure.
-	fmt.Fprintln(w, "A5: buffer eviction policy on a traversal trace (index blocks hot, data blocks streamed)")
-	trace := traversalTrace(s.ContextLen)
-	t5 := &table{header: []string{"policy", "hit rate"}}
-	for _, pol := range []struct {
-		name string
-		p    buffer.Policy
-	}{{"type-aware", buffer.TypeAware}, {"plain LRU", buffer.PlainLRU}} {
-		payload := make([]byte, 4096)
-		bm := buffer.NewWithPolicy(16*4096, func(buffer.Key) ([]byte, error) { return payload, nil }, pol.p)
-		for _, acc := range trace {
-			if _, err := bm.Get(acc.key, acc.kind); err != nil {
-				return err
-			}
-			bm.Release(acc.key)
-		}
-		st := bm.Stats()
-		t5.add(pol.name, fmt.Sprintf("%.1f%%", 100*float64(st.Hits)/float64(st.Hits+st.Misses)))
-	}
-	t5.write(w)
 	return nil
-}
-
-type access struct {
-	key  buffer.Key
-	kind buffer.Kind
-}
-
-// traversalTrace models graph search I/O: a small hot set of index blocks
-// interleaved with a long stream of data blocks (vectors touched once).
-func traversalTrace(n int) []access {
-	var out []access
-	hot := 8
-	data := int64(0)
-	for step := 0; step < n; step++ {
-		out = append(out, access{key: buffer.Key{File: "idx", Block: int64(step % hot)}, kind: buffer.Index})
-		for j := 0; j < 3; j++ {
-			out = append(out, access{key: buffer.Key{File: "dat", Block: data}, kind: buffer.Data})
-			data++
-		}
-	}
-	return out
 }
 
 func mustProfile(name string) workload.Profile {

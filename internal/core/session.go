@@ -204,9 +204,6 @@ func (s *Session) resolveChain() {
 // Doc returns the session's document (reused prefix plus appended tokens).
 func (s *Session) Doc() *model.Document { return s.doc }
 
-// ReuseLen returns the number of tokens reused from a stored context.
-func (s *Session) ReuseLen() int { return s.reuseLen }
-
 // BaseFromSpill reports whether the session's reused context was reloaded
 // from the disk spill tier rather than found resident in memory.
 func (s *Session) BaseFromSpill() bool { return s.baseReloaded }

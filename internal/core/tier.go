@@ -22,7 +22,6 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/model"
-	"repro/internal/storage/buffer"
 )
 
 // spillEntry is one catalogued spilled context: where it lives on disk,
@@ -512,8 +511,9 @@ type TierStats struct {
 	Counters metrics.TierSnapshot
 	// Buffer is always zero: a reload reads each file once, directly,
 	// through no buffer pool. The field stays only while the benchmark
-	// harness (benchmark/counters.go) still reads it.
-	Buffer buffer.Stats
+	// harness (benchmark/counters.go) still reads it; the benchmark-only
+	// change that drops the storage.buffer.* probes drops it too.
+	Buffer struct{ Hits, Misses int64 }
 }
 
 // TierStats returns a snapshot of the spill tier. The zero value (Enabled

@@ -15,8 +15,8 @@ import (
 // TestConcurrentReloadSingleFlight hammers the reload path: many sessions
 // ask for the same spilled context at once. Exactly one disk load may
 // happen (the catalog entry is consumed once), every session must see the
-// full reused prefix, and — run under -race — the catalog, buffer pool and
-// registration locking must stay clean.
+// full reused prefix, and — run under -race — the catalog, single-flight
+// and registration locking must stay clean.
 func TestConcurrentReloadSingleFlight(t *testing.T) {
 	dir := t.TempDir()
 	db := tierDB(t, 300, 1, dir, 0)

@@ -75,85 +75,6 @@ func TestExactKClamped(t *testing.T) {
 	}
 }
 
-func TestNNDescentRecall(t *testing.T) {
-	// On clustered data NN-Descent should achieve high recall vs exact.
-	rng := rand.New(rand.NewSource(3))
-	const n, d, k = 400, 16, 10
-	keys := vec.NewMatrix(n, d)
-	for i := 0; i < n; i++ {
-		base := (i % 8) * 2
-		for j := 0; j < d; j++ {
-			keys.Row(i)[j] = rng.Float32() * 0.3
-		}
-		keys.Row(i)[base%d] += 2
-	}
-	truth := Exact(keys, keys, k+1, 2) // +1: self is always the top hit
-	for i := range truth {
-		// Drop self-matches for a fair comparison.
-		filtered := truth[i][:0:0]
-		for _, c := range truth[i] {
-			if int(c.ID) != i {
-				filtered = append(filtered, c)
-			}
-		}
-		if len(filtered) > k {
-			filtered = filtered[:k]
-		}
-		truth[i] = filtered
-	}
-	approx := NNDescent(keys, NNDescentConfig{K: k, Seed: 7, Workers: 2})
-	if r := Recall(truth, approx); r < 0.80 {
-		t.Errorf("NN-Descent recall = %v, want >= 0.80", r)
-	}
-}
-
-func TestNNDescentShape(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	keys := randomMatrix(rng, 50, 8)
-	got := NNDescent(keys, NNDescentConfig{K: 5, Seed: 1})
-	if len(got) != 50 {
-		t.Fatalf("graph size = %d", len(got))
-	}
-	for i, nb := range got {
-		if len(nb) != 5 {
-			t.Fatalf("node %d has %d neighbours", i, len(nb))
-		}
-		seen := map[int32]bool{}
-		for _, c := range nb {
-			if int(c.ID) == i {
-				t.Fatalf("node %d is its own neighbour", i)
-			}
-			if seen[c.ID] {
-				t.Fatalf("node %d has duplicate neighbour %d", i, c.ID)
-			}
-			seen[c.ID] = true
-		}
-		for j := 1; j < len(nb); j++ {
-			if nb[j-1].Score < nb[j].Score {
-				t.Fatalf("node %d neighbours not sorted", i)
-			}
-		}
-	}
-}
-
-func TestNNDescentTinyInputs(t *testing.T) {
-	if got := NNDescent(vec.NewMatrix(0, 4), NNDescentConfig{K: 3}); len(got) != 0 {
-		t.Errorf("empty input: %v", got)
-	}
-	one := vec.NewMatrix(1, 4)
-	if got := NNDescent(one, NNDescentConfig{K: 3}); len(got) != 1 || len(got[0]) != 0 {
-		t.Errorf("single point: %v", got)
-	}
-	rng := rand.New(rand.NewSource(5))
-	three := randomMatrix(rng, 3, 4)
-	got := NNDescent(three, NNDescentConfig{K: 5})
-	for i, nb := range got {
-		if len(nb) != 2 {
-			t.Errorf("node %d: %d neighbours, want 2 (k clamped)", i, len(nb))
-		}
-	}
-}
-
 func TestRecall(t *testing.T) {
 	truth := [][]index.Candidate{{{ID: 1}, {ID: 2}}, {{ID: 0}}}
 	approx := [][]index.Candidate{{{ID: 1}, {ID: 9}}, {{ID: 0}}}

@@ -107,15 +107,6 @@ func MarshalFrame(v interface{}) ([]byte, error) {
 	return cp, nil
 }
 
-// AppendFrame appends the full frame (header + payload) for v to buf and
-// returns the extended slice — the allocation-free sibling of
-// MarshalFrame for callers that pool their own buffers (the HTTP
-// transport in this package and the gRPC transport in
-// internal/serve/grpc).
-func AppendFrame(buf []byte, v interface{}) ([]byte, error) {
-	return appendFrame(buf, v)
-}
-
 // appendFrame appends the full frame (header + payload) for v to buf.
 func appendFrame(buf []byte, v interface{}) ([]byte, error) {
 	var kind byte

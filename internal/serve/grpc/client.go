@@ -20,22 +20,12 @@ import (
 // AlayaDB service. One ClientConn is safe for concurrent use and
 // multiplexes every RPC over its HTTP/2 connection pool.
 type ClientConn struct {
-	base    string // scheme://host:port
-	hc      *http.Client
-	maxRecv int64
+	base string // scheme://host:port
+	hc   *http.Client
 }
 
 // DialOption configures a ClientConn.
 type DialOption func(*ClientConn)
-
-// WithDialMaxRecvBytes bounds one received message.
-func WithDialMaxRecvBytes(n int64) DialOption {
-	return func(c *ClientConn) {
-		if n > 0 {
-			c.maxRecv = n
-		}
-	}
-}
 
 // WithHTTPClient substitutes the underlying HTTP client — it must speak
 // unencrypted HTTP/2 for real listeners (Dial's default does), or be a
@@ -86,9 +76,8 @@ func Dial(target string, opts ...DialOption) *ClientConn {
 	protocols := new(http.Protocols)
 	protocols.SetUnencryptedHTTP2(true)
 	c := &ClientConn{
-		base:    strings.TrimSuffix(target, "/"),
-		hc:      &http.Client{Transport: &http.Transport{Protocols: protocols}},
-		maxRecv: DefaultMaxRecvBytes,
+		base: strings.TrimSuffix(target, "/"),
+		hc:   &http.Client{Transport: &http.Transport{Protocols: protocols}},
 	}
 	if wantTLS {
 		WithDialTLS(nil)(c)
@@ -98,9 +87,6 @@ func Dial(target string, opts ...DialOption) *ClientConn {
 	}
 	return c
 }
-
-// Target returns the base URL the connection dials.
-func (c *ClientConn) Target() string { return c.base }
 
 // unavailableErr wraps a transport-level failure — a dead dial, a reset
 // connection, a load-shedding 503 — as the typed UNAVAILABLE status, so
@@ -218,7 +204,7 @@ func (c *ClientConn) Invoke(ctx context.Context, method string, in, out pb.Messa
 
 	buf := getMsgBuf()
 	defer putMsgBuf(buf)
-	buf, err = readMessage(resp.Body, buf, c.maxRecv)
+	buf, err = readMessage(resp.Body, buf, DefaultMaxRecvBytes)
 	if err == io.EOF {
 		// No message: the outcome is in the trailers (an error status).
 		if terr, ok := statusOf(resp.Trailer); ok && terr != nil {
@@ -270,7 +256,7 @@ func (c *ClientConn) OpenStream(ctx context.Context, method string, in pb.Messag
 		resp.Body.Close()
 		return nil, err
 	}
-	return &ClientStream{method: method, resp: resp, buf: getMsgBuf(), max: c.maxRecv}, nil
+	return &ClientStream{method: method, resp: resp, buf: getMsgBuf(), max: DefaultMaxRecvBytes}, nil
 }
 
 // Recv decodes the next streamed message into out. The end of the

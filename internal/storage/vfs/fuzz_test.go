@@ -95,6 +95,9 @@ func FuzzOpen(f *testing.F) {
 		binary.LittleEndian.PutUint32(cycle[56:], crc32.ChecksumIEEE(cycle[:56]))
 		f.Add(cycle)
 	}
+	// A data chain whose empty head block points at itself: the ReadAll
+	// walk bound.
+	f.Add(selfLoopDataHead(valid))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "fuzz.alaya")
@@ -118,7 +121,6 @@ func FuzzOpen(f *testing.F) {
 			t.Fatalf("ReadAll returned %d rows for %d vectors without error", m.Rows(), fs.NumVectors())
 		}
 		fs.ReadAdjacency()
-		fs.DataBlockIDs()
 		if fs.NumVectors() > 0 {
 			buf := make([]float32, fs.Dim())
 			fs.ReadVector(0, buf)

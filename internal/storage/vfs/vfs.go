@@ -504,38 +504,21 @@ func DecodeVector(payload []byte, slot int, buf []float32) error {
 	return nil
 }
 
-// DataBlockIDs resolves the data chain once, returning the physical block
-// id at each chain position. Callers that read vectors repeatedly (the
-// storage.VectorStore tier) use this to avoid re-walking the chain.
-func (fs *FS) DataBlockIDs() ([]int64, error) {
+// ReadAll loads every vector into a matrix, e.g. to rebuild an in-memory
+// index after restart. Like ReadAdjacency, the chain walk is bounded by the
+// file's block count, so a next pointer that cycles through blocks holding
+// no rows is an error, not an unbounded loop.
+func (fs *FS) ReadAll() (*vec.Matrix, error) {
 	if fs.closed {
 		return nil, ErrClosed
 	}
-	var out []int64
-	for id := fs.dataHead; id != nilBlock; {
-		out = append(out, id)
-		blk, err := fs.ReadBlock(id)
-		if err != nil {
-			return nil, err
-		}
-		if blk.Kind != KindData {
-			return nil, fmt.Errorf("%w: block %d in data chain has kind %v", ErrCorrupt, id, blk.Kind)
-		}
-		id = blk.Next
-		if len(out) > int(fs.nBlocks) {
-			return nil, fmt.Errorf("%w: data chain cycle detected", ErrCorrupt)
-		}
-	}
-	return out, nil
-}
-
-// ReadAll loads every vector into a matrix, e.g. to rebuild an in-memory
-// index after restart.
-func (fs *FS) ReadAll() (*vec.Matrix, error) {
 	m := vec.NewMatrix(int(fs.nVectors), fs.dim)
 	row := 0
-	id := fs.dataHead
-	for id != nilBlock && row < int(fs.nVectors) {
+	hops := int64(0)
+	for id := fs.dataHead; id != nilBlock && row < int(fs.nVectors); {
+		if hops++; hops > fs.nBlocks {
+			return nil, fmt.Errorf("%w: data chain cycle detected", ErrCorrupt)
+		}
 		blk, err := fs.ReadBlock(id)
 		if err != nil {
 			return nil, err

@@ -1,11 +1,13 @@
 package vfs
 
 import (
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"repro/internal/vec"
 )
@@ -213,6 +215,9 @@ func TestClosedFileErrors(t *testing.T) {
 	if err := fs.ReadVector(0, make([]float32, 8)); !errors.Is(err, ErrClosed) {
 		t.Errorf("read after close: %v", err)
 	}
+	if _, err := fs.ReadAll(); !errors.Is(err, ErrClosed) {
+		t.Errorf("ReadAll after close: %v", err)
+	}
 	if err := fs.Close(); !errors.Is(err, ErrClosed) {
 		t.Errorf("double close: %v", err)
 	}
@@ -342,13 +347,63 @@ func TestTruncatedFileDetected(t *testing.T) {
 	}
 }
 
-func TestDataBlockIDsClosedFile(t *testing.T) {
-	fs, err := Create(tempFile(t), 512, 8)
+// selfLoopDataHead returns a copy of a vector file's bytes whose head data
+// block is rewritten as an empty data block (length 0, crc 0) linked to
+// itself. Open accepts it: the superblock is untouched and the block's crc
+// matches its empty payload.
+func selfLoopDataHead(raw []byte) []byte {
+	out := append([]byte(nil), raw...)
+	le := binary.LittleEndian
+	blockSize := int(le.Uint32(out[8:]))
+	head := le.Uint64(out[24:])
+	blk := out[superSize+int(head)*blockSize:]
+	blk[0] = byte(KindData)
+	le.PutUint32(blk[4:], 0)
+	le.PutUint64(blk[8:], head)
+	le.PutUint32(blk[16:], 0)
+	return out
+}
+
+// TestReadAllCorruptChainCycle pins the walk bound on the data chain: a
+// head block that holds no rows and points at itself must surface as
+// ErrCorrupt, not spin. LoadContext and the spill reload read every file
+// through ReadAll, so a damaged spill directory would otherwise hang a
+// create.
+func TestReadAllCorruptChainCycle(t *testing.T) {
+	path := tempFile(t)
+	fs, err := Create(path, 512, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs.Close()
-	if _, err := fs.DataBlockIDs(); !errors.Is(err, ErrClosed) {
-		t.Errorf("err = %v, want ErrClosed", err)
+	if err := fs.AppendMatrix(randomMatrix(rand.New(rand.NewSource(11)), 3, 8)); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, selfLoopDataHead(raw), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(path)
+	if err != nil {
+		t.Fatalf("Open rejected the file: %v", err)
+	}
+	defer re.Close()
+	done := make(chan error, 1)
+	go func() {
+		_, err := re.ReadAll()
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("ReadAll: err = %v, want ErrCorrupt", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("ReadAll still running after 5s on a self-linked data chain")
 	}
 }

@@ -297,27 +297,6 @@ func (qm *QuantMatrix) PlaneErrBound(q []float32) float32 {
 	return 0.5 * qm.maxScale * float32(l1) * errSafety
 }
 
-// DotQ8 returns the int32 inner product of two code vectors, 4-way unrolled
-// like the fp32 Dot. The slices must have equal length.
-func DotQ8(a, b []int8) int32 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("vec: q8 dot length mismatch %d != %d", len(a), len(b)))
-	}
-	var s0, s1, s2, s3 int32
-	n := len(a)
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		s0 += int32(a[i]) * int32(b[i])
-		s1 += int32(a[i+1]) * int32(b[i+1])
-		s2 += int32(a[i+2]) * int32(b[i+2])
-		s3 += int32(a[i+3]) * int32(b[i+3])
-	}
-	for ; i < n; i++ {
-		s0 += int32(a[i]) * int32(b[i])
-	}
-	return s0 + s1 + s2 + s3
-}
-
 // ScoreQ8 returns the fused approximate inner product of qq against row i:
 // int32 code dot, one dequantizing multiply.
 func (qm *QuantMatrix) ScoreQ8(qq *QueryQ8, i int) float32 {
