@@ -85,7 +85,6 @@ func benchDecodeSession(b *testing.B) (*core.DB, *core.Session, [][][]float32) {
 		Window:        win,
 		LongThreshold: 256,
 		Graph:         graph.Config{Degree: 16, QueryKNN: 12, EfConstruction: 64, Workers: 2},
-		Workers:       1,
 		Pool:          pool.Serial(),
 	})
 	if err != nil {
@@ -414,7 +413,6 @@ func BenchmarkSessionAttentionDIPR(b *testing.B) {
 		Model:         m,
 		LongThreshold: 512,
 		Graph:         graph.Config{Degree: 16, QueryKNN: 12, EfConstruction: 64, Workers: 2},
-		Workers:       2,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -461,7 +459,6 @@ func BenchmarkSaveContext2048Q8(b *testing.B) {
 	db, err := core.New(core.Config{
 		Model:     model.New(cfg),
 		Graph:     graph.Config{Degree: 16, QueryKNN: 12, EfConstruction: 64, Workers: 2},
-		Workers:   2,
 		QuantKeys: true,
 	})
 	if err != nil {

@@ -78,13 +78,11 @@ func run() error {
 		deviceGB  = flag.Float64("device-gb", 0, "device memory capacity in GB (0 = unlimited)")
 		budgetGB  = flag.Float64("context-budget-gb", 0, "stored-context byte budget in GB (0 = unlimited)")
 		poolSize  = flag.Int("pool-size", 0, "worker pool size for per-head/per-layer fan-out (0 = GOMAXPROCS)")
-		shards    = flag.Int("shards", serve.DefaultShards, "session registry shard count (rounded up to a power of two)")
 		maxBodyMB = flag.Float64("max-body-mb", float64(serve.DefaultMaxBodyBytes)/(1<<20), "request body size limit in MiB")
 		drainSecs = flag.Int("drain-secs", 15, "graceful shutdown deadline in seconds for in-flight requests")
 		spillDir  = flag.String("spill-dir", "", "directory for the disk spill tier: evicted contexts are persisted there and transparently reloaded (empty = eviction drops contexts)")
 		spillGB   = flag.Float64("spill-budget-gb", 0, "spill tier byte budget in GB; LRU spilled contexts are deleted over it (0 = unlimited)")
 		quant     = flag.Bool("quant-keys", false, "maintain an SQ8 (int8) key plane: retrieval and host attention score quantized keys with fp32 rerank; spilled key files shrink 4x (spill dirs are layout-specific)")
-		prefChunk = flag.Int("prefix-chunk", 0, "chunk width in tokens for the prefix trees behind CreateSession's longest-common-prefix lookup (0 = default 64)")
 		schedWave = flag.Int("sched-wave", 0, "continuous-batching wave size: decode steps from up to this many sessions execute as one fused fan-out over the worker pool (0 = pool size)")
 		schedQ    = flag.Int("sched-queue", serve.DefaultQueueDepth, "bounded admission queue for decode steps; requests beyond it are rejected with 429 overloaded")
 	)
@@ -136,7 +134,6 @@ func run() error {
 		Pool:          workPool,
 		SpillDir:      *spillDir,
 		SpillBudget:   int64(*spillGB * 1e9),
-		PrefixChunk:   *prefChunk,
 		QuantKeys:     *quant,
 	})
 	if err != nil {
@@ -145,7 +142,6 @@ func run() error {
 	defer db.Close()
 
 	srv := serve.NewServer(db,
-		serve.WithShards(*shards),
 		serve.WithMaxBodyBytes(int64(*maxBodyMB*(1<<20))),
 		serve.WithWaveSize(*schedWave),
 		serve.WithQueueDepth(*schedQ))
@@ -155,7 +151,7 @@ func run() error {
 		keyPlane = "sq8+fp32 rerank"
 	}
 	log.Printf("alayad: serving attention on %s (model %dL x %dQ x %dKV x d%d, pool %d, %d shards, keys %s)",
-		*addr, cfg.Layers, cfg.QHeads, cfg.KVHeads, cfg.HeadDim, workPool.Size(), *shards, keyPlane)
+		*addr, cfg.Layers, cfg.QHeads, cfg.KVHeads, cfg.HeadDim, workPool.Size(), srv.Service().Registry().Shards(), keyPlane)
 	sst := srv.Service().Scheduler().Stats()
 	log.Printf("alayad: decode scheduler: wave %d, queue %d", sst.WaveSize, sst.QueueCap)
 	if *spillDir != "" {

@@ -344,13 +344,11 @@ func TestEngineEqualsFullWhenUnionIsEverything(t *testing.T) {
 	for i := 4; i < 52; i++ {
 		middle = append(middle, i)
 	}
-	for _, parallel := range []bool{false, true} {
-		e := &Engine{Window: Window{Sinks: 4, Recent: 8}, Parallel: parallel}
-		got := e.SparseWindowed(q, K, V, middle)
-		full := Full(q, K, V)
-		if diff := maxAbsDiff(got, full); diff > 1e-4 {
-			t.Errorf("parallel=%v: engine vs full diff = %v", parallel, diff)
-		}
+	e := &Engine{Window: Window{Sinks: 4, Recent: 8}}
+	got := e.SparseWindowed(q, K, V, middle)
+	full := Full(q, K, V)
+	if diff := maxAbsDiff(got, full); diff > 1e-4 {
+		t.Errorf("engine vs full diff = %v", diff)
 	}
 }
 

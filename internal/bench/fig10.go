@@ -69,7 +69,6 @@ func runFig10(s Scale, w io.Writer) error {
 			Window:        attention.Window{Sinks: scaleTo(128, n) + 4, Recent: scaleTo(512, n)},
 			LongThreshold: 256,
 			Graph:         graph.Config{Degree: 16, QueryKNN: 12, EfConstruction: 64, Workers: s.Workers},
-			Workers:       s.Workers,
 			Beta:          betaFor(s.Model.HeadDim),
 		})
 		if err != nil {

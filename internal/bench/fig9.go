@@ -56,7 +56,7 @@ func runFig9(s Scale, w io.Writer) error {
 				out := workload.Evaluate(m, insts[i], func(layer, qHead int, qv []float32) ([]float32, []int) {
 					return meth.Attend(layer, qHead, qv)
 				})
-				q.Record(out.Correct, out.Recovery)
+				q.Record(out.Correct)
 				bytes = meth.DeviceBytes()
 			}
 			return q.Accuracy(), bytes

@@ -99,7 +99,7 @@ func runTable5(s Scale, w io.Writer) error {
 				out := workload.Evaluate(m, inst, func(layer, qHead int, q []float32) ([]float32, []int) {
 					return meth.Attend(layer, qHead, q)
 				})
-				ma.quality[p.Name].Record(out.Correct, out.Recovery)
+				ma.quality[p.Name].Record(out.Correct)
 
 				// TPOT: one full decode step across all layers and heads.
 				start := time.Now()

@@ -46,7 +46,6 @@ func startNode(t *testing.T) *testNode {
 		Window:        attention.Window{Sinks: 4, Recent: 16},
 		LongThreshold: 256,
 		Graph:         graph.Config{Degree: 12, QueryKNN: 8, EfConstruction: 48},
-		Workers:       2,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -22,31 +22,28 @@ func restoreLSE(lse float64) float64 {
 // mergeHead folds one query head's per-shard responses — in fixed span
 // order — into the head's final output through the log-sum-exp identity,
 // the same attention.MergeInto fold the engine uses for its in-process
-// shards. Empty partials are dropped before the fold; a single live
-// partial passes through bitwise (its merge weight is exactly 1).
+// shards. Every partial enters the fold with its LSE restored; the fold
+// skips empty (−Inf) partials, so a single live partial passes through
+// bitwise (its merge weight is exactly 1).
 func mergeHead(parts []*serve.AttentionResponse) serve.AttentionResponse {
 	merged := serve.AttentionResponse{LSE: serve.LSESentinel}
-	live := make([]attention.Partial, 0, len(parts))
+	folded := make([]attention.Partial, len(parts))
 	plans := make([]string, 0, len(parts))
 	dim := 0
-	for _, p := range parts {
+	for i, p := range parts {
 		merged.Retrieved += p.Retrieved
 		merged.Attended += p.Attended
 		plans = append(plans, p.Plan)
 		if len(p.Output) > dim {
 			dim = len(p.Output)
 		}
-		if lse := restoreLSE(p.LSE); !math.IsInf(lse, -1) {
-			live = append(live, attention.Partial{Output: p.Output, LSE: lse, Count: p.Attended})
-		}
+		folded[i] = attention.Partial{Output: p.Output, LSE: restoreLSE(p.LSE), Count: p.Attended}
 	}
 	merged.Plan = fmt.Sprintf("merge[%s]", strings.Join(plans, " | "))
 	merged.Output = make([]float32, dim)
-	if len(live) > 0 {
-		attention.MergeInto(merged.Output, live)
-		if lse := attention.CombinedLSE(live); !math.IsInf(lse, -1) {
-			merged.LSE = lse
-		}
+	attention.MergeInto(merged.Output, folded)
+	if lse := attention.CombinedLSE(folded); !math.IsInf(lse, -1) {
+		merged.LSE = lse
 	}
 	return merged
 }

@@ -16,13 +16,13 @@ import (
 // criteria: a fully reused long context (DIPR plans on every layer — flat
 // on layer 0, graph elsewhere), a device too small for the coarse block
 // cache, and a configurable pool.
-func decodeFixture(t testing.TB, p *pool.Pool, workers int) (*DB, *Session, [][][]float32) {
+func decodeFixture(t testing.TB, p *pool.Pool) (*DB, *Session, [][][]float32) {
 	t.Helper()
-	return decodeFixtureLen(t, p, workers, 1024)
+	return decodeFixtureLen(t, p, 1024)
 }
 
 // decodeFixtureLen is decodeFixture over a ctxLen-token context.
-func decodeFixtureLen(t testing.TB, p *pool.Pool, workers, ctxLen int) (*DB, *Session, [][][]float32) {
+func decodeFixtureLen(t testing.TB, p *pool.Pool, ctxLen int) (*DB, *Session, [][][]float32) {
 	t.Helper()
 	cfg := model.Default()
 	cfg.Layers = 2
@@ -41,7 +41,6 @@ func decodeFixtureLen(t testing.TB, p *pool.Pool, workers, ctxLen int) (*DB, *Se
 		Window:        win,
 		LongThreshold: 256,
 		Graph:         graph.Config{Degree: 12, QueryKNN: 8, EfConstruction: 48},
-		Workers:       workers,
 		Pool:          p,
 	})
 	if err != nil {
@@ -77,7 +76,7 @@ func TestDecodeStepZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race mode randomizes sync.Pool reuse; allocation counts are not meaningful")
 	}
-	db, sess, qs := decodeFixture(t, pool.Serial(), 1)
+	db, sess, qs := decodeFixture(t, pool.Serial())
 	mc := db.Model().Config()
 	outs := make([][]AttentionResult, mc.Layers)
 	for l := range outs {
@@ -104,13 +103,14 @@ func TestDecodeStepZeroAlloc(t *testing.T) {
 // TestAttentionIntoMatchesAttention pins that the arena path returns
 // exactly what the allocating path does, head by head.
 func TestAttentionIntoMatchesAttention(t *testing.T) {
-	db, sess, qs := decodeFixture(t, pool.Serial(), 1)
+	db, sess, qs := decodeFixture(t, pool.Serial())
 	mc := db.Model().Config()
-	var res AttentionResult
+	row := make([]AttentionResult, mc.QHeads)
 	for l := 0; l < mc.Layers; l++ {
+		sess.AttentionAllInto(l, qs[l], row) // reused row across layers
 		for h := 0; h < mc.QHeads; h++ {
 			want := sess.Attention(l, h, qs[l][h])
-			sess.AttentionInto(l, h, qs[l][h], &res) // reused res across iterations
+			res := &row[h]
 			if res.Plan != want.Plan || res.Retrieved != want.Retrieved ||
 				res.Explored != want.Explored || res.Attended != want.Attended {
 				t.Fatalf("layer %d head %d: execution facts diverge: %+v vs %+v", l, h, res, want)
@@ -133,8 +133,8 @@ func TestAttentionIntoMatchesAttention(t *testing.T) {
 // states keep the fanned-out arena path bitwise-identical to the serial
 // one; run under -race it is also the data-race guard for scratch pooling.
 func TestAttentionAllIntoParallelMatchesSerial(t *testing.T) {
-	_, serialSess, qs := decodeFixture(t, pool.Serial(), 1)
-	db, parSess, _ := decodeFixture(t, pool.New(8), 1)
+	_, serialSess, qs := decodeFixture(t, pool.Serial())
+	db, parSess, _ := decodeFixture(t, pool.New(8))
 	mc := db.Model().Config()
 	for l := 0; l < mc.Layers; l++ {
 		serial := make([]AttentionResult, mc.QHeads)

@@ -43,12 +43,11 @@ type Config struct {
 	// graph per (layer, kv head), shared by that kv head's query heads and
 	// trained on all of their sampled queries (§7.2 index sharing).
 	Graph graph.Config
-	// Workers bounds build/scan parallelism. Defaults to 2.
-	Workers int
-	// Pool schedules the DB's fan-out work: per-head attention, per-layer
-	// prefill/decode ingestion, and the device/host partial split. Defaults
-	// to the process-wide pool.Default(), shared across DBs so total
-	// parallelism stays bounded by one GOMAXPROCS-sized budget.
+	// Pool schedules the DB's fan-out work: one decode task per (layer,
+	// head or KV group), each computing its prefix and tail partials in
+	// turn, and per-layer prefill/decode ingestion. Defaults to the
+	// process-wide pool.Default(), shared across DBs so total parallelism
+	// stays bounded by one GOMAXPROCS-sized budget.
 	Pool *pool.Pool
 	// ContextBudget bounds the total bytes (KV + indexes) of stored
 	// contexts; the least-recently-used context is evicted from the reuse
@@ -63,10 +62,6 @@ type Config struct {
 	// used spilled context is deleted when a spill exceeds it. 0 =
 	// unlimited.
 	SpillBudget int64
-	// PrefixChunk is the chunk width, in tokens, of the prefix trees that
-	// index resident and spilled documents for CreateSession's
-	// longest-common-prefix lookup. Defaults to 64.
-	PrefixChunk int
 	// QuantKeys enables the SQ8 key plane: stored contexts keep an int8
 	// shadow of every key row (per-row scales), the fp32 key rows are
 	// snapped to the dequantized values, and the whole read path — flat and
@@ -104,14 +99,8 @@ func (c *Config) defaults() error {
 	if c.Beta == 0 {
 		c.Beta = query.Beta(0.5, c.Model.Config().HeadDim)
 	}
-	if c.Workers < 1 {
-		c.Workers = 2
-	}
 	if c.Pool == nil {
 		c.Pool = pool.Default()
-	}
-	if c.PrefixChunk <= 0 {
-		c.PrefixChunk = defaultPrefixChunk
 	}
 	return nil
 }
@@ -194,7 +183,7 @@ func New(cfg Config) (*DB, error) {
 	db := &DB{
 		cfg:    cfg,
 		byHash: make(map[uint64]*Context),
-		tree:   newPrefixTree[*Context](cfg.PrefixChunk),
+		tree:   newPrefixTree[*Context](defaultPrefixChunk),
 	}
 	h, err := cfg.Device.Alloc(cfg.Model.WeightsBytes(), devmem.Weights)
 	if err != nil {

@@ -30,7 +30,6 @@ func testDB(t *testing.T, dev *devmem.Device) *DB {
 		Window:        attention.Window{Sinks: 4, Recent: 16},
 		LongThreshold: 256,
 		Graph:         graph.Config{Degree: 12, QueryKNN: 8, EfConstruction: 48},
-		Workers:       2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +178,6 @@ func TestLongContextDIPRFindsNeedle(t *testing.T) {
 		Window:        attention.Window{Sinks: 4, Recent: 16},
 		LongThreshold: 256,
 		Graph:         graph.Config{Degree: 12, QueryKNN: 8, EfConstruction: 48},
-		Workers:       2,
 	})
 	if err != nil {
 		// Tight device may not even fit weights; widen.
@@ -243,7 +241,6 @@ func TestLayerZeroUsesFlatPlan(t *testing.T) {
 		Window:        attention.Window{Sinks: 4, Recent: 16},
 		LongThreshold: 256,
 		Graph:         graph.Config{Degree: 12, QueryKNN: 8, EfConstruction: 48},
-		Workers:       2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -292,7 +289,6 @@ func TestPartialReuseFiltersRetrieval(t *testing.T) {
 		Window:        attention.Window{Sinks: 4, Recent: 16},
 		LongThreshold: 256,
 		Graph:         graph.Config{Degree: 12, QueryKNN: 8, EfConstruction: 48},
-		Workers:       2,
 	})
 	if err != nil {
 		t.Fatal(err)

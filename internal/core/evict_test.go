@@ -21,7 +21,6 @@ func budgetDB(t *testing.T, tokens, contexts int) *DB {
 		Window:        attention.Window{Sinks: 4, Recent: 16},
 		LongThreshold: 256,
 		Graph:         graph.Config{Degree: 12, QueryKNN: 8, EfConstruction: 48},
-		Workers:       2,
 		ContextBudget: perCtx * int64(contexts),
 	})
 	if err != nil {
@@ -110,7 +109,6 @@ func TestBudgetTooSmallForOneContext(t *testing.T) {
 	mdl := testModel()
 	db, err := New(Config{
 		Model:         mdl,
-		Workers:       2,
 		ContextBudget: 1, // nothing fits
 	})
 	if err != nil {

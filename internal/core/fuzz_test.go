@@ -27,7 +27,6 @@ func FuzzLoadContextManifest(f *testing.F) {
 			Window:        attention.Window{Sinks: 4, Recent: 16},
 			LongThreshold: 256,
 			Graph:         graph.Config{Degree: 8, QueryKNN: 4, EfConstruction: 16},
-			Workers:       1,
 			QuantKeys:     quant,
 		})
 		if err != nil {

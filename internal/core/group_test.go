@@ -224,18 +224,14 @@ func TestGroupTasksMatchPerHead(t *testing.T) {
 }
 
 // TestGroupStepZeroAllocWorkers extends the zero-alloc decode guard to a
-// 4096-token context with the default flat-scan parallelism (Workers 2),
-// where a per-head layer-0 scan would fan out chunk goroutines: the group
-// task scans inline, so a warm AttentionAllLayersInto on the serial pool
+// 4096-token context with the default Config: the group task scans the
+// flat prefix inline, so a warm AttentionAllLayersInto on the serial pool
 // allocates nothing.
 func TestGroupStepZeroAllocWorkers(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race mode randomizes sync.Pool reuse; allocation counts are not meaningful")
 	}
-	db, sess, qs := decodeFixtureLen(t, pool.Serial(), 0, 4096)
-	if db.cfg.Workers != 2 {
-		t.Fatalf("fixture runs %d flat workers, want the default 2", db.cfg.Workers)
-	}
+	db, sess, qs := decodeFixtureLen(t, pool.Serial(), 4096)
 	mc := db.Model().Config()
 	outs := resultGrid(mc.Layers, mc.QHeads)
 	step := func() { sess.AttentionAllLayersInto(qs, outs) }

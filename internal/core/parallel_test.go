@@ -19,7 +19,6 @@ func parallelSession(t *testing.T, p *pool.Pool) (*DB, *Session) {
 		Model:         testModel(),
 		LongThreshold: 256,
 		Graph:         graph.Config{Degree: 12, QueryKNN: 8, EfConstruction: 48},
-		Workers:       2,
 		Pool:          p,
 	})
 	if err != nil {

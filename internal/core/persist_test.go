@@ -114,7 +114,6 @@ func TestSaveContextGolden(t *testing.T) {
 			Window:        attention.Window{Sinks: 4, Recent: 16},
 			LongThreshold: 256,
 			Graph:         graph.Config{Degree: 12, QueryKNN: 8, EfConstruction: 48},
-			Workers:       2,
 			QuantKeys:     quant,
 		})
 		if err != nil {
@@ -186,7 +185,7 @@ func TestLoadContextModelMismatch(t *testing.T) {
 	otherCfg := model.Default()
 	otherCfg.Layers = 3 // differs from testModel's 2
 	otherCfg.HeadDim = 128
-	other, err := New(Config{Model: model.New(otherCfg), Workers: 2})
+	other, err := New(Config{Model: model.New(otherCfg)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +310,7 @@ func TestShardedSpillDirRejected(t *testing.T) {
 	if _, err := testDB(t, nil).LoadContext(old); err == nil {
 		t.Fatal("sharded manifest accepted")
 	}
-	spill, err := New(Config{Model: testModel(), Workers: 2, SpillDir: root})
+	spill, err := New(Config{Model: testModel(), SpillDir: root})
 	if err != nil {
 		t.Fatal(err)
 	}

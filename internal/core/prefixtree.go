@@ -23,8 +23,9 @@ import (
 	"repro/internal/model"
 )
 
-// defaultPrefixChunk is the trie chunk width in tokens when
-// Config.PrefixChunk is unset.
+// defaultPrefixChunk is the chunk width, in tokens, of the prefix trees
+// that index resident and spilled documents for CreateSession's
+// longest-common-prefix lookup.
 const defaultPrefixChunk = 64
 
 type ptEntry[V comparable] struct {
@@ -51,9 +52,6 @@ type prefixTree[V comparable] struct {
 }
 
 func newPrefixTree[V comparable](chunk int) *prefixTree[V] {
-	if chunk <= 0 {
-		chunk = defaultPrefixChunk
-	}
 	return &prefixTree[V]{chunk: chunk, roots: make(map[uint64]*ptNode[V])}
 }
 

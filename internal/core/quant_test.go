@@ -14,8 +14,8 @@ import (
 	"repro/internal/workload"
 )
 
-// quantDecodeFixture is decodeFixture with the SQ8 key plane enabled.
-func quantDecodeFixture(t testing.TB, p *pool.Pool, workers int) (*DB, *Session, [][][]float32) {
+// quantDecodeFixture is decodeFixtureLen with the SQ8 key plane enabled.
+func quantDecodeFixture(t testing.TB, p *pool.Pool, ctxLen int) (*DB, *Session, [][][]float32) {
 	t.Helper()
 	cfg := model.Default()
 	cfg.Layers = 2
@@ -32,7 +32,6 @@ func quantDecodeFixture(t testing.TB, p *pool.Pool, workers int) (*DB, *Session,
 		Window:        win,
 		LongThreshold: 256,
 		Graph:         graph.Config{Degree: 12, QueryKNN: 8, EfConstruction: 48},
-		Workers:       workers,
 		Pool:          p,
 		QuantKeys:     true,
 	})
@@ -41,7 +40,7 @@ func quantDecodeFixture(t testing.TB, p *pool.Pool, workers int) (*DB, *Session,
 	}
 	t.Cleanup(func() { db.Close() })
 	prof, _ := workload.ProfileByName("Retr.P")
-	inst := workload.Generate(prof, 9, 1024, 64, 32)
+	inst := workload.Generate(prof, 9, ctxLen, 64, 32)
 	if _, err := db.ImportDoc(inst.Doc); err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +69,7 @@ func TestQuantDecodeStepZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race mode randomizes sync.Pool reuse; allocation counts are not meaningful")
 	}
-	db, sess, qs := quantDecodeFixture(t, pool.Serial(), 1)
+	db, sess, qs := quantDecodeFixture(t, pool.Serial(), 1024)
 	mc := db.Model().Config()
 	outs := make([][]AttentionResult, mc.Layers)
 	for l := range outs {
@@ -101,6 +100,28 @@ func TestQuantDecodeStepZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestQuantDecodeStep4096ZeroAlloc extends the SQ8 guard to a 4096-token
+// prefix under the default Config: SQ8 layers plan per head, so each
+// layer-0 head runs its own flat band scan, and that scan must stay on the
+// calling task rather than fan out chunk goroutines. A warm
+// AttentionAllLayersInto on the serial pool allocates nothing.
+func TestQuantDecodeStep4096ZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race mode randomizes sync.Pool reuse; allocation counts are not meaningful")
+	}
+	db, sess, qs := quantDecodeFixture(t, pool.Serial(), 4096)
+	mc := db.Model().Config()
+	outs := resultGrid(mc.Layers, mc.QHeads)
+	step := func() { sess.AttentionAllLayersInto(qs, outs) }
+	step()
+	if p := outs[0][0].Plan; p.Query != query.KindDIPR || p.Index != query.IndexFlat {
+		t.Fatalf("layer 0 planned %v; the guard must exercise the flat scan", p)
+	}
+	if allocs := testing.AllocsPerRun(10, step); allocs != 0 {
+		t.Fatalf("steady-state quantized step allocated %.1f times per run, want 0", allocs)
+	}
+}
+
 // TestQuantRetrievalParity compares a QuantKeys DB against an fp32 DB on
 // the same document and queries: recall@32 must be 1.0 — every fp32
 // top-32 token is retrieved under SQ8, where a token swapped across the
@@ -109,8 +130,8 @@ func TestQuantDecodeStepZeroAlloc(t *testing.T) {
 // legitimately order the pair either way). Attention outputs must stay
 // within the documented tolerance.
 func TestQuantRetrievalParity(t *testing.T) {
-	_, fpSess, qs := decodeFixture(t, pool.Serial(), 1)
-	db, qSess, _ := quantDecodeFixture(t, pool.Serial(), 1)
+	_, fpSess, qs := decodeFixture(t, pool.Serial())
+	db, qSess, _ := quantDecodeFixture(t, pool.Serial(), 1024)
 	mc := db.Model().Config()
 	const topK = 32
 	for l := 0; l < mc.Layers; l++ {
@@ -171,7 +192,7 @@ func quantRecall(fpSess, qSess *Session, layer, kv int, q []float32, fpIDs, qIDs
 // QuantKeys the SQ8 scoring plane is about a quarter of the fp32 key
 // plane it shadows.
 func TestQuantStoredBytesSplit(t *testing.T) {
-	db, _, _ := quantDecodeFixture(t, pool.Serial(), 1)
+	db, _, _ := quantDecodeFixture(t, pool.Serial(), 1024)
 	b := db.StoredKVBytes()
 	if b.Keys == 0 || b.Values == 0 || b.QuantKeys == 0 {
 		t.Fatalf("byte split has empty plane: %+v", b)
@@ -202,7 +223,6 @@ func TestQuantSpillReloadBitwiseIdentical(t *testing.T) {
 			Window:        attention.Window{Sinks: 4, Recent: 16},
 			LongThreshold: 256,
 			Graph:         graph.Config{Degree: 12, QueryKNN: 8, EfConstruction: 48},
-			Workers:       2,
 			ContextBudget: budget,
 			SpillDir:      dir,
 			QuantKeys:     quant,

@@ -326,35 +326,25 @@ type AttentionResult struct {
 // session's whole context — the Session.attention API of Table 2. The
 // execution plan is chosen by the rule-based optimizer (Figure 8). The
 // result's slices are freshly allocated and safe to retain; decode loops
-// that want the allocation-free path use AttentionInto.
+// that want the allocation-free path use AttentionAllInto.
 func (s *Session) Attention(layer, qHead int, q []float32) AttentionResult {
 	var res AttentionResult
-	s.AttentionInto(layer, qHead, q, &res)
+	ds := getDecodeState()
+	s.attentionInto(ds, layer, qHead, q, &res)
+	putDecodeState(ds)
 	return res
 }
 
-// AttentionInto is Attention writing into *res, reusing res.Output and
-// res.RetrievedIDs storage across calls: a decode loop that keeps one
-// result per head sees zero allocations per token once buffers are warm.
-// Previous contents of res are overwritten; callers that retain a result
-// beyond the next AttentionInto on the same res must copy it.
-func (s *Session) AttentionInto(layer, qHead int, q []float32, res *AttentionResult) {
-	ds := getDecodeState()
-	s.attentionInto(ds, layer, qHead, q, res)
-	putDecodeState(ds)
-}
-
 // AttentionAll computes attention for every query head of a layer, fanning
-// the heads across the DB's worker pool — each head's retrieval and partial
-// attention are independent, so this is the paper's multi-head overlap. qs
-// is indexed by query head. On an unconstrained device the result is
-// bitwise-identical to calling Attention per head serially (each head's
-// computation is deterministic and shares no mutable state beyond
-// counters); under a tight device budget, plan selection samples the
-// racing free-byte count, so which heads win a coarse block cache may vary
-// with scheduling, exactly as it would across concurrently served
-// requests. Result slices are freshly allocated; decode loops use
-// AttentionAllInto.
+// the heads across the DB's worker pool as independent decode tasks, each
+// computing its prefix and tail partials in turn. qs is indexed by query
+// head. On an unconstrained device the result is bitwise-identical to
+// calling Attention per head serially (each head's computation is
+// deterministic and shares no mutable state beyond counters); under a
+// tight device budget, plan selection samples the racing free-byte count,
+// so which heads win a coarse block cache may vary with scheduling,
+// exactly as it would across concurrently served requests. Result slices
+// are freshly allocated; decode loops use AttentionAllInto.
 func (s *Session) AttentionAll(layer int, qs [][]float32) []AttentionResult {
 	out := make([]AttentionResult, len(qs))
 	s.AttentionAllInto(layer, qs, out)
@@ -362,11 +352,14 @@ func (s *Session) AttentionAll(layer int, qs [][]float32) []AttentionResult {
 }
 
 // AttentionAllInto is AttentionAll writing into out (len(out) must equal
-// len(qs)), reusing each entry's buffers as AttentionInto does. The layer
-// fans across the DB's worker pool as decode tasks (see
-// AttentionAllLayersInto) with one pooled decode state per worker; on the
-// Serial pool the whole fan-out runs inline on one state with no
-// allocation at all.
+// len(qs)), reusing each entry's Output and RetrievedIDs storage across
+// calls: a decode loop that keeps one result per head sees zero
+// allocations per token once buffers are warm. Previous contents of out
+// are overwritten; callers that retain a result beyond the next call on
+// the same out must copy it. The layer fans across the DB's worker pool
+// as decode tasks (see AttentionAllLayersInto) with one pooled decode
+// state per worker; on the Serial pool the whole fan-out runs inline on
+// one state with no allocation at all.
 func (s *Session) AttentionAllInto(layer int, qs [][]float32, out []AttentionResult) {
 	if len(out) != len(qs) {
 		panic(fmt.Sprintf("core: AttentionAllInto got %d result slots for %d heads", len(out), len(qs)))
@@ -569,9 +562,10 @@ func (s *Session) resultCap() int {
 
 // flatDIPR runs the exact band scan over the reused prefix through ds's
 // flat scratch — on the SQ8 plane with an fp32 rerank when the stored
-// context carries one. The returned ids alias ds.
+// context carries one. The scan runs on the calling task, as every other
+// decode scan does. The returned ids alias ds.
 func (s *Session) flatDIPR(ds *decodeState, layer, kv int, q []float32, beta float32, limit int) ([]int, int) {
-	fx := flat.MakeQuant(s.root.cache.Keys(layer, kv), s.root.cache.QuantKeys(layer, kv), s.db.cfg.Workers)
+	fx := flat.MakeQuant(s.root.cache.Keys(layer, kv), s.root.cache.QuantKeys(layer, kv), 1)
 	cands, _ := fx.DIPRFilteredScratch(&ds.flat, q, beta, limit)
 	return s.bandIDs(ds, cands), ds.flat.Reranked
 }
@@ -607,14 +601,13 @@ func (s *Session) windowPrefixInto(ds *decodeState, n int) {
 // sparseOutputInto merges partial attention over (i) the retrieved and
 // windowed positions of the reused prefix and (ii) the session tail, each
 // computed where the data resides (§7.2 data-centric attention), into
-// res.Output. On a spawning pool the two sides overlap through pool.Run —
-// the prefix partial on the host, the tail next to the device window, each
-// in its own arena (scPrefix/scTail). On the Serial pool they run
-// back-to-back on this goroutine with no closure constructed, keeping the
-// measured decode step allocation-free once warm; there, decode
-// parallelism comes from the task fan-out in AttentionAllInto. A group
-// task's full plan passes the head's prefix logits, which cover the whole
-// indexed prefix. It returns the attended token count.
+// res.Output. The two partials run back-to-back on this goroutine, each in
+// its own arena: parts[0].Output aliases scPrefix while the tail partial
+// fills scTail. Decode parallelism comes from the task fan-out in
+// AttentionAllInto, one task per (layer, head or KV group), so the step
+// stays allocation-free once warm on every pool. A group task's full plan
+// passes the head's prefix logits, which cover the whole indexed prefix.
+// It returns the attended token count.
 func (s *Session) sparseOutputInto(ds *decodeState, plan query.Plan, layer, kv int, q []float32, res *AttentionResult, retrieved []int, logits []float32) int {
 	prefixIdx := ds.prefixIdx[:0]
 	switch {
@@ -660,23 +653,12 @@ func (s *Session) sparseOutputInto(ds *decodeState, plan query.Plan, layer, kv i
 		prefixN = len(logits)
 	}
 	parts := ds.parts[:]
-	if p := s.db.cfg.Pool; p.Size() > 0 && s.root != nil && prefixN > 0 {
-		p.Run(
-			func() {
-				parts[0] = s.prefixPartial(ds, layer, kv, q, prefixIdx, logits)
-			},
-			func() {
-				parts[1] = attention.OverSegmentsScratch(&ds.scTail, q, segs)
-			},
-		)
+	if s.root != nil && prefixN > 0 {
+		parts[0] = s.prefixPartial(ds, layer, kv, q, prefixIdx, logits)
 	} else {
-		if s.root != nil && prefixN > 0 {
-			parts[0] = s.prefixPartial(ds, layer, kv, q, prefixIdx, logits)
-		} else {
-			parts[0] = attention.Partial{LSE: math.Inf(-1)}
-		}
-		parts[1] = attention.OverSegmentsScratch(&ds.scTail, q, segs)
+		parts[0] = attention.Partial{LSE: math.Inf(-1)}
 	}
+	parts[1] = attention.OverSegmentsScratch(&ds.scTail, q, segs)
 
 	if cap(res.Output) < len(q) {
 		res.Output = make([]float32, len(q))

@@ -315,7 +315,6 @@ func TestCoWSpillRoundTripQuant(t *testing.T) {
 		Window:        attention.Window{Sinks: 4, Recent: 16},
 		LongThreshold: 256,
 		Graph:         graph.Config{Degree: 12, QueryKNN: 8, EfConstruction: 48},
-		Workers:       2,
 		ContextBudget: perCtx * 2,
 		SpillDir:      dir,
 		QuantKeys:     true,

@@ -142,23 +142,3 @@ func (s *Session) StepInto(tok model.Token, qs [][][]float32, out [][]AttentionR
 	s.AppendToken(tok)
 	s.AttentionAllLayersInto(qs, out)
 }
-
-// StepAttendOnlyInto is a decode step that computes the step's attention
-// without ingesting the token — the shape a fixed-span shard answers when
-// a cluster router fans one logical step across nodes: only the open
-// tail-owner shard ingests the generated token; every other shard scores
-// the same queries over its frozen span and ships the partial.
-func (s *Session) StepAttendOnlyInto(qs [][][]float32, out [][]AttentionResult) {
-	s.AttentionAllLayersInto(qs, out)
-}
-
-// Step is StepInto with freshly allocated results, indexed [layer][head].
-// Serving loops that reuse buffers call StepInto.
-func (s *Session) Step(tok model.Token, qs [][][]float32) [][]AttentionResult {
-	out := make([][]AttentionResult, len(qs))
-	for l := range qs {
-		out[l] = make([]AttentionResult, len(qs[l]))
-	}
-	s.StepInto(tok, qs, out)
-	return out
-}

@@ -16,7 +16,6 @@ func stepTestDB(t *testing.T, p *pool.Pool) *DB {
 		Window:        attention.Window{Sinks: 4, Recent: 16},
 		LongThreshold: 256,
 		Graph:         graph.Config{Degree: 12, QueryKNN: 8, EfConstruction: 48},
-		Workers:       2,
 		Pool:          p,
 	})
 	if err != nil {
@@ -70,7 +69,8 @@ func TestStepMatchesV1Path(t *testing.T) {
 			want[l] = v1.AttentionAll(l, qs[l])
 		}
 
-		got := v2.Step(tok, qs)
+		got := resultGrid(mc.Layers, mc.QHeads)
+		v2.StepInto(tok, qs, got)
 
 		for l := range want {
 			for h := range want[l] {
@@ -106,7 +106,10 @@ func TestStepParallelMatchesSerial(t *testing.T) {
 		}
 		sess, _ := db.CreateSession(doc)
 		defer sess.Close()
-		return sess.Step(model.Token{Topic: 5, Payload: 9}, stepQueries(db.Model(), doc, 0))
+		mc := db.Model().Config()
+		out := resultGrid(mc.Layers, mc.QHeads)
+		sess.StepInto(model.Token{Topic: 5, Payload: 9}, stepQueries(db.Model(), doc, 0), out)
+		return out
 	}
 	serial := run(pool.Serial())
 	parallel := run(pool.New(4))

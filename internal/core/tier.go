@@ -119,8 +119,8 @@ func (db *DB) initTier() error {
 		inflight: make(map[uint64]*reloadOp),
 		spilling: make(map[uint64]bool),
 		baseRefs: make(map[uint64]int),
-		draining: newPrefixTree[*Context](db.cfg.PrefixChunk),
-		tree:     newPrefixTree[*spillEntry](db.cfg.PrefixChunk),
+		draining: newPrefixTree[*Context](defaultPrefixChunk),
+		tree:     newPrefixTree[*spillEntry](defaultPrefixChunk),
 	}
 	db.tier = t
 	db.recoverSpilled()

@@ -122,7 +122,6 @@ func TestDecodeZeroAllocWithTieringEnabled(t *testing.T) {
 		Window:        win,
 		LongThreshold: 256,
 		Graph:         graph.Config{Degree: 12, QueryKNN: 8, EfConstruction: 48},
-		Workers:       1,
 		Pool:          pool.Serial(),
 		ContextBudget: perCtx + perCtx/4,
 		SpillDir:      t.TempDir(),

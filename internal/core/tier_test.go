@@ -25,7 +25,6 @@ func tierDB(t *testing.T, tokens, contexts int, dir string, spillBudget int64) *
 		Window:        attention.Window{Sinks: 4, Recent: 16},
 		LongThreshold: 256,
 		Graph:         graph.Config{Degree: 12, QueryKNN: 8, EfConstruction: 48},
-		Workers:       2,
 		ContextBudget: perCtx * int64(contexts),
 		SpillDir:      dir,
 		SpillBudget:   spillBudget,

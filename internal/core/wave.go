@@ -55,7 +55,7 @@ func StepWave(p *pool.Pool, items []StepItem) {
 	case 1:
 		// One tenant: identical to the serial step, no wave machinery.
 		if items[0].AttendOnly {
-			items[0].Sess.StepAttendOnlyInto(items[0].Queries, items[0].Out)
+			items[0].Sess.AttentionAllLayersInto(items[0].Queries, items[0].Out)
 		} else {
 			items[0].Sess.StepInto(items[0].Token, items[0].Queries, items[0].Out)
 		}

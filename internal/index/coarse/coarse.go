@@ -175,10 +175,3 @@ func (x *Index) TopK(q []float32, k int) []index.Candidate {
 func (x *Index) RepresentativeBytes() int64 {
 	return x.mean.Bytes() + x.min.Bytes() + x.max.Bytes()
 }
-
-// BlockBytes returns the KV payload size of one block when cached on
-// device: keys and values, 4 bytes per float.
-func (x *Index) BlockBytes(b int) int64 {
-	lo, hi := x.BlockTokens(b)
-	return int64(hi-lo) * int64(x.keys.Cols()) * 4 * 2
-}

@@ -191,8 +191,4 @@ func TestMemoryAccounting(t *testing.T) {
 	if got := x.RepresentativeBytes(); got != 10*3*8*4 {
 		t.Errorf("RepresentativeBytes = %d", got)
 	}
-	// Full block: 10 tokens * 8 dims * 4 bytes * 2 (K+V).
-	if got := x.BlockBytes(0); got != 10*8*4*2 {
-		t.Errorf("BlockBytes(0) = %d", got)
-	}
 }

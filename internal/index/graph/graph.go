@@ -456,16 +456,10 @@ func (g *Graph) TopK(q []float32, k int) []index.Candidate {
 }
 
 // SearchEf performs best-first beam search with beam width ef and returns
-// the best k results found. Allocating form of SearchEfState.
+// the best k results found.
 func (g *Graph) SearchEf(q []float32, k, ef int) []index.Candidate {
 	var st SearchState
 	return g.searchInternal(&st, q, k, ef, -1)
-}
-
-// SearchEfState is SearchEf running entirely inside st's arena; a warm
-// state makes repeated searches allocation-free. The result aliases st.
-func (g *Graph) SearchEfState(st *SearchState, q []float32, k, ef int) []index.Candidate {
-	return g.searchInternal(st, q, k, ef, -1)
 }
 
 // searchInternal is the beam search core. limit >= 0 restricts the search

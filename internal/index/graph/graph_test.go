@@ -221,7 +221,7 @@ func TestSearchEfStateMatchesSearchEf(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		q := queries.Row(rng.Intn(queries.Rows()))
 		want := g.SearchEf(q, 10, 64)
-		got := g.SearchEfState(&st, q, 10, 64)
+		got := g.searchInternal(&st, q, 10, 64, -1)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: %d vs %d results", trial, len(got), len(want))
 		}
@@ -243,9 +243,9 @@ func TestSearchEfStateZeroAllocWarm(t *testing.T) {
 	g := Build(keys, queries, Config{Degree: 12, QueryKNN: 8, EfConstruction: 48})
 	q := queries.Row(0)
 	var st SearchState
-	g.SearchEfState(&st, q, 10, 64) // warm
+	g.searchInternal(&st, q, 10, 64, -1) // warm
 	allocs := testing.AllocsPerRun(20, func() {
-		g.SearchEfState(&st, q, 10, 64)
+		g.searchInternal(&st, q, 10, 64, -1)
 	})
 	if allocs != 0 {
 		t.Fatalf("warm graph search allocated %.1f times per run, want 0", allocs)

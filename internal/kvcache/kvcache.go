@@ -169,21 +169,6 @@ func (c *Cache) Keys(layer, head int) *vec.Matrix { return c.keys[c.idx(layer, h
 // Values returns the value matrix for (layer, head), aliasing cache storage.
 func (c *Cache) Values(layer, head int) *vec.Matrix { return c.values[c.idx(layer, head)] }
 
-// KeyRowSpan returns the contiguous row-major storage of key rows [lo, hi)
-// for (layer, head) — hi-lo rows of HeadDim() floats each, aliasing cache
-// storage. It exposes the same span access the blocked vec kernels use
-// internally (vec.Matrix.RowSpan: one bounds check per token range instead
-// of one slice per row) to engines that scan KV storage directly; callers
-// must not mutate the span.
-func (c *Cache) KeyRowSpan(layer, head, lo, hi int) []float32 {
-	return c.keys[c.idx(layer, head)].RowSpan(lo, hi)
-}
-
-// ValueRowSpan is KeyRowSpan for the value matrix.
-func (c *Cache) ValueRowSpan(layer, head, lo, hi int) []float32 {
-	return c.values[c.idx(layer, head)].RowSpan(lo, hi)
-}
-
 // SeqLen returns the number of tokens stored for the given layer (taken from
 // head 0; heads of a layer always advance together through AppendAll).
 func (c *Cache) SeqLen(layer int) int { return c.keys[c.idx(layer, 0)].Rows() }

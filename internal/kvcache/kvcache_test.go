@@ -129,7 +129,7 @@ func TestRowSpanAccessors(t *testing.T) {
 		vs := [][]float32{{float32(pos), -1, -2, -3}, {float32(pos), -5, -6, -7}}
 		c.AppendAll(1, ks, vs)
 	}
-	span := c.KeyRowSpan(1, 0, 1, 3)
+	span := c.Keys(1, 0).RowSpan(1, 3)
 	if len(span) != 8 {
 		t.Fatalf("key span length %d, want 8", len(span))
 	}
@@ -138,13 +138,13 @@ func TestRowSpanAccessors(t *testing.T) {
 	}
 	// Spans alias cache storage exactly as the matrices do.
 	if &span[0] != &c.Keys(1, 0).Row(1)[0] {
-		t.Fatal("KeyRowSpan must alias the key matrix")
+		t.Fatal("key span must alias the key matrix")
 	}
-	vspan := c.ValueRowSpan(1, 1, 0, 3)
+	vspan := c.Values(1, 1).RowSpan(0, 3)
 	if len(vspan) != 12 || vspan[1] != -5 {
 		t.Fatalf("value span wrong: %v", vspan)
 	}
-	if got := len(c.KeyRowSpan(1, 0, 2, 2)); got != 0 {
+	if got := len(c.Keys(1, 0).RowSpan(2, 2)); got != 0 {
 		t.Fatalf("empty span length %d", got)
 	}
 }

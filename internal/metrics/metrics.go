@@ -1,7 +1,7 @@
 // Package metrics implements the measurement vocabulary of the paper's
-// evaluation (§9): latency recorders with percentiles, SLO attainment
-// (TPOT ≤ human reading speed), and quality scores built on the recovery
-// ratio of sparse attention.
+// evaluation (§9): latency recorders with percentiles, the TPOT
+// service-level objective (human reading speed), and task-accuracy
+// scores.
 package metrics
 
 import (
@@ -74,26 +74,6 @@ func (l *Latency) Max() time.Duration {
 	return l.samples[len(l.samples)-1]
 }
 
-// SLOAttainment returns the fraction of samples at or below the SLO.
-func (l *Latency) SLOAttainment(slo time.Duration) float64 {
-	if len(l.samples) == 0 {
-		return 0
-	}
-	ok := 0
-	for _, s := range l.samples {
-		if s <= slo {
-			ok++
-		}
-	}
-	return float64(ok) / float64(len(l.samples))
-}
-
-// MeetsSLO reports whether the 95th percentile is within the SLO — the
-// criterion behind the ✓/✗ column of Table 5.
-func (l *Latency) MeetsSLO(slo time.Duration) bool {
-	return l.Count() > 0 && l.Percentile(95) <= slo
-}
-
 // String formats the distribution compactly.
 func (l *Latency) String() string {
 	return fmt.Sprintf("n=%d mean=%v p50=%v p95=%v max=%v",
@@ -102,19 +82,16 @@ func (l *Latency) String() string {
 
 // Quality accumulates per-instance task outcomes.
 type Quality struct {
-	total    int
-	correct  int
-	recovery float64
+	total   int
+	correct int
 }
 
-// Record adds one instance: whether the decoded answer was correct and the
-// attention-mass recovery ratio its attended set achieved.
-func (q *Quality) Record(correct bool, recovery float64) {
+// Record adds one instance: whether the decoded answer was correct.
+func (q *Quality) Record(correct bool) {
 	q.total++
 	if correct {
 		q.correct++
 	}
-	q.recovery += recovery
 }
 
 // Count returns the number of recorded instances.
@@ -127,12 +104,4 @@ func (q *Quality) Accuracy() float64 {
 		return 0
 	}
 	return 100 * float64(q.correct) / float64(q.total)
-}
-
-// MeanRecovery returns the average recovery ratio across instances.
-func (q *Quality) MeanRecovery() float64 {
-	if q.total == 0 {
-		return 0
-	}
-	return q.recovery / float64(q.total)
 }

@@ -10,12 +10,6 @@ func TestLatencyEmpty(t *testing.T) {
 	if l.Percentile(50) != 0 || l.Mean() != 0 || l.Max() != 0 {
 		t.Error("empty latency not zero")
 	}
-	if l.SLOAttainment(time.Second) != 0 {
-		t.Error("empty SLO attainment not zero")
-	}
-	if l.MeetsSLO(time.Second) {
-		t.Error("empty recorder meets SLO")
-	}
 }
 
 func TestLatencyPercentiles(t *testing.T) {
@@ -50,27 +44,6 @@ func TestRecordAfterSortedRead(t *testing.T) {
 	}
 }
 
-func TestSLOAttainment(t *testing.T) {
-	var l Latency
-	l.Record(100 * time.Millisecond)
-	l.Record(200 * time.Millisecond)
-	l.Record(300 * time.Millisecond)
-	l.Record(400 * time.Millisecond)
-	if got := l.SLOAttainment(HumanReadingSLO); got != 0.5 {
-		t.Errorf("attainment = %v", got)
-	}
-	if l.MeetsSLO(HumanReadingSLO) {
-		t.Error("p95 400ms meets 240ms SLO")
-	}
-	var fast Latency
-	for i := 0; i < 20; i++ {
-		fast.Record(10 * time.Millisecond)
-	}
-	if !fast.MeetsSLO(HumanReadingSLO) {
-		t.Error("fast recorder fails SLO")
-	}
-}
-
 func TestLatencyString(t *testing.T) {
 	var l Latency
 	l.Record(time.Millisecond)
@@ -81,20 +54,17 @@ func TestLatencyString(t *testing.T) {
 
 func TestQuality(t *testing.T) {
 	var q Quality
-	if q.Accuracy() != 0 || q.MeanRecovery() != 0 {
+	if q.Accuracy() != 0 {
 		t.Error("empty quality not zero")
 	}
-	q.Record(true, 0.9)
-	q.Record(false, 0.5)
-	q.Record(true, 0.7)
-	q.Record(true, 0.9)
+	q.Record(true)
+	q.Record(false)
+	q.Record(true)
+	q.Record(true)
 	if q.Count() != 4 {
 		t.Errorf("count = %d", q.Count())
 	}
 	if got := q.Accuracy(); got != 75 {
 		t.Errorf("accuracy = %v", got)
-	}
-	if got := q.MeanRecovery(); got < 0.7499 || got > 0.7501 {
-		t.Errorf("mean recovery = %v", got)
 	}
 }

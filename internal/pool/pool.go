@@ -1,6 +1,6 @@
 // Package pool provides the shared worker pool that fans AlayaDB's
-// independent compute tasks — per-head attention, per-layer prefill, the
-// device/host partials of the data-centric engine (§7.2) — across CPUs.
+// independent compute tasks — one decode task per (layer, head or KV
+// group), per-layer prefill — across CPUs.
 //
 // The pool is a counting semaphore over goroutine spawns, not a fixed set
 // of worker goroutines. Fan-out helpers always run part of the work on the
@@ -120,13 +120,6 @@ spawn:
 	}
 	work()
 	wg.Wait()
-}
-
-// Run executes every function, possibly concurrently, and returns when all
-// have finished. It is ForEach over a fixed task list — the fan-out/fan-in
-// shape of the engine's device/host partial split.
-func (p *Pool) Run(fns ...func()) {
-	p.ForEach(len(fns), func(i int) { fns[i]() })
 }
 
 // ForEachScratch is ForEach with per-worker scratch: every worker — the

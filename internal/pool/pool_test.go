@@ -71,16 +71,6 @@ func TestForEachBoundsGoroutines(t *testing.T) {
 	}
 }
 
-func TestRun(t *testing.T) {
-	p := New(2)
-	var a, b atomic.Bool
-	p.Run(func() { a.Store(true) }, func() { b.Store(true) })
-	if !a.Load() || !b.Load() {
-		t.Fatalf("Run skipped a task: a=%v b=%v", a.Load(), b.Load())
-	}
-	p.Run() // no tasks: must not panic or block
-}
-
 func TestNewClampsSize(t *testing.T) {
 	if got := New(0).Size(); got != 1 {
 		t.Fatalf("New(0).Size() = %d, want 1", got)

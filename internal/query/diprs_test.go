@@ -408,23 +408,6 @@ func TestDIPRSWithZeroAllocWarm(t *testing.T) {
 	}
 }
 
-// TestGraphSearchEfStateZeroAllocWarm guards the beam search over the same
-// graphs at the model's head width (d = 128), where each expansion scores
-// its unvisited neighbours four rows per kernel pass out of the state's
-// pending buffer: a warm state must not allocate either.
-func TestGraphSearchEfStateZeroAllocWarm(t *testing.T) {
-	g, queries := diprsGraph(t, 2000, 128)
-	q := queries.Row(0)
-	var st graph.SearchState
-	g.SearchEfState(&st, q, 10, 64) // warm
-	allocs := testing.AllocsPerRun(20, func() {
-		g.SearchEfState(&st, q, 10, 64)
-	})
-	if allocs != 0 {
-		t.Fatalf("warm graph search allocated %.1f times per run, want 0", allocs)
-	}
-}
-
 // snapKeys quantizes keys in place (as kvcache.EnableQuantKeys snaps the
 // fp32 plane) and returns the shadow.
 func snapKeys(keys *vec.Matrix) *vec.QuantMatrix {

@@ -46,7 +46,6 @@ func newEnv(t *testing.T, svcOpts []serve.Option, grpcOpts []agrpc.Option) *env 
 		Window:        attention.Window{Sinks: 4, Recent: 16},
 		LongThreshold: 256,
 		Graph:         graph.Config{Degree: 12, QueryKNN: 8, EfConstruction: 48},
-		Workers:       2,
 	})
 	if err != nil {
 		t.Fatal(err)

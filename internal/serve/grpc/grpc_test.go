@@ -35,7 +35,6 @@ func testConn(t *testing.T, opts ...Option) (*ClientConn, *model.Model, *serve.S
 		Window:        attention.Window{Sinks: 4, Recent: 16},
 		LongThreshold: 256,
 		Graph:         graph.Config{Degree: 12, QueryKNN: 8, EfConstruction: 48},
-		Workers:       2,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -35,7 +35,6 @@ func schedService(t *testing.T, p *pool.Pool, opts ...Option) (*Service, *model.
 		Window:        attention.Window{Sinks: 4, Recent: 16},
 		LongThreshold: 256,
 		Graph:         graph.Config{Degree: 12, QueryKNN: 8, EfConstruction: 48},
-		Workers:       2,
 		Pool:          p,
 	})
 	if err != nil {
@@ -117,7 +116,7 @@ func diffStep(label string, got, want *StepResponse) error {
 func stepWire(sess *core.Session, req *StepRequest, sc *stepScratch, mc model.Config) *StepResponse {
 	results := sc.grab(mc.Layers, mc.QHeads)
 	if req.AttendOnly {
-		sess.StepAttendOnlyInto(req.Queries, results)
+		sess.AttentionAllLayersInto(req.Queries, results)
 	} else {
 		sess.StepInto(req.Token, req.Queries, results)
 	}
@@ -320,7 +319,6 @@ func TestStepStreamHTTPOverlap(t *testing.T) {
 		Window:        attention.Window{Sinks: 4, Recent: 16},
 		LongThreshold: 256,
 		Graph:         graph.Config{Degree: 12, QueryKNN: 8, EfConstruction: 48},
-		Workers:       2,
 	})
 	if err != nil {
 		t.Fatal(err)

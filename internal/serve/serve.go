@@ -82,8 +82,8 @@ import (
 	"repro/internal/core"
 )
 
-// DefaultShards is the registry shard count used when no option overrides
-// it: comfortably above typical core counts so shard collisions are rare.
+// DefaultShards is the session registry's shard count: comfortably above
+// typical core counts so shard collisions are rare.
 const DefaultShards = 32
 
 // DefaultMaxBodyBytes is the request-body limit when no option overrides
@@ -117,7 +117,7 @@ func NewServer(db *core.DB, opts ...Option) *Server {
 // mount point the cluster router shares with the local Service, so both
 // backends front the identical wire.
 func NewServerFor(c Core, opts ...Option) *Server {
-	o := options{shards: DefaultShards, maxBody: DefaultMaxBodyBytes}
+	o := options{maxBody: DefaultMaxBodyBytes}
 	for _, fn := range opts {
 		fn(&o)
 	}

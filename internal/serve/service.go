@@ -40,7 +40,6 @@ const MaxSteps = 512
 
 // options collects the knobs shared by NewService and NewServer.
 type options struct {
-	shards   int
 	maxBody  int64
 	waveSize int
 	queueCap int
@@ -48,12 +47,6 @@ type options struct {
 
 // Option configures a Service or Server.
 type Option func(*options)
-
-// WithShards sets the session-registry shard count (rounded up to a power
-// of two).
-func WithShards(n int) Option {
-	return func(o *options) { o.shards = n }
-}
 
 // WithMaxBodyBytes bounds request body size on the HTTP server (ignored by
 // a bare Service, which never reads a wire). Default 64 MiB.
@@ -78,11 +71,11 @@ func WithQueueDepth(n int) Option {
 // NewService returns the service core over db, with the continuous-
 // batching decode scheduler running.
 func NewService(db *core.DB, opts ...Option) *Service {
-	o := options{shards: DefaultShards, maxBody: DefaultMaxBodyBytes}
+	o := options{maxBody: DefaultMaxBodyBytes}
 	for _, fn := range opts {
 		fn(&o)
 	}
-	s := &Service{db: db, reg: NewRegistry(o.shards)}
+	s := &Service{db: db, reg: NewRegistry(DefaultShards)}
 	s.sched = newScheduler(s, o.waveSize, o.queueCap)
 	return s
 }

@@ -38,7 +38,6 @@ func tierServerQuant(t *testing.T, tokens, budgetContexts int, quant bool) (*htt
 		Window:        attention.Window{Sinks: 4, Recent: 16},
 		LongThreshold: 256,
 		Graph:         graph.Config{Degree: 12, QueryKNN: 8, EfConstruction: 48},
-		Workers:       2,
 		ContextBudget: budget,
 		SpillDir:      t.TempDir(),
 		QuantKeys:     quant,
@@ -267,7 +266,6 @@ func TestServeQuantStats(t *testing.T) {
 		Window:        win,
 		LongThreshold: 256,
 		Graph:         graph.Config{Degree: 12, QueryKNN: 8, EfConstruction: 48},
-		Workers:       2,
 		QuantKeys:     true,
 	})
 	if err != nil {

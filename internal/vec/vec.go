@@ -91,16 +91,6 @@ func Norm2(x []float32) float32 {
 	return float32(math.Sqrt(float64(Dot(x, x))))
 }
 
-// Normalize scales x to unit Euclidean norm in place. A zero vector is left
-// unchanged.
-func Normalize(x []float32) {
-	n := Norm2(x)
-	if n == 0 {
-		return
-	}
-	Scale(1/n, x)
-}
-
 // Max returns the maximum element of x and its index. It panics on an empty
 // slice.
 func Max(x []float32) (float32, int) {

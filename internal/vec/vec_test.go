@@ -169,19 +169,6 @@ func TestMaxArgmax(t *testing.T) {
 	}
 }
 
-func TestNormalize(t *testing.T) {
-	x := []float32{3, 4}
-	Normalize(x)
-	if !almostEqual(float64(Norm2(x)), 1, 1e-6) {
-		t.Errorf("norm after Normalize = %v", Norm2(x))
-	}
-	zero := []float32{0, 0}
-	Normalize(zero) // must not NaN
-	if zero[0] != 0 || zero[1] != 0 {
-		t.Errorf("Normalize(0) changed the vector: %v", zero)
-	}
-}
-
 func TestAxpyScaleAdd(t *testing.T) {
 	y := []float32{1, 2, 3}
 	Axpy(2, []float32{1, 1, 1}, y)

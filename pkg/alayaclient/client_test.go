@@ -59,7 +59,6 @@ func newTestEnv(t *testing.T, contextLen int) *testEnv {
 		Window:        attention.Window{Sinks: 4, Recent: 16},
 		LongThreshold: 256,
 		Graph:         graph.Config{Degree: 12, QueryKNN: 8, EfConstruction: 48},
-		Workers:       2,
 	})
 	if err != nil {
 		t.Fatal(err)
