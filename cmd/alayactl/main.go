@@ -82,8 +82,8 @@ func health(baseURL string) error {
 	return nil
 }
 
-// stats dumps a live daemon's statistics — DB, tiers, quant plane and the
-// per-endpoint counters of the serving API.
+// stats dumps a live daemon's statistics — DB, tiers and the per-endpoint
+// counters of the serving API.
 func stats(baseURL string) error {
 	cli, err := client(baseURL)
 	if err != nil {
@@ -97,14 +97,10 @@ func stats(baseURL string) error {
 	fmt.Printf("open sessions:  %d\n", st.OpenSessions)
 	fmt.Printf("device used:    %.3f GB\n", st.DeviceUsedGB)
 	fmt.Printf("kv bytes:       keys %d, values %d", st.KeyBytes, st.ValueBytes)
-	if st.KeyQuantBytes > 0 {
-		fmt.Printf(", sq8 keys %d", st.KeyQuantBytes)
+	if st.QuantEnabled {
+		fmt.Print(" (keys on the SQ8 grid, spilled as int8)")
 	}
 	fmt.Println()
-	if st.QuantEnabled {
-		fmt.Printf("quant plane:    %d quant / %d fp32 searches, %.1f reranks/search\n",
-			st.QuantSearches, st.FP32Searches, st.RerankPerSrch)
-	}
 	if st.SpillEnabled {
 		fmt.Printf("spill tier:     %d contexts, %d bytes, %d spills, %d/%d reload hit/miss\n",
 			st.SpilledContexts, st.SpilledBytes, st.Spills, st.ReloadHits, st.ReloadMisses)

@@ -82,7 +82,7 @@ func run() error {
 		drainSecs = flag.Int("drain-secs", 15, "graceful shutdown deadline in seconds for in-flight requests")
 		spillDir  = flag.String("spill-dir", "", "directory for the disk spill tier: evicted contexts are persisted there and transparently reloaded (empty = eviction drops contexts)")
 		spillGB   = flag.Float64("spill-budget-gb", 0, "spill tier byte budget in GB; LRU spilled contexts are deleted over it (0 = unlimited)")
-		quant     = flag.Bool("quant-keys", false, "maintain an SQ8 (int8) key plane: retrieval and host attention score quantized keys with fp32 rerank; spilled key files shrink 4x (spill dirs are layout-specific)")
+		quant     = flag.Bool("quant-keys", false, "snap key rows to the SQ8 (int8) grid and spill them as packed codes: spilled key files shrink 4x, every resident read stays fp32 (spill dirs are layout-specific)")
 		schedWave = flag.Int("sched-wave", 0, "continuous-batching wave size: decode steps from up to this many sessions execute as one fused fan-out over the worker pool (0 = pool size)")
 		schedQ    = flag.Int("sched-queue", serve.DefaultQueueDepth, "bounded admission queue for decode steps; requests beyond it are rejected with 429 overloaded")
 	)
@@ -148,7 +148,7 @@ func run() error {
 	defer srv.Close()
 	keyPlane := "fp32"
 	if *quant {
-		keyPlane = "sq8+fp32 rerank"
+		keyPlane = "sq8 grid (int8 spill)"
 	}
 	log.Printf("alayad: serving attention on %s (model %dL x %dQ x %dKV x d%d, pool %d, %d shards, keys %s)",
 		*addr, cfg.Layers, cfg.QHeads, cfg.KVHeads, cfg.HeadDim, workPool.Size(), srv.Service().Registry().Shards(), keyPlane)

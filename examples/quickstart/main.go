@@ -38,9 +38,9 @@ func main() {
 		Device:        dev,
 		Window:        attention.Window{Sinks: 32, Recent: 32},
 		LongThreshold: 1024,
-		// SQ8 key plane: retrieval and host attention stream int8 keys (4x
-		// less traffic) and rerank candidates in fp32, so the retrieved
-		// token set matches an fp32 configuration.
+		// SQ8 keys: key rows are snapped to the int8 grid and spill to
+		// disk as packed codes, a quarter of their fp32 size; every read
+		// still scores the fp32 rows.
 		QuantKeys: true,
 	})
 	if err != nil {
@@ -140,8 +140,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("key planes: %d fp32 bytes mirrored by %d SQ8 bytes (scoring traffic /%.1f); %d candidates fp32-reranked\n",
-		st.KeyBytes, st.KeyQuantBytes, float64(st.KeyBytes)/float64(max(st.KeyQuantBytes, 1)), st.RerankedRows)
+	fmt.Printf("kv bytes: keys %d, values %d (SQ8 keys: %v)\n", st.KeyBytes, st.ValueBytes, st.QuantEnabled)
 	for _, ep := range st.Endpoints {
 		fmt.Printf("endpoint %-14s %d requests, mean %.2f ms\n", ep.Endpoint, ep.Requests, ep.MeanMillis)
 	}

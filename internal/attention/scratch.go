@@ -177,7 +177,8 @@ func rangePartial(logits, w, out []float32, d int, V *vec.Matrix, lo, hi int) Pa
 // logit scaling — so the softmax weights, and therefore the output, are
 // exact up to that bound; with per-row scales the bound is a fraction of a
 // percent of the logit range in practice. Callers needing bitwise fp32
-// output use OverScratch.
+// output use OverScratch. No serving path calls it; it stays only while
+// benchmark/probes.go times it (attention.over_q8_us).
 func OverQ8Scratch(sc *Scratch, q []float32, qK *vec.QuantMatrix, V *vec.Matrix, idx []int) Partial {
 	if qK.Rows() != V.Rows() {
 		panic(fmt.Sprintf("attention: quant K has %d rows, V has %d", qK.Rows(), V.Rows()))

@@ -62,15 +62,14 @@ type Config struct {
 	// used spilled context is deleted when a spill exceeds it. 0 =
 	// unlimited.
 	SpillBudget int64
-	// QuantKeys enables the SQ8 key plane: stored contexts keep an int8
-	// shadow of every key row (per-row scales), the fp32 key rows are
-	// snapped to the dequantized values, and the whole read path — flat and
-	// graph DIPR retrieval, the host attention partial, and spill files —
-	// scores against the quantized plane, reranking retrieval candidates
-	// in fp32 so the returned token sets match the fp32 configuration.
-	// Values are never quantized. Spilled key files shrink to a quarter
-	// of their fp32 size. A spill directory written with one setting
-	// cannot be adopted under the other.
+	// QuantKeys puts stored contexts' key rows on the SQ8 grid: each fp32
+	// key row is snapped to the dequantized values of its int8 codes
+	// (per-row scales), and spill files store the packed codes, so spilled
+	// key files shrink to a quarter of their fp32 size and reload to the
+	// identical rows. Every resident read — flat band, DIPRS traversal,
+	// host attention partial — scores the fp32 rows, exactly as without
+	// QuantKeys. Values are never quantized. A spill directory written
+	// with one setting cannot be adopted under the other.
 	QuantKeys bool
 }
 
@@ -116,7 +115,6 @@ type DB struct {
 	clock     int64                 // logical clock for context recency
 	evictions int64
 	tier      *tierState // disk spill tier; nil when Config.SpillDir is empty
-	quant     metrics.QuantCounters
 	share     metrics.ShareCounters
 	ctxpar    metrics.CtxParCounters
 }
@@ -125,8 +123,8 @@ type DB struct {
 // KV cache, and per-(layer, group) vector indexes. A context produced by a
 // copy-on-write Store additionally points at the immutable base it was
 // derived from: its own cache then holds only the rows past baseLen — the
-// divergent tail — while the shared prefix (KV rows, graph indexes, SQ8
-// plane) stays in the base, counted and spilled exactly once.
+// divergent tail — while the shared prefix (KV rows and graph indexes)
+// stays in the base, counted and spilled exactly once.
 type Context struct {
 	doc      *model.Document
 	cache    *kvcache.Cache // full KV, or rows [baseLen, Len()) when base != nil
@@ -202,11 +200,8 @@ func New(cfg Config) (*DB, error) {
 // Model returns the substrate the DB serves.
 func (db *DB) Model() *model.Model { return db.cfg.Model }
 
-// QuantEnabled reports whether the DB maintains the SQ8 key plane.
+// QuantEnabled reports whether the DB keeps key rows on the SQ8 grid.
 func (db *DB) QuantEnabled() bool { return db.cfg.QuantKeys }
-
-// QuantStats returns a snapshot of the quantized read path's counters.
-func (db *DB) QuantStats() metrics.QuantSnapshot { return db.quant.Snapshot() }
 
 // CtxParStats returns a snapshot of the index-build counters.
 func (db *DB) CtxParStats() metrics.CtxParSnapshot { return db.ctxpar.Snapshot() }
@@ -231,11 +226,10 @@ func (db *DB) NumContexts() int {
 // Import stores a precomputed context (prompts + KV cache) for future
 // reuse, building its vector indexes eagerly — the DB.import API of
 // Table 2. The cache must match doc's length. Under Config.QuantKeys the
-// indexes are built over the raw fp32 keys first and the SQ8 plane is
-// enabled afterwards: graph construction sees exactly the vectors an fp32
-// configuration would, so the adjacency (and therefore which nodes a DIPRS
-// traversal can reach) is identical across the two configurations — only
-// the scoring plane differs, and the fp32 rerank absorbs that.
+// indexes are built over the raw fp32 keys first and the rows are snapped
+// afterwards: graph construction sees exactly the vectors an fp32
+// configuration would, so the adjacency is identical across the two
+// configurations and only the snapped key values differ.
 func (db *DB) Import(doc *model.Document, cache *kvcache.Cache) (*Context, error) {
 	if cache.SeqLen(0) != doc.Len() {
 		return nil, fmt.Errorf("core: cache holds %d tokens, document has %d", cache.SeqLen(0), doc.Len())
@@ -244,21 +238,11 @@ func (db *DB) Import(doc *model.Document, cache *kvcache.Cache) (*Context, error
 	db.BuildIndexes(ctx)
 	if db.cfg.QuantKeys {
 		cache.EnableQuantKeys() // snaps key rows in place; adjacency is already fixed
-		db.attachQuantPlanes(ctx)
 	}
 	if err := db.registerContext(ctx); err != nil {
 		return nil, err
 	}
 	return ctx, nil
-}
-
-// attachQuantPlanes points every graph of ctx at its kv head's SQ8 plane.
-func (db *DB) attachQuantPlanes(ctx *Context) {
-	for i, gr := range ctx.graphs {
-		if gr != nil {
-			gr.AttachQuantKeys(ctx.cache.QuantKeys(i/ctx.groups, i%ctx.groups))
-		}
-	}
 }
 
 // registerContext adds ctx to the resident store, marks it most recently
@@ -334,11 +318,7 @@ func (db *DB) BuildIndexes(ctx *Context) {
 		layer, kv := i/groups, i%groups
 		gcfg := db.cfg.Graph
 		gcfg.Workers = 1 // parallelism is across (layer, group) jobs here
-		g := graph.Build(ctx.cache.Keys(layer, kv), queries[i], gcfg)
-		// DIPRS traverses on the SQ8 plane when the cache carries one (nil
-		// detaches, keeping the fp32 path).
-		g.AttachQuantKeys(ctx.cache.QuantKeys(layer, kv))
-		ctx.graphs[i] = g
+		ctx.graphs[i] = graph.Build(ctx.cache.Keys(layer, kv), queries[i], gcfg)
 	})
 	db.ctxpar.RecordBuild(time.Since(start).Nanoseconds())
 }
@@ -506,8 +486,8 @@ func (db *DB) CreateSpanSession(doc *model.Document, lo, hi int) (*Session, erro
 
 // Store persists a session's state as a new reusable context (DB.store in
 // Table 2). A session that reuses a stored prefix produces a
-// copy-on-write context: the new context shares the base's KV rows, graph
-// indexes, and SQ8 plane by reference — pinning the base against eviction
+// copy-on-write context: the new context shares the base's KV rows and
+// graph indexes by reference — pinning the base against eviction
 // — and owns only its divergent tail, cloned from the session so the
 // session can keep decoding afterwards. No prefix rows are copied and no
 // indexes are rebuilt; sessions created over the stored context reproduce

@@ -43,9 +43,7 @@ func (ctx *Context) Bytes() int64 {
 }
 
 // StoredKVBytes returns the KV footprint of all resident contexts split by
-// plane (fp32 keys, fp32 values, SQ8 shadow) — the observable form of the
-// quantization savings: under QuantKeys the scoring plane is QuantKeys
-// bytes, a quarter of the fp32 key plane it shadows.
+// plane (fp32 keys, fp32 values).
 func (db *DB) StoredKVBytes() kvcache.ByteSizes {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -54,7 +52,6 @@ func (db *DB) StoredKVBytes() kvcache.ByteSizes {
 		s := ctx.cache.BytesSplit()
 		b.Keys += s.Keys
 		b.Values += s.Values
-		b.QuantKeys += s.QuantKeys
 	}
 	return b
 }

@@ -18,8 +18,9 @@ import (
 // equivalence test: a fully reused prefix with a short tail, a partial
 // reuse (filtered plans), and a session over a copy-on-write chain. The
 // model has 8 query heads in groups of g; longThreshold picks DIPR plans
-// (flat on layer 0, graph elsewhere) or full plans on every layer.
-func groupFixture(t *testing.T, p *pool.Pool, g, longThreshold int) (*DB, []*Session) {
+// (flat on layer 0, graph elsewhere) or full plans on every layer; quant
+// sets Config.QuantKeys.
+func groupFixture(t *testing.T, p *pool.Pool, g, longThreshold int, quant bool) (*DB, []*Session) {
 	t.Helper()
 	cfg := model.Default()
 	cfg.Layers = 2
@@ -37,6 +38,7 @@ func groupFixture(t *testing.T, p *pool.Pool, g, longThreshold int) (*DB, []*Ses
 		LongThreshold: longThreshold,
 		Graph:         graph.Config{Degree: 8, QueryKNN: 4, EfConstruction: 24},
 		Pool:          p,
+		QuantKeys:     quant,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -148,18 +150,20 @@ func statsDelta(s *Session, fn func()) Stats {
 // AttentionAllInto, AttentionAllLayersInto and a 3-item StepWave return,
 // head for head, exactly what per-head Session.Attention returns, and
 // count the same plans and work — for GQA group sizes 1, 2, 4 and 8,
-// layer-0 flat plans and full plans, a fully reused, a partial-reuse and a
-// copy-on-write chain session, on the serial and a spawning pool.
+// layer-0 flat plans and full plans, fp32 and SQ8 keys (QuantKeys), a
+// fully reused, a partial-reuse and a copy-on-write chain session, on the
+// serial and a spawning pool.
 func TestGroupTasksMatchPerHead(t *testing.T) {
 	for _, g := range []int{1, 2, 4, 8} {
 		for _, plans := range []struct {
 			name      string
 			threshold int
-		}{{"dipr", 256}, {"full", 1 << 20}} {
+			quant     bool
+		}{{"dipr", 256, false}, {"full", 1 << 20, false}, {"dipr-sq8", 256, true}} {
 			for _, p := range []*pool.Pool{pool.Serial(), pool.New(4)} {
 				name := fmt.Sprintf("g=%d/%s/pool=%d", g, plans.name, p.Size())
 				t.Run(name, func(t *testing.T) {
-					db, sessions := groupFixture(t, p, g, plans.threshold)
+					db, sessions := groupFixture(t, p, g, plans.threshold, plans.quant)
 					m := db.Model()
 					mc := m.Config()
 					items := make([]StepItem, len(sessions))
@@ -180,7 +184,7 @@ func TestGroupTasksMatchPerHead(t *testing.T) {
 								}
 							}
 						})
-						if plans.name == "dipr" && want[0][0].Plan.Index != query.IndexFlat {
+						if plans.name != "full" && want[0][0].Plan.Index != query.IndexFlat {
 							t.Fatalf("session %d layer 0 planned %v, want dipr+flat", si, want[0][0].Plan)
 						}
 						check := func(form string, got [][]AttentionResult) {

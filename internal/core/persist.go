@@ -44,15 +44,18 @@ type manifest struct {
 	// rows [BaseLen, len(Tokens)) and no graphs; the leading BaseLen rows
 	// (and all indexes) belong to the context whose DocHash is BaseHash,
 	// persisted in its own directory exactly once. Tail rows are always
-	// fp32 — the SQ8 plane lives with the base.
+	// fp32 — SQ8 codes are written with the base.
 	BaseHash uint64 `json:"base_hash,omitempty"`
 	BaseLen  int    `json:"base_len,omitempty"`
 }
 
 // SaveContext persists a stored context into dir (created if absent). A
-// cache carrying the SQ8 plane saves its keys in code form — packed int8
-// rows a quarter of the fp32 size, scales in the manifest — from which
-// reload reconstructs the identical snapped fp32 plane. A copy-on-write
+// cache on the SQ8 grid saves its keys in code form — packed int8 rows a
+// quarter of the fp32 size, scales in the manifest. The codes are
+// recomputed from the snapped rows (kvcache.Cache.QuantKeys); a snapped row
+// is a fixed point of quantization, so re-quantizing it yields exactly the
+// codes and scale it came from, and reload reconstructs the identical rows.
+// A copy-on-write
 // context saves only what it owns: its divergent tail rows and a manifest
 // pointer to its base; the caller (the spill tier) is responsible for
 // persisting the base chain under its own hashes.
@@ -223,9 +226,9 @@ func (db *DB) readManifest(dir string) (*manifest, error) {
 	}
 	if man.BaseHash != 0 {
 		// Copy-on-write tail: the directory owns rows [BaseLen, Tokens) in
-		// fp32 — the SQ8 plane, like the graphs, lives with the base — so the
-		// quant layout check compares against the base's manifest, not this
-		// one.
+		// fp32 — SQ8 codes, like the graphs, are written with the base — so
+		// the quant layout check compares against the base's manifest, not
+		// this one.
 		if man.Quant {
 			return nil, fmt.Errorf("core: copy-on-write tail %016x saved with a quantized key plane", man.BaseHash)
 		}
@@ -295,11 +298,9 @@ func (db *DB) readContextDir(dir string, resolveBase baseResolver) (*Context, er
 	} else {
 		ctx.graphs = make([]*graph.Graph, mc.Layers*man.Groups)
 	}
-	if man.Quant {
-		ctx.cache.EnableQuantKeys() // empty cache: appends maintain the plane
-	}
 	var codes []int8
 	if man.Quant {
+		ctx.cache.EnableQuantKeys() // empty cache: rows arrive snapped
 		codes = make([]int8, mc.HeadDim)
 	}
 	for l := 0; l < mc.Layers; l++ {
@@ -341,7 +342,7 @@ func (db *DB) readContextDir(dir string, resolveBase baseResolver) (*Context, er
 			}
 			if man.Quant {
 				// Packed SQ8 rows: reconstruct codes bit-exactly and let the
-				// cache materialize the snapped fp32 plane by dequantization.
+				// cache dequantize them into the snapped fp32 rows.
 				if want := vec.PackedWords(mc.HeadDim); keys.Cols() != want {
 					return nil, fmt.Errorf("core: layer %d head %d: packed key width %d, want %d", l, h, keys.Cols(), want)
 				}
@@ -360,9 +361,7 @@ func (db *DB) readContextDir(dir string, resolveBase baseResolver) (*Context, er
 			}
 			if adj != nil && ctx.graphs != nil {
 				slot := l*man.Groups + h
-				g := graph.FromAdjacency(ctx.cache.Keys(l, h), adj, man.Entries[slot], db.cfg.Graph)
-				g.AttachQuantKeys(ctx.cache.QuantKeys(l, h))
-				ctx.graphs[slot] = g
+				ctx.graphs[slot] = graph.FromAdjacency(ctx.cache.Keys(l, h), adj, man.Entries[slot], db.cfg.Graph)
 			}
 		}
 	}

@@ -132,8 +132,8 @@ type Stats struct {
 	// CoarseFallbacks counts coarse-plan queries downgraded because the
 	// device could not hold the block cache.
 	CoarseFallbacks int64
-	// Reranked is the total band candidates quantized DIPR retrievals
-	// rescored in fp32 (0 without Config.QuantKeys).
+	// Reranked is always zero: no decode path reranks. The field stays only
+	// while benchmark/probes.go reads it (core.reranked_per_query).
 	Reranked int64
 }
 
@@ -383,12 +383,12 @@ func (s *Session) plan(layer int) query.Plan {
 }
 
 // groupPlan plans layer once and reports whether its query heads may run
-// as group tasks: a full+none or dipr+flat plan over an indexed prefix on
-// the fp32 plane scores every prefix key for every head, so one
-// multi-query pass per KV group serves them all. SQ8 planes, graph and
-// coarse plans, and sessions with no indexed prefix stay per head.
+// as group tasks: a full+none or dipr+flat plan over an indexed prefix
+// scores every prefix key for every head, so one multi-query pass per KV
+// group serves them all. Graph and coarse plans, and sessions with no
+// indexed prefix, stay per head.
 func (s *Session) groupPlan(layer int) (query.Plan, bool) {
-	if s.root == nil || s.indexedLen == 0 || s.root.cache.QuantEnabled() {
+	if s.root == nil || s.indexedLen == 0 {
 		return query.Plan{}, false
 	}
 	plan := s.plan(layer)
@@ -411,12 +411,11 @@ func (s *Session) attendGroup(ds *decodeState, plan query.Plan, layer, head int,
 	n := fx.ScoreGroup(qs, s.indexedLen, rows)
 	for k, q := range qs {
 		if plan.Query == query.KindFull {
-			s.finishHead(ds, plan, layer, kv, q, &out[k], nil, 0, 0, rows[k][:n])
+			s.finishHead(ds, plan, layer, kv, q, &out[k], nil, 0, rows[k][:n])
 			continue
 		}
 		cands, _ := fx.BandScratch(&ds.flat, rows[k][:n], s.db.cfg.Beta)
-		s.db.quant.RecordSearch(false, 0)
-		s.finishHead(ds, plan, layer, kv, q, &out[k], s.bandIDs(ds, cands), n, 0, nil)
+		s.finishHead(ds, plan, layer, kv, q, &out[k], s.bandIDs(ds, cands), n, nil)
 	}
 }
 
@@ -429,7 +428,6 @@ func (s *Session) attentionInto(ds *decodeState, layer, qHead int, q []float32, 
 
 	var retrieved []int
 	explored := 0
-	reranked := 0
 	switch plan.Query {
 	case query.KindFull:
 		// Everything participates; no retrieval.
@@ -448,19 +446,16 @@ func (s *Session) attentionInto(ds *decodeState, layer, qHead int, q []float32, 
 		}
 	}
 	if plan.Query == query.KindDIPR {
-		retrieved, explored, reranked = s.executeDIPR(ds, plan, layer, qHead, kv, q)
-		if s.root != nil && s.indexedLen > 0 {
-			s.db.quant.RecordSearch(s.root.cache.QuantEnabled(), reranked)
-		}
+		retrieved, explored = s.executeDIPR(ds, plan, layer, qHead, kv, q)
 	}
 
-	s.finishHead(ds, plan, layer, kv, q, res, retrieved, explored, reranked, nil)
+	s.finishHead(ds, plan, layer, kv, q, res, retrieved, explored, nil)
 }
 
 // finishHead computes one head's output from its retrieved prefix
 // positions (or, for a group task's full plan, its prefix logits), fills
 // *res, and records the head in the session's counters.
-func (s *Session) finishHead(ds *decodeState, plan query.Plan, layer, kv int, q []float32, res *AttentionResult, retrieved []int, explored, reranked int, logits []float32) {
+func (s *Session) finishHead(ds *decodeState, plan query.Plan, layer, kv int, q []float32, res *AttentionResult, retrieved []int, explored int, logits []float32) {
 	attended := s.sparseOutputInto(ds, plan, layer, kv, q, res, retrieved, logits)
 	res.Plan = plan
 	res.Retrieved = len(retrieved)
@@ -472,7 +467,6 @@ func (s *Session) finishHead(ds *decodeState, plan query.Plan, layer, kv int, q 
 	s.stats.Plans[plan.String()]++
 	s.stats.Retrieved += int64(res.Retrieved)
 	s.stats.Explored += int64(res.Explored)
-	s.stats.Reranked += int64(reranked)
 	s.stats.Queries++
 	s.mu.Unlock()
 }
@@ -504,19 +498,17 @@ func (s *Session) coarseNeed() int64 {
 // search arenas. The attended set is bounded to an eighth of the indexed
 // prefix (min 64): diffuse heads' β-bands can span much of the context,
 // and like InfLLM's block budget, production retrieval is bounded. The
-// returned ids alias ds. The final result reports how many band
-// candidates were reranked in fp32 (0 on the fp32 plane).
-func (s *Session) executeDIPR(ds *decodeState, plan query.Plan, layer, qHead, kv int, q []float32) ([]int, int, int) {
+// returned ids alias ds; the second result is the explored node count.
+func (s *Session) executeDIPR(ds *decodeState, plan query.Plan, layer, qHead, kv int, q []float32) ([]int, int) {
 	if s.root == nil || s.indexedLen == 0 {
-		return nil, 0, 0
+		return nil, 0
 	}
 	beta := s.db.cfg.Beta
 	limit := s.indexedLen
 	resultCap := s.resultCap()
 
 	if plan.Index == query.IndexFlat {
-		ids, reranked := s.flatDIPR(ds, layer, kv, q, beta, limit)
-		return ids, limit, reranked
+		return s.flatDIPR(ds, layer, kv, q, beta, limit), limit
 	}
 
 	g := s.root.Graph(s.db, layer, qHead)
@@ -524,15 +516,12 @@ func (s *Session) executeDIPR(ds *decodeState, plan query.Plan, layer, qHead, kv
 		s.mu.Lock()
 		s.stats.FlatFallbacks++
 		s.mu.Unlock()
-		ids, reranked := s.flatDIPR(ds, layer, kv, q, beta, limit)
-		return ids, limit, reranked
+		return s.flatDIPR(ds, layer, kv, q, beta, limit), limit
 	}
 
 	cfg := query.DIPRSConfig{Beta: beta, MaxResults: resultCap, MaxExplore: 4 * resultCap}
 	// Window-cache enhancement (§7.1): seed the running maximum with the
-	// best inner product inside the device window's prefix part. The seed
-	// is exact (the snapped fp32 plane); a quantized traversal lowers it by
-	// its error bound internally.
+	// best inner product inside the device window's prefix part.
 	if max, ok := query.WindowMax(q, s.root.cache.Keys(layer, kv), ds.winPrefix); ok {
 		cfg.InitialMax = max
 		cfg.HasInitialMax = true
@@ -551,7 +540,7 @@ func (s *Session) executeDIPR(ds *decodeState, plan query.Plan, layer, qHead, kv
 		}
 	}
 	ds.ids = ids
-	return ids, r.Explored, r.Reranked
+	return ids, r.Explored
 }
 
 // resultCap is the bound on a DIPR retrieval's attended set: an eighth of
@@ -561,13 +550,12 @@ func (s *Session) resultCap() int {
 }
 
 // flatDIPR runs the exact band scan over the reused prefix through ds's
-// flat scratch — on the SQ8 plane with an fp32 rerank when the stored
-// context carries one. The scan runs on the calling task, as every other
-// decode scan does. The returned ids alias ds.
-func (s *Session) flatDIPR(ds *decodeState, layer, kv int, q []float32, beta float32, limit int) ([]int, int) {
-	fx := flat.MakeQuant(s.root.cache.Keys(layer, kv), s.root.cache.QuantKeys(layer, kv), 1)
+// flat scratch. The scan runs on the calling task, as every other decode
+// scan does. The returned ids alias ds.
+func (s *Session) flatDIPR(ds *decodeState, layer, kv int, q []float32, beta float32, limit int) []int {
+	fx := flat.Make(s.root.cache.Keys(layer, kv), 1)
 	cands, _ := fx.DIPRFilteredScratch(&ds.flat, q, beta, limit)
-	return s.bandIDs(ds, cands), ds.flat.Reranked
+	return s.bandIDs(ds, cands)
 }
 
 // bandIDs keeps the top resultCap of a best-first flat band as positions
@@ -673,16 +661,11 @@ func (s *Session) sparseOutputInto(ds *decodeState, plan query.Plan, layer, kv i
 // prefixPartial computes the host-side partial over the indexed prefix —
 // the data-centric engine's host half (§7.2), reading the chain root's
 // cache. Precomputed logits (a group task's full plan) cover rows
-// [0, len(logits)) and replace the index list. With the SQ8 plane enabled,
-// logits gather from the quantized storage (a quarter of the key
-// traffic); values are always mixed in fp32.
+// [0, len(logits)) and replace the index list.
 func (s *Session) prefixPartial(ds *decodeState, layer, kv int, q []float32, prefixIdx []int, logits []float32) attention.Partial {
 	V := s.root.cache.Values(layer, kv)
 	if logits != nil {
 		return attention.OverLogitsScratch(&ds.scPrefix, logits, len(q), V, 0, len(logits))
-	}
-	if qk := s.root.cache.QuantKeys(layer, kv); qk != nil {
-		return attention.OverQ8Scratch(&ds.scPrefix, q, qk, V, prefixIdx)
 	}
 	return attention.OverScratch(&ds.scPrefix, q, s.root.cache.Keys(layer, kv), V, prefixIdx)
 }

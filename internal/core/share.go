@@ -11,7 +11,7 @@ import (
 // the attach point to the root is pinned), and resident derived contexts
 // (registerLocked pins the base chain; eviction of the derived unpins
 // it). Eviction treats refs > 0 as untouchable, which is what makes a
-// shared prefix — KV rows, graph indexes, SQ8 plane — a unit that cannot
+// shared prefix — KV rows and graph indexes — a unit that cannot
 // be dropped while anything depends on it. All refs traffic happens under
 // db.mu.
 

@@ -56,8 +56,9 @@ func Make(keys *vec.Matrix, workers int) Index {
 }
 
 // MakeQuant is Make with an SQ8 scoring plane. qkeys must shadow keys row
-// for row (kvcache maintains exactly that); a nil qkeys degrades to fp32
-// scans.
+// for row (kvcache.QuantKeys computes exactly that); a nil qkeys degrades
+// to fp32 scans. No serving path scans through it; it stays only while
+// benchmark/probes.go times it (index.flat.scan_us).
 func MakeQuant(keys *vec.Matrix, qkeys *vec.QuantMatrix, workers int) Index {
 	x := Make(keys, workers)
 	x.qkeys = qkeys

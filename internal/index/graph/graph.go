@@ -55,14 +55,8 @@ func (c *Config) defaults() {
 
 // Graph is an immutable proximity graph over a key matrix. It references
 // the matrix without copying it. Safe for concurrent search.
-//
-// An SQ8 plane may be attached after construction (AttachQuantKeys); the
-// graph structure itself never changes, but DIPRS traversals in
-// internal/query then score visited nodes through the fused int8 kernels
-// and rerank in fp32 (see query.QuantGraph).
 type Graph struct {
 	keys  *vec.Matrix
-	qkeys *vec.QuantMatrix // optional SQ8 scoring plane
 	adj   [][]int32
 	prot  [][]int32 // bipartite bridge edges, exempt from pruning (build only)
 	entry int32
@@ -402,21 +396,6 @@ func (g *Graph) Vector(i int32) []float32 { return g.keys.Row(int(i)) }
 
 // Keys returns the underlying key matrix.
 func (g *Graph) Keys() *vec.Matrix { return g.keys }
-
-// AttachQuantKeys attaches an SQ8 scoring plane. qm must shadow the key
-// matrix row for row (kvcache's quantized plane provides exactly that);
-// attaching nil detaches. Build and beam search are unaffected — only the
-// DIPRS traversal in internal/query consults the plane.
-func (g *Graph) AttachQuantKeys(qm *vec.QuantMatrix) {
-	if qm != nil && qm.Rows() != g.keys.Rows() {
-		panic(fmt.Sprintf("graph: quant plane has %d rows for %d keys", qm.Rows(), g.keys.Rows()))
-	}
-	g.qkeys = qm
-}
-
-// QuantKeys returns the attached SQ8 plane, or nil. It satisfies
-// query.QuantGraph.
-func (g *Graph) QuantKeys() *vec.QuantMatrix { return g.qkeys }
 
 // Degree returns the configured maximum out-degree.
 func (g *Graph) Degree() int { return g.cfg.Degree }

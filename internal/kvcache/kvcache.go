@@ -20,26 +20,23 @@ import (
 // (each layer owns disjoint matrices) — the property core's parallel
 // prefill sweep relies on.
 //
-// # SQ8 key plane
+// # SQ8 keys
 //
-// EnableQuantKeys turns on the quantized key plane: every key row gains an
-// int8 shadow (vec.QuantMatrix, per-row scale), and the fp32 key rows are
-// *snapped* to the dequantized values, so the fp32 plane and the quantized
-// plane describe exactly the same vectors. Snapping is what makes the
-// quantized read path deterministic end to end: reranking a quantized
-// search in fp32, reloading a spilled context from its stored codes, and
-// re-importing a stored session all reproduce bit-identical key rows
-// (quantization is a fixed point on already-snapped rows). Values are never
-// quantized.
+// EnableQuantKeys puts the key rows on the SQ8 grid: each fp32 key row is
+// *snapped* to the dequantized values of its int8 codes (per-row scale),
+// and every later append is snapped the same way. Only fp32 rows are kept
+// and every read scores them; the codes exist only in the spill format,
+// where QuantKeys recomputes them from the snapped rows. Snapped rows are a
+// fixed point of quantization, so that recomputation yields exactly the
+// codes and scales the rows came from, and a reload (AppendQuantized)
+// dequantizes back to the identical rows. Values are never quantized.
 type Cache struct {
 	layers  int
 	kvHeads int
 	headDim int
 	keys    []*vec.Matrix // indexed by layer*kvHeads + head
 	values  []*vec.Matrix
-	qkeys   []*vec.QuantMatrix // SQ8 shadow of keys; nil entries until enabled
 	quant   bool
-	zeroRow []float32 // read-only zero row AppendQuantized reserves space with
 }
 
 // New returns an empty cache for the given model shape.
@@ -77,76 +74,59 @@ func (c *Cache) idx(layer, head int) int {
 	return layer*c.kvHeads + head
 }
 
-// EnableQuantKeys turns on the SQ8 key plane: existing key rows are
-// quantized into int8 shadows and snapped to their dequantized values (see
-// the type comment), and subsequent appends maintain the shadow. Values are
-// untouched. Idempotent; a second call is a no-op.
+// EnableQuantKeys puts the key rows on the SQ8 grid: existing rows are
+// snapped in place (see the type comment) and subsequent appends are
+// snapped too. Values are untouched. Idempotent; a second call is a no-op.
 func (c *Cache) EnableQuantKeys() {
 	if c.quant {
 		return
 	}
 	c.quant = true
-	c.zeroRow = make([]float32, c.headDim)
-	c.qkeys = make([]*vec.QuantMatrix, len(c.keys))
-	for i, km := range c.keys {
-		qm := vec.NewQuantMatrix(c.headDim)
+	for _, km := range c.keys {
 		for r := 0; r < km.Rows(); r++ {
-			row := km.Row(r)
-			qm.Append(row)
-			qm.DequantizeRow(r, row) // snap fp32 to the quantized plane
+			vec.SnapRow(km.Row(r))
 		}
-		c.qkeys[i] = qm
 	}
 }
 
-// QuantEnabled reports whether the cache maintains the SQ8 key plane.
+// QuantEnabled reports whether the cache keeps its key rows on the SQ8 grid.
 func (c *Cache) QuantEnabled() bool { return c.quant }
 
-// QuantKeys returns the SQ8 shadow of the key matrix for (layer, head), or
-// nil when the quantized plane is not enabled. The matrix aliases cache
-// storage; callers must not mutate it.
+// QuantKeys returns the SQ8 codes of the key matrix for (layer, head),
+// computed on demand from the snapped rows (a fresh matrix each call), or
+// nil when the cache is not on the SQ8 grid.
 func (c *Cache) QuantKeys(layer, head int) *vec.QuantMatrix {
 	if !c.quant {
 		return nil
 	}
-	return c.qkeys[c.idx(layer, head)]
+	return vec.QuantizeMatrix(c.keys[c.idx(layer, head)])
 }
 
 // Append adds one token's key and value vectors for the given layer/head and
-// returns the token's position index within that head. With the quantized
-// plane enabled the key row is quantized into the shadow and the stored
-// fp32 row snapped to the dequantized values.
+// returns the token's position index within that head. On the SQ8 grid the
+// stored key row is snapped; k itself is not modified.
 func (c *Cache) Append(layer, head int, k, v []float32) int {
 	i := c.idx(layer, head)
 	pos := c.keys[i].Append(k)
 	c.values[i].Append(v)
 	if c.quant {
-		c.qkeys[i].Append(k)
-		c.qkeys[i].DequantizeRow(pos, c.keys[i].Row(pos))
+		vec.SnapRow(c.keys[i].Row(pos))
 	}
 	return pos
 }
 
-// AppendQuantized ingests one token's key directly in code form — the
-// spill-reload path, where codes come back from disk bit-exact: the shadow
-// adopts the codes and the fp32 key row is materialized by dequantization.
-// v is the token's value vector. Panics unless the quantized plane is
-// enabled.
+// AppendQuantized ingests one token's key in code form — the spill-reload
+// path, where codes come back from disk bit-exact: the codes are
+// dequantized straight into the new fp32 key row, which is therefore
+// already snapped, and nothing is quantized. v is the token's value
+// vector. Panics unless the cache is on the SQ8 grid.
 func (c *Cache) AppendQuantized(layer, head int, codes []int8, scale float32, v []float32) int {
 	if !c.quant {
-		panic("kvcache: AppendQuantized on a cache without the quantized key plane")
+		panic("kvcache: AppendQuantized on a cache without SQ8 keys")
 	}
 	i := c.idx(layer, head)
-	qm := c.qkeys[i]
-	pos := qm.AppendCodes(codes, scale)
-	// Reserve the fp32 row with the shared zero buffer (Append copies it;
-	// DequantizeRow overwrites the stored row right after), instead of
-	// allocating a throwaway slice per reloaded token.
-	row := c.keys[i].Append(c.zeroRow)
-	if row != pos {
-		panic(fmt.Sprintf("kvcache: quant plane at row %d, keys at row %d", pos, row))
-	}
-	qm.DequantizeRow(pos, c.keys[i].Row(pos))
+	pos := c.keys[i].AppendZero()
+	vec.DequantizeCodes(codes, scale, c.keys[i].Row(pos))
 	c.values[i].Append(v)
 	return pos
 }
@@ -173,53 +153,39 @@ func (c *Cache) Values(layer, head int) *vec.Matrix { return c.values[c.idx(laye
 // head 0; heads of a layer always advance together through AppendAll).
 func (c *Cache) SeqLen(layer int) int { return c.keys[c.idx(layer, 0)].Rows() }
 
-// ByteSizes is the footprint of a cache split by plane: fp32 keys, fp32
-// values, and the SQ8 shadow (codes plus per-row metadata; zero when the
-// quantized plane is disabled).
+// ByteSizes is the footprint of a cache split by plane: fp32 keys and fp32
+// values.
 type ByteSizes struct {
-	Keys      int64
-	Values    int64
+	Keys   int64
+	Values int64
+	// QuantKeys is always zero: no int8 plane is resident. The field stays
+	// only while benchmark/probes.go reads it (kvcache.quant_bytes_per_token).
 	QuantKeys int64
 }
 
 // Total sums the planes.
 func (b ByteSizes) Total() int64 { return b.Keys + b.Values + b.QuantKeys }
 
-// BytesSplit returns the cache footprint split by plane, so the quantized
-// plane's cost (and the key/value asymmetry it introduces) is observable
-// instead of folded into one number.
+// BytesSplit returns the cache footprint split by plane.
 func (c *Cache) BytesSplit() ByteSizes {
 	var b ByteSizes
 	for i := range c.keys {
 		b.Keys += c.keys[i].Bytes()
 		b.Values += c.values[i].Bytes()
-		if c.quant {
-			b.QuantKeys += c.qkeys[i].Bytes()
-		}
 	}
 	return b
 }
 
-// Bytes returns the total in-memory footprint of all K and V payloads,
-// including the quantized shadow plane when enabled.
+// Bytes returns the total in-memory footprint of all K and V payloads.
 func (c *Cache) Bytes() int64 { return c.BytesSplit().Total() }
 
 // Clone returns a deep copy of the cache.
 func (c *Cache) Clone() *Cache {
 	out := &Cache{layers: c.layers, kvHeads: c.kvHeads, headDim: c.headDim, quant: c.quant,
 		keys: make([]*vec.Matrix, len(c.keys)), values: make([]*vec.Matrix, len(c.values))}
-	if c.quant {
-		out.zeroRow = make([]float32, c.headDim)
-	}
 	for i := range c.keys {
 		out.keys[i] = c.keys[i].Clone()
 		out.values[i] = c.values[i].Clone()
-	}
-	if c.quant {
-		out.qkeys = make([]*vec.QuantMatrix, len(c.qkeys))
-		for i := range c.qkeys {
-			out.qkeys[i] = c.qkeys[i].Clone()
-		}
 	}
 	return out
 }
@@ -231,9 +197,6 @@ func (c *Cache) Truncate(n int) {
 		if c.keys[i].Rows() > n {
 			c.keys[i] = c.keys[i].Slice(0, n).Clone()
 			c.values[i] = c.values[i].Slice(0, n).Clone()
-			if c.quant {
-				c.qkeys[i].Truncate(n)
-			}
 		}
 	}
 }

@@ -161,9 +161,9 @@ func quantCache(t *testing.T) *Cache {
 	return c
 }
 
-// TestEnableQuantKeysSnapsPlane checks the central invariant of the SQ8
-// plane: after enabling, every fp32 key row equals the dequantized shadow
-// row exactly, for pre-existing rows and for rows appended afterwards.
+// TestEnableQuantKeysSnapsPlane checks the central invariant of SQ8 keys:
+// after enabling, every fp32 key row equals the dequantized row of its
+// codes exactly, for pre-existing rows and for rows appended afterwards.
 func TestEnableQuantKeysSnapsPlane(t *testing.T) {
 	c := quantCache(t)
 	row := []float32{9.1, -3.3, 0.04, 7, -2, 1, 0, 5}
@@ -172,7 +172,7 @@ func TestEnableQuantKeysSnapsPlane(t *testing.T) {
 	for h := 0; h < c.KVHeads(); h++ {
 		qm := c.QuantKeys(0, h)
 		if qm == nil || qm.Rows() != c.SeqLen(0) {
-			t.Fatalf("head %d: shadow has %v rows, cache %d", h, qm, c.SeqLen(0))
+			t.Fatalf("head %d: codes have %v rows, cache %d", h, qm, c.SeqLen(0))
 		}
 		for r := 0; r < qm.Rows(); r++ {
 			qm.DequantizeRow(r, buf)
@@ -189,7 +189,7 @@ func TestEnableQuantKeysSnapsPlane(t *testing.T) {
 	}
 }
 
-// TestQuantDisabledByDefault pins the fp32-only default: no shadow, nil
+// TestQuantDisabledByDefault pins the fp32-only default: no codes, nil
 // accessor, bitwise-untouched keys.
 func TestQuantDisabledByDefault(t *testing.T) {
 	c := mk(t)
@@ -203,18 +203,16 @@ func TestQuantDisabledByDefault(t *testing.T) {
 	}
 }
 
-// TestBytesSplit covers the key/value/quant footprint split.
+// TestBytesSplit covers the key/value footprint split: the SQ8 grid keeps
+// no resident int8 plane, so QuantKeys stays zero.
 func TestBytesSplit(t *testing.T) {
 	c := quantCache(t)
 	b := c.BytesSplit()
-	if b.Keys == 0 || b.Values == 0 || b.QuantKeys == 0 {
-		t.Fatalf("split has zero plane: %+v", b)
+	if b.Keys == 0 || b.Values == 0 || b.QuantKeys != 0 {
+		t.Fatalf("split %+v: want fp32 planes only", b)
 	}
 	if b.Keys != b.Values {
 		t.Fatalf("key and value planes should match in this fixture: %+v", b)
-	}
-	if b.QuantKeys >= b.Keys {
-		t.Fatalf("quant plane (%d) not smaller than fp32 keys (%d)", b.QuantKeys, b.Keys)
 	}
 	if c.Bytes() != b.Total() {
 		t.Fatalf("Bytes() %d != split total %d", c.Bytes(), b.Total())
@@ -222,12 +220,12 @@ func TestBytesSplit(t *testing.T) {
 }
 
 // TestQuantCloneTruncateAppendQuantized covers the maintenance paths with
-// the shadow plane on.
+// SQ8 keys on.
 func TestQuantCloneTruncateAppendQuantized(t *testing.T) {
 	c := quantCache(t)
 	d := c.Clone()
 	if !d.QuantEnabled() {
-		t.Fatal("clone lost the quantized plane")
+		t.Fatal("clone lost SQ8 keys")
 	}
 	d.Truncate(3)
 	if d.QuantKeys(0, 0).Rows() != 3 || d.Keys(0, 0).Rows() != 3 {

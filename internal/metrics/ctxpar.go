@@ -3,7 +3,7 @@ package metrics
 import "sync/atomic"
 
 // CtxParCounters counts per-context index builds only: how many ran and
-// how long they took. Same atomics-not-mutex rationale as QuantCounters.
+// how long they took. Same atomics-not-mutex rationale as EndpointCounters.
 // Safe for concurrent use; the zero value is ready.
 type CtxParCounters struct {
 	builds         atomic.Int64

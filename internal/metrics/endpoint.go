@@ -8,9 +8,8 @@ import (
 // Endpoint enumerates the service operations the serving layer measures.
 // The set is closed so per-endpoint counters can live in a fixed array of
 // atomics: observation from concurrent request handlers never takes a lock,
-// for the same reason QuantCounters are atomics — a shared mutex on the
-// request path would reintroduce the serialization the sharded registry
-// removed.
+// because a shared mutex on the request path would reintroduce the
+// serialization the sharded registry removed.
 type Endpoint int
 
 const (

@@ -5,11 +5,17 @@ import (
 	"time"
 )
 
+// reloadWindow is how many of the most recent reload latencies the reload
+// percentiles are computed over; the count and mean cover every reload.
+const reloadWindow = 1024
+
 // TierCounters measures the two-tier context store: how often eviction
 // spills a context to disk instead of dropping it, how often a returning
 // request is served by reloading a spilled context (hit) versus paying a
-// full re-prefill (miss), and how long reloads take. Safe for concurrent
-// use; the zero value is ready.
+// full re-prefill (miss), and how long reloads take. Memory stays bounded
+// on a long-running node: reload latencies are kept in a ring of the last
+// reloadWindow samples beside an exact all-time count and sum. Safe for
+// concurrent use; the zero value is ready.
 type TierCounters struct {
 	mu            sync.Mutex
 	spills        int64
@@ -20,7 +26,9 @@ type TierCounters struct {
 	reloadErrors  int64
 	spilledBytes  int64 // cumulative bytes written to the spill tier
 	reloadedBytes int64 // cumulative bytes read back from the spill tier
-	reload        Latency
+	reloads       int   // all-time reload count
+	reloadSum     time.Duration
+	recent        []time.Duration // ring of the last reloadWindow latencies
 }
 
 // TierSnapshot is a point-in-time copy of the counters, with the reload
@@ -45,7 +53,8 @@ type TierSnapshot struct {
 	// SpilledBytes and ReloadedBytes are cumulative tier traffic.
 	SpilledBytes  int64
 	ReloadedBytes int64
-	// Reloads is the number of latency samples behind the percentiles.
+	// Reloads and ReloadMean cover every reload; ReloadP50 and ReloadP95
+	// cover the last reloadWindow.
 	Reloads    int
 	ReloadMean time.Duration
 	ReloadP50  time.Duration
@@ -81,7 +90,13 @@ func (c *TierCounters) RecordReload(d time.Duration, bytes int64) {
 	c.mu.Lock()
 	c.reloadHits++
 	c.reloadedBytes += bytes
-	c.reload.Record(d)
+	if len(c.recent) < reloadWindow {
+		c.recent = append(c.recent, d)
+	} else {
+		c.recent[c.reloads%reloadWindow] = d
+	}
+	c.reloads++
+	c.reloadSum += d
 	c.mu.Unlock()
 }
 
@@ -103,6 +118,11 @@ func (c *TierCounters) RecordReloadError() {
 func (c *TierCounters) Snapshot() TierSnapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	window := Latency{samples: append([]time.Duration(nil), c.recent...)}
+	var mean time.Duration
+	if c.reloads > 0 {
+		mean = c.reloadSum / time.Duration(c.reloads)
+	}
 	return TierSnapshot{
 		Spills:        c.spills,
 		SpillErrors:   c.spillErrors,
@@ -112,9 +132,9 @@ func (c *TierCounters) Snapshot() TierSnapshot {
 		ReloadErrors:  c.reloadErrors,
 		SpilledBytes:  c.spilledBytes,
 		ReloadedBytes: c.reloadedBytes,
-		Reloads:       c.reload.Count(),
-		ReloadMean:    c.reload.Mean(),
-		ReloadP50:     c.reload.Percentile(50),
-		ReloadP95:     c.reload.Percentile(95),
+		Reloads:       c.reloads,
+		ReloadMean:    mean,
+		ReloadP50:     window.Percentile(50),
+		ReloadP95:     window.Percentile(95),
 	}
 }

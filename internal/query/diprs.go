@@ -24,32 +24,6 @@ type Graph interface {
 	Len() int
 }
 
-// QuantGraph is a Graph that also exposes an SQ8 scoring plane shadowing
-// its key rows (graph.Graph with an attached quantized plane satisfies it).
-// DIPRS detects the plane and traverses on fused int8 scores with β widened
-// by the scoring error bound, then reranks the surviving band with exact
-// fp32 dots — so the returned critical set is the one the fp32 traversal
-// of the same vectors would produce, at a quarter of the key-plane traffic.
-type QuantGraph interface {
-	Graph
-	// QuantKeys returns the SQ8 plane, or nil to traverse in fp32.
-	QuantKeys() *vec.QuantMatrix
-}
-
-// quantPlaneOf returns g's SQ8 plane when present and consistent with the
-// graph's node count.
-func quantPlaneOf(g Graph) *vec.QuantMatrix {
-	qg, ok := g.(QuantGraph)
-	if !ok {
-		return nil
-	}
-	qm := qg.QuantKeys()
-	if qm == nil || qm.Rows() < g.Len() {
-		return nil
-	}
-	return qm
-}
-
 // Beta converts a critical-token attention-score ratio α ∈ (0, 1] into the
 // DIPR range parameter β = −√d·ln(α) (Theorem 1). d is the head dimension.
 // Out-of-domain ratios are clamped explicitly instead of leaking NaN into a
@@ -129,15 +103,10 @@ type Result struct {
 	// ran through a SearchState, the slice aliases the state and is valid
 	// only until its next search.
 	Critical []index.Candidate
-	// MaxIP is the best inner product observed (including InitialMax). A
-	// quantized search reports the reranked (exact) maximum over the band.
+	// MaxIP is the best inner product observed (including InitialMax).
 	MaxIP float32
 	// Explored counts scored nodes — the traversal cost driver.
 	Explored int
-	// Reranked counts band candidates a quantized traversal rescored in
-	// fp32 (0 for fp32 traversals) — the price of absorbing quantization
-	// error into the widened β.
-	Reranked int
 }
 
 // searchEntry is one candidate-list slot of Algorithm 1.
@@ -159,7 +128,6 @@ type SearchState struct {
 	band    []index.Candidate
 	heap    index.MinHeap
 	out     []index.Candidate
-	qq      vec.QueryQ8 // quantized query of the current search (quant plane only)
 }
 
 // NewSearchState returns an empty search state.
@@ -179,16 +147,6 @@ func DIPRS(g Graph, q []float32, cfg DIPRSConfig) Result {
 // inner product seen so far (pruning phase). The search ends when the scan
 // catches up with the list's growth; all β-critical list entries are
 // returned (Result.Critical aliases st).
-//
-// When g carries an SQ8 plane (QuantGraph), nodes are scored through the
-// fused int8 kernels and the traversal's β is widened by twice the scoring
-// error bound ε, which makes the quantized band a superset of the exact
-// band: any node with exact score s ≥ max − β has fused score ŝ ≥ s − ε ≥
-// (max̂ − ε) − β − ε. The surviving band is then reranked with exact fp32
-// dots and re-filtered at the caller's β, so quantization changes which
-// bytes the traversal streams — not which tokens it returns. An InitialMax
-// seed (exact-space) is lowered by ε before seeding the fused-score
-// maximum, preserving the superset property.
 func DIPRSWith(st *SearchState, g Graph, q []float32, cfg DIPRSConfig) Result {
 	cfg.defaults()
 	n := g.Len()
@@ -196,21 +154,9 @@ func DIPRSWith(st *SearchState, g Graph, q []float32, cfg DIPRSConfig) Result {
 		return Result{MaxIP: float32(math.Inf(-1))}
 	}
 
-	qm := quantPlaneOf(g)
-	effBeta := cfg.Beta
-	if qm != nil {
-		st.qq.Quantize(q)
-		effBeta = cfg.Beta + 2*qm.DotErrBound(&st.qq)
-	}
-
 	maxIP := float32(math.Inf(-1))
 	if cfg.HasInitialMax {
 		maxIP = cfg.InitialMax
-		if qm != nil {
-			// The seed is an exact inner product; its fused score could sit
-			// up to ε lower.
-			maxIP -= qm.DotErrBound(&st.qq)
-		}
 	}
 
 	st.visited.Reset(n)
@@ -221,12 +167,7 @@ func DIPRSWith(st *SearchState, g Graph, q []float32, cfg DIPRSConfig) Result {
 	st.visited.Add(int(start))
 	if cfg.Filter == nil || cfg.Filter(start) {
 		explored++
-		var s float32
-		if qm != nil {
-			s = qm.ScoreQ8(&st.qq, int(start))
-		} else {
-			s = vec.Dot(q, g.Vector(start))
-		}
+		s := vec.Dot(q, g.Vector(start))
 		list = append(list, searchEntry{id: start, score: s})
 		if s > maxIP {
 			maxIP = s
@@ -273,16 +214,10 @@ func DIPRSWith(st *SearchState, g Graph, q []float32, cfg DIPRSConfig) Result {
 			}
 		}
 		explored += len(pending)
-		if qm != nil {
-			for j := range pending {
-				pending[j].Score = qm.ScoreQ8(&st.qq, int(pending[j].ID))
-			}
-		} else {
-			index.Score(q, g.Vector, pending)
-		}
+		index.Score(q, g.Vector, pending)
 		// Line 13: below capacity, accept anything; past it, β-critical only.
 		for _, c := range pending {
-			if len(list) <= cfg.Capacity || c.Score >= maxIP-effBeta {
+			if len(list) <= cfg.Capacity || c.Score >= maxIP-cfg.Beta {
 				list = append(list, searchEntry{id: c.ID, score: c.Score})
 				if c.Score > maxIP {
 					maxIP = c.Score
@@ -293,36 +228,12 @@ func DIPRSWith(st *SearchState, g Graph, q []float32, cfg DIPRSConfig) Result {
 	st.pending = pending[:0]
 	st.list = list
 
-	threshold := maxIP - effBeta
+	threshold := maxIP - cfg.Beta
 	band := st.band[:0]
 	for _, e := range list {
 		if e.score >= threshold && !math.IsInf(float64(e.score), -1) {
 			band = append(band, index.Candidate{ID: e.id, Score: e.score})
 		}
-	}
-	reranked := 0
-	if qm != nil {
-		// Rerank the widened band with exact fp32 dots and re-filter at the
-		// caller's β around the exact maximum, restoring fp32 semantics.
-		reranked = len(band)
-		index.Score(q, g.Vector, band)
-		exactMax := float32(math.Inf(-1))
-		if cfg.HasInitialMax {
-			exactMax = cfg.InitialMax
-		}
-		for _, c := range band {
-			if c.Score > exactMax {
-				exactMax = c.Score
-			}
-		}
-		kept := band[:0]
-		for _, c := range band {
-			if c.Score >= exactMax-cfg.Beta {
-				kept = append(kept, c)
-			}
-		}
-		band = kept
-		maxIP = exactMax
 	}
 	st.band = band
 	keep := len(band)
@@ -335,7 +246,7 @@ func DIPRSWith(st *SearchState, g Graph, q []float32, cfg DIPRSConfig) Result {
 	}
 	st.heap = res[:0]
 	st.out = res.SortedInto(st.out)
-	return Result{Critical: st.out, MaxIP: maxIP, Explored: explored, Reranked: reranked}
+	return Result{Critical: st.out, MaxIP: maxIP, Explored: explored}
 }
 
 // WindowMax computes the maximum inner product between q and the key rows

@@ -408,107 +408,6 @@ func TestDIPRSWithZeroAllocWarm(t *testing.T) {
 	}
 }
 
-// snapKeys quantizes keys in place (as kvcache.EnableQuantKeys snaps the
-// fp32 plane) and returns the shadow.
-func snapKeys(keys *vec.Matrix) *vec.QuantMatrix {
-	qm := vec.QuantizeMatrix(keys)
-	for i := 0; i < keys.Rows(); i++ {
-		qm.DequantizeRow(i, keys.Row(i))
-	}
-	return qm
-}
-
-// TestDIPRSQuantSupersetThenIdentical is the recall-parity satellite for
-// the graph path: on the synthetic workload, the SQ8 traversal with widened
-// β explores a band that covers the fp32 band (Reranked >= returned) and,
-// after the fp32 rerank, returns the identical critical set — ids, exact
-// scores, and order.
-func TestDIPRSQuantSupersetThenIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	keys := randomKeys(rng, 1200, 16)
-	qm := snapKeys(keys)
-	g := buildGraph(rng, keys)
-	queries := randomKeys(rng, 8, 16)
-
-	for trial := 0; trial < 8; trial++ {
-		q := queries.Row(trial)
-		cfg := DIPRSConfig{Beta: 1.2, MaxResults: 64}
-		if trial%2 == 1 {
-			lim := int32(700)
-			cfg.Filter = func(id int32) bool { return id < lim }
-		}
-		g.AttachQuantKeys(nil)
-		want := DIPRS(g, q, cfg)
-		if want.Reranked != 0 {
-			t.Fatalf("fp32 traversal reported %d reranked rows", want.Reranked)
-		}
-		g.AttachQuantKeys(qm)
-		got := DIPRS(g, q, cfg)
-		if got.Reranked < len(got.Critical) {
-			t.Fatalf("trial %d: reranked %d < returned %d — band not a superset",
-				trial, got.Reranked, len(got.Critical))
-		}
-		if got.MaxIP != want.MaxIP {
-			t.Fatalf("trial %d: MaxIP %v vs %v", trial, got.MaxIP, want.MaxIP)
-		}
-		if len(got.Critical) != len(want.Critical) {
-			t.Fatalf("trial %d: %d vs %d critical tokens", trial, len(got.Critical), len(want.Critical))
-		}
-		for i := range want.Critical {
-			if got.Critical[i] != want.Critical[i] {
-				t.Fatalf("trial %d rank %d: %v vs %v", trial, i, got.Critical[i], want.Critical[i])
-			}
-		}
-	}
-}
-
-// TestDIPRSQuantWindowSeed checks the ε-lowered InitialMax seeding: a seed
-// from the window must not evict true band members under quantization.
-func TestDIPRSQuantWindowSeed(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	keys := randomKeys(rng, 800, 16)
-	winRow := keys.Row(795)
-	vec.Zero(winRow)
-	winRow[0] = 8
-	qm := snapKeys(keys)
-	g := buildGraph(rng, keys)
-	g.AttachQuantKeys(qm)
-	q := make([]float32, 16)
-	q[0] = 1
-
-	seed, ok := WindowMax(q, keys, []int{793, 794, 795, 796})
-	if !ok || seed != 8 {
-		t.Fatalf("WindowMax = %v/%v", seed, ok)
-	}
-	res := DIPRS(g, q, DIPRSConfig{Beta: 1, InitialMax: seed, HasInitialMax: true})
-	if res.MaxIP < seed {
-		t.Fatalf("seeded quant MaxIP %v below seed %v", res.MaxIP, seed)
-	}
-	for _, c := range res.Critical {
-		if c.Score < res.MaxIP-1-1e-5 {
-			t.Fatalf("non-critical token under seeded quant max: %v vs %v", c.Score, res.MaxIP)
-		}
-	}
-}
-
-// TestDIPRSQuantZeroAllocWarm extends the zero-alloc guard to the quantized
-// traversal (quantize query, fused scoring, fp32 rerank — all in the state
-// arena).
-func TestDIPRSQuantZeroAllocWarm(t *testing.T) {
-	g, queries := diprsGraph(t, 2000, 16)
-	g.AttachQuantKeys(snapKeys(g.Keys()))
-	q := queries.Row(0)
-	st := NewSearchState()
-	cfg := DIPRSConfig{Beta: 2, MaxResults: 128}
-	DIPRSWith(st, g, q, cfg) // warm
-	allocs := testing.AllocsPerRun(20, func() {
-		DIPRSWith(st, g, q, cfg)
-	})
-	if allocs != 0 {
-		t.Fatalf("warm quantized DIPRS allocated %.1f times per run, want 0", allocs)
-	}
-}
-
 // TestBetaClampsExplicitly covers the documented out-of-domain behaviour of
 // the Theorem 1 conversion: no NaN ever leaks into a search parameter.
 func TestBetaClampsExplicitly(t *testing.T) {

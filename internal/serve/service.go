@@ -258,19 +258,12 @@ type StatsResponse struct {
 	PrefixHits        int64 `json:"prefix_hits,omitempty"`
 	PrefixSpillHits   int64 `json:"prefix_spill_hits,omitempty"`
 	CoWStores         int64 `json:"cow_stores,omitempty"`
-	// Stored KV footprint split by plane (always present): with the SQ8
-	// plane enabled the scoring traffic runs over KeyQuantBytes — about a
-	// quarter of KeyBytes — while KeyBytes is the fp32 mirror touched only
-	// by reranks and materialization.
-	KeyBytes      int64 `json:"key_bytes"`
-	ValueBytes    int64 `json:"value_bytes"`
-	KeyQuantBytes int64 `json:"key_quant_bytes,omitempty"`
-	// SQ8 read path (zero/absent when Config.QuantKeys is off).
-	QuantEnabled  bool    `json:"quant_enabled"`
-	QuantSearches int64   `json:"quant_searches,omitempty"`
-	FP32Searches  int64   `json:"fp32_searches,omitempty"`
-	RerankedRows  int64   `json:"reranked_rows,omitempty"`
-	RerankPerSrch float64 `json:"rerank_per_search,omitempty"`
+	// Stored KV footprint split by plane (always present).
+	KeyBytes   int64 `json:"key_bytes"`
+	ValueBytes int64 `json:"value_bytes"`
+	// QuantEnabled reports Config.QuantKeys: key rows sit on the SQ8 grid
+	// and spill as packed int8 codes.
+	QuantEnabled bool `json:"quant_enabled"`
 	// Per-context index builds (absent until the first build): how many
 	// ran and their wall-clock.
 	IndexBuilds          int64 `json:"index_builds,omitempty"`
@@ -556,8 +549,8 @@ func (s *Service) Healthz() *HealthzResponse {
 	return resp
 }
 
-// Stats summarises the DB, both storage tiers, the quantized read path,
-// and the serving API's per-endpoint counters.
+// Stats summarises the DB, both storage tiers, and the serving API's
+// per-endpoint counters.
 func (s *Service) Stats() (resp *StatsResponse, err error) {
 	defer s.track(metrics.EPStats, &err)()
 	resp = &StatsResponse{
@@ -570,14 +563,7 @@ func (s *Service) Stats() (resp *StatsResponse, err error) {
 	kv := s.db.StoredKVBytes()
 	resp.KeyBytes = kv.Keys
 	resp.ValueBytes = kv.Values
-	resp.KeyQuantBytes = kv.QuantKeys
 	resp.QuantEnabled = s.db.QuantEnabled()
-	if qs := s.db.QuantStats(); resp.QuantEnabled || qs.FP32Searches > 0 {
-		resp.QuantSearches = qs.QuantSearches
-		resp.FP32Searches = qs.FP32Searches
-		resp.RerankedRows = qs.RerankedRows
-		resp.RerankPerSrch = qs.RerankPerSearch()
-	}
 	if ts := s.db.TierStats(); ts.Enabled {
 		resp.SpillEnabled = true
 		resp.SpilledContexts = ts.SpilledContexts

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -240,18 +241,18 @@ func compareAttention(t *testing.T, phase string, got, want StepResponse) {
 	}
 }
 
-// TestServeQuantStats drives a quant server and checks /v1/stats exposes
-// the SQ8 observability fields: the key/value byte split with the quant
-// plane at about a quarter of the fp32 keys, and the rerank-volume
-// counters moving with traffic.
+// TestServeQuantStats drives a quant server and checks /v1/stats: it
+// reports quant_enabled and the fp32 key/value byte split, and no longer
+// carries the int8-plane fields (key_quant_bytes and the search/rerank
+// counters), since no resident int8 plane exists.
 func TestServeQuantStats(t *testing.T) {
 	const tokens = 400
 	doc := model.NewFiller(600, tokens, 16, 32)
 	doc.Plant(200, 9, 3, 1)
 	wire := DocumentWire{Seed: doc.Seed, Tokens: doc.Tokens}
 
-	// A device too small for the coarse block cache forces DIPR plans — the
-	// path the quant counters measure.
+	// A device too small for the coarse block cache forces DIPR plans, the
+	// retrieval path over the snapped key rows.
 	cfg := model.Default()
 	cfg.Layers = 2
 	cfg.QHeads = 4
@@ -289,31 +290,32 @@ func TestServeQuantStats(t *testing.T) {
 	}
 	attnAll(t, ts.URL+"/v1/sessions/"+itoa(created.SessionID), m, doc, 9, nil)
 
-	var stats StatsResponse
 	resp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
+	var stats StatsResponse
+	if err := json.Unmarshal(raw, &stats); err != nil {
+		t.Fatal(err)
+	}
 	if !stats.QuantEnabled {
 		t.Fatal("quant_enabled not reported")
 	}
-	if stats.KeyBytes == 0 || stats.ValueBytes == 0 || stats.KeyQuantBytes == 0 {
+	if stats.KeyBytes == 0 || stats.ValueBytes == 0 {
 		t.Fatalf("byte split missing: %+v", stats)
 	}
-	if 3*stats.KeyQuantBytes >= stats.KeyBytes {
-		t.Fatalf("quant plane %d not under a third of fp32 keys %d", stats.KeyQuantBytes, stats.KeyBytes)
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &fields); err != nil {
+		t.Fatal(err)
 	}
-	if stats.QuantSearches == 0 {
-		t.Fatalf("no quant searches recorded: %+v", stats)
-	}
-	if stats.RerankedRows == 0 || stats.RerankPerSrch <= 0 {
-		t.Fatalf("rerank volume not recorded: %+v", stats)
-	}
-	if stats.FP32Searches != 0 {
-		t.Fatalf("fp32 searches on a quant server: %+v", stats)
+	for _, gone := range []string{"key_quant_bytes", "quant_searches", "fp32_searches", "reranked_rows", "rerank_per_search"} {
+		if _, ok := fields[gone]; ok {
+			t.Errorf("/v1/stats still reports %q", gone)
+		}
 	}
 }

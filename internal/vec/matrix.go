@@ -63,6 +63,16 @@ func (m *Matrix) Append(v []float32) int {
 	return m.Rows() - 1
 }
 
+// AppendZero adds a zero row and returns its index, for callers that fill
+// the row in place through Row. The matrix must have a column count.
+func (m *Matrix) AppendZero() int {
+	if m.cols == 0 {
+		panic("vec: AppendZero on a matrix without a column count")
+	}
+	m.data = append(m.data, make([]float32, m.cols)...)
+	return m.Rows() - 1
+}
+
 // Data returns the underlying row-major buffer. Callers must treat it as
 // read-only unless they own the matrix.
 func (m *Matrix) Data() []float32 { return m.data }

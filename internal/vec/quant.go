@@ -5,9 +5,11 @@ import (
 	"math"
 )
 
-// This file implements the SQ8 quantized key plane: symmetric per-row
-// scalar quantization of float32 vectors to int8, plus the fused scoring
-// kernels the decode hot path runs against the quantized storage.
+// This file implements SQ8: symmetric per-row scalar quantization of
+// float32 vectors to int8. Its serving role is the spill format — key rows
+// under Config.QuantKeys are snapped to the grid (SnapRow) and written to
+// disk as packed codes (PackRow) — plus the fused int8 scoring kernels that
+// the ε-widened flat band and the benchmark probes still run.
 //
 // Layout and convention. A QuantMatrix mirrors a Matrix row for row: row i
 // holds int8 codes c and one float32 scale s with dequantized value s·c —
@@ -22,11 +24,10 @@ import (
 // per row. They walk storage in the same 4-row blocks as the fp32 kernels
 // in batch.go.
 //
-// Error accounting. Quantization error is absorbed where AlayaDB's β-range
-// semantics make it principled: a DIPR search over the quantized plane
-// widens β by the scoring error bound and reranks survivors in fp32
-// (internal/query). The bound kept here is against the *dequantized* plane:
-// scoring a quantized query against row k errs by at most
+// Error accounting. A DIPR scan over the quantized plane widens β by the
+// scoring error bound and reranks survivors in fp32 (flat.MakeQuant). The
+// bound kept here is against the *dequantized* plane: scoring a quantized
+// query against row k errs by at most
 //
 //	|ŝ − q·(sk·ck)| ≤ (sq/2) · ‖sk·ck‖₁
 //
@@ -61,7 +62,9 @@ func NewQuantMatrix(cols int) *QuantMatrix {
 	return &QuantMatrix{cols: cols}
 }
 
-// QuantizeMatrix quantizes every row of m into a fresh QuantMatrix.
+// QuantizeMatrix quantizes every row of m into a fresh QuantMatrix: the
+// codes kvcache.QuantKeys hands the spill writer and benchmark/probes.go
+// scores against.
 func QuantizeMatrix(m *Matrix) *QuantMatrix {
 	qm := NewQuantMatrix(m.Cols())
 	for i := 0; i < m.Rows(); i++ {
@@ -81,31 +84,41 @@ func (qm *QuantMatrix) Rows() int {
 // Cols returns the row width.
 func (qm *QuantMatrix) Cols() int { return qm.cols }
 
-// quantizeRow writes round-to-nearest symmetric codes of v into dst and
-// returns the scale and the L1 norm of the dequantized row. A zero row gets
-// scale 0 and all-zero codes.
-func quantizeRow(dst []int8, v []float32) (scale, l1 float32) {
+// rowScale returns v's symmetric SQ8 scale: max|v_i|/qMax, or 0 for a zero
+// row.
+func rowScale(v []float32) float32 {
 	var maxAbs float32
 	for _, x := range v {
 		if a := float32(math.Abs(float64(x))); a > maxAbs {
 			maxAbs = a
 		}
 	}
-	if maxAbs == 0 {
-		for i := range dst {
-			dst[i] = 0
-		}
-		return 0, 0
+	return maxAbs / qMax
+}
+
+// quantCode returns x's round-to-nearest code at scale, clamped to
+// [-qMax, qMax]; every code of a zero-scale row is 0.
+func quantCode(x, scale float32) int32 {
+	if scale == 0 {
+		return 0
 	}
-	scale = maxAbs / qMax
+	c := int32(math.Round(float64(x / scale)))
+	if c > qMax {
+		c = qMax
+	} else if c < -qMax {
+		c = -qMax
+	}
+	return c
+}
+
+// quantizeRow writes round-to-nearest symmetric codes of v into dst and
+// returns the scale and the L1 norm of the dequantized row. A zero row gets
+// scale 0 and all-zero codes.
+func quantizeRow(dst []int8, v []float32) (scale, l1 float32) {
+	scale = rowScale(v)
 	var absSum int32
 	for i, x := range v {
-		c := int32(math.Round(float64(x / scale)))
-		if c > qMax {
-			c = qMax
-		} else if c < -qMax {
-			c = -qMax
-		}
+		c := quantCode(x, scale)
 		dst[i] = int8(c)
 		if c < 0 {
 			absSum -= c
@@ -114,6 +127,28 @@ func quantizeRow(dst []int8, v []float32) (scale, l1 float32) {
 		}
 	}
 	return scale, scale * float32(absSum)
+}
+
+// SnapRow moves v in place onto its SQ8 grid: each component becomes
+// scale·code, bit for bit what quantizing v and dequantizing the row
+// writes. A snapped row is a fixed point of quantization: quantizing it
+// again yields the same codes and scale.
+func SnapRow(v []float32) {
+	scale := rowScale(v)
+	for i, x := range v {
+		v[i] = scale * float32(quantCode(x, scale))
+	}
+}
+
+// DequantizeCodes writes scale·code for each code into out, which must have
+// len(codes) entries.
+func DequantizeCodes(codes []int8, scale float32, out []float32) {
+	if len(out) != len(codes) {
+		panic(fmt.Sprintf("vec: dequantize %d codes into %d-buffer", len(codes), len(out)))
+	}
+	for j, c := range codes {
+		out[j] = scale * float32(c)
+	}
 }
 
 // Append quantizes v as a new row and returns its index. On the zero value
@@ -179,14 +214,7 @@ func (qm *QuantMatrix) Scale(i int) float32 { return qm.scales[i] }
 // DequantizeRow writes row i's dequantized values (scale · code) into out,
 // which must have Cols() entries.
 func (qm *QuantMatrix) DequantizeRow(i int, out []float32) {
-	if len(out) != qm.cols {
-		panic(fmt.Sprintf("vec: dequantize into %d-buffer from %d-column matrix", len(out), qm.cols))
-	}
-	s := qm.scales[i]
-	codes := qm.RowCodes(i)
-	for j, c := range codes {
-		out[j] = s * float32(c)
-	}
+	DequantizeCodes(qm.RowCodes(i), qm.scales[i], out)
 }
 
 // Truncate drops all rows at index >= n and recomputes the running maxima.
@@ -228,7 +256,8 @@ func (qm *QuantMatrix) Bytes() int64 {
 // quantization allocation-free. Alongside the int8 codes it keeps an
 // int16-widened copy: the SIMD inner loop (PMADDWD on amd64) consumes
 // word-sized query lanes, and widening once per query is cheaper than
-// widening per scored row.
+// widening per scored row. No serving path scores with it; it stays only
+// while benchmark/probes.go times the int8 kernels.
 type QueryQ8 struct {
 	Codes   []int8
 	Scale   float32
@@ -297,12 +326,6 @@ func (qm *QuantMatrix) PlaneErrBound(q []float32) float32 {
 	return 0.5 * qm.maxScale * float32(l1) * errSafety
 }
 
-// ScoreQ8 returns the fused approximate inner product of qq against row i:
-// int32 code dot, one dequantizing multiply.
-func (qm *QuantMatrix) ScoreQ8(qq *QueryQ8, i int) float32 {
-	return float32(dotQ8W(qq.widened, qm.RowCodes(i))) * (qq.Scale * qm.scales[i])
-}
-
 // DotBatchQ8Range computes out[i] = fused score of qq against row lo+i for
 // i in [0, hi-lo), walking code storage in 4-row blocks — the SQ8 analogue
 // of DotBatchRange. out must have at least hi-lo entries.
@@ -337,7 +360,8 @@ func DotBatchQ8Range(qq *QueryQ8, qm *QuantMatrix, lo, hi int, out []float32) {
 	}
 }
 
-// DotBatchQ8 computes the fused score of qq against every row of qm.
+// DotBatchQ8 computes the fused score of qq against every row of qm. It
+// stays only while benchmark/probes.go times it (vec.dotq8_gbs).
 func DotBatchQ8(qq *QueryQ8, qm *QuantMatrix, out []float32) {
 	DotBatchQ8Range(qq, qm, 0, qm.Rows(), out)
 }

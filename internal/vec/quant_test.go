@@ -52,26 +52,55 @@ func TestQuantizeDequantizeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestQuantizeSnappedIsFixedPoint pins the property the snapped key plane
+// TestQuantizeSnappedIsFixedPoint pins the property the SQ8 spill format
 // relies on: quantizing an already-dequantized row reproduces the same
-// codes and scale, so re-importing a stored (snapped) context drifts
-// nothing.
+// codes and scale bit for bit, so the spill writer can re-quantize the
+// resident (snapped) rows and a reload dequantizes exactly those rows.
+// SnapRow must write the dequantized row itself. Zero rows and rows with
+// one nonzero component are included.
 func TestQuantizeSnappedIsFixedPoint(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	for trial := 0; trial < 100; trial++ {
+	for trial := 0; trial < 300; trial++ {
 		d := 1 + rng.Intn(128)
-		v := randVec(rng, d, 3)
+		v := randVec(rng, d, float32(math.Pow(10, float64(rng.Intn(7)-3))))
+		switch trial % 10 {
+		case 0: // all zero, one component negative zero
+			zero := make([]float32, d)
+			zero[rng.Intn(d)] = float32(math.Copysign(0, -1))
+			v = zero
+		case 1: // one nonzero component
+			spike := make([]float32, d)
+			spike[rng.Intn(d)] = v[0]
+			v = spike
+		}
 		qm := NewQuantMatrix(d)
 		qm.Append(v)
 		snapped := make([]float32, d)
 		qm.DequantizeRow(0, snapped)
 
+		inPlace := append([]float32(nil), v...)
+		SnapRow(inPlace)
+		for i := range snapped {
+			if math.Float32bits(inPlace[i]) != math.Float32bits(snapped[i]) {
+				t.Fatalf("trial %d dim %d: SnapRow wrote %v, dequantized row holds %v", trial, i, inPlace[i], snapped[i])
+			}
+		}
+
 		again := NewQuantMatrix(d)
 		again.Append(snapped)
+		if math.Float32bits(again.Scale(0)) != math.Float32bits(qm.Scale(0)) {
+			t.Fatalf("trial %d: scale %v re-quantized to %v", trial, qm.Scale(0), again.Scale(0))
+		}
+		codes, reCodes := qm.RowCodes(0), again.RowCodes(0)
+		for i := range codes {
+			if codes[i] != reCodes[i] {
+				t.Fatalf("trial %d dim %d: code %d re-quantized to %d", trial, i, codes[i], reCodes[i])
+			}
+		}
 		resnapped := make([]float32, d)
 		again.DequantizeRow(0, resnapped)
 		for i := range snapped {
-			if snapped[i] != resnapped[i] {
+			if math.Float32bits(snapped[i]) != math.Float32bits(resnapped[i]) {
 				t.Fatalf("trial %d dim %d: snapped %v re-snapped to %v", trial, i, snapped[i], resnapped[i])
 			}
 		}
@@ -115,8 +144,8 @@ func TestFusedScoreErrorBound(t *testing.T) {
 	}
 }
 
-// TestQ8KernelsAgree pins the batch, gather, and single-row kernels to the
-// same fused formulation.
+// TestQ8KernelsAgree pins the batch, gather, and range kernels to the same
+// fused formulation.
 func TestQ8KernelsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	const d, n = 33, 41 // off block boundaries on purpose
@@ -138,9 +167,6 @@ func TestQ8KernelsAgree(t *testing.T) {
 	for j, i := range idx {
 		if gather[j] != batch[i] {
 			t.Fatalf("gather[%d] (row %d) = %v, batch = %v", j, i, gather[j], batch[i])
-		}
-		if s := qm.ScoreQ8(&qq, i); s != batch[i] {
-			t.Fatalf("ScoreQ8(%d) = %v, batch = %v", i, s, batch[i])
 		}
 	}
 

@@ -261,7 +261,7 @@ func (c *Client) Healthz(ctx context.Context) (HealthzResponse, error) {
 	return hz, err
 }
 
-// Stats fetches the DB, tier, quant, scheduler and per-endpoint
+// Stats fetches the DB, tier, scheduler and per-endpoint
 // statistics.
 func (c *Client) Stats(ctx context.Context) (StatsResponse, error) {
 	if c.gc != nil {
