@@ -83,7 +83,7 @@ func run() error {
 		spillDir  = flag.String("spill-dir", "", "directory for the disk spill tier: evicted contexts are persisted there and transparently reloaded (empty = eviction drops contexts)")
 		spillGB   = flag.Float64("spill-budget-gb", 0, "spill tier byte budget in GB; LRU spilled contexts are deleted over it (0 = unlimited)")
 		quant     = flag.Bool("quant-keys", false, "snap key rows to the SQ8 (int8) grid and spill them as packed codes: spilled key files shrink 4x, every resident read stays fp32 (spill dirs are layout-specific)")
-		schedWave = flag.Int("sched-wave", 0, "continuous-batching wave size: decode steps from up to this many sessions execute as one fused fan-out over the worker pool (0 = pool size)")
+		schedWave = flag.Int("sched-wave", 0, "decode wave size: queued steps and streamed batches from up to this many sessions execute as one fused fan-out over the worker pool; a step on an idle session runs on its caller (0 = pool size)")
 		schedQ    = flag.Int("sched-queue", serve.DefaultQueueDepth, "bounded admission queue for decode steps; requests beyond it are rejected with 429 overloaded")
 	)
 	flag.Parse()

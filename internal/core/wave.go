@@ -33,6 +33,17 @@ type StepItem struct {
 	AttendOnly bool
 }
 
+// Run executes the item alone on the calling goroutine: StepInto, or
+// AttentionAllLayersInto when AttendOnly. It is a wave of one, and what
+// the serving layer runs for a step that does not wait on a wave.
+func (it *StepItem) Run() {
+	if it.AttendOnly {
+		it.Sess.AttentionAllLayersInto(it.Queries, it.Out)
+	} else {
+		it.Sess.StepInto(it.Token, it.Queries, it.Out)
+	}
+}
+
 // StepWave runs one decode step for every item as a single shared
 // fan-out over p. Semantically each item is exactly item.Sess.StepInto —
 // ingest the token, then attention for every layer and head — and each
@@ -54,11 +65,7 @@ func StepWave(p *pool.Pool, items []StepItem) {
 		return
 	case 1:
 		// One tenant: identical to the serial step, no wave machinery.
-		if items[0].AttendOnly {
-			items[0].Sess.AttentionAllLayersInto(items[0].Queries, items[0].Out)
-		} else {
-			items[0].Sess.StepInto(items[0].Token, items[0].Queries, items[0].Out)
-		}
+		items[0].Run()
 		return
 	}
 

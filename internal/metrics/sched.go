@@ -14,16 +14,17 @@ type SchedCounters struct {
 	waves      atomic.Int64
 	items      atomic.Int64
 	maxWave    atomic.Int64
-	queueDepth atomic.Int64 // gauge: steps admitted but not yet dispatched
+	queueDepth atomic.Int64 // gauge: steps queued, not yet dispatched
 }
 
-// Admit records n steps accepted into the admission queue.
+// Admit records n steps admitted, queued or run direct.
 func (c *SchedCounters) Admit(n int) { c.admitted.Add(int64(n)) }
 
 // Reject records n steps refused with backpressure (queue full).
 func (c *SchedCounters) Reject(n int) { c.rejected.Add(int64(n)) }
 
-// ObserveWave records one dispatched wave carrying n step items.
+// ObserveWave records one wave carrying n step items (a direct step is
+// a wave of one).
 func (c *SchedCounters) ObserveWave(n int) {
 	c.waves.Add(1)
 	c.items.Add(int64(n))
@@ -46,11 +47,11 @@ type SchedSnapshot struct {
 	WaveSize int `json:"wave_size"`
 	// QueueCap is the configured admission-queue bound.
 	QueueCap int `json:"queue_cap"`
-	// Admitted counts steps accepted into the queue.
+	// Admitted counts steps admitted, queued or run direct.
 	Admitted int64 `json:"admitted"`
 	// Rejected counts steps refused with the overloaded error.
 	Rejected int64 `json:"rejected"`
-	// Waves counts dispatched decode waves.
+	// Waves counts decode waves; a direct step counts as a wave of one.
 	Waves int64 `json:"waves"`
 	// Items counts step items executed across all waves.
 	Items int64 `json:"items"`

@@ -8,26 +8,32 @@ import (
 	"repro/internal/metrics"
 )
 
-// The continuous-batching decode scheduler. Decoding per request handles
-// one session at a time: a step on a small model leaves most of
-// the worker pool idle, and sixteen tenants decoding at batch size 1
-// saturate nothing. The Scheduler instead admits Step work from *all*
-// sessions into one queue and dispatches it in shared decode waves — up
-// to waveSize sessions per wave, one step each, executed as a single
-// core.StepWave fan-out — so the pool sees items×layers×heads tasks per
-// barrier no matter how the steps arrived.
+// The decode scheduler. It admits Step work from every session and keeps
+// each session's steps in FIFO order. A unary step whose session has
+// nothing queued or in flight is a direct step: it runs on its caller's
+// goroutine, with no dispatcher hop, and concurrent direct steps on
+// different sessions overlap on the worker pool. Everything else — every
+// streamed batch, and any step that arrives while its session has work
+// ahead of it — queues and runs in shared decode waves: up to waveSize
+// sessions per wave, one step each, executed as a single core.StepWave
+// fan-out by the dispatcher goroutine.
 //
-// Ordering: steps of one session never share a wave (a wave carries at
-// most the head of each session's queue), so per-session execution is
-// strictly FIFO and runs under the session's lock exactly like a serial
-// step; outputs are bitwise-identical to serial steps on each session.
+// Ordering: a direct step keeps its session registered as in flight, so
+// a step or stream arriving meanwhile queues behind it; when it finishes
+// it hands the session to the ready list. Steps of one session never
+// share a wave (a wave carries at most the head of each session's
+// queue). Every step runs under the session's lock exactly like a serial
+// step, so outputs are bitwise-identical to serial steps on each session.
 // Fairness: the ready list is a FIFO of sessions, so a session streaming
 // thousands of steps cannot starve a session submitting its first.
 //
-// Backpressure: admission is bounded by queueCap steps. A submit that
-// would exceed the bound — for a batch, counting every step in it — is
-// rejected whole with the typed overloaded error; nothing is partially
-// enqueued.
+// Backpressure: admission is bounded by queueCap queued steps. A submit
+// that would exceed the bound — for a batch, counting every step in it —
+// is rejected whole with the typed overloaded error; nothing is partially
+// enqueued. The bound is checked before a step is sent down the direct
+// path, so a full queue rejects every new step, but a direct step never
+// counts toward the queue depth. It is counted as admitted and as a wave
+// of one.
 type Scheduler struct {
 	svc      *Service
 	waveSize int
@@ -37,8 +43,10 @@ type Scheduler struct {
 	cond     *sync.Cond // signalled when ready work appears or Close begins
 	sessions map[int64]*schedSession
 	ready    []*schedSession // FIFO of sessions with a dispatchable head job
-	queued   int             // steps admitted, not yet dispatched
+	queued   int             // steps queued, not yet dispatched
 	closed   bool
+
+	direct sync.WaitGroup // direct steps running on their callers
 
 	done chan struct{} // closed when the dispatcher exits
 
@@ -64,7 +72,7 @@ type schedSession struct {
 	id       int64
 	jobs     []*stepJob
 	head     int
-	inFlight bool // head job is in the wave being executed
+	inFlight bool // a step of the session is executing (wave or direct)
 	ready    bool // session is on the ready list
 }
 
@@ -88,7 +96,7 @@ type stepJob struct {
 	ch    chan *stepJob
 	ownCh chan *stepJob
 
-	// Wave-execution state, dispatcher-owned.
+	// Execution state, owned by whoever runs the job (begin to end).
 	release func()
 	scratch *stepScratch
 }
@@ -177,39 +185,69 @@ func (sch *Scheduler) Stats() metrics.SchedSnapshot {
 // traffic reaches the scheduler.
 func (sch *Scheduler) SetWaveGate(fn func(wave int)) { sch.waveGate = fn }
 
-// Close rejects all queued work and stops the dispatcher, returning once
-// it has exited. Jobs in the wave being executed complete normally.
-// Idempotent and safe for concurrent callers: every call observes the
-// dispatcher fully stopped before returning.
+// Close rejects new steps, fails all queued work and stops the
+// dispatcher, returning once it has exited and every direct step has
+// finished. Steps already executing — the current wave's and the direct
+// ones — complete normally. Idempotent and safe for concurrent callers:
+// every call observes the scheduler fully stopped before returning.
 func (sch *Scheduler) Close() {
 	sch.mu.Lock()
-	if sch.closed {
-		sch.mu.Unlock()
-		<-sch.done
-		return
+	if !sch.closed {
+		sch.closed = true
+		sch.cond.Signal()
 	}
-	sch.closed = true
-	sch.cond.Signal()
 	sch.mu.Unlock()
 	<-sch.done
+	sch.direct.Wait()
 }
 
-// admitLocked queues job on its session, creating the entry on demand.
-func (sch *Scheduler) admitLocked(job *stepJob) {
-	ss := sch.sessions[job.id]
+// sessionLocked returns id's entry, creating it on demand.
+func (sch *Scheduler) sessionLocked(id int64) *schedSession {
+	ss := sch.sessions[id]
 	if ss == nil {
 		ss = schedSessionPool.Get().(*schedSession)
-		ss.id = job.id
-		sch.sessions[job.id] = ss
+		ss.id = id
+		sch.sessions[id] = ss
 	}
+	return ss
+}
+
+// enqueueLocked queues job on its session, behind any step it has
+// queued or in flight.
+func (sch *Scheduler) enqueueLocked(job *stepJob) {
+	ss := sch.sessionLocked(job.id)
 	ss.jobs = append(ss.jobs, job)
 	if !ss.inFlight && !ss.ready {
 		ss.ready = true
 		sch.ready = append(sch.ready, ss)
 	}
+	sch.queued++
+	sch.sc.SetQueueDepth(sch.queued)
 }
 
-// reserveLocked enforces the admission bound for n more steps.
+// settleLocked ends ss's executing step. A session with steps queued
+// behind it goes back on the ready list and settleLocked reports true,
+// unless the scheduler is closing: then the steps stay for drainLocked
+// to fail. A session with nothing queued leaves the table.
+func (sch *Scheduler) settleLocked(ss *schedSession) bool {
+	ss.inFlight = false
+	if ss.head < len(ss.jobs) {
+		if sch.closed {
+			return false
+		}
+		ss.ready = true
+		sch.ready = append(sch.ready, ss)
+		return true
+	}
+	delete(sch.sessions, ss.id)
+	ss.jobs = ss.jobs[:0]
+	ss.head = 0
+	schedSessionPool.Put(ss)
+	return false
+}
+
+// reserveLocked enforces the admission bound for n more steps and counts
+// them as admitted.
 func (sch *Scheduler) reserveLocked(n int) *Error {
 	if sch.closed {
 		return errShutdown
@@ -218,19 +256,17 @@ func (sch *Scheduler) reserveLocked(n int) *Error {
 		sch.sc.Reject(n)
 		return Overloadedf("decode queue full: %d steps queued, cap %d", sch.queued, sch.queueCap)
 	}
-	sch.queued += n
 	sch.sc.Admit(n)
-	sch.sc.SetQueueDepth(sch.queued)
 	return nil
 }
 
-// StepOne schedules a single validated step and blocks until its wave
-// completes, returning the wire response exactly as a serial step on
-// the session would.
+// StepOne runs a single validated step and returns the wire response
+// exactly as a serial step on the session would. On an idle session the
+// step runs on the calling goroutine; otherwise it queues behind the
+// session's work and the caller blocks until its wave completes.
 func (sch *Scheduler) StepOne(id int64, req *StepRequest) (*StepResponse, error) {
 	job := getStepJob()
 	job.id, job.req = id, req
-	job.ch = job.ownCh
 
 	sch.mu.Lock()
 	if err := sch.reserveLocked(1); err != nil {
@@ -238,13 +274,43 @@ func (sch *Scheduler) StepOne(id int64, req *StepRequest) (*StepResponse, error)
 		putStepJob(job)
 		return nil, err
 	}
-	sch.admitLocked(job)
+	if sch.sessions[id] == nil {
+		ss := sch.sessionLocked(id)
+		ss.inFlight = true
+		sch.direct.Add(1)
+		sch.mu.Unlock()
+		return sch.runDirect(ss, job)
+	}
+	job.ch = job.ownCh
+	sch.enqueueLocked(job)
 	sch.cond.Signal()
 	sch.mu.Unlock()
 
 	<-job.ch
 	resp, err := job.resp, job.err
 	putStepJob(job)
+	return resp, err
+}
+
+// runDirect executes job, a wave of one, on the calling goroutine while
+// ss is registered as in flight, then settles ss — waking the dispatcher
+// if steps queued behind it meanwhile.
+func (sch *Scheduler) runDirect(ss *schedSession, job *stepJob) (*StepResponse, error) {
+	sch.sc.ObserveWave(1)
+	var resp *StepResponse
+	it, err := sch.begin(job)
+	if err == nil {
+		it.Run()
+		resp = sch.end(job, &it)
+	}
+	putStepJob(job)
+
+	sch.mu.Lock()
+	if sch.settleLocked(ss) {
+		sch.cond.Signal()
+	}
+	sch.mu.Unlock()
+	sch.direct.Done()
 	return resp, err
 }
 
@@ -264,7 +330,7 @@ func (sch *Scheduler) SubmitBatch(id int64, steps []StepRequest, ch chan *stepJo
 		job.id, job.req = id, &steps[i]
 		job.ch = ch
 		job.canceled = canceled
-		sch.admitLocked(job)
+		sch.enqueueLocked(job)
 	}
 	sch.cond.Signal()
 	sch.mu.Unlock()
@@ -318,16 +384,7 @@ func (sch *Scheduler) run() {
 
 		sch.mu.Lock()
 		for _, ss := range sess {
-			ss.inFlight = false
-			if ss.head < len(ss.jobs) {
-				ss.ready = true
-				sch.ready = append(sch.ready, ss)
-			} else {
-				delete(sch.sessions, ss.id)
-				ss.jobs = ss.jobs[:0]
-				ss.head = 0
-				schedSessionPool.Put(ss)
-			}
+			sch.settleLocked(ss)
 		}
 		sch.mu.Unlock()
 
@@ -339,12 +396,16 @@ func (sch *Scheduler) run() {
 	}
 }
 
-// drainLocked fails every queued job after close.
+// drainLocked fails every queued job after close. A session whose direct
+// step is still running is emptied too, so its settleLocked finds nothing
+// to re-queue.
 func (sch *Scheduler) drainLocked() {
 	for id, ss := range sch.sessions {
 		for _, job := range ss.jobs[ss.head:] {
 			job.finish(nil, errShutdown)
 		}
+		clear(ss.jobs[ss.head:])
+		ss.jobs = ss.jobs[:ss.head]
 		delete(sch.sessions, id)
 	}
 	sch.ready = sch.ready[:0]
@@ -352,16 +413,50 @@ func (sch *Scheduler) drainLocked() {
 	sch.sc.SetQueueDepth(0)
 }
 
-// execWave runs one wave: acquire each job's session exclusively, decode
-// every live item in a single cross-session core.StepWave fan-out, build
-// the wire responses from pooled scratch, release the locks, and deliver
-// the jobs. Jobs whose session vanished (or whose stream was abandoned)
+// begin acquires j's session exclusively, checks the step against it and
+// shapes a pooled result block, returning the step as a core.StepItem.
+// On success j holds the session lock and the scratch until end.
+func (sch *Scheduler) begin(j *stepJob) (core.StepItem, error) {
+	sess, release, ok := sch.svc.reg.Acquire(j.id)
+	if !ok {
+		return core.StepItem{}, NotFoundf("no session %d", j.id)
+	}
+	if verr := checkSpanStep(sess, j.req); verr != nil {
+		release()
+		return core.StepItem{}, verr
+	}
+	j.release = release
+	j.scratch = stepScratchPool.Get().(*stepScratch)
+	mc := sch.svc.db.Model().Config()
+	return core.StepItem{
+		Sess:       sess,
+		Token:      j.req.Token,
+		Queries:    j.req.Queries,
+		Out:        j.scratch.grab(mc.Layers, mc.QHeads),
+		AttendOnly: j.req.AttendOnly,
+	}, nil
+}
+
+// end builds the wire response over the item's filled results, hands the
+// scratch to the response's done hook and releases j's session.
+func (sch *Scheduler) end(j *stepJob, it *core.StepItem) *StepResponse {
+	resp := stepRespFromResults(it.Out, it.Sess.ContextLen(0))
+	sc := j.scratch
+	resp.done = func() { stepScratchPool.Put(sc) }
+	j.scratch = nil
+	j.release()
+	j.release = nil
+	return resp
+}
+
+// execWave runs one wave: begin every job, decode the live items in a
+// single cross-session core.StepWave fan-out, end them and deliver the
+// jobs. Jobs whose session vanished (or whose stream was abandoned)
 // finish immediately without touching the wave. The wave is counted
 // before any job finishes, so a caller that has received a step's result
 // also sees the wave that produced it in the counters.
 func (sch *Scheduler) execWave(jobs []*stepJob) {
 	sch.sc.ObserveWave(len(jobs))
-	mc := sch.svc.db.Model().Config()
 	items := sch.waveItems[:0]
 	live := sch.waveLive[:0]
 	for _, j := range jobs {
@@ -369,37 +464,19 @@ func (sch *Scheduler) execWave(jobs []*stepJob) {
 			j.finish(nil, errStepCanceled)
 			continue
 		}
-		sess, release, ok := sch.svc.reg.Acquire(j.id)
-		if !ok {
-			j.finish(nil, NotFoundf("no session %d", j.id))
+		it, err := sch.begin(j)
+		if err != nil {
+			j.finish(nil, err)
 			continue
 		}
-		if verr := checkSpanStep(sess, j.req); verr != nil {
-			release()
-			j.finish(nil, verr)
-			continue
-		}
-		j.release = release
-		j.scratch = stepScratchPool.Get().(*stepScratch)
-		items = append(items, core.StepItem{
-			Sess:       sess,
-			Token:      j.req.Token,
-			Queries:    j.req.Queries,
-			Out:        j.scratch.grab(mc.Layers, mc.QHeads),
-			AttendOnly: j.req.AttendOnly,
-		})
+		items = append(items, it)
 		live = append(live, j)
 	}
 
 	core.StepWave(sch.svc.db.Pool(), items)
 
 	for k, j := range live {
-		resp := stepRespFromResults(items[k].Out, items[k].Sess.ContextLen(0))
-		sc := j.scratch
-		resp.done = func() { stepScratchPool.Put(sc) }
-		j.scratch = nil
-		j.release()
-		j.release = nil
+		resp := sch.end(j, &items[k])
 		live[k] = nil
 		items[k] = core.StepItem{}
 		j.finish(resp, nil)

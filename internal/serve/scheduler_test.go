@@ -72,6 +72,26 @@ func gateWave0Cleanup(t *testing.T, sch *Scheduler) chan struct{} {
 	return gate
 }
 
+// waitUntil polls cond until it holds, failing the test after 30 s.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// inFlight reports whether sch has session id registered as executing.
+func (sch *Scheduler) inFlight(id int64) bool {
+	sch.mu.Lock()
+	defer sch.mu.Unlock()
+	ss := sch.sessions[id]
+	return ss != nil && ss.inFlight
+}
+
 // cloneStep deep-copies a StepResponse so it survives Release.
 func cloneStep(r *StepResponse) *StepResponse {
 	out := &StepResponse{ContextLen: r.ContextLen, Layers: make([][]AttentionResponse, len(r.Layers))}
@@ -426,12 +446,20 @@ func TestSchedulerBackpressure(t *testing.T) {
 	gate := gateWave0Cleanup(t, svc.sched)
 
 	// Wave 0 executes immediately; afterwards the dispatcher blocks in the
-	// gate and everything below queues without being drained.
+	// gate and everything below queues without being drained. The first
+	// step goes through SubmitBatch because a unary Step on an idle
+	// session runs on its caller and never becomes wave 0.
 	first := mkStep(0)
-	if resp, err := svc.Step(id, &first); err != nil {
-		t.Fatal(err)
+	ch0 := make(chan *stepJob, 1)
+	var canceled0 atomic.Bool
+	if serr := svc.sched.SubmitBatch(id, []StepRequest{first}, ch0, &canceled0); serr != nil {
+		t.Fatal(serr)
+	}
+	if j := <-ch0; j.err != nil {
+		t.Fatal(j.err)
 	} else {
-		resp.Release()
+		j.resp.Release()
+		putStepJob(j)
 	}
 
 	// Fill the queue to its cap of 2 with a direct batch submit (admission
@@ -632,12 +660,16 @@ func TestSchedulerSteadyStateAllocs(t *testing.T) {
 }
 
 // TestSchedulerShutdownDrains: closing the service fails queued work with
-// the typed shutdown error instead of hanging or dropping it.
+// the typed shutdown error instead of hanging or dropping it, refuses new
+// steps while it waits, and returns only after a direct step running on
+// its caller has finished — without that step re-queuing drained work.
 func TestSchedulerShutdownDrains(t *testing.T) {
 	svc, m := schedService(t, pool.Default(), WithWaveSize(1), WithQueueDepth(8))
 	p, _ := workload.ProfileByName("Retr.P")
 	inst := workload.Generate(p, 23, 300, 64, 32)
 	id := newSchedSession(t, svc, inst.Doc)
+	heldID := newSchedSession(t, svc, inst.Doc)
+	sch := svc.sched
 
 	gate := gateWave0Cleanup(t, svc.sched)
 	first := StepRequest{Token: model.Token{Topic: 1, Payload: 1},
@@ -654,11 +686,49 @@ func TestSchedulerShutdownDrains(t *testing.T) {
 	if serr := svc.sched.SubmitBatch(id, []StepRequest{first, first}, ch, &canceled); serr != nil {
 		t.Fatal(serr)
 	}
+	// Hold a direct step mid-flight: with heldID's session lock taken
+	// here, a unary step on it registers as in flight and blocks in
+	// Acquire. One more step queues behind it. The cleanup releases the
+	// lock if an assertion fails first, so teardown does not hang.
+	_, unlock, ok := svc.reg.Acquire(heldID)
+	if !ok {
+		t.Fatal("held session vanished")
+	}
+	var unlockOnce sync.Once
+	release := func() { unlockOnce.Do(unlock) }
+	t.Cleanup(release)
+	direct := make(chan error, 1)
+	go func() {
+		resp, err := svc.Step(heldID, &first)
+		if err == nil {
+			if resp.ContextLen != inst.Doc.Len()+1 {
+				err = fmt.Errorf("direct step context %d, want %d", resp.ContextLen, inst.Doc.Len()+1)
+			}
+			resp.Release()
+		}
+		direct <- err
+	}()
+	waitUntil(t, "the direct step to register", func() bool { return sch.inFlight(heldID) })
+	behind := make(chan *stepJob, 1)
+	var canceledBehind atomic.Bool
+	if serr := sch.SubmitBatch(heldID, []StepRequest{first}, behind, &canceledBehind); serr != nil {
+		t.Fatal(serr)
+	}
+
 	closed := make(chan struct{})
 	go func() {
 		svc.sched.Close()
 		close(closed)
 	}()
+	waitUntil(t, "Close to begin", func() bool {
+		sch.mu.Lock()
+		defer sch.mu.Unlock()
+		return sch.closed
+	})
+	// New steps are refused while Close waits, as unavailable.
+	if _, err := svc.Step(id, &first); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("step during close: %v, want ErrUnavailable", err)
+	}
 	close(gate)
 	for i := 0; i < 2; i++ {
 		j := <-ch
@@ -674,7 +744,33 @@ func TestSchedulerShutdownDrains(t *testing.T) {
 		}
 		putStepJob(j)
 	}
+	// The step queued behind the held direct step never ran: the drain
+	// failed it.
+	if j := <-behind; !errors.Is(j.err, ErrUnavailable) {
+		t.Fatalf("step queued behind the direct step: err %v, want ErrUnavailable", j.err)
+	} else {
+		putStepJob(j)
+	}
+	// The dispatcher has exited, but Close still waits for the direct step.
+	<-sch.done
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a direct step was running")
+	case <-time.After(50 * time.Millisecond):
+	}
+	release()
+	if err := <-direct; err != nil {
+		t.Fatalf("direct step in flight at close: %v", err)
+	}
 	<-closed
+	// The finished direct step re-queued nothing onto the stopped
+	// scheduler.
+	sch.mu.Lock()
+	left, ready := len(sch.sessions), len(sch.ready)
+	sch.mu.Unlock()
+	if left != 0 || ready != 0 {
+		t.Fatalf("after close: %d sessions, %d ready, want none", left, ready)
+	}
 
 	// Submits after close are refused outright, again as unavailable.
 	if _, err := svc.Step(id, &first); !errors.Is(err, ErrUnavailable) {
@@ -695,4 +791,119 @@ func TestSchedulerShutdownDrains(t *testing.T) {
 	}
 	wg.Wait()
 	svc.sched.Close() // double scheduler close is a no-op too
+}
+
+// TestDirectStepQueuesBehindStream: a unary step on a session whose
+// streamed batch is held at the wave gate queues behind the batch and
+// runs after it, bitwise equal to a serial step, while unary steps on two
+// idle sessions run on their callers and complete with the dispatcher
+// still gated. Direct steps never count toward the queue depth.
+func TestDirectStepQueuesBehindStream(t *testing.T) {
+	svc, m := schedService(t, pool.Default(), WithWaveSize(1))
+	mc := m.Config()
+	p, _ := workload.ProfileByName("Retr.P")
+	inst := workload.Generate(p, 29, 300, 64, 32)
+	id := newSchedSession(t, svc, inst.Doc)
+	twin := newSchedSession(t, svc, inst.Doc)
+	others := []int64{newSchedSession(t, svc, inst.Doc), newSchedSession(t, svc, inst.Doc)}
+	sch := svc.sched
+	gate := gateWave0Cleanup(t, sch)
+
+	const batch = 2
+	steps := make([]StepRequest, batch+1)
+	for i := range steps {
+		steps[i] = StepRequest{Token: model.Token{Topic: 1, Payload: i + 1},
+			Queries: stepQueriesFor(m, inst.Doc, inst.Question, i)}
+	}
+	// Serial reference on the twin: the batch's steps, then the unary one.
+	want := make([]*StepResponse, len(steps))
+	for i := range steps {
+		resp, err := svc.stepDirect(twin, &steps[i], mc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = cloneStep(resp)
+		resp.Release()
+	}
+
+	// The stream's first step runs as wave 0; the dispatcher then holds
+	// in the gate with the second step queued.
+	first := make(chan struct{})
+	streamDone := make(chan error, 1)
+	go func() {
+		n := 0
+		streamDone <- svc.StepStream(context.Background(), id, &StepsRequest{Steps: steps[:batch]},
+			func(resp *StepResponse) error {
+				if err := diffStep(fmt.Sprintf("stream step %d", n), resp, want[n]); err != nil {
+					return err
+				}
+				if n == 0 {
+					close(first)
+				}
+				n++
+				return nil
+			})
+	}()
+	select {
+	case <-first:
+	case err := <-streamDone:
+		t.Fatalf("stream ended before its first item: %v", err)
+	}
+
+	// A unary step on the streaming session queues behind the batch.
+	unary := make(chan error, 1)
+	go func() {
+		resp, err := svc.Step(id, &steps[batch])
+		if err == nil {
+			err = diffStep("unary step behind the stream", resp, want[batch])
+			resp.Release()
+		}
+		unary <- err
+	}()
+	waitUntil(t, "the unary step to queue", func() bool { return sch.Stats().QueueDepth == batch })
+
+	// Unary steps on two idle sessions run on their callers, concurrently,
+	// while the dispatcher is gated.
+	direct := make(chan error, len(others))
+	for _, oid := range others {
+		go func(oid int64) {
+			resp, err := svc.Step(oid, &steps[0])
+			if err == nil {
+				err = diffStep(fmt.Sprintf("direct step on session %d", oid), resp, want[0])
+				resp.Release()
+			}
+			direct <- err
+		}(oid)
+	}
+	for range others {
+		select {
+		case err := <-direct:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatal("a unary step on an idle session waited on the gated dispatcher")
+		}
+	}
+	st := sch.Stats()
+	if st.QueueDepth != batch || st.Items != 1+int64(len(others)) {
+		t.Fatalf("while gated: queue depth %d, items %d; want %d, %d", st.QueueDepth, st.Items, batch, 1+len(others))
+	}
+	select {
+	case err := <-unary:
+		t.Fatalf("unary step finished ahead of its session's stream: %v", err)
+	default:
+	}
+
+	close(gate)
+	if err := <-streamDone; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-unary; err != nil {
+		t.Fatal(err)
+	}
+	st = sch.Stats()
+	if st.Items != int64(len(steps)+len(others)) || st.Admitted != st.Items || st.QueueDepth != 0 {
+		t.Fatalf("scheduler counters = %+v", st)
+	}
 }

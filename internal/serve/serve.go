@@ -33,13 +33,14 @@
 //
 // # Continuous batching
 //
-// step and step_stream work is not executed per-request: it is admitted
-// to a cross-session Scheduler (scheduler.go) that batches the head step
-// of up to -sched-wave sessions into one shared decode wave
-// (core.StepWave), saturating the worker pool even when every tenant
-// decodes at batch size 1. Admission is bounded (-sched-queue); overflow
-// is rejected with the typed overloaded error (HTTP 429). Per-session
-// order stays FIFO and outputs stay bitwise-identical to serial steps.
+// step and step_stream work is admitted to a cross-session Scheduler
+// (scheduler.go). A step on a session with nothing queued or in flight
+// runs on the caller's goroutine, with no dispatcher hop. Only queued
+// steps and streamed batches form waves: the dispatcher batches the head
+// step of up to -sched-wave sessions into one shared decode wave
+// (core.StepWave). Admission is bounded (-sched-queue); overflow is
+// rejected with the typed overloaded error (HTTP 429). Per-session order
+// stays FIFO and outputs stay bitwise-identical to serial steps.
 //
 // # Codecs
 //

@@ -93,10 +93,11 @@ func (s *Service) EndpointStats() []metrics.EndpointSnapshot { return s.eps.Snap
 func (s *Service) Scheduler() *Scheduler { return s.sched }
 
 // Close stops the decode scheduler (draining queued work with the typed
-// unavailable error), then closes every open session. Idempotent and safe
-// for concurrent callers — the signal path, a serve-error path, and every
-// transport can all reach it: the first caller does the work, and every
-// caller blocks until it is done and returns the same result.
+// unavailable error and waiting for steps in flight), then closes every
+// open session. Idempotent and safe for concurrent callers — the signal
+// path, a serve-error path, and every transport can all reach it: the
+// first caller does the work, and every caller blocks until it is done
+// and returns the same result.
 func (s *Service) Close() error {
 	s.closeOnce.Do(func() {
 		s.sched.Close()
@@ -427,9 +428,10 @@ func checkSpanStep(sess *core.Session, req *StepRequest) *Error {
 
 // Step is the decode API: ingest the step's token (unless AttendOnly) and
 // return attention outputs for all layers × all heads in one call. Steps
-// are admitted to the continuous-batching scheduler and executed in shared
-// cross-session decode waves; the response is bitwise-identical to a
-// serial step on the session.
+// are admitted to the decode scheduler. On a session with nothing queued
+// or in flight the step runs on the caller's goroutine; otherwise it
+// queues behind the session's work and runs in a shared decode wave. The
+// response is bitwise-identical to a serial step on the session.
 func (s *Service) Step(id int64, req *StepRequest) (resp *StepResponse, err error) {
 	defer s.track(metrics.EPStep, &err)()
 	mc := s.db.Model().Config()
@@ -448,8 +450,8 @@ func checkStepsBound(n int) *Error {
 	return nil
 }
 
-// StepStream runs a batch of decode steps through the continuous-batching
-// scheduler and delivers each StepResponse to sink the moment its wave
+// StepStream runs a batch of decode steps through the scheduler's decode
+// waves and delivers each StepResponse to sink the moment its wave
 // completes, in step order, instead of buffering the batch — the caller
 // overlaps reading step N with the service decoding step N+1. The
 // response passed to sink is valid only for the duration of the call:

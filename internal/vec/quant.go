@@ -167,30 +167,6 @@ func (qm *QuantMatrix) Append(v []float32) int {
 	return qm.Rows() - 1
 }
 
-// AppendCodes adopts an already-quantized row (codes plus scale) — the
-// spill-reload path, where codes come back from disk bit-exact. The row's
-// L1 norm is recomputed from the codes, so a round-tripped matrix is
-// indistinguishable from the one that was saved.
-func (qm *QuantMatrix) AppendCodes(codes []int8, scale float32) int {
-	if qm.cols == 0 {
-		qm.cols = len(codes)
-	}
-	if len(codes) != qm.cols {
-		panic(fmt.Sprintf("vec: quant append of %d codes to %d-column matrix", len(codes), qm.cols))
-	}
-	qm.codes = append(qm.codes, codes...)
-	var absSum int32
-	for _, c := range codes {
-		if c < 0 {
-			absSum -= int32(c)
-		} else {
-			absSum += int32(c)
-		}
-	}
-	qm.pushRowMeta(scale, scale*float32(absSum))
-	return qm.Rows() - 1
-}
-
 func (qm *QuantMatrix) pushRowMeta(scale, l1 float32) {
 	qm.scales = append(qm.scales, scale)
 	qm.l1 = append(qm.l1, l1)
@@ -215,34 +191,6 @@ func (qm *QuantMatrix) Scale(i int) float32 { return qm.scales[i] }
 // which must have Cols() entries.
 func (qm *QuantMatrix) DequantizeRow(i int, out []float32) {
 	DequantizeCodes(qm.RowCodes(i), qm.scales[i], out)
-}
-
-// Truncate drops all rows at index >= n and recomputes the running maxima.
-func (qm *QuantMatrix) Truncate(n int) {
-	if n >= qm.Rows() {
-		return
-	}
-	qm.codes = qm.codes[:n*qm.cols]
-	qm.scales = qm.scales[:n]
-	qm.l1 = qm.l1[:n]
-	qm.maxScale, qm.maxL1 = 0, 0
-	for i := 0; i < n; i++ {
-		if qm.scales[i] > qm.maxScale {
-			qm.maxScale = qm.scales[i]
-		}
-		if qm.l1[i] > qm.maxL1 {
-			qm.maxL1 = qm.l1[i]
-		}
-	}
-}
-
-// Clone returns a deep copy.
-func (qm *QuantMatrix) Clone() *QuantMatrix {
-	out := &QuantMatrix{cols: qm.cols, maxScale: qm.maxScale, maxL1: qm.maxL1}
-	out.codes = append([]int8(nil), qm.codes...)
-	out.scales = append([]float32(nil), qm.scales...)
-	out.l1 = append([]float32(nil), qm.l1...)
-	return out
 }
 
 // Bytes returns the in-memory footprint of the quantized plane: one byte

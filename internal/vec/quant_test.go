@@ -221,39 +221,6 @@ func TestPackUnpackCodes(t *testing.T) {
 	}
 }
 
-// TestQuantTruncateClone covers the maintenance paths kvcache uses.
-func TestQuantTruncateClone(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	const d = 16
-	qm := NewQuantMatrix(d)
-	var biggest float32
-	for i := 0; i < 10; i++ {
-		scale := float32(i + 1)
-		if i < 5 && scale > biggest {
-			biggest = scale
-		}
-		qm.Append(randVec(rng, d, scale))
-	}
-	cl := qm.Clone()
-	qm.Truncate(5)
-	if qm.Rows() != 5 {
-		t.Fatalf("truncate left %d rows", qm.Rows())
-	}
-	if qm.maxScale > biggest/qMax*1.01 {
-		t.Fatalf("maxScale %v not recomputed after truncate (limit %v)", qm.maxScale, biggest/qMax)
-	}
-	if cl.Rows() != 10 {
-		t.Fatalf("clone shrank to %d rows with the original", cl.Rows())
-	}
-	// AppendCodes reproduces a row bit-exactly, L1 and all.
-	qm2 := NewQuantMatrix(d)
-	qm2.AppendCodes(cl.RowCodes(7), cl.Scale(7))
-	if qm2.l1[0] != cl.l1[7] || qm2.Scale(0) != cl.Scale(7) {
-		t.Fatalf("AppendCodes metadata mismatch: %v/%v vs %v/%v",
-			qm2.l1[0], qm2.Scale(0), cl.l1[7], cl.Scale(7))
-	}
-}
-
 func BenchmarkDotF32(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	const d, n = 128, 2048

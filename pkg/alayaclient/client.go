@@ -317,9 +317,10 @@ func (s *Session) Prefill(ctx context.Context) (serve.PrefillResponse, error) {
 // Step decodes one token in one round trip: tok is ingested across all
 // layers, and queries (indexed [layer][query head], covering the full
 // model geometry) are answered with attention outputs for every layer and
-// head over the extended context. Server-side the step joins a shared
-// cross-session decode wave; the output is bitwise-identical to a
-// dedicated serial step.
+// head over the extended context. Server-side the step runs at once when
+// the session has nothing queued, and otherwise queues behind the
+// session's work; the output is bitwise-identical to a dedicated serial
+// step.
 func (s *Session) Step(ctx context.Context, tok Token, queries [][][]float32) (StepResponse, error) {
 	var resp StepResponse
 	req := &serve.StepRequest{Token: tok, Queries: queries}
