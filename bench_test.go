@@ -310,7 +310,7 @@ func BenchmarkSparseAttention64of4096(b *testing.B) {
 func BenchmarkFlatTopK100(b *testing.B) {
 	rng := rand.New(rand.NewSource(6))
 	keys := randomMatrix(rng, 8192, 128)
-	fx := flat.New(keys, 2)
+	fx := flat.New(keys, 1)
 	q := randomVec(rng, 128)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -1,17 +1,21 @@
 // Comparison: run the paper's compared methods side by side on one task
 // (a pocket-sized Table 5 row) — full attention, StreamingLLM, InfLLM,
 // fixed top-k, and AlayaDB's DIPRS — reporting quality, device memory and
-// per-step latency.
+// per-step latency. The DIPRS row is the engine itself: the instance is
+// imported into a core.DB and attended through a core.Session, whose
+// graph indexes the top-k row retrieves through too.
 //
 //	go run ./examples/comparison
 package main
 
 import (
 	"fmt"
+	"log"
 	"time"
 
 	"repro/internal/attention"
 	"repro/internal/baselines"
+	"repro/internal/core"
 	"repro/internal/devmem"
 	"repro/internal/index/coarse"
 	"repro/internal/index/graph"
@@ -31,19 +35,26 @@ func main() {
 		inst.Task, n, len(inst.Critical), len(inst.Decoys))
 
 	a := baselines.NewAssets(m, inst.Doc)
-	fmt.Print("building shared graph indexes... ")
+	win := attention.Window{Sinks: 16, Recent: 32}
+	fmt.Print("storing the context (shared graph indexes)... ")
 	start := time.Now()
-	a.BuildGraphs(graph.Config{Degree: 16, QueryKNN: 12, EfConstruction: 64, Workers: 2}, 0.3)
+	err := a.Store(core.Config{
+		Window: win,
+		Beta:   8.8,
+		Graph:  graph.Config{Degree: 16, QueryKNN: 12, EfConstruction: 64},
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
 	a.BuildCoarse(16, coarse.Mean)
 	fmt.Printf("done in %v\n\n", time.Since(start).Round(time.Millisecond))
 
-	win := attention.Window{Sinks: 16, Recent: 32}
 	methods := []baselines.Method{
 		&baselines.Full{A: a},
 		&baselines.StreamingLLM{A: a, Window: attention.Window{Sinks: 16, Recent: 256}},
 		&baselines.InfLLM{A: a, Window: win, Budget: 256},
 		&baselines.TopK{A: a, Window: win, K: 50},
-		&baselines.DIPRS{A: a, Window: win, Beta: 8.8},
+		&baselines.DIPRS{A: a},
 	}
 
 	fmt.Printf("%-16s %-8s %-14s %s\n", "method", "correct", "device KV", "decode step")

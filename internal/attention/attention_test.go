@@ -334,9 +334,10 @@ func TestWindowOutside(t *testing.T) {
 	}
 }
 
-// TestEngineEqualsFullWhenUnionIsEverything verifies the data-centric path
-// against plain full attention when window ∪ retrieved covers the context.
-func TestEngineEqualsFullWhenUnionIsEverything(t *testing.T) {
+// TestWindowSparseEqualsFullWhenUnionIsEverything verifies the
+// data-centric path against plain full attention when window ∪ retrieved
+// covers the context.
+func TestWindowSparseEqualsFullWhenUnionIsEverything(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	K, V := randomKV(rng, 60, 8)
 	q := randomQ(rng, 8)
@@ -344,26 +345,26 @@ func TestEngineEqualsFullWhenUnionIsEverything(t *testing.T) {
 	for i := 4; i < 52; i++ {
 		middle = append(middle, i)
 	}
-	e := &Engine{Window: Window{Sinks: 4, Recent: 8}}
-	got := e.SparseWindowed(q, K, V, middle)
+	w := Window{Sinks: 4, Recent: 8}
+	got := w.SparseWindowed(q, K, V, middle)
 	full := Full(q, K, V)
 	if diff := maxAbsDiff(got, full); diff > 1e-4 {
-		t.Errorf("engine vs full diff = %v", diff)
+		t.Errorf("windowed sparse vs full diff = %v", diff)
 	}
 }
 
-func TestEngineDedupesRetrieved(t *testing.T) {
+func TestWindowUnionDedupesRetrieved(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	K, V := randomKV(rng, 30, 8)
 	q := randomQ(rng, 8)
-	e := &Engine{Window: Window{Sinks: 2, Recent: 2}}
+	w := Window{Sinks: 2, Recent: 2}
 	// Retrieved overlaps the window; union must not double-count.
-	got := e.SparseWindowed(q, K, V, []int{0, 1, 15, 28, 29})
+	got := w.SparseWindowed(q, K, V, []int{0, 1, 15, 28, 29})
 	want := Sparse(q, K, V, []int{0, 1, 15, 28, 29})
 	if diff := maxAbsDiff(got, want); diff > 1e-4 {
 		t.Errorf("dedup diff = %v", diff)
 	}
-	u := e.Union([]int{0, 15}, 30)
+	u := w.Union([]int{0, 15}, 30)
 	if len(u) != 5 { // window {0,1,28,29} + {15}
 		t.Errorf("Union = %v", u)
 	}

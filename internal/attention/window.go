@@ -1,5 +1,7 @@
 package attention
 
+import "repro/internal/vec"
+
 // Window describes the sink+recent token window that sparse-attention
 // methods keep resident on the device (§7.1). Sinks is the number of
 // initial tokens, Recent the number of trailing tokens.
@@ -64,4 +66,24 @@ func (w Window) Outside(idx []int, n int) []int {
 		}
 	}
 	return out
+}
+
+// SparseWindowed computes sparse attention over the union of the window
+// and the retrieved token set, data-centric as in §7.2: one partial over
+// the device-resident window, one over the host-resident retrieved tokens,
+// aggregated by log-sum-exp weighting. Retrieved indices that fall inside
+// the window are dropped first so the union is disjoint. The two partials
+// run in turn on the calling goroutine; callers fan out across heads.
+func (w Window) SparseWindowed(q []float32, K, V *vec.Matrix, retrieved []int) []float32 {
+	n := K.Rows()
+	winPart := Over(q, K, V, w.Indices(n))
+	hostPart := Over(q, K, V, w.Outside(retrieved, n))
+	return Merge(winPart, hostPart)
+}
+
+// Union returns the disjoint union of the window's positions and the
+// retrieved set for a context of n tokens — the token set SparseWindowed
+// attends to.
+func (w Window) Union(retrieved []int, n int) []int {
+	return append(w.Indices(n), w.Outside(retrieved, n)...)
 }

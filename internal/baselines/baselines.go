@@ -1,10 +1,12 @@
 // Package baselines implements the sparse-attention methods AlayaDB is
 // compared against in §9: full attention, StreamingLLM [65] (window only),
-// InfLLM [63] (coarse block retrieval), RetrievalAttention-style top-k [45]
-// (graph retrieval with fixed k), plus the DIPRS configuration itself — all
-// over a common Assets bundle so Table 5 / Figure 9 runs are apples to
-// apples. The TTFT baselines of Figure 10 (no-reuse prefill, LMCache-style
-// KV loading) live in prefill.go and lmcache.go.
+// InfLLM [63] (coarse block retrieval) and RetrievalAttention-style top-k
+// [45] (graph retrieval with fixed k), all over a common Assets bundle so
+// Table 5 / Figure 9 runs are apples to apples. The DIPRS row is AlayaDB
+// itself: Assets.Store imports the instance into a core.DB, and DIPRS
+// attends through the core.Session it opens, so the figures score the
+// engine a request runs. The TTFT baselines of Figure 10 (no-reuse
+// prefill, LMCache-style KV loading) live in prefill.go and lmcache.go.
 package baselines
 
 import (
@@ -12,43 +14,57 @@ import (
 
 	"repro/internal/attention"
 	"repro/internal/core"
+	"repro/internal/devmem"
 	"repro/internal/index"
 	"repro/internal/index/coarse"
-	"repro/internal/index/flat"
-	"repro/internal/index/graph"
 	"repro/internal/kvcache"
 	"repro/internal/model"
-	"repro/internal/query"
 )
 
 // Assets bundles everything the methods share for one context: the
-// substrate, the document, its KV cache, and GQA-shared graph indexes
-// (one per layer × kv head).
+// substrate, the document, its KV cache, the coarse block indexes, and —
+// once stored — the core.DB holding the context with its GQA-shared graph
+// indexes (one per layer × kv head) and one session over it.
 type Assets struct {
 	Model  *model.Model
 	Doc    *model.Document
 	Cache  *kvcache.Cache
-	Graphs []*graph.Graph // layer*kvHeads + kvHead; nil until BuildGraphs
 	Coarse []*coarse.Index
+
+	db   *core.DB
+	ctx  *core.Context
+	sess *core.Session
 }
 
-// NewAssets generates the KV cache for doc. Graph and coarse indexes are
-// built on demand.
+// NewAssets generates the KV cache for doc. Coarse indexes and the stored
+// context are built on demand.
 func NewAssets(m *model.Model, doc *model.Document) *Assets {
 	return &Assets{Model: m, Doc: doc, Cache: m.BuildKV(doc)}
 }
 
-// BuildGraphs constructs the GQA-shared RoarGraph indexes used by the
-// top-k and DIPRS methods.
-func (a *Assets) BuildGraphs(cfg graph.Config, sampleRate float64) {
-	mc := a.Model.Config()
-	a.Graphs = make([]*graph.Graph, mc.Layers*mc.KVHeads)
-	for l := 0; l < mc.Layers; l++ {
-		for kv := 0; kv < mc.KVHeads; kv++ {
-			queries := core.TrainingQueries(a.Model, a.Doc, l, a.Model.QueryHeadsOf(kv), sampleRate)
-			a.Graphs[l*mc.KVHeads+kv] = graph.Build(a.Cache.Keys(l, kv), queries, cfg)
-		}
+// Store imports the document and its KV cache into one core.DB configured
+// by cfg — building the graph indexes TopK and DIPRS retrieve through —
+// and opens one session over the stored context for DIPRS. Store fills in
+// cfg.Model, sets cfg.LongThreshold to 1 so every context length
+// retrieves, and sizes the device to hold the weights plus one session
+// window (cfg.Window), so the optimizer plans dipr+flat on layer 0 and
+// dipr+fine on every later layer; on an unlimited device it would plan
+// topk+coarse instead.
+func (a *Assets) Store(cfg core.Config) error {
+	cfg.Model = a.Model
+	cfg.LongThreshold = 1
+	cfg.Device = devmem.New(a.Model.WeightsBytes() + windowBytes(a.Model, cfg.Window, a.Doc.Len()))
+	db, err := core.New(cfg)
+	if err != nil {
+		return err
 	}
+	ctx, err := db.Import(a.Doc, a.Cache)
+	if err != nil {
+		return err
+	}
+	a.db, a.ctx = db, ctx
+	a.sess, _ = db.CreateSession(a.Doc)
+	return nil
 }
 
 // BuildCoarse constructs block indexes for the InfLLM method. Bound mode
@@ -62,11 +78,6 @@ func (a *Assets) BuildCoarse(blockSize int, mode coarse.ScoreMode) {
 			a.Coarse[l*mc.KVHeads+kv] = coarse.New(a.Cache.Keys(l, kv), blockSize, mode)
 		}
 	}
-}
-
-func (a *Assets) graph(layer, qHead int) *graph.Graph {
-	kv := a.Model.KVGroup(qHead)
-	return a.Graphs[layer*a.Model.Config().KVHeads+kv]
 }
 
 // windowBytes is the device footprint of a sink+recent window.
@@ -153,9 +164,8 @@ func (i *InfLLM) Attend(layer, qHead int, q []float32) ([]float32, []int) {
 	ix := i.A.Coarse[layer*m.Config().KVHeads+kv]
 	n := i.A.Cache.SeqLen(layer)
 	retrieved := ix.SelectTokens(q, i.Budget)
-	eng := attention.Engine{Window: i.Window}
-	out := eng.SparseWindowed(q, i.A.Cache.Keys(layer, kv), i.A.Cache.Values(layer, kv), retrieved)
-	return out, eng.Union(retrieved, n)
+	out := i.Window.SparseWindowed(q, i.A.Cache.Keys(layer, kv), i.A.Cache.Values(layer, kv), retrieved)
+	return out, i.Window.Union(retrieved, n)
 }
 
 // DeviceBytes implements Method: representatives + resident retrieved
@@ -175,8 +185,8 @@ func (i *InfLLM) DeviceBytes() int64 {
 
 // --- Top-k (RetrievalAttention-style) ---
 
-// TopK retrieves a fixed number of critical tokens through the graph index
-// on the host; only the window lives on device.
+// TopK retrieves a fixed number of critical tokens through the stored
+// context's graph index on the host; only the window lives on device.
 type TopK struct {
 	A      *Assets
 	Window attention.Window
@@ -188,17 +198,14 @@ func (t *TopK) Name() string { return fmt.Sprintf("Top%d", t.K) }
 
 // Attend implements Method.
 func (t *TopK) Attend(layer, qHead int, q []float32) ([]float32, []int) {
-	if t.A.Graphs == nil {
-		panic("baselines: TopK requires Assets.BuildGraphs")
+	if t.A.ctx == nil {
+		panic("baselines: TopK requires Assets.Store")
 	}
-	m := t.A.Model
-	kv := m.KVGroup(qHead)
+	kv := t.A.Model.KVGroup(qHead)
 	n := t.A.Cache.SeqLen(layer)
-	g := t.A.graph(layer, qHead)
-	retrieved := index.IDs(g.TopK(q, t.K))
-	eng := attention.Engine{Window: t.Window}
-	out := eng.SparseWindowed(q, t.A.Cache.Keys(layer, kv), t.A.Cache.Values(layer, kv), retrieved)
-	return out, eng.Union(retrieved, n)
+	retrieved := index.IDs(t.A.ctx.Graph(t.A.db, layer, qHead).TopK(q, t.K))
+	out := t.Window.SparseWindowed(q, t.A.Cache.Keys(layer, kv), t.A.Cache.Values(layer, kv), retrieved)
+	return out, t.Window.Union(retrieved, n)
 }
 
 // DeviceBytes implements Method.
@@ -208,71 +215,28 @@ func (t *TopK) DeviceBytes() int64 {
 
 // --- DIPRS ---
 
-// DIPRS is AlayaDB's dynamic inner-product range retrieval with the
-// window-cache enhancement, dispatched per the Figure 8 optimizer rule:
-// layer 0's diffuse heads retrieve through the flat index (their critical
-// sets are so large that sequential scanning beats graph traversal), all
-// other layers through the graph index.
-type DIPRS struct {
-	A      *Assets
-	Window attention.Window
-	Beta   float32
-	// Workers bounds the flat scan's parallelism (default 2).
-	Workers int
-}
+// DIPRS is AlayaDB: Attend is core.Session.Attention on the session
+// Assets.Store opened, so the plan, the β band, its result cap, the window
+// seed and the partial merge are exactly what a served decode step runs.
+type DIPRS struct{ A *Assets }
 
 // Name implements Method.
 func (d *DIPRS) Name() string { return "DIPRS" }
 
-// retrievalCap bounds the attended set per head: diffuse heads' β-bands
-// can cover much of the context (Figure 5's upper curve); like InfLLM's
-// block budget, production retrieval is bounded.
-func retrievalCap(n int) int {
-	limit := n / 8
-	if limit < 64 {
-		limit = 64
-	}
-	return limit
-}
-
-// Attend implements Method.
+// Attend implements Method. The attended set is the session's window
+// joined with the positions it retrieved.
 func (d *DIPRS) Attend(layer, qHead int, q []float32) ([]float32, []int) {
-	m := d.A.Model
-	kv := m.KVGroup(qHead)
-	n := d.A.Cache.SeqLen(layer)
-	limit := retrievalCap(n)
-
-	var retrieved []int
-	if layer == 0 {
-		workers := d.Workers
-		if workers < 1 {
-			workers = 2
-		}
-		fx := flat.New(d.A.Cache.Keys(layer, kv), workers)
-		cands, _ := fx.DIPR(q, d.Beta)
-		if len(cands) > limit {
-			cands = cands[:limit] // best-first order: keep the top of the band
-		}
-		retrieved = index.IDs(cands)
-	} else {
-		if d.A.Graphs == nil {
-			panic("baselines: DIPRS requires Assets.BuildGraphs")
-		}
-		g := d.A.graph(layer, qHead)
-		cfg := query.DIPRSConfig{Beta: d.Beta, MaxResults: limit, MaxExplore: 4 * limit}
-		if max, ok := query.WindowMax(q, d.A.Cache.Keys(layer, kv), d.Window.Indices(n)); ok {
-			cfg.InitialMax = max
-			cfg.HasInitialMax = true
-		}
-		res := query.DIPRS(g, q, cfg)
-		retrieved = index.IDs(res.Critical)
+	if d.A.sess == nil {
+		panic("baselines: DIPRS requires Assets.Store")
 	}
-	eng := attention.Engine{Window: d.Window}
-	out := eng.SparseWindowed(q, d.A.Cache.Keys(layer, kv), d.A.Cache.Values(layer, kv), retrieved)
-	return out, eng.Union(retrieved, n)
+	res := d.A.sess.Attention(layer, qHead, q)
+	return res.Output, d.A.db.Window().Union(res.RetrievedIDs, d.A.Cache.SeqLen(layer))
 }
 
-// DeviceBytes implements Method.
+// DeviceBytes implements Method: the session's device window.
 func (d *DIPRS) DeviceBytes() int64 {
-	return windowBytes(d.A.Model, d.Window, d.A.Cache.SeqLen(0))
+	if d.A.db == nil {
+		return 0
+	}
+	return windowBytes(d.A.Model, d.A.db.Window(), d.A.Cache.SeqLen(0))
 }

@@ -1,10 +1,12 @@
 package baselines
 
 import (
+	"maps"
 	"testing"
 	"time"
 
 	"repro/internal/attention"
+	"repro/internal/core"
 	"repro/internal/devmem"
 	"repro/internal/index/coarse"
 	"repro/internal/index/graph"
@@ -24,9 +26,23 @@ func testModel() *model.Model {
 
 func buildAssets(t *testing.T, inst workload.Instance, m *model.Model) *Assets {
 	t.Helper()
-	a := NewAssets(m, inst.Doc)
-	a.BuildGraphs(graph.Config{Degree: 12, QueryKNN: 8, EfConstruction: 48, Workers: 2}, 0.4)
+	a := storedAssets(t, inst, m)
 	a.BuildCoarse(16, coarse.Bound)
+	return a
+}
+
+// storedAssets stores inst's document with the test window and β.
+func storedAssets(t *testing.T, inst workload.Instance, m *model.Model) *Assets {
+	t.Helper()
+	a := NewAssets(m, inst.Doc)
+	err := a.Store(core.Config{
+		Window: testWindow,
+		Beta:   7.8,
+		Graph:  graph.Config{Degree: 12, QueryKNN: 8, EfConstruction: 48},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	return a
 }
 
@@ -38,7 +54,7 @@ func methodsUnderTest(a *Assets) []Method {
 		&StreamingLLM{A: a, Window: testWindow},
 		&InfLLM{A: a, Window: testWindow, Budget: 256},
 		&TopK{A: a, Window: testWindow, K: 50},
-		&DIPRS{A: a, Window: testWindow, Beta: 7.8},
+		&DIPRS{A: a},
 	}
 }
 
@@ -83,7 +99,7 @@ func TestDeviceBytesOrdering(t *testing.T) {
 	inf := (&InfLLM{A: a, Window: testWindow, Budget: 256}).DeviceBytes()
 	stream := (&StreamingLLM{A: a, Window: testWindow}).DeviceBytes()
 	topk := (&TopK{A: a, Window: testWindow, K: 50}).DeviceBytes()
-	diprs := (&DIPRS{A: a, Window: testWindow, Beta: 7.8}).DeviceBytes()
+	diprs := (&DIPRS{A: a}).DeviceBytes()
 
 	if !(full > inf && inf > stream) {
 		t.Errorf("memory ordering wrong: full=%d inf=%d stream=%d", full, inf, stream)
@@ -106,9 +122,7 @@ func TestDIPRSAdaptsRetrievalSize(t *testing.T) {
 		p    workload.Profile
 	}{{"needle", needle}, {"broad", broad}} {
 		inst := workload.Generate(tc.p, 8, 1500, 64, 32)
-		a := NewAssets(m, inst.Doc)
-		a.BuildGraphs(graph.Config{Degree: 12, QueryKNN: 8, EfConstruction: 48, Workers: 2}, 0.4)
-		d := &DIPRS{A: a, Window: testWindow, Beta: 7.8}
+		d := &DIPRS{A: storedAssets(t, inst, m)}
 		hr := m.RetrievalHeads()[0]
 		q := m.QueryVector(inst.Doc, hr.Layer, hr.QHead, model.QuerySpec{
 			FocusTopics: inst.Question, ContextLen: inst.Doc.Len()})
@@ -117,6 +131,36 @@ func TestDIPRSAdaptsRetrievalSize(t *testing.T) {
 	}
 	if sizes["broad"] <= sizes["needle"]*2 {
 		t.Errorf("DIPRS did not adapt: needle=%d broad=%d", sizes["needle"], sizes["broad"])
+	}
+}
+
+// TestStoreRunsDIPRPlans: a stored context's session plans DIPR on every
+// layer — the exact flat band on layer 0, the graph on the rest — because
+// Store sizes the device to the weights plus one window. On an unlimited
+// device the optimizer would cache coarse blocks instead (topk+coarse).
+func TestStoreRunsDIPRPlans(t *testing.T) {
+	m := testModel()
+	p, err := workload.ProfileByName("Retr.P")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst := workload.Generate(p, 5, 1500, 64, 32)
+	a := storedAssets(t, inst, m)
+	d := &DIPRS{A: a}
+	mc := m.Config()
+	for l := 0; l < mc.Layers; l++ {
+		for h := 0; h < mc.QHeads; h++ {
+			q := m.QueryVector(inst.Doc, l, h, model.QuerySpec{FocusTopics: inst.Question, ContextLen: inst.Doc.Len()})
+			d.Attend(l, h, q)
+		}
+	}
+	st := a.sess.Stats()
+	want := map[string]int{"dipr+flat": mc.QHeads, "dipr+fine": mc.QHeads * (mc.Layers - 1)}
+	if !maps.Equal(st.Plans, want) {
+		t.Errorf("plans = %v, want %v", st.Plans, want)
+	}
+	if st.CoarseFallbacks != 0 {
+		t.Errorf("CoarseFallbacks = %d, want 0", st.CoarseFallbacks)
 	}
 }
 

@@ -51,7 +51,7 @@ func runFig6(s Scale, w io.Writer) error {
 		for _, k := range ks {
 			correct := 0
 			for i := range insts {
-				out := workload.Evaluate(m, insts[i], caches[i].topKAttend(win, k, s.Workers))
+				out := workload.Evaluate(m, insts[i], caches[i].topKAttend(win, k))
 				if out.Correct {
 					correct++
 				}

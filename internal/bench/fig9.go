@@ -8,7 +8,6 @@ import (
 	"repro/internal/baselines"
 	"repro/internal/devmem"
 	"repro/internal/index/coarse"
-	"repro/internal/index/graph"
 	"repro/internal/metrics"
 	"repro/internal/workload"
 
@@ -43,7 +42,9 @@ func runFig9(s Scale, w io.Writer) error {
 		for i := range insts {
 			insts[i] = workload.Generate(p, s.Seed+uint64(7*i), n, 64, s.Model.Vocab)
 			assets[i] = baselines.NewAssets(m, insts[i].Doc)
-			assets[i].BuildGraphs(graph.Config{Degree: 16, QueryKNN: 12, EfConstruction: 64, Workers: s.Workers}, 0.3)
+			if err := storeAssets(assets[i], s); err != nil {
+				return err
+			}
 			assets[i].BuildCoarse(16, coarse.Bound)
 		}
 
@@ -79,13 +80,12 @@ func runFig9(s Scale, w io.Writer) error {
 			})
 			t.add(fmt.Sprintf("StreamingLLM n/%d", f), f3(devmem.GB(weights+bytes)), f1(acc))
 		}
-		win := attention.Window{Sinks: scaleTo(128, n), Recent: scaleTo(512, n)}
 		acc, bytes := evalOne(func(a *baselines.Assets) baselines.Method {
-			return &baselines.TopK{A: a, Window: win, K: scaleTo(100, n)}
+			return &baselines.TopK{A: a, Window: fineWindow(n), K: scaleTo(100, n)}
 		})
 		t.add("Top-100(scaled)", f3(devmem.GB(weights+bytes)), f1(acc))
 		acc, bytes = evalOne(func(a *baselines.Assets) baselines.Method {
-			return &baselines.DIPRS{A: a, Window: win, Beta: betaFor(s.Model.HeadDim)}
+			return &baselines.DIPRS{A: a}
 		})
 		t.add("DIPRS", f3(devmem.GB(weights+bytes)), f1(acc))
 		t.write(w)

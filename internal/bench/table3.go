@@ -47,7 +47,7 @@ func runTable3(s Scale, w io.Writer) error {
 		for _, k := range kLadder {
 			correct := 0
 			for i := range insts {
-				out := workload.Evaluate(m, insts[i], caches[i].topKAttend(win, k, s.Workers))
+				out := workload.Evaluate(m, insts[i], caches[i].topKAttend(win, k))
 				if out.Correct {
 					correct++
 				}
@@ -88,14 +88,12 @@ func (b *cacheBundle) fullAttend() workload.Attend {
 
 // topKAttend returns an Attend that uses exact top-k retrieval plus the
 // window.
-func (b *cacheBundle) topKAttend(win attention.Window, k, workers int) workload.Attend {
+func (b *cacheBundle) topKAttend(win attention.Window, k int) workload.Attend {
 	return func(layer, qHead int, q []float32) ([]float32, []int) {
 		kv := b.m.KVGroup(qHead)
-		fx := flat.New(b.cache.Keys(layer, kv), workers)
-		retrieved := index.IDs(fx.TopK(q, k))
-		eng := attention.Engine{Window: win}
-		out := eng.SparseWindowed(q, b.cache.Keys(layer, kv), b.cache.Values(layer, kv), retrieved)
-		return out, eng.Union(retrieved, b.cache.SeqLen(layer))
+		retrieved := index.IDs(flat.Make(b.cache.Keys(layer, kv), 1).TopK(q, k))
+		out := win.SparseWindowed(q, b.cache.Keys(layer, kv), b.cache.Values(layer, kv), retrieved)
+		return out, win.Union(retrieved, b.cache.SeqLen(layer))
 	}
 }
 
@@ -110,8 +108,7 @@ func (b *cacheBundle) diprAttend(win attention.Window, beta float32, workers int
 		if sizes != nil {
 			*sizes = append(*sizes, len(retrieved))
 		}
-		eng := attention.Engine{Window: win}
-		out := eng.SparseWindowed(q, b.cache.Keys(layer, kv), b.cache.Values(layer, kv), retrieved)
-		return out, eng.Union(retrieved, b.cache.SeqLen(layer))
+		out := win.SparseWindowed(q, b.cache.Keys(layer, kv), b.cache.Values(layer, kv), retrieved)
+		return out, win.Union(retrieved, b.cache.SeqLen(layer))
 	}
 }

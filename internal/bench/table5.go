@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/attention"
 	"repro/internal/baselines"
+	"repro/internal/core"
 	"repro/internal/index/coarse"
 	"repro/internal/index/graph"
 	"repro/internal/metrics"
@@ -29,11 +30,27 @@ func ScaledSLO(contextLen int) time.Duration {
 	return floor + time.Duration(float64(metrics.HumanReadingSLO)*float64(contextLen)/131072)
 }
 
+// fineWindow is the device window of the fine-grained methods (top-k and
+// DIPRS): the paper's 128+512 at 131K, scaled to context length n.
+func fineWindow(n int) attention.Window {
+	return attention.Window{Sinks: scaleTo(128, n), Recent: scaleTo(512, n)}
+}
+
+// storeAssets imports a's instance into the core.DB that DIPRS runs on and
+// TopK retrieves through, with the fine-grained methods' window and β.
+func storeAssets(a *baselines.Assets, s Scale) error {
+	return a.Store(core.Config{
+		Window: fineWindow(s.ContextLen),
+		Beta:   betaFor(s.Model.HeadDim),
+		Graph:  graph.Config{Degree: 16, QueryKNN: 12, EfConstruction: 64},
+	})
+}
+
 // table5Methods builds the compared configurations over shared assets,
 // mirroring Table 5's rows. Window and retrieval sizes scale with context
 // length, keeping the paper's proportions ([128+512]+k at 131K).
-func table5Methods(a *baselines.Assets, n int, dim int) []baselines.Method {
-	win := attention.Window{Sinks: scaleTo(128, n), Recent: scaleTo(512, n)}
+func table5Methods(a *baselines.Assets, n int) []baselines.Method {
+	win := fineWindow(n)
 	infWin := attention.Window{Sinks: scaleTo(128, n), Recent: scaleTo(4096, n)}
 	return []baselines.Method{
 		&baselines.Full{A: a},
@@ -41,7 +58,7 @@ func table5Methods(a *baselines.Assets, n int, dim int) []baselines.Method {
 		&baselines.StreamingLLM{A: a, Window: attention.Window{Sinks: scaleTo(128, n), Recent: scaleTo(8192, n)}},
 		&baselines.TopK{A: a, Window: win, K: scaleTo(100, n)},
 		&baselines.TopK{A: a, Window: win, K: scaleTo(2000, n)},
-		&baselines.DIPRS{A: a, Window: win, Beta: betaFor(dim)},
+		&baselines.DIPRS{A: a},
 	}
 }
 
@@ -82,10 +99,12 @@ func runTable5(s Scale, w io.Writer) error {
 		for trial := 0; trial < s.Trials; trial++ {
 			inst := workload.Generate(p, s.Seed+uint64(17*trial), s.ContextLen, 64, s.Model.Vocab)
 			a := baselines.NewAssets(m, inst.Doc)
-			a.BuildGraphs(graph.Config{Degree: 16, QueryKNN: 12, EfConstruction: 64, Workers: s.Workers}, 0.3)
+			if err := storeAssets(a, s); err != nil {
+				return err
+			}
 			a.BuildCoarse(16, coarse.Bound)
 
-			for _, meth := range table5Methods(a, s.ContextLen, s.Model.HeadDim) {
+			for _, meth := range table5Methods(a, s.ContextLen) {
 				ma := agg[meth.Name()]
 				if ma == nil {
 					ma = &methodAgg{quality: map[string]*metrics.Quality{}}
@@ -101,7 +120,8 @@ func runTable5(s Scale, w io.Writer) error {
 				})
 				ma.quality[p.Name].Record(out.Correct)
 
-				// TPOT: one full decode step across all layers and heads.
+				// TPOT: one full decode step across all layers and heads,
+				// one head at a time for every method.
 				start := time.Now()
 				for l := 0; l < s.Model.Layers; l++ {
 					for qh := 0; qh < s.Model.QHeads; qh++ {

@@ -336,8 +336,8 @@ func (db *DB) sampleQueries(doc *model.Document, layer, kv int) *vec.Matrix {
 // plus one query per distinct document topic. During a real prefill each
 // position issues a query attending to its own content, so even a topic
 // mentioned once is represented in the query history the index trains on
-// (§7.2 samples 40% of prefill queries per head). Exported for baselines
-// and benchmarks that build indexes outside a DB.
+// (§7.2 samples 40% of prefill queries per head). Exported for the figure
+// runners and the benchmark's probes, which build indexes outside a DB.
 func TrainingQueries(m *model.Model, doc *model.Document, layer int, heads []int, rate float64) *vec.Matrix {
 	n := doc.Len()
 	if n == 0 || len(heads) == 0 {

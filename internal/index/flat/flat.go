@@ -35,12 +35,13 @@ import (
 type Index struct {
 	keys  *vec.Matrix
 	qkeys *vec.QuantMatrix // SQ8 scoring plane; nil = fp32 scans
-	// Workers bounds scan parallelism; 0 means single-threaded.
+	// workers bounds the DIPR scan's parallelism; 1 means serial. Top-k
+	// scans are always serial.
 	workers int
 }
 
-// New returns a flat index over keys with the given parallelism (workers
-// <= 1 means serial).
+// New returns a flat index over keys whose DIPR scans split across workers
+// chunk goroutines (workers <= 1 means serial).
 func New(keys *vec.Matrix, workers int) *Index {
 	x := Make(keys, workers)
 	return &x
@@ -97,9 +98,9 @@ func (x Index) TopK(q []float32, k int) []index.Candidate {
 
 // TopKScratch is TopK computing through sc's arena: the score buffer,
 // selection heap, and sorted result slice are all reused across queries, so
-// a warm serial scan is allocation-free. The returned slice aliases sc and
-// is valid until its next use. The parallel path (workers > 1 over a large
-// matrix) still allocates its per-worker heaps.
+// a warm scan is allocation-free. The scan is always serial, whatever the
+// index's workers. The returned slice aliases sc and is valid until its
+// next use.
 func (x Index) TopKScratch(sc *Scratch, q []float32, k int) []index.Candidate {
 	n := x.keys.Rows()
 	if k > n {
@@ -108,60 +109,20 @@ func (x Index) TopKScratch(sc *Scratch, q []float32, k int) []index.Candidate {
 	if k <= 0 {
 		return nil
 	}
-	if x.workers == 1 || n < 4096 {
-		if cap(sc.scores) < n {
-			sc.scores = make([]float32, n)
-		}
-		scores := sc.scores[:n]
-		vec.DotBatchRange(q, x.keys, 0, n, scores)
-		// Select through sc.heap in place: a local heap header would escape
-		// through the non-inlined PushBounded and cost one allocation per
-		// query.
-		sc.heap = sc.heap[:0]
-		for i, s := range scores {
-			sc.heap.PushBounded(index.Candidate{ID: int32(i), Score: s}, k)
-		}
-		sc.out = sc.heap.SortedInto(sc.out) // drains the heap, capacity retained
-		return sc.out
+	if cap(sc.scores) < n {
+		sc.scores = make([]float32, n)
 	}
-	return x.topKParallel(q, k)
-}
-
-// topKParallel is the fan-out top-k: each worker selects a local top-k over
-// its chunk; the locals merge at the end. Kept out of TopKScratch so the
-// goroutine closures (which force their captures onto the heap) never tax
-// the serial scratch path.
-func (x Index) topKParallel(q []float32, k int) []index.Candidate {
-	n := x.keys.Rows()
-	locals := make([]index.MinHeap, x.workers)
-	var wg sync.WaitGroup
-	chunk := (n + x.workers - 1) / x.workers
-	for w := 0; w < x.workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			h := make(index.MinHeap, 0, k)
-			x.scanRange(q, lo, hi, func(id int32, score float32) {
-				h.PushBounded(index.Candidate{ID: id, Score: score}, k)
-			})
-			locals[w] = h
-		}(w, lo, hi)
+	scores := sc.scores[:n]
+	vec.DotBatchRange(q, x.keys, 0, n, scores)
+	// Select through sc.heap in place: a local heap header would escape
+	// through the non-inlined PushBounded and cost one allocation per
+	// query.
+	sc.heap = sc.heap[:0]
+	for i, s := range scores {
+		sc.heap.PushBounded(index.Candidate{ID: int32(i), Score: s}, k)
 	}
-	wg.Wait()
-	merged := make(index.MinHeap, 0, k)
-	for _, h := range locals {
-		for _, c := range h {
-			merged.PushBounded(c, k)
-		}
-	}
-	return merged.Sorted()
+	sc.out = sc.heap.SortedInto(sc.out) // drains the heap, capacity retained
+	return sc.out
 }
 
 // DIPR returns all candidates whose inner product is within beta of the
@@ -360,20 +321,4 @@ func (x Index) rerankBand(sc *Scratch, q []float32, beta float32, n int, scores 
 	sc.out = h.SortedInto(sc.out)
 	sc.Reranked = len(ids)
 	return sc.out, best
-}
-
-// scanRange scores rows [lo, hi) block-wise and emits each (id, score).
-func (x Index) scanRange(q []float32, lo, hi int, emit func(int32, float32)) {
-	const tileRows = 64
-	var tile [tileRows]float32
-	for b := lo; b < hi; b += tileRows {
-		e := b + tileRows
-		if e > hi {
-			e = hi
-		}
-		vec.DotBatchRange(q, x.keys, b, e, tile[:e-b])
-		for i := b; i < e; i++ {
-			emit(int32(i), tile[i-b])
-		}
-	}
 }

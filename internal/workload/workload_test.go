@@ -195,9 +195,8 @@ func TestEvaluateOracleSparseSolvesTasks(t *testing.T) {
 		cache := m.BuildKV(inst.Doc)
 		out := Evaluate(m, inst, func(layer, qHead int, q []float32) ([]float32, []int) {
 			kv := m.KVGroup(qHead)
-			eng := attention.Engine{Window: win}
-			o := eng.SparseWindowed(q, cache.Keys(layer, kv), cache.Values(layer, kv), inst.Critical)
-			return o, eng.Union(inst.Critical, cache.SeqLen(layer))
+			o := win.SparseWindowed(q, cache.Keys(layer, kv), cache.Values(layer, kv), inst.Critical)
+			return o, win.Union(inst.Critical, cache.SeqLen(layer))
 		})
 		if !out.Correct {
 			t.Errorf("%s: oracle sparse decoded wrong answer", name)
