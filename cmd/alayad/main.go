@@ -1,9 +1,13 @@
 // Command alayad runs AlayaDB as a standalone attention service: inference
 // engines connect over HTTP or gRPC, create sessions against stored
 // contexts, ship generated tokens in and get attention outputs back — the
-// decoupled deployment of Figure 2(d).
+// decoupled deployment of Figure 2(d). A long context decodes through DIPR
+// (a flat band on the first layer, the graph index on the rest) whatever
+// the device holds: unlike Figure 8, the server never plans coarse block
+// top-k, and its simulated device only accounts the weights and the
+// session windows.
 //
-//	alayad -addr :8265 -grpc-addr :8266 -layers 4 -device-gb 0.2
+//	alayad -addr :8265 -grpc-addr :8266 -layers 4
 //
 // An engine decodes one token per round trip through POST
 // /v1/sessions/{id}/step (binary or JSON body) or the alaya.v1.AlayaDB/Step
@@ -40,7 +44,6 @@ import (
 	"repro/internal/attention"
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/devmem"
 	"repro/internal/model"
 	"repro/internal/pool"
 	"repro/internal/serve"
@@ -75,7 +78,6 @@ func run() error {
 		layers    = flag.Int("layers", 4, "model layers")
 		qheads    = flag.Int("qheads", 8, "query heads per layer")
 		kvheads   = flag.Int("kvheads", 2, "kv heads per layer")
-		deviceGB  = flag.Float64("device-gb", 0, "device memory capacity in GB (0 = unlimited)")
 		budgetGB  = flag.Float64("context-budget-gb", 0, "stored-context byte budget in GB (0 = unlimited)")
 		poolSize  = flag.Int("pool-size", 0, "worker pool size for per-head/per-layer fan-out (0 = GOMAXPROCS)")
 		maxBodyMB = flag.Float64("max-body-mb", float64(serve.DefaultMaxBodyBytes)/(1<<20), "request body size limit in MiB")
@@ -122,13 +124,8 @@ func run() error {
 	cfg.KVHeads = *kvheads
 	m := model.New(cfg)
 
-	var dev *devmem.Device
-	if *deviceGB > 0 {
-		dev = devmem.New(int64(*deviceGB * 1e9))
-	}
 	db, err := core.New(core.Config{
 		Model:         m,
-		Device:        dev,
 		Window:        attention.Window{Sinks: 32, Recent: 64},
 		ContextBudget: int64(*budgetGB * 1e9),
 		Pool:          workPool,

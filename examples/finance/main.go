@@ -2,7 +2,8 @@
 // imported, summarization-style questions run against each, and the
 // contexts are persisted to disk through the vector file system so a later
 // service restart reloads them without recomputing KV or rebuilding
-// indexes.
+// indexes. It exits non-zero when a decoded answer differs from the
+// payload planted in its report.
 //
 //	go run ./examples/finance
 package main
@@ -21,6 +22,14 @@ import (
 )
 
 func main() {
+	if wrong := run(); wrong > 0 {
+		log.Fatalf("%d decoded answers differ from their planted payloads", wrong)
+	}
+}
+
+// run imports, queries, persists and reloads the reports, and returns the
+// number of wrong answers.
+func run() (wrong int) {
 	cfg := model.Default()
 	cfg.Layers = 4
 	m := model.New(cfg)
@@ -72,6 +81,9 @@ func main() {
 			outputs = append(outputs, model.HeadOutput{Layer: hr.Layer, QHead: hr.QHead, Output: res.Output})
 		}
 		answer := m.DecodeAnswer(outputs)
+		if answer != inst.Answer {
+			wrong++
+		}
 		st := sess.Stats()
 		fmt.Printf("  report %d: key finding payload %d (want %d), %d tokens retrieved, %v\n",
 			i, answer, inst.Answer, st.Retrieved, time.Since(start).Round(time.Microsecond))
@@ -109,6 +121,11 @@ func main() {
 		res := sess.Attention(hr.Layer, hr.QHead, q)
 		outputs = append(outputs, model.HeadOutput{Layer: hr.Layer, QHead: hr.QHead, Output: res.Output})
 	}
+	answer := m.DecodeAnswer(outputs)
+	if answer != inst.Answer {
+		wrong++
+	}
 	fmt.Printf("after restart: report 1 reused %d tokens, answer %d (want %d)\n",
-		reused, m.DecodeAnswer(outputs), inst.Answer)
+		reused, answer, inst.Answer)
+	return wrong
 }

@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/attention"
 	"repro/internal/core"
-	"repro/internal/devmem"
 	"repro/internal/index"
 	"repro/internal/index/coarse"
 	"repro/internal/kvcache"
@@ -45,15 +44,12 @@ func NewAssets(m *model.Model, doc *model.Document) *Assets {
 // Store imports the document and its KV cache into one core.DB configured
 // by cfg — building the graph indexes TopK and DIPRS retrieve through —
 // and opens one session over the stored context for DIPRS. Store fills in
-// cfg.Model, sets cfg.LongThreshold to 1 so every context length
-// retrieves, and sizes the device to hold the weights plus one session
-// window (cfg.Window), so the optimizer plans dipr+flat on layer 0 and
-// dipr+fine on every later layer; on an unlimited device it would plan
-// topk+coarse instead.
+// cfg.Model and sets cfg.LongThreshold to 1 so every context length
+// retrieves: the optimizer plans dipr+flat on layer 0 and dipr+fine on
+// every later layer.
 func (a *Assets) Store(cfg core.Config) error {
 	cfg.Model = a.Model
 	cfg.LongThreshold = 1
-	cfg.Device = devmem.New(a.Model.WeightsBytes() + windowBytes(a.Model, cfg.Window, a.Doc.Len()))
 	db, err := core.New(cfg)
 	if err != nil {
 		return err

@@ -135,9 +135,7 @@ func TestDIPRSAdaptsRetrievalSize(t *testing.T) {
 }
 
 // TestStoreRunsDIPRPlans: a stored context's session plans DIPR on every
-// layer — the exact flat band on layer 0, the graph on the rest — because
-// Store sizes the device to the weights plus one window. On an unlimited
-// device the optimizer would cache coarse blocks instead (topk+coarse).
+// layer — the exact flat band on layer 0, the graph on the rest.
 func TestStoreRunsDIPRPlans(t *testing.T) {
 	m := testModel()
 	p, err := workload.ProfileByName("Retr.P")
@@ -158,9 +156,6 @@ func TestStoreRunsDIPRPlans(t *testing.T) {
 	want := map[string]int{"dipr+flat": mc.QHeads, "dipr+fine": mc.QHeads * (mc.Layers - 1)}
 	if !maps.Equal(st.Plans, want) {
 		t.Errorf("plans = %v, want %v", st.Plans, want)
-	}
-	if st.CoarseFallbacks != 0 {
-		t.Errorf("CoarseFallbacks = %d, want 0", st.CoarseFallbacks)
 	}
 }
 

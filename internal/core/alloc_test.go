@@ -14,8 +14,8 @@ import (
 
 // decodeFixture builds the steady-state decode setting of the acceptance
 // criteria: a fully reused long context (DIPR plans on every layer — flat
-// on layer 0, graph elsewhere), a device too small for the coarse block
-// cache, and a configurable pool.
+// on layer 0, graph elsewhere), a device with room for the weights and two
+// session windows, and a configurable pool.
 func decodeFixture(t testing.TB, p *pool.Pool) (*DB, *Session, [][][]float32) {
 	t.Helper()
 	return decodeFixtureLen(t, p, 1024)
@@ -23,6 +23,19 @@ func decodeFixture(t testing.TB, p *pool.Pool) (*DB, *Session, [][][]float32) {
 
 // decodeFixtureLen is decodeFixture over a ctxLen-token context.
 func decodeFixtureLen(t testing.TB, p *pool.Pool, ctxLen int) (*DB, *Session, [][][]float32) {
+	t.Helper()
+	return decodeFixtureOn(t, p, ctxLen, fixtureDevice)
+}
+
+// fixtureDevice has room for the model weights and two session windows,
+// the paper's constrained-GPU regime.
+func fixtureDevice(weights, window int64) *devmem.Device {
+	return devmem.New(weights + 2*window + 4096)
+}
+
+// decodeFixtureOn is decodeFixtureLen on the device newDevice sizes from
+// the weight bytes and one session window's bytes (nil = unlimited).
+func decodeFixtureOn(t testing.TB, p *pool.Pool, ctxLen int, newDevice func(weights, window int64) *devmem.Device) (*DB, *Session, [][][]float32) {
 	t.Helper()
 	cfg := model.Default()
 	cfg.Layers = 2
@@ -32,12 +45,9 @@ func decodeFixtureLen(t testing.TB, p *pool.Pool, ctxLen int) (*DB, *Session, []
 	m := model.New(cfg)
 	win := attention.Window{Sinks: 4, Recent: 16}
 	winBytes := int64(win.Sinks+win.Recent) * int64(cfg.Layers) * int64(cfg.KVHeads) * int64(cfg.HeadDim) * 4 * 2
-	// Room for weights and the session window but never the coarse block
-	// cache, so the optimizer plans DIPR instead of coarse top-k.
-	dev := devmem.New(m.WeightsBytes() + 2*winBytes + 4096)
 	db, err := New(Config{
 		Model:         m,
-		Device:        dev,
+		Device:        newDevice(m.WeightsBytes(), winBytes),
 		Window:        win,
 		LongThreshold: 256,
 		Graph:         graph.Config{Degree: 12, QueryKNN: 8, EfConstruction: 48},

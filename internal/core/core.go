@@ -73,14 +73,9 @@ type Config struct {
 	QuantKeys bool
 }
 
-const (
-	// coarseBudget is the number of tokens the coarse path attends to per
-	// query (InfLLM's retrieval budget).
-	coarseBudget = 4096
-	// querySampleRate is the fraction of positions whose synthetic queries
-	// train the bipartite graph build (§7.2 uses 40%).
-	querySampleRate = 0.4
-)
+// querySampleRate is the fraction of positions whose synthetic queries
+// train the bipartite graph build (§7.2 uses 40%).
+const querySampleRate = 0.4
 
 func (c *Config) defaults() error {
 	if c.Model == nil {

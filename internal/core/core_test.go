@@ -1,13 +1,17 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/attention"
 	"repro/internal/devmem"
 	"repro/internal/index/graph"
 	"repro/internal/model"
+	"repro/internal/pool"
 	"repro/internal/query"
 	"repro/internal/vec"
 )
@@ -170,7 +174,7 @@ func TestShortContextFullAttentionMatchesReference(t *testing.T) {
 // TestLongContextDIPRFindsNeedle: end-to-end sparse path. A needle planted
 // mid-context must be retrieved and dominate the output of a sharp head.
 func TestLongContextDIPRFindsNeedle(t *testing.T) {
-	dev := devmem.New(24 << 20) // fits weights+window but not the coarse block cache
+	dev := devmem.New(24 << 20) // fits the weights and a session window
 	mdl := testModel()
 	db, err := New(Config{
 		Model:         mdl,
@@ -259,25 +263,70 @@ func TestLayerZeroUsesFlatPlan(t *testing.T) {
 	}
 }
 
-func TestAmpleDeviceSelectsCoarse(t *testing.T) {
-	db := testDB(t, nil) // unlimited device
-	doc := model.NewFiller(9, 500, 8, 32)
-	if _, err := db.ImportDoc(doc); err != nil {
-		t.Fatal(err)
+// TestPlansIgnoreDevice pins that a plan reads only the session: one
+// stored 1 024-token context decodes bitwise-identically on an unlimited
+// device, a 1 GB device and the fixture's weights-plus-two-windows device,
+// serially and on four workers, and the unlimited device plans DIPR on
+// every layer rather than attending most of the context.
+func TestPlansIgnoreDevice(t *testing.T) {
+	const ctxLen = 1024
+	devices := []struct {
+		name string
+		dev  func(weights, window int64) *devmem.Device
+	}{
+		{"unlimited", func(int64, int64) *devmem.Device { return nil }},
+		{"1GB", func(int64, int64) *devmem.Device { return devmem.New(1 << 30) }},
+		{"weights+2 windows", fixtureDevice},
 	}
-	sess, _ := db.CreateSession(doc)
-	defer sess.Close()
-	mdl := db.Model()
-	q := mdl.QueryVector(doc, 1, 0, model.QuerySpec{FocusTopics: []int{1}, ContextLen: 500})
-	res := sess.Attention(1, 0, q)
-	if res.Plan.Query != query.KindTopK || res.Plan.Index != query.IndexCoarse {
-		t.Fatalf("plan = %v, want topk+coarse", res.Plan)
-	}
-	if res.Retrieved == 0 {
-		t.Error("coarse retrieved nothing")
-	}
-	if db.Device().UsedBy(devmem.BlockCache) == 0 {
-		t.Error("coarse path did not register device memory")
+	var (
+		refName  string
+		refPlans map[string]int
+		refOut   [][]AttentionResult
+	)
+	for _, d := range devices {
+		for _, p := range []*pool.Pool{pool.Serial(), pool.New(4)} {
+			name := fmt.Sprintf("%s/pool %d", d.name, p.Size())
+			db, sess, qs := decodeFixtureOn(t, p, ctxLen, d.dev)
+			mc := db.Model().Config()
+			out := make([][]AttentionResult, mc.Layers)
+			for l := range out {
+				out[l] = make([]AttentionResult, mc.QHeads)
+			}
+			sess.AttentionAllLayersInto(qs, out)
+			plans := sess.Stats().Plans
+			if d.name == "unlimited" {
+				for l := range out {
+					for h, r := range out[l] {
+						if r.Plan.Query != query.KindDIPR {
+							t.Errorf("%s: layer %d head %d planned %v, want dipr+*", name, l, h, r.Plan)
+						}
+						if r.Attended >= ctxLen/2 {
+							t.Errorf("%s: layer %d head %d attended %d of %d tokens", name, l, h, r.Attended, ctxLen)
+						}
+					}
+				}
+			}
+			if refOut == nil {
+				refName, refPlans, refOut = name, plans, out
+				continue
+			}
+			if !reflect.DeepEqual(plans, refPlans) {
+				t.Errorf("%s: plans %v, %s planned %v", name, plans, refName, refPlans)
+			}
+			for l := range out {
+				for h, r := range out[l] {
+					want := refOut[l][h]
+					if !slices.Equal(r.RetrievedIDs, want.RetrievedIDs) {
+						t.Errorf("%s: layer %d head %d retrieved %v, %s retrieved %v", name, l, h, r.RetrievedIDs, refName, want.RetrievedIDs)
+					}
+					for i := range want.Output {
+						if math.Float32bits(r.Output[i]) != math.Float32bits(want.Output[i]) {
+							t.Fatalf("%s: layer %d head %d dim %d: %v, %s gave %v", name, l, h, i, r.Output[i], refName, want.Output[i])
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -32,7 +32,7 @@ func groupFixture(t *testing.T, p *pool.Pool, g, longThreshold int, quant bool) 
 	winBytes := int64(win.Sinks+win.Recent) * int64(cfg.Layers) * int64(cfg.KVHeads) * int64(cfg.HeadDim) * 4 * 2
 	db, err := New(Config{
 		Model: m,
-		// Room for every session's window but never a coarse block cache.
+		// Room for the weights and every session's window.
 		Device:        devmem.New(m.WeightsBytes() + 8*winBytes + 4096),
 		Window:        win,
 		LongThreshold: longThreshold,
@@ -130,13 +130,12 @@ func statsDelta(s *Session, fn func()) Stats {
 	fn()
 	after := s.Stats()
 	d := Stats{
-		Plans:           map[string]int{},
-		Retrieved:       after.Retrieved - before.Retrieved,
-		Explored:        after.Explored - before.Explored,
-		Queries:         after.Queries - before.Queries,
-		FlatFallbacks:   after.FlatFallbacks - before.FlatFallbacks,
-		CoarseFallbacks: after.CoarseFallbacks - before.CoarseFallbacks,
-		Reranked:        after.Reranked - before.Reranked,
+		Plans:         map[string]int{},
+		Retrieved:     after.Retrieved - before.Retrieved,
+		Explored:      after.Explored - before.Explored,
+		Queries:       after.Queries - before.Queries,
+		FlatFallbacks: after.FlatFallbacks - before.FlatFallbacks,
+		Reranked:      after.Reranked - before.Reranked,
 	}
 	for k, v := range after.Plans {
 		if v != before.Plans[k] {

@@ -18,7 +18,7 @@ import (
 // path must not change what the model generates on retrieval workloads.
 func TestMultiStepDecodeAgainstReference(t *testing.T) {
 	mdl := testModel()
-	dev := devmem.New(24 << 20) // weights fit; coarse block cache does not
+	dev := devmem.New(24 << 20) // fits the weights and a session window
 	db, err := New(Config{
 		Model:         mdl,
 		Device:        dev,

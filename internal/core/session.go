@@ -8,7 +8,6 @@ import (
 	"repro/internal/attention"
 	"repro/internal/devmem"
 	"repro/internal/index"
-	"repro/internal/index/coarse"
 	"repro/internal/index/flat"
 	"repro/internal/kvcache"
 	"repro/internal/model"
@@ -96,11 +95,9 @@ type Session struct {
 	doc          *model.Document
 	tail         *kvcache.Cache
 
-	mu       sync.Mutex
-	coarseIx map[int]*coarse.Index // lazy, keyed by layer*kvHeads+kvHead
-	coarseH  map[int]int           // devmem handles for coarse block cache
-	windowH  int                   // devmem handle for the device window
-	closed   bool
+	mu      sync.Mutex
+	windowH int // devmem handle for the device window
+	closed  bool
 	// tasks is the decode fan-out's task list, kept across steps so a warm
 	// step allocates none. A fan-out takes it (takeTasks) and hands it
 	// back; a concurrent caller that finds it taken builds its own.
@@ -129,9 +126,6 @@ type Stats struct {
 	// FlatFallbacks counts fine-plan queries served by a flat scan because
 	// no graph index covered the data.
 	FlatFallbacks int64
-	// CoarseFallbacks counts coarse-plan queries downgraded because the
-	// device could not hold the block cache.
-	CoarseFallbacks int64
 	// Reranked is always zero: no decode path reranks. The field stays only
 	// while benchmark/probes.go reads it (core.reranked_per_query).
 	Reranked int64
@@ -148,8 +142,6 @@ func newSession(db *DB, base *Context, reuseLen int, doc *model.Document) *Sessi
 		reuseLen: reuseLen,
 		doc:      owned,
 		tail:     kvcache.New(db.cfg.Model.Config().Layers, db.cfg.Model.Config().KVHeads, db.cfg.Model.Config().HeadDim),
-		coarseIx: make(map[int]*coarse.Index),
-		coarseH:  make(map[int]int),
 		windowH:  -1,
 		stats:    Stats{Plans: make(map[string]int)},
 	}
@@ -338,13 +330,11 @@ func (s *Session) Attention(layer, qHead int, q []float32) AttentionResult {
 // AttentionAll computes attention for every query head of a layer, fanning
 // the heads across the DB's worker pool as independent decode tasks, each
 // computing its prefix and tail partials in turn. qs is indexed by query
-// head. On an unconstrained device the result is bitwise-identical to
-// calling Attention per head serially (each head's computation is
-// deterministic and shares no mutable state beyond counters); under a
-// tight device budget, plan selection samples the racing free-byte count,
-// so which heads win a coarse block cache may vary with scheduling,
-// exactly as it would across concurrently served requests. Result slices
-// are freshly allocated; decode loops use AttentionAllInto.
+// head. The result is bitwise-identical to calling Attention per head
+// serially, on any pool and any device: plans depend only on the session,
+// and each head's computation is deterministic and shares no mutable state
+// beyond counters. Result slices are freshly allocated; decode loops use
+// AttentionAllInto.
 func (s *Session) AttentionAll(layer int, qs [][]float32) []AttentionResult {
 	out := make([]AttentionResult, len(qs))
 	s.AttentionAllInto(layer, qs, out)
@@ -370,14 +360,12 @@ func (s *Session) AttentionAllInto(layer int, qs [][]float32, out []AttentionRes
 }
 
 // plan runs the optimizer (Figure 8) for one query of layer over the
-// session's current context.
+// session's current context. It reads only the session.
 func (s *Session) plan(layer int) query.Plan {
 	return query.Optimize(query.Request{
 		ContextLen:    s.ContextLen(layer),
 		LongThreshold: s.db.cfg.LongThreshold,
 		PartialReuse:  s.PartialReuse(),
-		DeviceFree:    s.deviceFree(),
-		CoarseNeed:    s.coarseNeed(),
 		Layer:         layer,
 	})
 }
@@ -385,8 +373,8 @@ func (s *Session) plan(layer int) query.Plan {
 // groupPlan plans layer once and reports whether its query heads may run
 // as group tasks: a full+none or dipr+flat plan over an indexed prefix
 // scores every prefix key for every head, so one multi-query pass per KV
-// group serves them all. Graph and coarse plans, and sessions with no
-// indexed prefix, stay per head.
+// group serves them all. Graph plans, and sessions with no indexed prefix,
+// stay per head.
 func (s *Session) groupPlan(layer int) (query.Plan, bool) {
 	if s.root == nil || s.indexedLen == 0 {
 		return query.Plan{}, false
@@ -428,24 +416,7 @@ func (s *Session) attentionInto(ds *decodeState, layer, qHead int, q []float32, 
 
 	var retrieved []int
 	explored := 0
-	switch plan.Query {
-	case query.KindFull:
-		// Everything participates; no retrieval.
-	case query.KindTopK:
-		if idx, ok := s.coarseIndex(layer, kv); ok {
-			retrieved = idx.SelectTokens(q, coarseBudget)
-			explored = idx.Blocks()
-		} else {
-			// Device could not hold the coarse working set after all:
-			// downgrade to the fine path.
-			s.mu.Lock()
-			s.stats.CoarseFallbacks++
-			s.mu.Unlock()
-			plan.Query = query.KindDIPR
-			plan.Index = query.IndexFine
-		}
-	}
-	if plan.Query == query.KindDIPR {
+	if plan.Query == query.KindDIPR { // full attention retrieves nothing
 		retrieved, explored = s.executeDIPR(ds, plan, layer, qHead, kv, q)
 	}
 
@@ -469,28 +440,6 @@ func (s *Session) finishHead(ds *decodeState, plan query.Plan, layer, kv int, q 
 	s.stats.Explored += int64(res.Explored)
 	s.stats.Queries++
 	s.mu.Unlock()
-}
-
-func (s *Session) deviceFree() int64 {
-	free := s.db.cfg.Device.FreeBytes()
-	if free < 0 {
-		return math.MaxInt64
-	}
-	return free
-}
-
-// coarseNeed estimates the device bytes the coarse path would require: the
-// block representatives plus a resident working set of one retrieval budget
-// of KV per layer.
-func (s *Session) coarseNeed() int64 {
-	if s.root == nil {
-		return 0
-	}
-	mc := s.db.cfg.Model.Config()
-	perTokenBytes := int64(mc.HeadDim) * 4 * 2 * int64(mc.KVHeads)
-	budget := int64(coarseBudget) * perTokenBytes * int64(mc.Layers)
-	reps := s.root.cache.Bytes() / 8 // min/max/mean summaries at block granularity
-	return budget + reps
 }
 
 // executeDIPR retrieves the β-critical set from the indexed prefix — the
@@ -670,32 +619,6 @@ func (s *Session) prefixPartial(ds *decodeState, layer, kv int, q []float32, pre
 	return attention.OverScratch(&ds.scPrefix, q, s.root.cache.Keys(layer, kv), V, prefixIdx)
 }
 
-// coarseIndex lazily builds (and device-registers) the coarse index for
-// (layer, kvHead) over the reused context. Returns false if the device
-// cannot hold the working set.
-func (s *Session) coarseIndex(layer, kv int) (*coarse.Index, bool) {
-	if s.root == nil {
-		return nil, false
-	}
-	key := layer*s.db.cfg.Model.Config().KVHeads + kv
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if ix, ok := s.coarseIx[key]; ok {
-		return ix, ix != nil
-	}
-	ix := coarse.New(s.root.cache.Keys(layer, kv), 128, coarse.Mean)
-	mc := s.db.cfg.Model.Config()
-	need := ix.RepresentativeBytes() + int64(coarseBudget)*int64(mc.HeadDim)*4*2
-	h, err := s.db.cfg.Device.Alloc(need, devmem.BlockCache)
-	if err != nil {
-		s.coarseIx[key] = nil // remember the failure
-		return nil, false
-	}
-	s.coarseIx[key] = ix
-	s.coarseH[key] = h
-	return ix, true
-}
-
 // materialize produces a cold session's full document and KV cache for
 // DB.Store's late-materialization path. Sessions with a reused base take
 // the copy-on-write path in Store instead of copying prefix rows here.
@@ -736,14 +659,7 @@ func (s *Session) Close() error {
 		s.basePinned = false
 	}
 	if s.windowH >= 0 {
-		if err := s.db.cfg.Device.Free(s.windowH); err != nil {
-			return err
-		}
-	}
-	for _, h := range s.coarseH {
-		if err := s.db.cfg.Device.Free(h); err != nil {
-			return err
-		}
+		return s.db.cfg.Device.Free(s.windowH)
 	}
 	return nil
 }

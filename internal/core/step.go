@@ -105,9 +105,7 @@ func (s *Session) putTasks(t []decodeTask) {
 // pooled decode state per worker — deeper layers' tasks start as soon as
 // a worker frees up, rather than barriering layer by layer the way
 // repeated AttentionAllInto calls do. Buffer reuse and determinism follow
-// AttentionAllInto: bitwise-identical to per-head Attention calls on an
-// unconstrained device, with the same device-sampling caveat under a tight
-// budget.
+// AttentionAllInto: bitwise-identical to per-head Attention calls.
 func (s *Session) AttentionAllLayersInto(qs [][][]float32, out [][]AttentionResult) {
 	if len(out) != len(qs) {
 		panic(fmt.Sprintf("core: AttentionAllLayersInto got %d result rows for %d layers", len(out), len(qs)))

@@ -116,8 +116,7 @@ func TestDecodeZeroAllocWithTieringEnabled(t *testing.T) {
 	perCtx := int64(1024) * int64(mc0.Layers) * int64(mc0.KVHeads) * int64(mc0.HeadDim) * 4 * 2
 	db, err := New(Config{
 		Model: mdl,
-		// Room for weights and session windows but never the coarse block
-		// cache, so the optimizer plans DIPR.
+		// Room for the weights and two session windows.
 		Device:        devmem.New(mdl.WeightsBytes() + 2*winBytes + 4096),
 		Window:        win,
 		LongThreshold: 256,

@@ -47,9 +47,8 @@ func (it *StepItem) Run() {
 // StepWave runs one decode step for every item as a single shared
 // fan-out over p. Semantically each item is exactly item.Sess.StepInto —
 // ingest the token, then attention for every layer and head — and each
-// item's results are bitwise-identical to the serial call on an
-// unconstrained device (the same determinism contract, and caveat under
-// a tight device budget, as AttentionAllLayersInto). The difference is
+// item's results are bitwise-identical to the serial call (the same
+// determinism contract as AttentionAllLayersInto). The difference is
 // scheduling: all items' tokens ingest concurrently, then every item's
 // decode tasks — built per layer exactly as AttentionAllLayersInto builds
 // them, one per (layer, KV group) on group-planned layers and one per

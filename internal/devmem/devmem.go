@@ -2,9 +2,10 @@
 // experiments account against. Nothing here allocates device memory, of
 // course — the package is a strict bookkeeping model: components register
 // the byte size of what they would keep resident on the device (model
-// weights, KV cache, the token window, coarse-index block cache), the
-// tracker enforces a capacity, and a bandwidth model converts transfer
-// volumes into simulated host↔device transfer times.
+// weights, the token window), the tracker enforces a capacity, and a
+// bandwidth model converts transfer volumes into simulated host↔device
+// transfer times. Nothing reads the free capacity to choose a plan: the
+// query optimizer plans from the session alone.
 //
 // This is the substitution for the paper's NVIDIA L20 (48 GB): Figure 9
 // plots quality against GB consumed and Figure 10's LMCache baseline is
@@ -30,7 +31,8 @@ const (
 	KVCache
 	// Window is the sink+recent token window cached on device (§7.1).
 	Window
-	// BlockCache is coarse-index representative blocks cached on device.
+	// BlockCache is always 0: no serving plan caches coarse blocks. It
+	// stays only while benchmark/probes.go reads it (devmem.blockcache_mb).
 	BlockCache
 	// Scratch is transient activation memory.
 	Scratch
@@ -159,16 +161,6 @@ func (d *Device) Capacity() int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.capacity
-}
-
-// Free bytes remaining, or -1 if the device is unlimited.
-func (d *Device) FreeBytes() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.capacity == 0 {
-		return -1
-	}
-	return d.capacity - d.used
 }
 
 // UsedBy returns the bytes allocated in the given category.

@@ -20,9 +20,6 @@ func TestAllocFree(t *testing.T) {
 	if got := d.UsedBy(KVCache); got != 60 {
 		t.Errorf("UsedBy(KVCache) = %d, want 60", got)
 	}
-	if got := d.FreeBytes(); got != 40 {
-		t.Errorf("FreeBytes = %d, want 40", got)
-	}
 	if err := d.Free(id); err != nil {
 		t.Fatalf("Free: %v", err)
 	}
@@ -54,8 +51,8 @@ func TestUnlimitedDevice(t *testing.T) {
 	if _, err := d.Alloc(1<<40, KVCache); err != nil {
 		t.Fatalf("unlimited device refused alloc: %v", err)
 	}
-	if got := d.FreeBytes(); got != -1 {
-		t.Errorf("FreeBytes on unlimited = %d, want -1", got)
+	if got := d.Used(); got != 1<<40 {
+		t.Errorf("Used on unlimited = %d, want %d", got, int64(1)<<40)
 	}
 }
 

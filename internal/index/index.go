@@ -7,7 +7,8 @@
 //   - flat  (internal/index/flat):   exhaustive scan; no device memory,
 //     medium latency at any k.
 //   - coarse (internal/index/coarse): block-grained representatives kept on
-//     device; low latency, large memory.
+//     device; low latency, large memory. Only the InfLLM baseline and the
+//     figure runners use it: the serving optimizer never plans it.
 //   - graph (internal/index/graph):  fine-grained RoarGraph-like proximity
 //     graph; low latency at small k, supports DIPR traversal.
 package index

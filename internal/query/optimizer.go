@@ -8,8 +8,6 @@ type Kind int
 const (
 	// KindFull is exact full attention (no retrieval).
 	KindFull Kind = iota
-	// KindTopK retrieves a fixed number of critical tokens.
-	KindTopK
 	// KindDIPR retrieves the dynamic β-critical token set.
 	KindDIPR
 )
@@ -18,22 +16,19 @@ func (k Kind) String() string {
 	switch k {
 	case KindFull:
 		return "full"
-	case KindTopK:
-		return "topk"
 	case KindDIPR:
 		return "dipr"
 	}
 	return fmt.Sprintf("kind(%d)", int(k))
 }
 
-// IndexKind enumerates the index types of Table 4.
+// IndexKind enumerates the index types of Table 4 that serving plans use.
+// Table 4's coarse block index is a baseline only (internal/index/coarse).
 type IndexKind int
 
 const (
 	// IndexNone: no index (full attention).
 	IndexNone IndexKind = iota
-	// IndexCoarse: block-grained representatives on device.
-	IndexCoarse
 	// IndexFine: graph index on host.
 	IndexFine
 	// IndexFlat: exhaustive scan on host.
@@ -44,8 +39,6 @@ func (k IndexKind) String() string {
 	switch k {
 	case IndexNone:
 		return "none"
-	case IndexCoarse:
-		return "coarse"
 	case IndexFine:
 		return "fine"
 	case IndexFlat:
@@ -55,7 +48,8 @@ func (k IndexKind) String() string {
 }
 
 // Plan is the optimizer's chosen execution strategy for one attention
-// query.
+// query. Its String form (full+none, dipr+flat, dipr+fine, each with an
+// optional +filter) is the only form that leaves the process.
 type Plan struct {
 	Query    Kind
 	Index    IndexKind
@@ -108,12 +102,9 @@ type Request struct {
 	// PartialReuse is true when the session reuses only a prefix of a
 	// stored context, requiring attribute filtering (§7.1).
 	PartialReuse bool
-	// DeviceFree is the device memory available for caching coarse-index
-	// blocks, in bytes.
-	DeviceFree int64
-	// CoarseNeed is the device memory the coarse path would require for
-	// this context, in bytes.
-	CoarseNeed int64
+	// DeviceFree and CoarseNeed are ignored: plans do not depend on the
+	// device. They stay only while benchmark/probes.go sets them.
+	DeviceFree, CoarseNeed int64
 	// Layer is the 0-based transformer layer of the query. The first
 	// layer's diffuse heads retrieve so many tokens that a flat scan beats
 	// graph traversal (Figure 5, Table 4).
@@ -124,8 +115,13 @@ type Request struct {
 // are processed sparsely.
 const DefaultLongThreshold = 4096
 
-// Optimize implements the rule tree of Figure 8. It is deterministic and
-// side-effect free.
+// Optimize implements the rule tree of Figure 8 without its device branch:
+// a short context attends in full; a long one runs DIPR, through a flat
+// scan on the first layer and the graph index elsewhere, filtered under
+// partial reuse. Figure 8's coarse block top-k, planned when the device has
+// room for its block cache, would run on the same CPU as DIPR at several
+// times its cost for the same answers, so serving never plans it. The plan
+// is a pure function of context length, threshold, partial reuse and layer.
 func Optimize(r Request) Plan {
 	threshold := r.LongThreshold
 	if threshold <= 0 {
@@ -134,21 +130,9 @@ func Optimize(r Request) Plan {
 	if r.ContextLen < threshold {
 		return Plan{Query: KindFull, Index: IndexNone}
 	}
-	p := Plan{Filtered: r.PartialReuse}
-	if !r.PartialReuse && r.CoarseNeed > 0 && r.DeviceFree >= r.CoarseNeed {
-		// Plenty of device memory: cache blocks on device and run coarse
-		// top-k (the InfLLM configuration inside AlayaDB). Partial reuse
-		// disables this path because the coarse blocks of a *prefix* are
-		// not cached individually.
-		p.Query = KindTopK
-		p.Index = IndexCoarse
-		return p
-	}
-	p.Query = KindDIPR
+	p := Plan{Query: KindDIPR, Index: IndexFine, Filtered: r.PartialReuse}
 	if r.Layer == 0 {
 		p.Index = IndexFlat
-	} else {
-		p.Index = IndexFine
 	}
 	return p
 }

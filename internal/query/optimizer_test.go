@@ -20,9 +20,9 @@ func TestOptimizeRuleTree(t *testing.T) {
 			Plan{Query: KindFull, Index: IndexNone},
 		},
 		{
-			"long context with ample budget uses coarse topk",
+			"long context with ample device still plans DIPR",
 			Request{ContextLen: 100_000, DeviceFree: 40 * gb, CoarseNeed: 10 * gb},
-			Plan{Query: KindTopK, Index: IndexCoarse},
+			Plan{Query: KindDIPR, Index: IndexFlat},
 		},
 		{
 			"long context with tight budget uses DIPR+fine",
@@ -74,18 +74,17 @@ func TestPlanString(t *testing.T) {
 	if got := p.String(); got != "dipr+fine+filter" {
 		t.Errorf("String = %q", got)
 	}
-	p2 := Plan{Query: KindTopK, Index: IndexCoarse}
-	if got := p2.String(); got != "topk+coarse" {
+	p2 := Plan{Query: KindFull, Index: IndexNone}
+	if got := p2.String(); got != "full+none" {
 		t.Errorf("String = %q", got)
 	}
 }
 
 func TestKindStrings(t *testing.T) {
-	if KindFull.String() != "full" || KindTopK.String() != "topk" || KindDIPR.String() != "dipr" {
+	if KindFull.String() != "full" || KindDIPR.String() != "dipr" {
 		t.Error("Kind names wrong")
 	}
-	if IndexNone.String() != "none" || IndexCoarse.String() != "coarse" ||
-		IndexFine.String() != "fine" || IndexFlat.String() != "flat" {
+	if IndexNone.String() != "none" || IndexFine.String() != "fine" || IndexFlat.String() != "flat" {
 		t.Error("IndexKind names wrong")
 	}
 	if Kind(99).String() == "" || IndexKind(99).String() == "" {

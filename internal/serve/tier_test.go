@@ -251,8 +251,8 @@ func TestServeQuantStats(t *testing.T) {
 	doc.Plant(200, 9, 3, 1)
 	wire := DocumentWire{Seed: doc.Seed, Tokens: doc.Tokens}
 
-	// A device too small for the coarse block cache forces DIPR plans, the
-	// retrieval path over the snapped key rows.
+	// Long contexts plan DIPR, the retrieval path over the snapped key
+	// rows; the device has room for the weights and the session windows.
 	cfg := model.Default()
 	cfg.Layers = 2
 	cfg.QHeads = 4

@@ -43,7 +43,7 @@ func appendRowRef(fs *FS, v []float32) error {
 			return err
 		}
 		if fs.dataTail != nilBlock {
-			blk, err := fs.ReadBlock(fs.dataTail)
+			blk, err := fs.readBlock(fs.dataTail)
 			if err != nil {
 				return err
 			}
@@ -55,7 +55,7 @@ func appendRowRef(fs *FS, v []float32) error {
 		}
 		fs.dataTail = id
 	} else {
-		blk, err := fs.ReadBlock(fs.dataTail)
+		blk, err := fs.readBlock(fs.dataTail)
 		if err != nil {
 			return err
 		}

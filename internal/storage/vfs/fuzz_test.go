@@ -110,9 +110,9 @@ func FuzzOpen(f *testing.F) {
 		}
 		defer fs.Close()
 
-		if fs.NumVectors() < 0 || fs.VectorsPerBlock() < 1 {
+		if fs.NumVectors() < 0 || fs.perBlock < 1 {
 			t.Fatalf("accepted impossible geometry: %d vectors, %d per block",
-				fs.NumVectors(), fs.VectorsPerBlock())
+				fs.NumVectors(), fs.perBlock)
 		}
 		if _, err := fs.Stat(); err != nil {
 			return
@@ -121,10 +121,5 @@ func FuzzOpen(f *testing.F) {
 			t.Fatalf("ReadAll returned %d rows for %d vectors without error", m.Rows(), fs.NumVectors())
 		}
 		fs.ReadAdjacency()
-		if fs.NumVectors() > 0 {
-			buf := make([]float32, fs.Dim())
-			fs.ReadVector(0, buf)
-			fs.ReadVector(fs.NumVectors()-1, buf)
-		}
 	})
 }

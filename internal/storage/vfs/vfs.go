@@ -169,14 +169,8 @@ func (fs *FS) Path() string { return fs.path }
 // Dim returns the vector dimensionality.
 func (fs *FS) Dim() int { return fs.dim }
 
-// BlockSize returns the block size in bytes.
-func (fs *FS) BlockSize() int { return fs.blockSize }
-
 // NumVectors returns the number of stored vectors.
 func (fs *FS) NumVectors() int { return int(fs.nVectors) }
-
-// VectorsPerBlock returns how many vectors one data block holds.
-func (fs *FS) VectorsPerBlock() int { return fs.perBlock }
 
 func (fs *FS) writeSuper() error {
 	buf := make([]byte, superSize)
@@ -226,7 +220,7 @@ func (fs *FS) readSuper() error {
 	fs.perBlock = (fs.blockSize - headerSize) / (fs.dim * 4)
 	// A crc-valid superblock can still describe an impossible file (written
 	// by a different tool, or a deliberately crafted input): geometry whose
-	// blocks hold no vector would divide by zero in DataBlockOf, and
+	// blocks hold no vector would divide by zero in appendRows, and
 	// negative or oversized counts would be used as allocation sizes and
 	// loop bounds. Reject them all here, once.
 	if fs.perBlock < 1 {
@@ -301,16 +295,16 @@ func putFloats(dst []byte, v []float32) {
 	}
 }
 
-// Block is a decoded block.
-type Block struct {
+// block is a decoded block.
+type block struct {
 	ID      int64
 	Kind    BlockKind
 	Payload []byte
 	Next    int64
 }
 
-// ReadBlock reads and verifies block id.
-func (fs *FS) ReadBlock(id int64) (*Block, error) {
+// readBlock reads and verifies block id.
+func (fs *FS) readBlock(id int64) (*block, error) {
 	if fs.closed {
 		return nil, ErrClosed
 	}
@@ -333,7 +327,7 @@ func (fs *FS) ReadBlock(id int64) (*Block, error) {
 	if crc32.ChecksumIEEE(payload) != sum {
 		return nil, fmt.Errorf("%w: block %d checksum mismatch", ErrCorrupt, id)
 	}
-	return &Block{ID: id, Kind: kind, Payload: payload, Next: next}, nil
+	return &block{ID: id, Kind: kind, Payload: payload, Next: next}, nil
 }
 
 // AppendVector appends one vector and returns its id: a one-row
@@ -387,10 +381,10 @@ func (fs *FS) appendRows(data []float32) error {
 	fresh := (n - fill + fs.perBlock - 1) / fs.perBlock // blocks after the tail
 
 	// The old tail changes when it takes rows or gains a successor.
-	var tail *Block
+	var tail *block
 	tailLen := 0
 	if fill > 0 || (fresh > 0 && fs.dataTail != nilBlock) {
-		blk, err := fs.ReadBlock(fs.dataTail)
+		blk, err := fs.readBlock(fs.dataTail)
 		if err != nil {
 			return err
 		}
@@ -441,58 +435,9 @@ func (fs *FS) appendRows(data []float32) error {
 	return nil
 }
 
-// DataBlockOf returns the chain position (0-based) and slot of vector id.
-func (fs *FS) DataBlockOf(id int) (chainPos, slot int) {
-	return id / fs.perBlock, id % fs.perBlock
-}
-
-// dataBlockID walks the chain to the physical block at chain position pos.
-// Sequential appends make chains physically ordered, so the common case is
-// one hop; corrupted chains are detected by the walk bound.
-func (fs *FS) dataBlockID(pos int) (int64, error) {
-	id := fs.dataHead
-	for hop := 0; hop < pos; hop++ {
-		if id == nilBlock {
-			return 0, fmt.Errorf("%w: data chain ends before position %d", ErrCorrupt, pos)
-		}
-		blk, err := fs.ReadBlock(id)
-		if err != nil {
-			return 0, err
-		}
-		id = blk.Next
-	}
-	if id == nilBlock {
-		return 0, fmt.Errorf("%w: data chain ends at position %d", ErrCorrupt, pos)
-	}
-	return id, nil
-}
-
-// ReadVector reads vector id into buf (len must equal Dim).
-func (fs *FS) ReadVector(id int, buf []float32) error {
-	if fs.closed {
-		return ErrClosed
-	}
-	if id < 0 || id >= int(fs.nVectors) {
-		return fmt.Errorf("vfs: vector %d out of range [0,%d)", id, fs.nVectors)
-	}
-	if len(buf) != fs.dim {
-		return fmt.Errorf("vfs: buffer dim %d != %d", len(buf), fs.dim)
-	}
-	pos, slot := fs.DataBlockOf(id)
-	blockID, err := fs.dataBlockID(pos)
-	if err != nil {
-		return err
-	}
-	blk, err := fs.ReadBlock(blockID)
-	if err != nil {
-		return err
-	}
-	return DecodeVector(blk.Payload, slot, buf)
-}
-
-// DecodeVector extracts the vector at the given slot from a data block
+// decodeVector extracts the vector at the given slot from a data block
 // payload.
-func DecodeVector(payload []byte, slot int, buf []float32) error {
+func decodeVector(payload []byte, slot int, buf []float32) error {
 	off := slot * len(buf) * 4
 	if off+len(buf)*4 > len(payload) {
 		return fmt.Errorf("%w: slot %d beyond payload", ErrCorrupt, slot)
@@ -519,7 +464,7 @@ func (fs *FS) ReadAll() (*vec.Matrix, error) {
 		if hops++; hops > fs.nBlocks {
 			return nil, fmt.Errorf("%w: data chain cycle detected", ErrCorrupt)
 		}
-		blk, err := fs.ReadBlock(id)
+		blk, err := fs.readBlock(id)
 		if err != nil {
 			return nil, err
 		}
@@ -528,7 +473,7 @@ func (fs *FS) ReadAll() (*vec.Matrix, error) {
 		}
 		inBlock := len(blk.Payload) / (fs.dim * 4)
 		for s := 0; s < inBlock && row < int(fs.nVectors); s++ {
-			if err := DecodeVector(blk.Payload, s, m.Row(row)); err != nil {
+			if err := decodeVector(blk.Payload, s, m.Row(row)); err != nil {
 				return nil, err
 			}
 			row++
@@ -606,7 +551,7 @@ func (fs *FS) ReadAdjacency() ([][]int32, error) {
 		if hops++; hops > fs.nBlocks {
 			return nil, fmt.Errorf("%w: index chain cycle detected", ErrCorrupt)
 		}
-		blk, err := fs.ReadBlock(id)
+		blk, err := fs.readBlock(id)
 		if err != nil {
 			return nil, err
 		}

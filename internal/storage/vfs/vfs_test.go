@@ -56,16 +56,19 @@ func TestAppendReadRoundTrip(t *testing.T) {
 	if fs.NumVectors() != 100 {
 		t.Fatalf("NumVectors = %d", fs.NumVectors())
 	}
-	buf := make([]float32, 8)
+	got, err := fs.ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, id := range []int{0, 1, 14, 15, 16, 50, 99} {
-		if err := fs.ReadVector(id, buf); err != nil {
-			t.Fatalf("ReadVector(%d): %v", id, err)
-		}
-		for j := range buf {
-			if buf[j] != m.Row(id)[j] {
-				t.Fatalf("vector %d dim %d: %v != %v", id, j, buf[j], m.Row(id)[j])
+		for j, x := range got.Row(id) {
+			if x != m.Row(id)[j] {
+				t.Fatalf("vector %d dim %d: %v != %v", id, j, x, m.Row(id)[j])
 			}
 		}
+	}
+	if _, err := fs.AppendVector(make([]float32, 3)); err == nil {
+		t.Error("wrong vector dim accepted")
 	}
 }
 
@@ -181,28 +184,6 @@ func TestAdjacencyRecordTooBig(t *testing.T) {
 	}
 }
 
-func TestReadVectorErrors(t *testing.T) {
-	fs, err := Create(tempFile(t), 512, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs.Close()
-	fs.AppendVector(make([]float32, 8))
-	buf := make([]float32, 8)
-	if err := fs.ReadVector(-1, buf); err == nil {
-		t.Error("negative id accepted")
-	}
-	if err := fs.ReadVector(5, buf); err == nil {
-		t.Error("out-of-range id accepted")
-	}
-	if err := fs.ReadVector(0, make([]float32, 4)); err == nil {
-		t.Error("wrong buffer size accepted")
-	}
-	if _, err := fs.AppendVector(make([]float32, 3)); err == nil {
-		t.Error("wrong vector dim accepted")
-	}
-}
-
 func TestClosedFileErrors(t *testing.T) {
 	fs, err := Create(tempFile(t), 512, 8)
 	if err != nil {
@@ -212,7 +193,7 @@ func TestClosedFileErrors(t *testing.T) {
 	if _, err := fs.AppendVector(make([]float32, 8)); !errors.Is(err, ErrClosed) {
 		t.Errorf("append after close: %v", err)
 	}
-	if err := fs.ReadVector(0, make([]float32, 8)); !errors.Is(err, ErrClosed) {
+	if _, err := fs.readBlock(0); !errors.Is(err, ErrClosed) {
 		t.Errorf("read after close: %v", err)
 	}
 	if _, err := fs.ReadAll(); !errors.Is(err, ErrClosed) {
@@ -250,8 +231,7 @@ func TestCorruptionDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	buf := make([]float32, 8)
-	if err := re.ReadVector(0, buf); !errors.Is(err, ErrCorrupt) {
+	if _, err := re.ReadAll(); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("corrupted read: err = %v, want ErrCorrupt", err)
 	}
 }
@@ -312,7 +292,7 @@ func TestReadBlockOutOfRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fs.Close()
-	if _, err := fs.ReadBlock(99); err == nil {
+	if _, err := fs.readBlock(99); err == nil {
 		t.Error("out-of-range block read accepted")
 	}
 }
@@ -340,10 +320,6 @@ func TestTruncatedFileDetected(t *testing.T) {
 	defer re.Close()
 	if _, err := re.ReadAll(); err == nil {
 		t.Error("ReadAll on truncated file succeeded")
-	}
-	buf := make([]float32, 8)
-	if err := re.ReadVector(99, buf); err == nil {
-		t.Error("ReadVector past truncation succeeded")
 	}
 }
 
