@@ -119,9 +119,8 @@ func stats(baseURL string) error {
 			st.IndexBuilds, st.IndexBuildMillis, st.LastIndexBuildMillis)
 	}
 	if st.Sched != nil {
-		fmt.Printf("scheduler:      %d waves (avg %.1f, max %d of %d), %d admitted, %d rejected, queue %d/%d\n",
-			st.Sched.Waves, st.Sched.AvgWave, st.Sched.MaxWave, st.Sched.WaveSize,
-			st.Sched.Admitted, st.Sched.Rejected, st.Sched.QueueDepth, st.Sched.QueueCap)
+		fmt.Printf("scheduler:      %d steps, %d admitted, %d rejected, queue %d/%d\n",
+			st.Sched.Items, st.Sched.Admitted, st.Sched.Rejected, st.Sched.QueueDepth, st.Sched.QueueCap)
 	}
 	if len(st.Endpoints) > 0 {
 		fmt.Printf("\n%-16s %9s %7s %10s %10s\n", "endpoint", "requests", "errors", "mean ms", "max ms")

@@ -85,16 +85,12 @@ func run() error {
 		spillDir  = flag.String("spill-dir", "", "directory for the disk spill tier: evicted contexts are persisted there and transparently reloaded (empty = eviction drops contexts)")
 		spillGB   = flag.Float64("spill-budget-gb", 0, "spill tier byte budget in GB; LRU spilled contexts are deleted over it (0 = unlimited)")
 		quant     = flag.Bool("quant-keys", false, "snap key rows to the SQ8 (int8) grid and spill them as packed codes: spilled key files shrink 4x, every resident read stays fp32 (spill dirs are layout-specific)")
-		schedWave = flag.Int("sched-wave", 0, "decode wave size: queued steps and streamed batches from up to this many sessions execute as one fused fan-out over the worker pool; a step on an idle session runs on its caller (0 = pool size)")
-		schedQ    = flag.Int("sched-queue", serve.DefaultQueueDepth, "bounded admission queue for decode steps; requests beyond it are rejected with 429 overloaded")
+		schedQ    = flag.Int("sched-queue", serve.DefaultQueueDepth, "bound on decode steps admitted but not yet started (a stream's remaining steps and steps waiting for a busy session); submits beyond it are rejected with 429 overloaded")
 	)
 	flag.Parse()
 
 	if (*tlsCert == "") != (*tlsKey == "") {
 		return errors.New("-grpc-tls-cert and -grpc-tls-key must be set together")
-	}
-	if *schedWave < 0 {
-		return fmt.Errorf("-sched-wave must be >= 0, got %d", *schedWave)
 	}
 
 	if *peers != "" {
@@ -140,7 +136,6 @@ func run() error {
 
 	srv := serve.NewServer(db,
 		serve.WithMaxBodyBytes(int64(*maxBodyMB*(1<<20))),
-		serve.WithWaveSize(*schedWave),
 		serve.WithQueueDepth(*schedQ))
 	defer srv.Close()
 	keyPlane := "fp32"
@@ -149,8 +144,6 @@ func run() error {
 	}
 	log.Printf("alayad: serving attention on %s (model %dL x %dQ x %dKV x d%d, pool %d, %d shards, keys %s)",
 		*addr, cfg.Layers, cfg.QHeads, cfg.KVHeads, cfg.HeadDim, workPool.Size(), srv.Service().Registry().Shards(), keyPlane)
-	sst := srv.Service().Scheduler().Stats()
-	log.Printf("alayad: decode scheduler: wave %d, queue %d", sst.WaveSize, sst.QueueCap)
 	if *spillDir != "" {
 		ts := db.TierStats()
 		log.Printf("alayad: spill tier at %s (budget %.2f GB, %d contexts recovered)",
@@ -222,6 +215,10 @@ func serveAll(httpHandler http.Handler, c serve.Core, addr, grpcAddr, tlsCert, t
 			defer wg.Done()
 			if err := hs.Shutdown(ctx); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				log.Printf("alayad: shutdown %s: %v", hs.Addr, err)
+				// Past the deadline, cut the connections still open: a
+				// stream blocked writing to a client that stopped reading
+				// holds its session, and closing the service waits for it.
+				hs.Close()
 			}
 		}(l.hs)
 	}

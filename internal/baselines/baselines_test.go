@@ -220,7 +220,6 @@ func TestPrefillEmptyDoc(t *testing.T) {
 func TestLMCacheRoundTripAndTTFT(t *testing.T) {
 	m := testModel()
 	dev := devmem.New(0)
-	dev.SetBandwidth(25)
 	doc := model.NewFiller(13, 600, 32, 32)
 	lm := &LMCache{Model: m, Device: dev}
 	lm.Store(doc)

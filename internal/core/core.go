@@ -204,8 +204,7 @@ func (db *DB) CtxParStats() metrics.CtxParSnapshot { return db.ctxpar.Snapshot()
 // Device returns the DB's device accountant.
 func (db *DB) Device() *devmem.Device { return db.cfg.Device }
 
-// Pool returns the worker pool the DB fans compute across. Serving layers
-// size their decode waves against it (StepWave).
+// Pool returns the worker pool the DB fans compute across.
 func (db *DB) Pool() *pool.Pool { return db.cfg.Pool }
 
 // Window returns the configured device window.

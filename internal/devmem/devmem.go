@@ -72,11 +72,11 @@ type Device struct {
 	byCat    [numCategories]int64
 	nextID   int
 	allocs   map[int]alloc
-
-	// hostToDevGBps is the simulated host→device bandwidth in GiB/s used by
-	// TransferTime. The paper's testbed is PCIe 4.0 x16 (~25 GiB/s usable).
-	hostToDevGBps float64
 }
+
+// hostToDevGiBps is the simulated host↔device bandwidth in GiB/s used by
+// TransferTime. The paper's testbed is PCIe 4.0 x16 (~25 GiB/s usable).
+const hostToDevGiBps = 25
 
 type alloc struct {
 	size int64
@@ -84,21 +84,11 @@ type alloc struct {
 }
 
 // New returns a Device with the given capacity in bytes. A capacity of 0
-// means unlimited (accounting only). Bandwidth defaults to 25 GiB/s.
+// means unlimited (accounting only).
 func New(capacity int64) *Device {
 	return &Device{
-		capacity:      capacity,
-		allocs:        make(map[int]alloc),
-		hostToDevGBps: 25,
-	}
-}
-
-// SetBandwidth overrides the simulated host↔device bandwidth in GiB/s.
-func (d *Device) SetBandwidth(gbps float64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if gbps > 0 {
-		d.hostToDevGBps = gbps
+		capacity: capacity,
+		allocs:   make(map[int]alloc),
 	}
 }
 
@@ -156,13 +146,6 @@ func (d *Device) Peak() int64 {
 	return d.peak
 }
 
-// Capacity returns the configured capacity (0 = unlimited).
-func (d *Device) Capacity() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.capacity
-}
-
 // UsedBy returns the bytes allocated in the given category.
 func (d *Device) UsedBy(cat Category) int64 {
 	d.mu.Lock()
@@ -174,16 +157,13 @@ func (d *Device) UsedBy(cat Category) int64 {
 }
 
 // TransferTime returns the simulated time to move n bytes across the
-// host↔device link. It performs no sleeping; callers add it to reported
-// latencies.
+// host↔device link at hostToDevGiBps. It performs no sleeping; callers add
+// it to reported latencies.
 func (d *Device) TransferTime(n int64) time.Duration {
-	d.mu.Lock()
-	gbps := d.hostToDevGBps
-	d.mu.Unlock()
 	if n <= 0 {
 		return 0
 	}
-	secs := float64(n) / (gbps * (1 << 30))
+	secs := float64(n) / (hostToDevGiBps * (1 << 30))
 	return time.Duration(secs * float64(time.Second))
 }
 

@@ -52,7 +52,7 @@ type DIPRSConfig struct {
 	// Capacity is l₀, the exploration capacity threshold: the candidate
 	// list accepts any point until it holds Capacity entries, ensuring the
 	// search escapes local neighbourhoods before β-pruning kicks in.
-	// Defaults to 64.
+	// Defaults to 96.
 	Capacity int
 	// InitialMax seeds the best-so-far inner product, enabling pruning from
 	// the very first step. The window-cache enhancement of §7.1 passes the

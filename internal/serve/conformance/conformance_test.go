@@ -478,24 +478,23 @@ func TestStreamBitwiseIdentity(t *testing.T) {
 }
 
 // TestStreamArrivalOverlap pins the streaming-overlap contract on each
-// transport: with single-step waves, item N must be readable off the wire
-// while the scheduler is still held at the gate before wave N+1 — a
-// transport that buffers the stream to its end deadlocks here and fails
-// by timeout.
+// transport: item N must be readable off the wire while step N+1 is still
+// held in the stream lane, before it computes — a transport that buffers
+// the stream to its end deadlocks here and fails by timeout.
 func TestStreamArrivalOverlap(t *testing.T) {
 	for _, name := range []string{"http", "grpc"} {
 		t.Run(name, func(t *testing.T) {
-			e := newEnv(t, []serve.Option{serve.WithWaveSize(1)}, nil)
+			e := newEnv(t, nil, nil)
 			gateCh := make(chan int)
 			goCh := make(chan struct{})
-			// Cleanups run last-registered first, so this releases a gate
+			// Cleanups run last-registered first, so this releases a step
 			// still held after a t.Fatalf before newEnv's cleanup closes
-			// the Service, which waits for the wave to drain.
+			// the Service, which waits for the stream.
 			stop := make(chan struct{})
 			t.Cleanup(func() { close(stop) })
-			e.srv.Service().Scheduler().SetWaveGate(func(wave int) {
+			e.srv.Service().Scheduler().SetLaneHook(func(step int) {
 				select {
-				case gateCh <- wave:
+				case gateCh <- step:
 				case <-stop:
 					return
 				}
@@ -547,34 +546,32 @@ func TestStreamArrivalOverlap(t *testing.T) {
 			}()
 
 			deadline := time.After(30 * time.Second)
-			for wave := 0; wave < steps-1; wave++ {
+			for step := 0; step < steps; step++ {
 				select {
-				case w := <-gateCh:
-					if w != wave {
-						t.Fatalf("gate saw wave %d, want %d", w, wave)
+				case n := <-gateCh:
+					if n != step {
+						t.Fatalf("lane held step %d, want %d", n, step)
 					}
 				case err := <-done:
-					t.Fatalf("stream finished before wave %d: %v", wave, err)
+					t.Fatalf("stream finished before step %d: %v", step, err)
 				case <-deadline:
-					t.Fatalf("timed out waiting for wave %d", wave)
+					t.Fatalf("timed out waiting for step %d", step)
 				}
-				// The gate is holding wave+1; item `wave` must cross now.
-				select {
-				case i := <-arrived:
-					if i != wave {
-						t.Fatalf("item %d arrived, want %d", i, wave)
+				if step > 0 {
+					// The lane is holding step; item step-1 must cross now.
+					select {
+					case i := <-arrived:
+						if i != step-1 {
+							t.Fatalf("item %d arrived, want %d", i, step-1)
+						}
+					case err := <-done:
+						t.Fatalf("stream finished while awaiting item %d: %v", step-1, err)
+					case <-deadline:
+						t.Fatalf("item %d not readable before step %d ran: transport buffers stream items", step-1, step)
 					}
-				case err := <-done:
-					t.Fatalf("stream finished while awaiting item %d: %v", wave, err)
-				case <-deadline:
-					t.Fatalf("item %d not readable before wave %d ran: transport buffers stream items", wave, wave+1)
 				}
 				goCh <- struct{}{}
 			}
-			// The last wave holds no later wave behind its gate, and the
-			// gate runs after the wave's jobs finish, so its item and the
-			// stream end may cross before the gate reports it. stop
-			// releases that gate at cleanup.
 			select {
 			case err := <-done:
 				if err != nil {

@@ -156,7 +156,7 @@ var methods = []method{
 	{"CreateSession", "CreateSessionRequest", "CreateSessionResponse", false, "CreateSession opens (or prefix-reuses) a session over a document."},
 	{"Prefill", "SessionRequest", "PrefillResponse", false, "Prefill ingests the session's prompt into the KV substrate."},
 	{"Step", "FrameRequest", "FrameResponse", false, "Step is the decode step: token in, every layer and head out (frame: StepRequest)."},
-	{"StepStream", "FrameRequest", "FrameResponse", true, "StepStream streams per-step frames as the scheduler retires each wave."},
+	{"StepStream", "FrameRequest", "FrameResponse", true, "StepStream streams one frame per step as each step completes."},
 	{"Store", "SessionRequest", "StoreResponse", false, "Store persists the session's context for later reuse."},
 	{"CloseSession", "SessionRequest", "CloseSessionResponse", false, "CloseSession releases the session."},
 	{"Healthz", "HealthzRequest", "HealthzResponse", false, "Healthz is the liveness probe."},

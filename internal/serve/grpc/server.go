@@ -276,7 +276,7 @@ func (s *Server) frameCall(body []byte, req interface{}, call func(id int64) (in
 
 // stepStream serves the server-streaming StepStream RPC. Each response
 // message carries one FrameStreamItem wrapping a FrameStepResponse,
-// flushed as its wave retires so the engine overlaps reading step N with
+// flushed as its step completes so the engine overlaps reading step N with
 // decoding step N+1; the last message carries the FrameStreamEnd
 // terminator — the exact frame sequence of the HTTP binary stream, one
 // frame per gRPC message. Errors before the first item are a gRPC

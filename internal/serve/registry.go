@@ -74,19 +74,33 @@ func (r *Registry) Add(sess *core.Session) int64 {
 // before the entry lock is taken, so a slow request on one session never
 // stalls lookups of its shard siblings.
 func (r *Registry) Acquire(id int64) (*core.Session, func(), bool) {
+	sess, release, _, ok := r.acquire(id, nil)
+	return sess, release, ok
+}
+
+// acquire is Acquire that, when the session's lock is held by another
+// request, calls busy (if non-nil) before it blocks, and reports that it
+// waited.
+func (r *Registry) acquire(id int64, busy func()) (sess *core.Session, release func(), waited, ok bool) {
 	sh := r.shardFor(id)
 	sh.mu.RLock()
 	e, ok := sh.sessions[id]
 	sh.mu.RUnlock()
 	if !ok {
-		return nil, nil, false
+		return nil, nil, false, false
 	}
-	e.mu.Lock()
+	if !e.mu.TryLock() {
+		if busy != nil {
+			busy()
+		}
+		e.mu.Lock()
+		waited = true
+	}
 	if e.closed {
 		e.mu.Unlock()
-		return nil, nil, false
+		return nil, nil, waited, false
 	}
-	return e.sess, e.mu.Unlock, true
+	return e.sess, e.mu.Unlock, waited, true
 }
 
 // Remove unregisters a session and returns it for closing. It waits for

@@ -48,28 +48,24 @@ func schedService(t *testing.T, p *pool.Pool, opts ...Option) (*Service, *model.
 	return svc, m
 }
 
-// gateWave0 holds sch's dispatcher after its first wave until gate or
-// stop closes. A test closes gate to release the dispatcher; stop, closed
-// at test end, releases a hold that a failed assertion left behind, so
-// teardown (which waits for the dispatcher) fails fast instead of hanging.
-func gateWave0(sch *Scheduler, gate, stop <-chan struct{}) {
-	sch.waveGate = func(wave int) {
-		if wave == 0 {
-			select {
-			case <-gate:
-			case <-stop:
-			}
+// holdLane makes streamed step n — counted across sch from 0 — wait
+// inside the stream lane, before it computes, until release is called;
+// held closes once the step waits there. A cleanup releases a hold that a
+// failed assertion left behind, so teardown (which waits for the stream)
+// fails fast instead of hanging. Cleanups run last-registered first, so
+// it runs before schedService's teardown.
+func holdLane(t *testing.T, sch *Scheduler, n int) (held <-chan struct{}, release func()) {
+	h, gate := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	release = func() { once.Do(func() { close(gate) }) }
+	t.Cleanup(release)
+	sch.SetLaneHook(func(step int) {
+		if step == n {
+			close(h)
+			<-gate
 		}
-	}
-}
-
-// gateWave0Cleanup is gateWave0 with stop closed by a t.Cleanup. Cleanups
-// run last-registered first, so it runs before schedService's teardown.
-func gateWave0Cleanup(t *testing.T, sch *Scheduler) chan struct{} {
-	gate, stop := make(chan struct{}), make(chan struct{})
-	t.Cleanup(func() { close(stop) })
-	gateWave0(sch, gate, stop)
-	return gate
+	})
+	return h, release
 }
 
 // waitUntil polls cond until it holds, failing the test after 30 s.
@@ -82,14 +78,6 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-}
-
-// inFlight reports whether sch has session id registered as executing.
-func (sch *Scheduler) inFlight(id int64) bool {
-	sch.mu.Lock()
-	defer sch.mu.Unlock()
-	ss := sch.sessions[id]
-	return ss != nil && ss.inFlight
 }
 
 // cloneStep deep-copies a StepResponse so it survives Release.
@@ -145,7 +133,7 @@ func stepWire(sess *core.Session, req *StepRequest, sc *stepScratch, mc model.Co
 
 // stepDirect is the serial reference the scheduler is measured against:
 // one step on the caller's goroutine, under the session's lock, with no
-// wave around it.
+// scheduler around it.
 func (s *Service) stepDirect(id int64, req *StepRequest, mc model.Config) (*StepResponse, error) {
 	sess, release, ok := s.reg.Acquire(id)
 	if !ok {
@@ -175,13 +163,12 @@ func newSchedSession(t *testing.T, svc *Service, doc *model.Document) int64 {
 }
 
 // TestSchedulerBitwiseIdentityHammer is the correctness gate of the
-// continuous-batching scheduler: N sessions hammering Step concurrently
-// through shared decode waves must produce, per session and step, outputs
-// bitwise-identical to the serial direct path, with strictly FIFO
-// per-session context growth. Run under -race this is also the
-// scheduler's data-race gate.
+// decode scheduler: N sessions hammering Step concurrently must produce,
+// per session and step, outputs bitwise-identical to the serial direct
+// path, with strictly FIFO per-session context growth. Run under -race
+// this is also the scheduler's data-race gate.
 func TestSchedulerBitwiseIdentityHammer(t *testing.T) {
-	svc, m := schedService(t, pool.Default(), WithWaveSize(3))
+	svc, m := schedService(t, pool.Default())
 	mc := m.Config()
 	const sessions = 4
 	const stepsPer = 5
@@ -219,7 +206,7 @@ func TestSchedulerBitwiseIdentityHammer(t *testing.T) {
 	}
 
 	// Hammer: every stream decodes the same sequence concurrently through
-	// the scheduler; waves mix the sessions.
+	// the scheduler.
 	for _, st := range streams {
 		st.id = newSchedSession(t, svc, st.doc)
 	}
@@ -266,22 +253,20 @@ func TestSchedulerBitwiseIdentityHammer(t *testing.T) {
 	if st.Admitted != st.Items || st.Rejected != 0 {
 		t.Fatalf("scheduler counters = %+v", st)
 	}
-	if st.MaxWave > 3 {
-		t.Fatalf("wave of %d items exceeds configured size 3", st.MaxWave)
-	}
 }
 
 // TestStepStreamOverlap pins the streaming contract with a deterministic
-// wave boundary: the first step's response reaches the sink while the
-// scheduler has executed exactly one of the batch's three steps — i.e.
-// streaming delivers results strictly before the batch completes.
+// step boundary: the first step's response reaches the sink while the
+// batch's second step is held in the stream lane and exactly one of its
+// three steps has run — i.e. streaming delivers results strictly before
+// the batch completes.
 func TestStepStreamOverlap(t *testing.T) {
-	svc, m := schedService(t, pool.Default(), WithWaveSize(2))
+	svc, m := schedService(t, pool.Default())
 	p, _ := workload.ProfileByName("Retr.P")
 	inst := workload.Generate(p, 7, 300, 64, 32)
 	id := newSchedSession(t, svc, inst.Doc)
 
-	gate := gateWave0Cleanup(t, svc.sched)
+	_, release := holdLane(t, svc.sched, 1)
 
 	const steps = 3
 	req := &StepsRequest{Steps: make([]StepRequest, steps)}
@@ -310,7 +295,7 @@ func TestStepStreamOverlap(t *testing.T) {
 	if first.itemsDone != 1 {
 		t.Fatalf("first response arrived after %d executed steps, want 1 (no overlap)", first.itemsDone)
 	}
-	close(gate) // release the remaining waves
+	release() // let the remaining steps run
 
 	if err := <-done; err != nil {
 		t.Fatal(err)
@@ -324,8 +309,8 @@ func TestStepStreamOverlap(t *testing.T) {
 }
 
 // TestStepStreamHTTPOverlap proves the same overlap end to end over the
-// wire: with the dispatcher gated after the first wave, the client reads
-// the first binary frame off the chunked response while two of the
+// wire: with the batch's second step held in the stream lane, the client
+// reads the first binary frame off the chunked response while two of the
 // batch's three steps have not executed yet.
 func TestStepStreamHTTPOverlap(t *testing.T) {
 	cfg := model.Default()
@@ -343,24 +328,22 @@ func TestStepStreamHTTPOverlap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(db, WithWaveSize(2))
+	srv := NewServer(db)
 	ts := httptest.NewServer(srv.Handler())
-	defer func() {
+	t.Cleanup(func() {
 		ts.Close()
 		srv.Close()
 		db.Close()
-	}()
+	})
 	svc := srv.Service()
 
 	p, _ := workload.ProfileByName("Retr.P")
 	inst := workload.Generate(p, 11, 300, 64, 32)
 	id := newSchedSession(t, svc, inst.Doc)
 
-	// The server tears down in a defer, so stop must close in a defer
-	// registered after it (defers run last-registered first).
-	gate, stop := make(chan struct{}), make(chan struct{})
-	defer close(stop)
-	gateWave0(svc.sched, gate, stop)
+	// Registered after the teardown, so its cleanup releases the lane
+	// before the server waits for the stream.
+	_, release := holdLane(t, svc.sched, 1)
 	released := false
 
 	const steps = 3
@@ -415,13 +398,13 @@ func TestStepStreamHTTPOverlap(t *testing.T) {
 		}
 		got++
 		if got == 1 {
-			// The first frame crossed the wire while the dispatcher is
-			// still gated: the batch's later steps have not run.
+			// The first frame crossed the wire while the lane holds the
+			// second step: the batch's later steps have not run.
 			if items := svc.sched.Stats().Items; items != 1 {
 				t.Fatalf("first frame arrived after %d executed steps, want 1", items)
 			}
 			released = true
-			close(gate)
+			release()
 		}
 	}
 	if got != steps || !released {
@@ -429,12 +412,12 @@ func TestStepStreamHTTPOverlap(t *testing.T) {
 	}
 }
 
-// TestSchedulerBackpressure fills the bounded admission queue while the
-// dispatcher is gated and checks the typed overloaded rejection: singles
-// and whole batches are refused atomically with ErrOverloaded (HTTP 429),
-// and nothing partially enqueues.
+// TestSchedulerBackpressure fills the admission bound while a stream is
+// held in the lane and checks the typed overloaded rejection: singles and
+// whole batches are refused atomically with ErrOverloaded (HTTP 429), and
+// nothing of a refused batch is admitted.
 func TestSchedulerBackpressure(t *testing.T) {
-	svc, m := schedService(t, pool.Default(), WithWaveSize(1), WithQueueDepth(2))
+	svc, m := schedService(t, pool.Default(), WithQueueDepth(2))
 	p, _ := workload.ProfileByName("Retr.P")
 	inst := workload.Generate(p, 5, 300, 64, 32)
 	id := newSchedSession(t, svc, inst.Doc)
@@ -443,38 +426,39 @@ func TestSchedulerBackpressure(t *testing.T) {
 			Queries: stepQueriesFor(m, inst.Doc, inst.Question, n)}
 	}
 
-	gate := gateWave0Cleanup(t, svc.sched)
+	held, release := holdLane(t, svc.sched, 0)
 
-	// Wave 0 executes immediately; afterwards the dispatcher blocks in the
-	// gate and everything below queues without being drained. The first
-	// step goes through SubmitBatch because a unary Step on an idle
-	// session runs on its caller and never becomes wave 0.
-	first := mkStep(0)
-	ch0 := make(chan *stepJob, 1)
-	var canceled0 atomic.Bool
-	if serr := svc.sched.SubmitBatch(id, []StepRequest{first}, ch0, &canceled0); serr != nil {
-		t.Fatal(serr)
-	}
-	if j := <-ch0; j.err != nil {
-		t.Fatal(j.err)
-	} else {
-		j.resp.Release()
-		putStepJob(j)
+	// A two-step stream: its first step is held in the lane, its second
+	// is admitted and not yet started.
+	streamed := 0
+	streamDone := make(chan error, 1)
+	go func() {
+		streamDone <- svc.StepStream(context.Background(), id, &StepsRequest{Steps: []StepRequest{mkStep(0), mkStep(1)}},
+			func(*StepResponse) error { streamed++; return nil })
+	}()
+	<-held
+	if d := svc.sched.Stats().QueueDepth; d != 1 {
+		t.Fatalf("queue depth = %d, want 1", d)
 	}
 
-	// Fill the queue to its cap of 2 with a direct batch submit (admission
-	// is synchronous even though execution is gated).
-	queued := []StepRequest{mkStep(1), mkStep(2)}
-	ch := make(chan *stepJob, len(queued))
-	var canceled atomic.Bool
-	if serr := svc.sched.SubmitBatch(id, queued, ch, &canceled); serr != nil {
-		t.Fatal(serr)
-	}
-	if d := svc.sched.Stats().QueueDepth; d != 2 {
-		t.Fatalf("queue depth = %d, want 2", d)
-	}
+	// A unary step on the held session waits for it, counted as queued:
+	// the bound of 2 is reached.
+	unaryStep := mkStep(2)
+	unary := make(chan error, 1)
+	go func() {
+		resp, err := svc.Step(id, &unaryStep)
+		if err == nil {
+			if resp.ContextLen != inst.Doc.Len()+3 {
+				err = fmt.Errorf("unary step behind the stream: context %d, want %d", resp.ContextLen, inst.Doc.Len()+3)
+			}
+			resp.Release()
+		}
+		unary <- err
+	}()
+	waitUntil(t, "the unary step to queue", func() bool { return svc.sched.Stats().QueueDepth == 2 })
 
 	// A single step over a full queue: typed overloaded error, 429.
+	first := mkStep(0)
 	if _, err := svc.Step(id, &first); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("step over full queue: %v, want ErrOverloaded", err)
 	} else if HTTPStatus(Envelope(err).Kind) != http.StatusTooManyRequests {
@@ -492,34 +476,39 @@ func TestSchedulerBackpressure(t *testing.T) {
 		t.Fatalf("queue depth after atomic rejection = %d, want 2", d)
 	}
 
-	close(gate)
-	for range queued {
-		j := <-ch
-		if j.err != nil {
-			t.Fatal(j.err)
-		}
-		j.resp.Release()
-		putStepJob(j)
+	release()
+	if err := <-streamDone; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-unary; err != nil {
+		t.Fatal(err)
+	}
+	if streamed != 2 {
+		t.Fatalf("stream delivered %d items, want 2", streamed)
 	}
 
 	st := svc.sched.Stats()
-	if st.Admitted != 3 || st.Rejected != 3 || st.Items != 3 {
+	if st.Admitted != 3 || st.Rejected != 3 || st.Items != 3 || st.QueueDepth != 0 {
 		t.Fatalf("scheduler counters = %+v", st)
 	}
 }
 
-// TestStepStreamSinkErrorAbandonsTail: a failing sink cancels the rest of
-// the batch — the remaining steps are drained without decoding, and the
-// session's context shows only the executed prefix.
+// TestStepStreamSinkErrorAbandonsTail: a failing sink ends the batch —
+// the remaining steps never enter the stream lane, and the session's
+// context shows only the executed prefix.
 func TestStepStreamSinkErrorAbandonsTail(t *testing.T) {
-	svc, m := schedService(t, pool.Default(), WithWaveSize(1))
+	svc, m := schedService(t, pool.Default())
 	p, _ := workload.ProfileByName("Retr.P")
 	inst := workload.Generate(p, 9, 300, 64, 32)
 	id := newSchedSession(t, svc, inst.Doc)
 
-	// Gate the dispatcher after the first wave so cancellation is visible
-	// before any later step can decode.
-	gate := gateWave0Cleanup(t, svc.sched)
+	// Count the streamed steps after the first that reach the lane.
+	var tail atomic.Int32
+	svc.sched.SetLaneHook(func(step int) {
+		if step > 0 {
+			tail.Add(1)
+		}
+	})
 
 	req := &StepsRequest{Steps: make([]StepRequest, 4)}
 	for i := range req.Steps {
@@ -528,27 +517,18 @@ func TestStepStreamSinkErrorAbandonsTail(t *testing.T) {
 	}
 	sinkErr := errors.New("sink full")
 	calls := 0
-	sinkDone := make(chan struct{})
-	done := make(chan error, 1)
-	go func() {
-		done <- svc.StepStream(context.Background(), id, req, func(*StepResponse) error {
-			calls++
-			close(sinkDone)
-			return sinkErr
-		})
-	}()
-	<-sinkDone
-	// The collector sets the cancel flag immediately after the sink
-	// returns; the pause dwarfs those two instructions before the gated
-	// dispatcher is allowed to look at the flag.
-	time.Sleep(100 * time.Millisecond)
-	close(gate)
-
-	if err := <-done; !errors.Is(err, sinkErr) {
+	err := svc.StepStream(context.Background(), id, req, func(*StepResponse) error {
+		calls++
+		return sinkErr
+	})
+	if !errors.Is(err, sinkErr) {
 		t.Fatalf("stream err = %v, want the sink error", err)
 	}
 	if calls != 1 {
 		t.Fatalf("sink called %d times after failing, want 1", calls)
+	}
+	if n := tail.Load(); n != 0 {
+		t.Fatalf("%d abandoned steps entered the stream lane", n)
 	}
 
 	// Only the first step decoded; the abandoned tail never touched the
@@ -561,6 +541,54 @@ func TestStepStreamSinkErrorAbandonsTail(t *testing.T) {
 	defer resp.Release()
 	if resp.ContextLen != inst.Doc.Len()+2 {
 		t.Fatalf("context %d, want %d: abandoned tail was decoded", resp.ContextLen, inst.Doc.Len()+2)
+	}
+}
+
+// TestStepStreamCancelStops: a stream whose context is cancelled stops
+// on the server before its next step — the call returns the context's
+// error, the sink sees no item after the cancel, and the session ingests
+// only the step that ran.
+func TestStepStreamCancelStops(t *testing.T) {
+	svc, m := schedService(t, pool.Default())
+	p, _ := workload.ProfileByName("Retr.P")
+	inst := workload.Generate(p, 31, 300, 64, 32)
+	id := newSchedSession(t, svc, inst.Doc)
+	contextLen := func() int {
+		sess, release, ok := svc.reg.Acquire(id)
+		if !ok {
+			t.Fatal("session vanished")
+		}
+		defer release()
+		return sess.ContextLen(0)
+	}
+	before := contextLen()
+
+	req := &StepsRequest{Steps: make([]StepRequest, 3)}
+	for i := range req.Steps {
+		req.Steps[i] = StepRequest{Token: model.Token{Topic: 1, Payload: i + 1},
+			Queries: stepQueriesFor(m, inst.Doc, inst.Question, i)}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	items := 0
+	err := svc.StepStream(ctx, id, req, func(*StepResponse) error {
+		items++
+		if items == 1 {
+			cancel()
+		}
+		return nil
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("stream err = %v, want context.Canceled", err)
+	}
+	if items != 1 {
+		t.Fatalf("sink saw %d items, want 1", items)
+	}
+	if got := contextLen(); got != before+1 {
+		t.Fatalf("context grew %d → %d, want exactly one step", before, got)
+	}
+	if d := svc.sched.Stats().QueueDepth; d != 0 {
+		t.Fatalf("queue depth after the cancelled stream = %d, want 0", d)
 	}
 }
 
@@ -610,7 +638,7 @@ func TestStepsBoundTyped(t *testing.T) {
 
 // TestSchedulerSteadyStateAllocs guards the hot decode loop: once pools
 // are warm, a scheduled step allocates no more than the serial direct
-// path plus a small constant for the wave machinery.
+// path plus a small constant for admission.
 func TestSchedulerSteadyStateAllocs(t *testing.T) {
 	// A serial pool keeps the fan-out on the calling goroutine so the
 	// measurement excludes worker-pool scheduling noise.
@@ -651,45 +679,42 @@ func TestSchedulerSteadyStateAllocs(t *testing.T) {
 		}
 		resp.Release()
 	})
-	// The scheduled path may pay a handful of allocations for channel ops
-	// and wave bookkeeping, but must not allocate per layer, head, or
-	// queued byte beyond the serial path.
+	// The scheduled path may pay a handful of allocations for admission,
+	// but must not allocate per layer, head, or queued byte beyond the
+	// serial path.
 	if sched > direct+6 {
-		t.Fatalf("scheduled step allocates %.1f/op vs serial %.1f/op — wave loop is allocating", sched, direct)
+		t.Fatalf("scheduled step allocates %.1f/op vs serial %.1f/op — the scheduler is allocating", sched, direct)
 	}
 }
 
-// TestSchedulerShutdownDrains: closing the service fails queued work with
-// the typed shutdown error instead of hanging or dropping it, refuses new
-// steps while it waits, and returns only after a direct step running on
-// its caller has finished — without that step re-queuing drained work.
+// TestSchedulerShutdownDrains: closing the service refuses new steps while
+// it waits, lets a streamed step already computing finish, fails the
+// stream's unstarted steps and a unary step still waiting for its busy
+// session with the typed shutdown error instead of hanging or dropping
+// them, and returns only after both have come home.
 func TestSchedulerShutdownDrains(t *testing.T) {
-	svc, m := schedService(t, pool.Default(), WithWaveSize(1), WithQueueDepth(8))
+	svc, m := schedService(t, pool.Default(), WithQueueDepth(8))
 	p, _ := workload.ProfileByName("Retr.P")
 	inst := workload.Generate(p, 23, 300, 64, 32)
 	id := newSchedSession(t, svc, inst.Doc)
 	heldID := newSchedSession(t, svc, inst.Doc)
 	sch := svc.sched
-
-	gate := gateWave0Cleanup(t, svc.sched)
 	first := StepRequest{Token: model.Token{Topic: 1, Payload: 1},
 		Queries: stepQueriesFor(m, inst.Doc, inst.Question, 0)}
-	if resp, err := svc.Step(id, &first); err != nil {
-		t.Fatal(err)
-	} else {
-		resp.Release()
-	}
 
-	// Queue two steps behind the gate, then close while they wait.
-	ch := make(chan *stepJob, 2)
-	var canceled atomic.Bool
-	if serr := svc.sched.SubmitBatch(id, []StepRequest{first, first}, ch, &canceled); serr != nil {
-		t.Fatal(serr)
-	}
-	// Hold a direct step mid-flight: with heldID's session lock taken
-	// here, a unary step on it registers as in flight and blocks in
-	// Acquire. One more step queues behind it. The cleanup releases the
-	// lock if an assertion fails first, so teardown does not hang.
+	// A three-step stream whose first step is held in the lane, computing.
+	held, releaseLane := holdLane(t, sch, 0)
+	streamed := 0
+	streamDone := make(chan error, 1)
+	go func() {
+		streamDone <- svc.StepStream(context.Background(), id, &StepsRequest{Steps: []StepRequest{first, first, first}},
+			func(*StepResponse) error { streamed++; return nil })
+	}()
+	<-held
+
+	// With heldID's session lock taken here, a unary step on it waits for
+	// the session, counted as queued. The cleanup releases the lock if an
+	// assertion fails first, so teardown does not hang.
 	_, unlock, ok := svc.reg.Acquire(heldID)
 	if !ok {
 		t.Fatal("held session vanished")
@@ -697,23 +722,15 @@ func TestSchedulerShutdownDrains(t *testing.T) {
 	var unlockOnce sync.Once
 	release := func() { unlockOnce.Do(unlock) }
 	t.Cleanup(release)
-	direct := make(chan error, 1)
+	waiting := make(chan error, 1)
 	go func() {
 		resp, err := svc.Step(heldID, &first)
 		if err == nil {
-			if resp.ContextLen != inst.Doc.Len()+1 {
-				err = fmt.Errorf("direct step context %d, want %d", resp.ContextLen, inst.Doc.Len()+1)
-			}
 			resp.Release()
 		}
-		direct <- err
+		waiting <- err
 	}()
-	waitUntil(t, "the direct step to register", func() bool { return sch.inFlight(heldID) })
-	behind := make(chan *stepJob, 1)
-	var canceledBehind atomic.Bool
-	if serr := sch.SubmitBatch(heldID, []StepRequest{first}, behind, &canceledBehind); serr != nil {
-		t.Fatal(serr)
-	}
+	waitUntil(t, "the unary step to queue", func() bool { return sch.Stats().QueueDepth == 3 })
 
 	closed := make(chan struct{})
 	go func() {
@@ -729,47 +746,46 @@ func TestSchedulerShutdownDrains(t *testing.T) {
 	if _, err := svc.Step(id, &first); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("step during close: %v, want ErrUnavailable", err)
 	}
-	close(gate)
-	for i := 0; i < 2; i++ {
-		j := <-ch
-		// Either the dispatcher squeezed the job into a final wave before
-		// observing close, or it drained with the typed unavailable error
-		// (NOT overloaded — drain must be distinguishable from
-		// backpressure, or load balancers retry against a dying replica).
-		if j.err != nil && !errors.Is(j.err, ErrUnavailable) {
-			t.Fatalf("drained job err = %v", j.err)
-		}
-		if j.resp != nil {
-			j.resp.Release()
-		}
-		putStepJob(j)
-	}
-	// The step queued behind the held direct step never ran: the drain
-	// failed it.
-	if j := <-behind; !errors.Is(j.err, ErrUnavailable) {
-		t.Fatalf("step queued behind the direct step: err %v, want ErrUnavailable", j.err)
-	} else {
-		putStepJob(j)
-	}
-	// The dispatcher has exited, but Close still waits for the direct step.
-	<-sch.done
 	select {
 	case <-closed:
-		t.Fatal("Close returned while a direct step was running")
+		t.Fatal("Close returned while a streamed step was computing")
+	case <-time.After(50 * time.Millisecond):
+	}
+
+	// The held step finishes and reaches the sink; the stream's two
+	// unstarted steps fail with the typed unavailable error (NOT
+	// overloaded — drain must be distinguishable from backpressure, or
+	// load balancers retry against a dying replica).
+	releaseLane()
+	if err := <-streamDone; !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("stream across close: %v, want ErrUnavailable", err)
+	}
+	if streamed != 1 {
+		t.Fatalf("stream delivered %d items across close, want 1", streamed)
+	}
+	sess, unlockID, ok := svc.reg.Acquire(id)
+	if !ok {
+		t.Fatal("streamed session vanished")
+	}
+	if got := sess.ContextLen(0); got != inst.Doc.Len()+1 {
+		t.Fatalf("streamed session context %d, want %d: unstarted steps ran", got, inst.Doc.Len()+1)
+	}
+	unlockID()
+
+	// Close still waits for the unary step waiting on heldID.
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a step waited for its session")
 	case <-time.After(50 * time.Millisecond):
 	}
 	release()
-	if err := <-direct; err != nil {
-		t.Fatalf("direct step in flight at close: %v", err)
+	// It had not started, so the drain failed it.
+	if err := <-waiting; !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("step waiting for its session at close: err %v, want ErrUnavailable", err)
 	}
 	<-closed
-	// The finished direct step re-queued nothing onto the stopped
-	// scheduler.
-	sch.mu.Lock()
-	left, ready := len(sch.sessions), len(sch.ready)
-	sch.mu.Unlock()
-	if left != 0 || ready != 0 {
-		t.Fatalf("after close: %d sessions, %d ready, want none", left, ready)
+	if d := sch.Stats().QueueDepth; d != 0 {
+		t.Fatalf("after close: queue depth %d, want 0", d)
 	}
 
 	// Submits after close are refused outright, again as unavailable.
@@ -794,12 +810,12 @@ func TestSchedulerShutdownDrains(t *testing.T) {
 }
 
 // TestDirectStepQueuesBehindStream: a unary step on a session whose
-// streamed batch is held at the wave gate queues behind the batch and
+// streamed batch is held in the stream lane waits behind the batch and
 // runs after it, bitwise equal to a serial step, while unary steps on two
-// idle sessions run on their callers and complete with the dispatcher
-// still gated. Direct steps never count toward the queue depth.
+// idle sessions run on their callers and complete with the lane still
+// held. Steps that start at once never count toward the queue depth.
 func TestDirectStepQueuesBehindStream(t *testing.T) {
-	svc, m := schedService(t, pool.Default(), WithWaveSize(1))
+	svc, m := schedService(t, pool.Default())
 	mc := m.Config()
 	p, _ := workload.ProfileByName("Retr.P")
 	inst := workload.Generate(p, 29, 300, 64, 32)
@@ -807,7 +823,7 @@ func TestDirectStepQueuesBehindStream(t *testing.T) {
 	twin := newSchedSession(t, svc, inst.Doc)
 	others := []int64{newSchedSession(t, svc, inst.Doc), newSchedSession(t, svc, inst.Doc)}
 	sch := svc.sched
-	gate := gateWave0Cleanup(t, sch)
+	held, release := holdLane(t, sch, 1)
 
 	const batch = 2
 	steps := make([]StepRequest, batch+1)
@@ -826,9 +842,8 @@ func TestDirectStepQueuesBehindStream(t *testing.T) {
 		resp.Release()
 	}
 
-	// The stream's first step runs as wave 0; the dispatcher then holds
-	// in the gate with the second step queued.
-	first := make(chan struct{})
+	// The stream's first step runs and reaches the sink; its second then
+	// holds in the lane.
 	streamDone := make(chan error, 1)
 	go func() {
 		n := 0
@@ -837,20 +852,17 @@ func TestDirectStepQueuesBehindStream(t *testing.T) {
 				if err := diffStep(fmt.Sprintf("stream step %d", n), resp, want[n]); err != nil {
 					return err
 				}
-				if n == 0 {
-					close(first)
-				}
 				n++
 				return nil
 			})
 	}()
 	select {
-	case <-first:
+	case <-held:
 	case err := <-streamDone:
-		t.Fatalf("stream ended before its first item: %v", err)
+		t.Fatalf("stream ended before its second step: %v", err)
 	}
 
-	// A unary step on the streaming session queues behind the batch.
+	// A unary step on the streaming session waits behind the batch.
 	unary := make(chan error, 1)
 	go func() {
 		resp, err := svc.Step(id, &steps[batch])
@@ -860,10 +872,10 @@ func TestDirectStepQueuesBehindStream(t *testing.T) {
 		}
 		unary <- err
 	}()
-	waitUntil(t, "the unary step to queue", func() bool { return sch.Stats().QueueDepth == batch })
+	waitUntil(t, "the unary step to queue", func() bool { return sch.Stats().QueueDepth == 1 })
 
 	// Unary steps on two idle sessions run on their callers, concurrently,
-	// while the dispatcher is gated.
+	// while the lane is held.
 	direct := make(chan error, len(others))
 	for _, oid := range others {
 		go func(oid int64) {
@@ -882,12 +894,12 @@ func TestDirectStepQueuesBehindStream(t *testing.T) {
 				t.Fatal(err)
 			}
 		case <-time.After(30 * time.Second):
-			t.Fatal("a unary step on an idle session waited on the gated dispatcher")
+			t.Fatal("a unary step on an idle session waited on the held lane")
 		}
 	}
 	st := sch.Stats()
-	if st.QueueDepth != batch || st.Items != 1+int64(len(others)) {
-		t.Fatalf("while gated: queue depth %d, items %d; want %d, %d", st.QueueDepth, st.Items, batch, 1+len(others))
+	if st.QueueDepth != 1 || st.Items != 1+int64(len(others)) {
+		t.Fatalf("while held: queue depth %d, items %d; want %d, %d", st.QueueDepth, st.Items, 1, 1+len(others))
 	}
 	select {
 	case err := <-unary:
@@ -895,7 +907,7 @@ func TestDirectStepQueuesBehindStream(t *testing.T) {
 	default:
 	}
 
-	close(gate)
+	release()
 	if err := <-streamDone; err != nil {
 		t.Fatal(err)
 	}
@@ -904,6 +916,109 @@ func TestDirectStepQueuesBehindStream(t *testing.T) {
 	}
 	st = sch.Stats()
 	if st.Items != int64(len(steps)+len(others)) || st.Admitted != st.Items || st.QueueDepth != 0 {
+		t.Fatalf("scheduler counters = %+v", st)
+	}
+}
+
+// TestStreamLane pins the stream lane: while one streamed step is held
+// inside it, a unary step on a second session completes, a stream on a
+// third session delivers nothing, and a unary step on the held session
+// waits. After release every output is bitwise equal to serial steps.
+func TestStreamLane(t *testing.T) {
+	svc, m := schedService(t, pool.Default())
+	mc := m.Config()
+	p, _ := workload.ProfileByName("Retr.P")
+	inst := workload.Generate(p, 37, 300, 64, 32)
+	heldID := newSchedSession(t, svc, inst.Doc)
+	unaryID := newSchedSession(t, svc, inst.Doc)
+	streamID := newSchedSession(t, svc, inst.Doc)
+	twin := newSchedSession(t, svc, inst.Doc)
+	sch := svc.sched
+	held, release := holdLane(t, sch, 0)
+
+	steps := make([]StepRequest, 3)
+	for i := range steps {
+		steps[i] = StepRequest{Token: model.Token{Topic: 1, Payload: i + 1},
+			Queries: stepQueriesFor(m, inst.Doc, inst.Question, i)}
+	}
+	want := make([]*StepResponse, len(steps))
+	for i := range steps {
+		resp, err := svc.stepDirect(twin, &steps[i], mc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = cloneStep(resp)
+		resp.Release()
+	}
+	stream := func(id int64, arrived chan<- int) error {
+		n := 0
+		return svc.StepStream(context.Background(), id, &StepsRequest{Steps: steps[:2]},
+			func(resp *StepResponse) error {
+				if err := diffStep(fmt.Sprintf("session %d stream step %d", id, n), resp, want[n]); err != nil {
+					return err
+				}
+				if arrived != nil {
+					arrived <- n
+				}
+				n++
+				return nil
+			})
+	}
+
+	heldDone := make(chan error, 1)
+	go func() { heldDone <- stream(heldID, nil) }()
+	<-held
+
+	arrived := make(chan int, 2)
+	otherDone := make(chan error, 1)
+	go func() { otherDone <- stream(streamID, arrived) }()
+
+	// A unary step on a second session does not take the lane.
+	resp, err := svc.Step(unaryID, &steps[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := diffStep("unary step beside the held lane", resp, want[0]); err != nil {
+		t.Fatal(err)
+	}
+	resp.Release()
+
+	// The third session's stream waits for the lane.
+	select {
+	case i := <-arrived:
+		t.Fatalf("stream on a third session delivered item %d while the lane was held", i)
+	case err := <-otherDone:
+		t.Fatalf("stream on a third session finished while the lane was held: %v", err)
+	case <-time.After(200 * time.Millisecond):
+	}
+
+	// A unary step on the held session waits for the session.
+	unary := make(chan error, 1)
+	go func() {
+		resp, err := svc.Step(heldID, &steps[2])
+		if err == nil {
+			err = diffStep("unary step behind the held stream", resp, want[2])
+			resp.Release()
+		}
+		unary <- err
+	}()
+	waitUntil(t, "the unary step to queue", func() bool { return sch.Stats().QueueDepth == 3 })
+	select {
+	case err := <-unary:
+		t.Fatalf("unary step on the held session finished while its stream was held: %v", err)
+	default:
+	}
+
+	release()
+	for _, ch := range []chan error{heldDone, otherDone, unary} {
+		if err := <-ch; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(arrived) != 2 {
+		t.Fatalf("third session's stream delivered %d items, want 2", len(arrived))
+	}
+	if st := sch.Stats(); st.Items != 6 || st.QueueDepth != 0 {
 		t.Fatalf("scheduler counters = %+v", st)
 	}
 }

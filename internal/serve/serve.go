@@ -28,19 +28,21 @@
 // trip through step_stream; a step with attend_only set computes the
 // attention without ingesting its token. step_stream delivers each
 // StepResponse on the wire — its own binary frame, flushed — the moment
-// its decode wave completes, so the engine overlaps reading step N with
-// the service decoding step N+1.
+// its step completes, so the engine overlaps reading step N with the
+// service decoding step N+1.
 //
-// # Continuous batching
+// # Decode scheduling
 //
-// step and step_stream work is admitted to a cross-session Scheduler
-// (scheduler.go). A step on a session with nothing queued or in flight
-// runs on the caller's goroutine, with no dispatcher hop. Only queued
-// steps and streamed batches form waves: the dispatcher batches the head
-// step of up to -sched-wave sessions into one shared decode wave
-// (core.StepWave). Admission is bounded (-sched-queue); overflow is
-// rejected with the typed overloaded error (HTTP 429). Per-session order
-// stays FIFO and outputs stay bitwise-identical to serial steps.
+// Every step, single or streamed, runs on the goroutine that submitted
+// it, under its session's request mutex, after admission by the
+// Scheduler (scheduler.go). A step on a busy session waits for it. A
+// step_stream batch holds its session for the whole batch and computes
+// each step under the scheduler-wide stream lane, so one streamed step
+// computes at a time; its frames are written outside the lane. Admission
+// is bounded (-sched-queue) on the steps admitted but not yet started;
+// overflow is rejected with the typed overloaded error (HTTP 429).
+// Per-session order stays FIFO and outputs stay bitwise-identical to
+// serial steps.
 //
 // # Codecs
 //
@@ -68,7 +70,9 @@
 //  3. Each session carries a request mutex, taken by prefill, every
 //     step, store and close, because each grows, reads or consumes the
 //     session's KV tail. Requests on *different* sessions therefore only
-//     ever share the worker pool, never a lock.
+//     ever share the worker pool, never a lock — except streamed steps:
+//  4. The Scheduler's stream lane is taken under a session's mutex, and
+//     only around one streamed step's compute, never across its sink.
 package serve
 
 import (

@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -41,7 +40,6 @@ const MaxSteps = 512
 // options collects the knobs shared by NewService and NewServer.
 type options struct {
 	maxBody  int64
-	waveSize int
 	queueCap int
 }
 
@@ -54,29 +52,21 @@ func WithMaxBodyBytes(n int64) Option {
 	return func(o *options) { o.maxBody = n }
 }
 
-// WithWaveSize caps how many sessions the decode scheduler batches into
-// one shared wave. Default (0 or less): the DB's worker-pool size (at
-// least 4).
-func WithWaveSize(n int) Option {
-	return func(o *options) { o.waveSize = n }
-}
-
-// WithQueueDepth bounds the decode scheduler's admission queue in steps;
+// WithQueueDepth bounds the decode steps admitted but not yet started;
 // submits beyond it are rejected with the typed overloaded error.
 // Default DefaultQueueDepth.
 func WithQueueDepth(n int) Option {
 	return func(o *options) { o.queueCap = n }
 }
 
-// NewService returns the service core over db, with the continuous-
-// batching decode scheduler running.
+// NewService returns the service core over db and its decode scheduler.
 func NewService(db *core.DB, opts ...Option) *Service {
 	o := options{maxBody: DefaultMaxBodyBytes}
 	for _, fn := range opts {
 		fn(&o)
 	}
 	s := &Service{db: db, reg: NewRegistry(DefaultShards)}
-	s.sched = newScheduler(s, o.waveSize, o.queueCap)
+	s.sched = newScheduler(s, o.queueCap)
 	return s
 }
 
@@ -92,7 +82,7 @@ func (s *Service) EndpointStats() []metrics.EndpointSnapshot { return s.eps.Snap
 // Scheduler returns the decode scheduler (tests and stats inspect it).
 func (s *Service) Scheduler() *Scheduler { return s.sched }
 
-// Close stops the decode scheduler (draining queued work with the typed
+// Close stops the decode scheduler (failing unstarted steps with the typed
 // unavailable error and waiting for steps in flight), then closes every
 // open session. Idempotent and safe for concurrent callers — the signal
 // path, a serve-error path, and every transport can all reach it: the
@@ -270,9 +260,9 @@ type StatsResponse struct {
 	IndexBuilds          int64 `json:"index_builds,omitempty"`
 	IndexBuildMillis     int64 `json:"index_build_ms,omitempty"`
 	LastIndexBuildMillis int64 `json:"last_index_build_ms,omitempty"`
-	// Sched reports the continuous-batching decode scheduler: wave
-	// occupancy, queue depth, and admit/reject counters (absent behind a
-	// cluster router, which runs no scheduler of its own).
+	// Sched reports the decode scheduler: steps run, queue depth, and
+	// admit/reject counters (absent behind a cluster router, which runs
+	// no scheduler of its own).
 	Sched *metrics.SchedSnapshot `json:"sched,omitempty"`
 	// Cluster reports the shard router fronting this surface: per-node
 	// health and routed-call counters (absent on a single-node daemon;
@@ -427,11 +417,10 @@ func checkSpanStep(sess *core.Session, req *StepRequest) *Error {
 }
 
 // Step is the decode API: ingest the step's token (unless AttendOnly) and
-// return attention outputs for all layers × all heads in one call. Steps
-// are admitted to the decode scheduler. On a session with nothing queued
-// or in flight the step runs on the caller's goroutine; otherwise it
-// queues behind the session's work and runs in a shared decode wave. The
-// response is bitwise-identical to a serial step on the session.
+// return attention outputs for all layers × all heads in one call. The
+// step runs on the caller's goroutine once it holds the session; a step
+// on a busy session waits for it. The response is bitwise-identical to a
+// serial step on the session.
 func (s *Service) Step(id int64, req *StepRequest) (resp *StepResponse, err error) {
 	defer s.track(metrics.EPStep, &err)()
 	mc := s.db.Model().Config()
@@ -450,16 +439,16 @@ func checkStepsBound(n int) *Error {
 	return nil
 }
 
-// StepStream runs a batch of decode steps through the scheduler's decode
-// waves and delivers each StepResponse to sink the moment its wave
-// completes, in step order, instead of buffering the batch — the caller
-// overlaps reading step N with the service decoding step N+1. The
-// response passed to sink is valid only for the duration of the call:
-// its buffers are released when sink returns. A sink error or a
-// ctx cancellation abandons the batch's remaining steps (they are drained
-// without compute) and is returned; the first step error aborts the same
-// way. StepStream returns only after every admitted step has been
-// accounted for, so pooled state never leaks.
+// StepStream runs a batch of decode steps in order on the calling
+// goroutine and delivers each StepResponse to sink as soon as its step
+// completes, instead of buffering the batch — the caller overlaps reading
+// step N with the service decoding step N+1. The batch holds its session
+// throughout, so a step submitted behind it runs after the whole batch,
+// and each step computes under the scheduler's stream lane (see
+// Scheduler). The response passed to sink is valid only for the duration
+// of the call: its buffers are reused when sink returns. A sink error, a
+// ctx cancellation or the first step error ends the batch — its remaining
+// steps never run — and is returned.
 func (s *Service) StepStream(ctx context.Context, id int64, req *StepsRequest, sink func(*StepResponse) error) (err error) {
 	defer s.track(metrics.EPStepStream, &err)()
 	if verr := checkStepsBound(len(req.Steps)); verr != nil {
@@ -474,46 +463,7 @@ func (s *Service) StepStream(ctx context.Context, id int64, req *StepsRequest, s
 	if len(req.Steps) == 0 {
 		return nil
 	}
-
-	// The channel holds the whole batch so the dispatcher never blocks on
-	// a slow sink; per-session FIFO dispatch means jobs arrive here in
-	// step order.
-	ch := make(chan *stepJob, len(req.Steps))
-	var canceled atomic.Bool
-	if serr := s.sched.SubmitBatch(id, req.Steps, ch, &canceled); serr != nil {
-		return serr
-	}
-	var firstErr error
-	abort := func(e error) {
-		canceled.Store(true)
-		if firstErr == nil {
-			firstErr = e
-		}
-	}
-	for i := 0; i < len(req.Steps); i++ {
-		var j *stepJob
-		select {
-		case j = <-ch:
-		case <-ctx.Done():
-			abort(ctx.Err())
-			j = <-ch // keep draining: every job must come home
-		}
-		switch {
-		case j.err != nil:
-			if j.err != errStepCanceled {
-				abort(j.err)
-			}
-		case firstErr == nil && !canceled.Load():
-			if serr := sink(j.resp); serr != nil {
-				abort(serr)
-			}
-		}
-		if j.resp != nil {
-			j.resp.Release()
-		}
-		putStepJob(j)
-	}
-	return firstErr
+	return s.sched.StepStream(ctx, id, req.Steps, sink)
 }
 
 // Store persists the session's full state as a reusable context.

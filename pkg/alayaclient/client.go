@@ -15,7 +15,7 @@
 // token plus the query vectors of every layer and head, and returns
 // attention outputs for all of them in a single round trip. StepStream
 // submits N steps in one round trip and iterates responses as the server
-// streams them, one frame per completed decode wave, so the engine
+// streams them, one frame per completed step, so the engine
 // consumes step N while the service decodes step N+1; a StepRequest with
 // AttendOnly set computes attention without ingesting its token.
 //

@@ -14,8 +14,8 @@ import (
 )
 
 // StepStream iterates a step_stream response: one StepResponse per
-// submitted step, in order, each readable as soon as its decode wave
-// completes server-side. Not safe for concurrent use; the submitting
+// submitted step, in order, each readable as soon as the step completes
+// server-side. Not safe for concurrent use; the submitting
 // goroutine drives Recv.
 type StepStream struct {
 	body  io.ReadCloser
