@@ -45,18 +45,17 @@ cover:
 		{ echo "coverage fell below the ratchet floor"; exit 1; }
 
 # Short coverage-guided fuzz passes over the spill format and the wires:
-# the vfs file parser (FuzzOpen), the run writer against its per-row
-# reference (FuzzAppendMatrix), a context directory's manifest through
+# the spill-file reader, which must reject what it cannot re-encode to the
+# same bytes (FuzzDecode), a context directory's manifest through
 # LoadContext (FuzzLoadContextManifest), the binary frame wire's decoders
 # and stream scanner (FuzzUnmarshalFrame), then the gRPC message reader
 # (FuzzReadMessage) and the CreateSessionRequest and FrameRequest protobuf
 # decoders (FuzzRoundTrip), each for FUZZTIME. go test fuzzes one target
-# per invocation; the seeds of all six also run as ordinary tests in
+# per invocation; the seeds of all five also run as ordinary tests in
 # `make test`.
 FUZZTIME ?= 30s
 fuzz:
-	$(GO) test ./internal/storage/vfs -run '^FuzzOpen$$' -fuzz '^FuzzOpen$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/storage/vfs -run '^FuzzAppendMatrix$$' -fuzz '^FuzzAppendMatrix$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/storage/kvfile -run '^FuzzDecode$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^FuzzLoadContextManifest$$' -fuzz '^FuzzLoadContextManifest$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve -run '^FuzzUnmarshalFrame$$' -fuzz '^FuzzUnmarshalFrame$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve/grpc -run '^FuzzReadMessage$$' -fuzz '^FuzzReadMessage$$' -fuzztime $(FUZZTIME)

@@ -30,7 +30,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/pool"
 	"repro/internal/query"
-	"repro/internal/storage/vfs"
+	"repro/internal/storage/kvfile"
 	"repro/internal/vec"
 	"repro/internal/workload"
 )
@@ -496,24 +496,18 @@ func BenchmarkSaveContext2048Q8(b *testing.B) {
 	}
 }
 
-// BenchmarkVFSAppendMatrix appends one 2048 × 128 fp32 head into a fresh
-// 4 KB-block vector file.
-func BenchmarkVFSAppendMatrix(b *testing.B) {
+// BenchmarkKVFileWrite encodes one 2048 × 128 fp32 head as a kvfile
+// record and writes it to a fresh file.
+func BenchmarkKVFileWrite(b *testing.B) {
 	rng := rand.New(rand.NewSource(16))
 	m := randomMatrix(rng, 2048, 128)
-	path := filepath.Join(b.TempDir(), "head.alaya")
+	path := filepath.Join(b.TempDir(), "L0H0.vals")
+	var buf []byte
 	b.SetBytes(m.Bytes())
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fs, err := vfs.Create(path, vfs.DefaultBlock, 128)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := fs.AppendMatrix(m); err != nil {
-			b.Fatal(err)
-		}
-		if err := fs.Close(); err != nil {
+	for b.Loop() {
+		buf = kvfile.Append(buf[:0], m, nil)
+		if err := os.WriteFile(path, buf, 0o644); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,11 +1,12 @@
 // Command alayactl inspects AlayaDB deployments: on-disk artefacts —
-// vector files (the vfs block format of §7.3), persisted context
-// directories, the spill tier written by a DB running with -spill-dir —
-// and live daemons over the serving API through the Go SDK.
+// the per-head key and value files of a saved context (kvfile records),
+// persisted context directories, the spill tier written by a DB running
+// with -spill-dir — and live daemons over the serving API through the Go
+// SDK.
 //
 // Usage:
 //
-//	alayactl stat <file.keys|file.vals>     print one vector file's stats
+//	alayactl stat <file.keys|file.vals>     print one key or value file's stats
 //	alayactl verify <context-dir>           check a saved context's integrity
 //	alayactl spill <spill-dir>              list the spill tier's contexts
 //	alayactl health <base-url>              probe a daemon's /v1/healthz
@@ -20,7 +21,7 @@ import (
 	"os"
 	"path/filepath"
 
-	"repro/internal/storage/vfs"
+	"repro/internal/storage/kvfile"
 	"repro/pkg/alayaclient"
 )
 
@@ -53,7 +54,7 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage: alayactl <command> <target>
-  stat   <vector-file>   print one vector file's stats
+  stat   <kv-file>       print one key or value file's stats
   verify <context-dir>   check a saved context's integrity
   spill  <spill-dir>     list the spill tier's contexts
   health <base-url>      probe a daemon's /v1/healthz
@@ -222,29 +223,37 @@ func spill(root string) error {
 	return nil
 }
 
+// stat decodes one key or value file, checksums and all, and prints its
+// shape.
 func stat(path string) error {
-	fs, err := vfs.Open(path)
+	info, err := os.Stat(path)
 	if err != nil {
 		return err
 	}
-	defer fs.Close()
-	st, err := fs.Stat()
+	m, adj, err := kvfile.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("path:         %s\n", st.Path)
-	fmt.Printf("block size:   %d B\n", st.BlockSize)
-	fmt.Printf("vector dim:   %d\n", st.Dim)
-	fmt.Printf("vectors:      %d (%d B payload)\n", st.Vectors, st.VectorBytes)
-	fmt.Printf("blocks:       %d\n", st.Blocks)
-	fmt.Printf("has index:    %v\n", st.HasIndex)
-	fmt.Printf("size on disk: %d B\n", st.SizeOnDisk)
+	fmt.Printf("path:         %s\n", path)
+	fmt.Printf("vector dim:   %d\n", m.Cols())
+	fmt.Printf("vectors:      %d (%d B payload)\n", m.Rows(), m.Bytes())
+	if adj != nil {
+		edges := 0
+		for _, nbrs := range adj {
+			edges += len(nbrs)
+		}
+		fmt.Printf("adjacency:    %d nodes, %d edges\n", len(adj), edges)
+	} else {
+		fmt.Printf("adjacency:    none\n")
+	}
+	fmt.Printf("size on disk: %d B\n", info.Size())
 	return nil
 }
 
-// verify checks a persisted context directory: the manifest parses, every
-// referenced vector file opens, reads back fully, and adjacency chains
-// decode.
+// verify checks a persisted context directory: the manifest parses, and
+// every key and value file decodes — checksums, sizes and adjacency — and
+// holds the rows the directory owns: every token for a root, the tokens
+// past base_len for a copy-on-write tail.
 func verify(dir string) error {
 	raw, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
 	if err != nil {
@@ -255,20 +264,22 @@ func verify(dir string) error {
 			Layers  int `json:"Layers"`
 			KVHeads int `json:"KVHeads"`
 		} `json:"model"`
-		Tokens []json.RawMessage `json:"tokens"`
+		Tokens  []json.RawMessage `json:"tokens"`
+		BaseLen int               `json:"base_len"`
 	}
 	if err := json.Unmarshal(raw, &man); err != nil {
 		return fmt.Errorf("manifest: %w", err)
 	}
-	fmt.Printf("manifest: %d layers, %d kv heads, %d tokens\n",
-		man.Model.Layers, man.Model.KVHeads, len(man.Tokens))
+	rows := len(man.Tokens) - man.BaseLen
+	fmt.Printf("manifest: %d layers, %d kv heads, %d tokens, %d owned rows\n",
+		man.Model.Layers, man.Model.KVHeads, len(man.Tokens), rows)
 
 	problems := 0
 	for l := 0; l < man.Model.Layers; l++ {
 		for h := 0; h < man.Model.KVHeads; h++ {
 			for _, suffix := range []string{"keys", "vals"} {
 				path := filepath.Join(dir, fmt.Sprintf("L%dH%d.%s", l, h, suffix))
-				if err := verifyFile(path, len(man.Tokens)); err != nil {
+				if err := verifyFile(path, rows); err != nil {
 					fmt.Printf("  FAIL %s: %v\n", path, err)
 					problems++
 				} else {
@@ -284,20 +295,13 @@ func verify(dir string) error {
 	return nil
 }
 
-func verifyFile(path string, wantVectors int) error {
-	fs, err := vfs.Open(path)
+func verifyFile(path string, wantRows int) error {
+	m, _, err := kvfile.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	defer fs.Close()
-	if fs.NumVectors() != wantVectors {
-		return fmt.Errorf("holds %d vectors, manifest says %d", fs.NumVectors(), wantVectors)
-	}
-	if _, err := fs.ReadAll(); err != nil {
-		return fmt.Errorf("payload: %w", err)
-	}
-	if _, err := fs.ReadAdjacency(); err != nil {
-		return fmt.Errorf("adjacency: %w", err)
+	if m.Rows() != wantRows {
+		return fmt.Errorf("holds %d vectors, manifest says %d", m.Rows(), wantRows)
 	}
 	return nil
 }

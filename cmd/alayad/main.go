@@ -80,7 +80,7 @@ func run() error {
 		kvheads   = flag.Int("kvheads", 2, "kv heads per layer")
 		budgetGB  = flag.Float64("context-budget-gb", 0, "stored-context byte budget in GB (0 = unlimited)")
 		poolSize  = flag.Int("pool-size", 0, "worker pool size for per-head/per-layer fan-out (0 = GOMAXPROCS)")
-		maxBodyMB = flag.Float64("max-body-mb", float64(serve.DefaultMaxBodyBytes)/(1<<20), "request body size limit in MiB")
+		maxBodyMB = flag.Float64("max-body-mb", float64(serve.DefaultMaxBodyBytes)/(1<<20), "request size limit in MiB, for HTTP bodies and gRPC messages alike")
 		drainSecs = flag.Int("drain-secs", 15, "graceful shutdown deadline in seconds for in-flight requests")
 		spillDir  = flag.String("spill-dir", "", "directory for the disk spill tier: evicted contexts are persisted there and transparently reloaded (empty = eviction drops contexts)")
 		spillGB   = flag.Float64("spill-budget-gb", 0, "spill tier byte budget in GB; LRU spilled contexts are deleted over it (0 = unlimited)")
@@ -93,6 +93,7 @@ func run() error {
 		return errors.New("-grpc-tls-cert and -grpc-tls-key must be set together")
 	}
 
+	maxBody := int64(*maxBodyMB * (1 << 20))
 	if *peers != "" {
 		router, err := cluster.NewRouter(cluster.Options{
 			Peers:       strings.Split(*peers, ","),
@@ -101,12 +102,11 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		srv := serve.NewServerFor(router,
-			serve.WithMaxBodyBytes(int64(*maxBodyMB*(1<<20))))
+		srv := serve.NewServerFor(router, serve.WithMaxBodyBytes(maxBody))
 		defer srv.Close()
 		log.Printf("alayad: cluster router over %d nodes (%s), shard threshold %d tokens",
 			len(strings.Split(*peers, ",")), *peers, *shardToks)
-		return serveAll(srv.Handler(), router, *addr, *grpcAddr, *tlsCert, *tlsKey, *drainSecs, srv.Close)
+		return serveAll(srv.Handler(), router, maxBody, *addr, *grpcAddr, *tlsCert, *tlsKey, *drainSecs, srv.Close)
 	}
 
 	workPool := pool.Default()
@@ -135,7 +135,7 @@ func run() error {
 	defer db.Close()
 
 	srv := serve.NewServer(db,
-		serve.WithMaxBodyBytes(int64(*maxBodyMB*(1<<20))),
+		serve.WithMaxBodyBytes(maxBody),
 		serve.WithQueueDepth(*schedQ))
 	defer srv.Close()
 	keyPlane := "fp32"
@@ -150,18 +150,19 @@ func run() error {
 			ts.Dir, *spillGB, ts.SpilledContexts)
 	}
 
-	return serveAll(srv.Handler(), srv.Core(), *addr, *grpcAddr, *tlsCert, *tlsKey, *drainSecs, srv.Close)
+	return serveAll(srv.Handler(), srv.Core(), maxBody, *addr, *grpcAddr, *tlsCert, *tlsKey, *drainSecs, srv.Close)
 }
 
 // serveAll mounts the HTTP handler and (optionally) the gRPC transport
 // over the same core, serves until a signal or a listener failure, then
-// drains. Both transports front the one core — a local Service or the
-// cluster router — so sessions created over one are visible to the
-// other.
-func serveAll(httpHandler http.Handler, c serve.Core, addr, grpcAddr, tlsCert, tlsKey string, drainSecs int, closeCore func() error) error {
+// drains. maxBody bounds one gRPC request message, the limit the HTTP
+// handler already applies to a body. Both transports front the one core —
+// a local Service or the cluster router — so sessions created over one
+// are visible to the other.
+func serveAll(httpHandler http.Handler, c serve.Core, maxBody int64, addr, grpcAddr, tlsCert, tlsKey string, drainSecs int, closeCore func() error) error {
 	listeners := []listener{{hs: &http.Server{Addr: addr, Handler: httpHandler}}}
 	if grpcAddr != "" {
-		gsrv := agrpc.NewServerFor(c)
+		gsrv := agrpc.NewServerFor(c, agrpc.WithMaxRecvBytes(maxBody))
 		wire := "h2c"
 		if tlsCert != "" {
 			wire = "tls+alpn"

@@ -115,11 +115,7 @@ func Merge(parts ...Partial) []float32 {
 // if those were the whole context — the sparse-attention approximation of
 // Equation (1).
 func Sparse(q []float32, K, V *vec.Matrix, idx []int) []float32 {
-	p := Over(q, K, V, idx)
-	if math.IsInf(p.LSE, -1) {
-		return p.Output
-	}
-	return p.Output
+	return Over(q, K, V, idx).Output
 }
 
 // Recovery returns the recovery ratio of the index set under the full

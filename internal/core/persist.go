@@ -9,11 +9,11 @@ import (
 	"repro/internal/index/graph"
 	"repro/internal/kvcache"
 	"repro/internal/model"
-	"repro/internal/storage/vfs"
+	"repro/internal/storage/kvfile"
 	"repro/internal/vec"
 )
 
-// Persistence layout: one directory per context, one vector file per
+// Persistence layout: one directory per context, one kvfile record per
 // (layer, kv-head) for keys and one for values; each kv head's graph
 // adjacency lives in its keys file; a JSON manifest records the document
 // and graph entry points.
@@ -25,15 +25,19 @@ import (
 // Every context holds exactly one graph per (layer, kv head), shared by
 // that kv head's query heads; the manifest's share_gqa is always true.
 
+// manifestVersion is the version SaveContext writes and the only one
+// readManifest accepts. Version 1 directories hold the retired
+// block-chained vector files; the spill tier leaves them where they are.
+const manifestVersion = 2
+
 type manifest struct {
-	Version   int           `json:"version"`
-	Model     model.Config  `json:"model"`
-	Seed      uint64        `json:"seed"`
-	Tokens    []model.Token `json:"tokens"`
-	Groups    int           `json:"groups"`
-	ShareGQA  bool          `json:"share_gqa"` // always true; false is rejected
-	Entries   []int32       `json:"entries"`   // graph entry points, layer*groups+group
-	BlockSize int           `json:"block_size"`
+	Version  int           `json:"version"` // manifestVersion; any other is rejected
+	Model    model.Config  `json:"model"`
+	Seed     uint64        `json:"seed"`
+	Tokens   []model.Token `json:"tokens"`
+	Groups   int           `json:"groups"`
+	ShareGQA bool          `json:"share_gqa"` // always true; false is rejected
+	Entries  []int32       `json:"entries"`   // graph entry points, layer*groups+group
 	// Quant marks the SQ8 layout: every .keys file stores packed int8 codes
 	// (vec.PackedWords(HeadDim) words per row — a quarter of the fp32
 	// payload) instead of fp32 rows, with the per-row dequantization scales
@@ -55,10 +59,10 @@ type manifest struct {
 // recomputed from the snapped rows (kvcache.Cache.QuantKeys); a snapped row
 // is a fixed point of quantization, so re-quantizing it yields exactly the
 // codes and scale it came from, and reload reconstructs the identical rows.
-// A copy-on-write
-// context saves only what it owns: its divergent tail rows and a manifest
-// pointer to its base; the caller (the spill tier) is responsible for
-// persisting the base chain under its own hashes.
+// A copy-on-write context saves only what it owns: its divergent tail rows
+// and a manifest pointer to its base; the caller (the spill tier) is
+// responsible for persisting the base chain under its own hashes. Each
+// file is one kvfile record, written with one write.
 func (db *DB) SaveContext(ctx *Context, dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("core: save context: %w", err)
@@ -66,15 +70,14 @@ func (db *DB) SaveContext(ctx *Context, dir string) error {
 	mc := db.cfg.Model.Config()
 	quant := ctx.cache.QuantEnabled()
 	man := manifest{
-		Version:   1,
-		Model:     mc,
-		Seed:      ctx.doc.Seed,
-		Tokens:    ctx.doc.Tokens,
-		Groups:    ctx.groups,
-		ShareGQA:  true,
-		Entries:   make([]int32, mc.Layers*ctx.groups),
-		BlockSize: vfs.DefaultBlock,
-		Quant:     quant,
+		Version:  manifestVersion,
+		Model:    mc,
+		Seed:     ctx.doc.Seed,
+		Tokens:   ctx.doc.Tokens,
+		Groups:   ctx.groups,
+		ShareGQA: true,
+		Entries:  make([]int32, mc.Layers*ctx.groups),
+		Quant:    quant,
 	}
 	if ctx.base != nil {
 		man.BaseHash = ctx.base.hash
@@ -92,47 +95,30 @@ func (db *DB) SaveContext(ctx *Context, dir string) error {
 		man.QuantScales = make([][]float32, mc.Layers*mc.KVHeads)
 	}
 
+	var buf []byte // one record at a time, reused across files
+	write := func(name string, m *vec.Matrix, adj [][]int32) error {
+		buf = kvfile.Append(buf[:0], m, adj)
+		if err := os.WriteFile(filepath.Join(dir, name), buf, 0o644); err != nil {
+			return fmt.Errorf("core: save context: %w", err)
+		}
+		return nil
+	}
 	for l := 0; l < mc.Layers; l++ {
 		for h := 0; h < mc.KVHeads; h++ {
-			keyDim := mc.HeadDim
+			keys := ctx.cache.Keys(l, h)
 			if quant {
-				keyDim = vec.PackedWords(mc.HeadDim)
+				keys = packKeys(ctx.cache.QuantKeys(l, h), &man, l*mc.KVHeads+h)
 			}
-			kf, err := vfs.Create(filepath.Join(dir, fmt.Sprintf("L%dH%d.keys", l, h)), vfs.DefaultBlock, keyDim)
-			if err != nil {
-				return err
-			}
-			if quant {
-				if err := appendPackedKeys(kf, ctx.cache.QuantKeys(l, h), &man, l*mc.KVHeads+h); err != nil {
-					kf.Close()
-					return err
-				}
-			} else if err := kf.AppendMatrix(ctx.cache.Keys(l, h)); err != nil {
-				kf.Close()
-				return err
-			}
+			var adj [][]int32
 			if ctx.graphs != nil {
-				g := ctx.graphs[l*ctx.groups+h]
-				if g != nil {
-					if err := kf.WriteAdjacency(adjacencyOf(g)); err != nil {
-						kf.Close()
-						return err
-					}
+				if g := ctx.graphs[l*ctx.groups+h]; g != nil {
+					adj = adjacencyOf(g)
 				}
 			}
-			if err := kf.Close(); err != nil {
+			if err := write(fmt.Sprintf("L%dH%d.keys", l, h), keys, adj); err != nil {
 				return err
 			}
-
-			vf, err := vfs.Create(filepath.Join(dir, fmt.Sprintf("L%dH%d.vals", l, h)), vfs.DefaultBlock, mc.HeadDim)
-			if err != nil {
-				return err
-			}
-			if err := vf.AppendMatrix(ctx.cache.Values(l, h)); err != nil {
-				vf.Close()
-				return err
-			}
-			if err := vf.Close(); err != nil {
+			if err := write(fmt.Sprintf("L%dH%d.vals", l, h), ctx.cache.Values(l, h), nil); err != nil {
 				return err
 			}
 		}
@@ -173,21 +159,17 @@ func (db *DB) residentBase(hash uint64) (*Context, error) {
 	return ctx, nil
 }
 
-// appendPackedKeys writes one head's SQ8 key rows into kf in packed code
-// form (vec.PackRow), as one matrix append, and records the per-row scales
-// in the manifest slot.
-func appendPackedKeys(kf *vfs.FS, qm *vec.QuantMatrix, man *manifest, slot int) error {
+// packKeys returns one head's SQ8 key rows in packed code form
+// (vec.PackRow) and records their per-row scales in the manifest slot.
+func packKeys(qm *vec.QuantMatrix, man *manifest, slot int) *vec.Matrix {
 	packed := vec.NewMatrix(qm.Rows(), vec.PackedWords(qm.Cols()))
 	scales := make([]float32, qm.Rows())
 	for i := range scales {
 		qm.PackRow(i, packed.Row(i))
 		scales[i] = qm.Scale(i)
 	}
-	if err := kf.AppendMatrix(packed); err != nil {
-		return err
-	}
 	man.QuantScales[slot] = scales
-	return nil
+	return packed
 }
 
 // readManifest loads and validates a context directory's manifest against
@@ -201,6 +183,9 @@ func (db *DB) readManifest(dir string) (*manifest, error) {
 	if err := json.Unmarshal(raw, &man); err != nil {
 		return nil, fmt.Errorf("core: parse manifest: %w", err)
 	}
+	if man.Version != manifestVersion {
+		return nil, fmt.Errorf("core: manifest version %d, want %d", man.Version, manifestVersion)
+	}
 	mc := db.cfg.Model.Config()
 	if man.Model != mc {
 		return nil, fmt.Errorf("core: context was saved for model %+v, DB runs %+v", man.Model, mc)
@@ -210,8 +195,8 @@ func (db *DB) readManifest(dir string) (*manifest, error) {
 	}
 	// The manifest is operator-editable JSON: geometry fields feed
 	// allocation sizes and slot indexes, so a corrupt or crafted manifest
-	// must surface as an error here, never a panic downstream (the vfs
-	// layer applies the same discipline to its binary blocks).
+	// must surface as an error here, never a panic downstream (kvfile
+	// applies the same discipline to its binary records).
 	if want := db.indexGroups(); man.Groups != want {
 		return nil, fmt.Errorf("core: manifest has %d index groups, DB expects %d", man.Groups, want)
 	}
@@ -264,13 +249,12 @@ func (db *DB) readManifest(dir string) (*manifest, error) {
 type baseResolver func(hash uint64) (*Context, error)
 
 // readContextDir rebuilds a context from a directory written by
-// SaveContext, reading each file once, whole, with (*vfs.FS).ReadAll. A
-// copy-on-write tail
-// resolves its base through resolveBase and re-attaches to the chain; the
-// restored context then owns only its tail rows, exactly as stored. It
-// does not register the context; callers decide the lifecycle
-// (LoadContext registers, the spill tier registers through its reload
-// path).
+// SaveContext, reading each file once, whole, with kvfile.ReadFile. A
+// copy-on-write tail resolves its base through resolveBase and re-attaches
+// to the chain; the restored context then owns only its tail rows, exactly
+// as stored. It does not register the context; callers decide the
+// lifecycle (LoadContext registers, the spill tier registers through its
+// reload path).
 func (db *DB) readContextDir(dir string, resolveBase baseResolver) (*Context, error) {
 	man, err := db.readManifest(dir)
 	if err != nil {
@@ -305,34 +289,25 @@ func (db *DB) readContextDir(dir string, resolveBase baseResolver) (*Context, er
 	}
 	for l := 0; l < mc.Layers; l++ {
 		for h := 0; h < mc.KVHeads; h++ {
-			kf, err := vfs.Open(filepath.Join(dir, fmt.Sprintf("L%dH%d.keys", l, h)))
+			keys, adj, err := kvfile.ReadFile(filepath.Join(dir, fmt.Sprintf("L%dH%d.keys", l, h)))
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("core: load context: %w", err)
 			}
-			keys, err := kf.ReadAll()
+			vals, _, err := kvfile.ReadFile(filepath.Join(dir, fmt.Sprintf("L%dH%d.vals", l, h)))
 			if err != nil {
-				kf.Close()
-				return nil, err
+				return nil, fmt.Errorf("core: load context: %w", err)
 			}
-			adj, err := kf.ReadAdjacency()
-			kf.Close()
-			if err != nil {
-				return nil, err
-			}
-
-			vf, err := vfs.Open(filepath.Join(dir, fmt.Sprintf("L%dH%d.vals", l, h)))
-			if err != nil {
-				return nil, err
-			}
-			vals, err := vf.ReadAll()
-			if err != nil {
-				vf.Close()
-				return nil, err
-			}
-			vf.Close()
 
 			if keys.Rows() != vals.Rows() {
 				return nil, fmt.Errorf("core: layer %d head %d: %d keys vs %d values", l, h, keys.Rows(), vals.Rows())
+			}
+			keyCols := mc.HeadDim
+			if man.Quant {
+				keyCols = vec.PackedWords(mc.HeadDim)
+			}
+			if keys.Cols() != keyCols || vals.Cols() != mc.HeadDim {
+				return nil, fmt.Errorf("core: layer %d head %d: key width %d and value width %d, want %d and %d",
+					l, h, keys.Cols(), vals.Cols(), keyCols, mc.HeadDim)
 			}
 			// The manifest's entries were range-checked against its token
 			// count; the files must hold exactly the rows it claims before a
@@ -343,9 +318,6 @@ func (db *DB) readContextDir(dir string, resolveBase baseResolver) (*Context, er
 			if man.Quant {
 				// Packed SQ8 rows: reconstruct codes bit-exactly and let the
 				// cache dequantize them into the snapped fp32 rows.
-				if want := vec.PackedWords(mc.HeadDim); keys.Cols() != want {
-					return nil, fmt.Errorf("core: layer %d head %d: packed key width %d, want %d", l, h, keys.Cols(), want)
-				}
 				scales := man.QuantScales[l*mc.KVHeads+h]
 				if keys.Rows() != len(scales) {
 					return nil, fmt.Errorf("core: layer %d head %d: %d key rows for %d scales", l, h, keys.Rows(), len(scales))

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/index/graph"
 	"repro/internal/model"
 	"repro/internal/query"
+	"repro/internal/storage/kvfile"
 )
 
 func TestSaveLoadContextRoundTrip(t *testing.T) {
@@ -98,12 +100,11 @@ func spillDirHash(t *testing.T, dir string) string {
 }
 
 // TestSaveContextGolden pins the bytes of every file SaveContext writes for
-// a seeded SQ8 root, an fp32 root and a copy-on-write tail. The hashes were
-// recorded with the per-row vfs writer (one tail-block rewrite per vector);
-// writing each block of a run once must not move a byte. 300 rows leave a
-// partial tail block in both the fp32 (7 rows per block) and the packed SQ8
-// (31 rows per block) layouts. The KV substrate's float math is only
-// reproducible where float32 multiply-add is not fused (amd64, 386).
+// a seeded SQ8 root, an fp32 root and a copy-on-write tail: one kvfile
+// record per key or value file, plus the manifest. How a spill is
+// committed (temporary directory, fsync, rename) must not move them. The
+// KV substrate's float math is only reproducible where float32
+// multiply-add is not fused (amd64, 386).
 func TestSaveContextGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" && runtime.GOARCH != "386" {
 		t.Skipf("golden hashes assume unfused float32 multiply-add; GOARCH=%s may fuse", runtime.GOARCH)
@@ -160,13 +161,74 @@ func TestSaveContextGolden(t *testing.T) {
 		got  string
 		want string
 	}{
-		{"sq8 root", save(q8, q8Root), "840f511dfd6411157445a4bd2107597f82e0bd81d140c3010f941e094904621a"},
-		{"fp32 root", save(fp, fpRoot), "d269e42f7580de0c543b5cc614da39849889885ee0a3928016a8ff71cf3acebd"},
-		{"cow tail", save(fp, tail), "422e6cc72674595cfb25980dac20829a6a03fc2076513cd0640f9386597fde4c"},
+		{"sq8 root", save(q8, q8Root), "286bed478a32582e677f372e3aba544c86cf73f07382168031807ea6d1edcc4d"},
+		{"fp32 root", save(fp, fpRoot), "19e4c018543c4e9edb3aeb67b0d984bf8ba3a5a3fa8262e7bcc53cac8ca02a3d"},
+		{"cow tail", save(fp, tail), "dc042eab849b03a9e0a7285280a1db87e6a331bdcd90850d5d09f0d019fc56ff"},
 	} {
 		if tc.got != tc.want {
 			t.Errorf("%s: spill directory hash %s, want %s", tc.name, tc.got, tc.want)
 		}
+	}
+}
+
+// craftAdjacency re-encodes the first keys file in dir that holds a graph
+// with its adjacency passed through edit, so the record's checksums stay
+// valid and only the adjacency checks can reject it. It returns the file's
+// path.
+func craftAdjacency(t *testing.T, dir string, edit func(adj [][]int32) [][]int32) string {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "*.keys"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range paths {
+		m, adj, err := kvfile.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if adj == nil {
+			continue
+		}
+		if err := os.WriteFile(path, kvfile.Append(nil, m, edit(adj)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	t.Fatalf("no keys file in %s holds a graph", dir)
+	return ""
+}
+
+// TestLoadContextRejectsCraftedAdjacency: a keys file whose checksums are
+// valid but whose adjacency does not fit its rows — one node short, or a
+// neighbour id past the last row — must fail LoadContext with an error. The
+// graph rebuilt from it would otherwise panic at load or at the first
+// attention call on that layer.
+func TestLoadContextRejectsCraftedAdjacency(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(adj [][]int32) [][]int32
+	}{
+		{"one node short", func(adj [][]int32) [][]int32 { return adj[:len(adj)-1] }},
+		{"neighbour past the last row", func(adj [][]int32) [][]int32 {
+			adj[0][0] = int32(len(adj))
+			return adj
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db := testDB(t, nil)
+			ctx, err := db.ImportDoc(model.NewFiller(27, 300, 16, 32))
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := filepath.Join(t.TempDir(), "ctx")
+			if err := db.SaveContext(ctx, dir); err != nil {
+				t.Fatal(err)
+			}
+			craftAdjacency(t, dir, tc.edit)
+			if _, err := testDB(t, nil).LoadContext(dir); !errors.Is(err, kvfile.ErrCorrupt) {
+				t.Fatalf("LoadContext of a crafted adjacency: err %v, want kvfile.ErrCorrupt", err)
+			}
+		})
 	}
 }
 

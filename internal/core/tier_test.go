@@ -211,6 +211,84 @@ func TestRecoverSpilledAcrossRestart(t *testing.T) {
 	}
 }
 
+// TestFailedReloadConsumesEntry corrupts one file of a spilled context
+// (a keys file one adjacency node short, checksums intact) and creates a
+// session on its document: the reload fails as an error, counted once; the
+// session starts cold; the catalog entry and its directory are gone, so a
+// second create neither retries the reload nor waits on it.
+func TestFailedReloadConsumesEntry(t *testing.T) {
+	dir := t.TempDir()
+	db := tierDB(t, 300, 1, dir, 0)
+	doc := model.NewFiller(112, 300, 16, 32)
+	if _, err := db.ImportDoc(doc); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.ImportDoc(model.NewFiller(113, 300, 16, 32)); err != nil {
+		t.Fatal(err) // evicts doc to disk
+	}
+	sub := spillDirName(dir, DocHash(doc))
+	craftAdjacency(t, sub, func(adj [][]int32) [][]int32 { return adj[:len(adj)-1] })
+
+	for attempt := 1; attempt <= 2; attempt++ {
+		sess, reused := db.CreateSession(doc)
+		sess.Close()
+		if reused != 0 {
+			t.Fatalf("create %d: reused = %d from a corrupt spill, want 0", attempt, reused)
+		}
+		ts := db.TierStats()
+		if ts.Counters.ReloadErrors != 1 || ts.Counters.Reloads != 0 {
+			t.Fatalf("create %d: %d reload errors, %d reloads; want 1 and 0", attempt, ts.Counters.ReloadErrors, ts.Counters.Reloads)
+		}
+		if ts.SpilledContexts != 0 {
+			t.Fatalf("create %d: %d spilled contexts catalogued, want the corrupt one consumed", attempt, ts.SpilledContexts)
+		}
+		if _, err := os.Stat(sub); !os.IsNotExist(err) {
+			t.Fatalf("create %d: corrupt spill dir still on disk: %v", attempt, err)
+		}
+	}
+}
+
+// TestRecoverSkipsVersion1Manifest: a spill directory an older build left,
+// its manifest at version 1 over block-chained vector files, is neither
+// adopted nor deleted by a new DB over the same spill directory.
+func TestRecoverSkipsVersion1Manifest(t *testing.T) {
+	dir := t.TempDir()
+	doc := model.NewFiller(114, 300, 16, 32)
+	db1 := tierDB(t, 300, 1, dir, 0)
+	if _, err := db1.ImportDoc(doc); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db1.ImportDoc(model.NewFiller(115, 300, 16, 32)); err != nil {
+		t.Fatal(err) // evicts doc to disk
+	}
+	db1.Close()
+	manPath := filepath.Join(spillDirName(dir, DocHash(doc)), "manifest.json")
+	raw, err := os.ReadFile(manPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := strings.Replace(string(raw), `"version": 2,`, `"version": 1,`, 1)
+	old = strings.Replace(old, `"entries":`, `"block_size": 4096, "entries":`, 1)
+	if old == string(raw) {
+		t.Fatal("manifest has no version field to rewrite")
+	}
+	if err := os.WriteFile(manPath, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	db2 := tierDB(t, 300, 1, dir, 0)
+	if got := db2.TierStats().SpilledContexts; got != 0 {
+		t.Fatalf("recovery adopted %d spilled contexts, want the version-1 one skipped", got)
+	}
+	got, err := os.ReadFile(manPath)
+	if err != nil {
+		t.Fatalf("version-1 spill directory deleted: %v", err)
+	}
+	if string(got) != old {
+		t.Fatal("version-1 manifest rewritten")
+	}
+}
+
 // TestCorruptManifestGeometryRejected pins that a corrupt or hand-edited
 // manifest surfaces an error instead of panicking the reload path: the
 // entries and groups fields feed slot indexes and allocation sizes.

