@@ -46,16 +46,18 @@ cover:
 
 # Short coverage-guided fuzz passes over the spill format and the wires:
 # the spill-file reader, which must reject what it cannot re-encode to the
-# same bytes (FuzzDecode), a context directory's manifest through
+# same bytes (FuzzDecode), its writer, whose records must decode back to
+# what was written (FuzzAppend), a context directory's manifest through
 # LoadContext (FuzzLoadContextManifest), the binary frame wire's decoders
 # and stream scanner (FuzzUnmarshalFrame), then the gRPC message reader
 # (FuzzReadMessage) and the CreateSessionRequest and FrameRequest protobuf
 # decoders (FuzzRoundTrip), each for FUZZTIME. go test fuzzes one target
-# per invocation; the seeds of all five also run as ordinary tests in
+# per invocation; the seeds of all six also run as ordinary tests in
 # `make test`.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/storage/kvfile -run '^FuzzDecode$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/storage/kvfile -run '^FuzzAppend$$' -fuzz '^FuzzAppend$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^FuzzLoadContextManifest$$' -fuzz '^FuzzLoadContextManifest$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve -run '^FuzzUnmarshalFrame$$' -fuzz '^FuzzUnmarshalFrame$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve/grpc -run '^FuzzReadMessage$$' -fuzz '^FuzzReadMessage$$' -fuzztime $(FUZZTIME)

@@ -94,6 +94,36 @@ func TestAppendReadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSparseAdjacencyPersists writes a record with a few linked nodes and a
+// tail of nil neighbour lists to disk, then reads it back twice: each read
+// returns the rows bit for bit and every list, the nil ones as empty.
+func TestSparseAdjacencyPersists(t *testing.T) {
+	m := randomMatrix(rand.New(rand.NewSource(2)), 60, 8)
+	adj := make([][]int32, 60)
+	copy(adj, [][]int32{{1, 2}, {0}, {0, 1}})
+	path := filepath.Join(t.TempDir(), "L0H0.keys")
+	if err := os.WriteFile(path, Append(nil, m, adj), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for read := 0; read < 2; read++ {
+		got, gotAdj, err := ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Rows() != 60 || got.Cols() != 8 || !sameBits(got.Data(), m.Data()) {
+			t.Fatalf("read %d: %dx%d rows do not match the 60x8 written", read, got.Rows(), got.Cols())
+		}
+		if len(gotAdj) != 60 {
+			t.Fatalf("read %d: adjacency of %d nodes, wrote 60", read, len(gotAdj))
+		}
+		for i := range adj {
+			if len(gotAdj[i]) != len(adj[i]) || (len(adj[i]) > 0 && !reflect.DeepEqual(gotAdj[i], adj[i])) {
+				t.Fatalf("read %d: node %d neighbours %v, wrote %v", read, i, gotAdj[i], adj[i])
+			}
+		}
+	}
+}
+
 // TestAppendReusesAndExtendsDst pins Append's slice contract: the record
 // lands after dst's bytes, in dst's storage when it has room.
 func TestAppendReusesAndExtendsDst(t *testing.T) {
