@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"io"
 	"net"
 	"net/http"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/serve"
 	agrpc "repro/internal/serve/grpc"
+	"repro/internal/serve/grpc/pb"
 	"repro/internal/workload"
 )
 
@@ -41,6 +43,13 @@ func newTestModel() *model.Model {
 
 func startNode(t *testing.T) *testNode {
 	t.Helper()
+	return startNodeWith(t, nil)
+}
+
+// startNodeWith is startNode with the gRPC handler passed through wrap,
+// so a test can stand a misbehaving peer in front of a real Service.
+func startNodeWith(t *testing.T, wrap func(http.Handler) http.Handler) *testNode {
+	t.Helper()
 	db, err := core.New(core.Config{
 		Model:         newTestModel(),
 		Window:        attention.Window{Sinks: 4, Recent: 16},
@@ -56,7 +65,11 @@ func startNode(t *testing.T) *testNode {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := agrpc.NewHTTPServer(ln.Addr().String(), gsrv.Handler())
+	h := gsrv.Handler()
+	if wrap != nil {
+		h = wrap(h)
+	}
+	hs := agrpc.NewHTTPServer(ln.Addr().String(), h)
 	go hs.Serve(ln)
 	n := &testNode{addr: ln.Addr().String(), srv: srv, hs: hs}
 	t.Cleanup(func() {
@@ -765,5 +778,59 @@ func TestMergeHeadEdgeCases(t *testing.T) {
 	}
 	if m.LSE != live.LSE || m.Retrieved != 3 || m.Attended != 2 {
 		t.Fatalf("single-live merge = %+v", m)
+	}
+}
+
+// TestRoutedStreamRejectsBrokenPeer stands a crafted peer in front of a
+// node whose StepStream answer breaks the stream protocol: a terminator
+// claiming more items than were sent, or a message carrying bytes after
+// its frame. The router must fail the stream as internal — not report a
+// clean end, and not demote the node for what is not a transport fault.
+func TestRoutedStreamRejectsBrokenPeer(t *testing.T) {
+	inst, m := testWorkload()
+	item, err := serve.AppendStreamItemFrame(nil, &serve.StepResponse{ContextLen: 1, Layers: [][]serve.AttentionResponse{{{Output: []float32{1}}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		frames [][]byte
+	}{
+		{"terminator count", [][]byte{item, serve.AppendStreamEndFrame(nil, 2, serve.ErrorEnvelope{})}},
+		{"bytes after frame", [][]byte{append(append([]byte(nil), item...), 0), serve.AppendStreamEndFrame(nil, 1, serve.ErrorEnvelope{})}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			node := startNodeWith(t, func(real http.Handler) http.Handler {
+				return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					if r.URL.Path != pb.MethodStepStream {
+						real.ServeHTTP(w, r)
+						return
+					}
+					io.Copy(io.Discard, r.Body)
+					w.Header().Set("Content-Type", agrpc.ContentType)
+					w.Header().Set("Trailer", "Grpc-Status")
+					for _, f := range tc.frames {
+						msg := (&pb.FrameResponse{Frame: f}).AppendProto(nil)
+						w.Write([]byte{0, byte(len(msg) >> 24), byte(len(msg) >> 16), byte(len(msg) >> 8), byte(len(msg))})
+						w.Write(msg)
+					}
+					w.Header().Set("Grpc-Status", "0")
+				})
+			})
+			router, err := NewRouter(Options{Peers: []string{node.addr}, ProbeInterval: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer router.Close()
+			id := createPrefilled(t, router, inst)
+			steps := &serve.StepsRequest{Steps: []serve.StepRequest{{Token: inst.Doc.Tokens[0], Queries: queriesFor(m, inst, 0)}}}
+			err = router.StepStream(context.Background(), id, steps, func(*serve.StepResponse) error { return nil })
+			if se, ok := err.(*serve.Error); !ok || se.Kind != serve.KindInternal {
+				t.Fatalf("stream from a broken peer: err %v, want kind internal", err)
+			}
+			if !router.nodes[0].healthy.Load() {
+				t.Fatal("a protocol fault demoted the node")
+			}
+		})
 	}
 }

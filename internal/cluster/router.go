@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,7 +13,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/serve"
 	agrpc "repro/internal/serve/grpc"
-	"repro/internal/serve/grpc/pb"
 )
 
 // DefaultProbeInterval paces the background health prober.
@@ -223,8 +223,8 @@ func (r *Router) CreateSession(req *serve.CreateSessionRequest) (*serve.CreateSe
 				SpanHi: sh.span.Hi,
 			}
 		}
-		resp, cerr := sh.node.createSession(context.Background(), sreq)
-		if cerr != nil {
+		resp, cerr := sh.node.remote.CreateSession(context.Background(), sreq)
+		if cerr = sh.node.finish(cerr); cerr != nil {
 			return cerr
 		}
 		sh.remoteID = resp.SessionID
@@ -237,7 +237,8 @@ func (r *Router) CreateSession(req *serve.CreateSessionRequest) (*serve.CreateSe
 		// Roll back whatever landed so no node leaks a half-placed context.
 		for i := range shards {
 			if sh := &shards[i]; sh.remoteID != 0 {
-				sh.node.closeSession(context.Background(), sh.remoteID)
+				_, cerr := sh.node.remote.CloseSession(context.Background(), sh.remoteID)
+				sh.node.finish(cerr)
 			}
 		}
 		return nil, err
@@ -264,9 +265,9 @@ func (r *Router) Prefill(id int64) (*serve.PrefillResponse, error) {
 	}
 	out := make([]*serve.PrefillResponse, len(s.shards))
 	err := r.fanout(s.shards, func(i int, sh *shard) error {
-		resp, perr := sh.node.prefill(context.Background(), sh.remoteID)
+		resp, perr := sh.node.remote.Prefill(context.Background(), sh.remoteID)
 		out[i] = resp
-		return perr
+		return sh.node.finish(perr)
 	})
 	if err != nil {
 		return nil, err
@@ -293,12 +294,9 @@ func (r *Router) Step(id int64, req *serve.StepRequest) (*serve.StepResponse, er
 		if s.sharded() && !sh.span.Open() {
 			sreq = &serve.StepRequest{Token: req.Token, Queries: req.Queries, AttendOnly: true}
 		}
-		var resp serve.StepResponse
-		if terr := sh.node.tensor(context.Background(), pb.MethodStep, sh.remoteID, sreq, &resp); terr != nil {
-			return terr
-		}
-		out[i] = &resp
-		return nil
+		resp, serr := sh.node.remote.Step(context.Background(), sh.remoteID, sreq)
+		out[i] = resp
+		return sh.node.finish(serr)
 	})
 	if err != nil {
 		return nil, err
@@ -333,13 +331,7 @@ func (r *Router) StepStream(ctx context.Context, id int64, req *serve.StepsReque
 		return serr
 	}
 	if !s.sharded() {
-		sh := s.tail()
-		r.cc.Routed()
-		err := sh.node.stepStream(ctx, sh.remoteID, req, sink)
-		if se, ok := err.(*serve.Error); ok && se.Kind == serve.KindUnavailable {
-			r.cc.Unavailable()
-		}
-		return err
+		return r.fanout(s.shards, func(_ int, sh *shard) error { return r.proxyStream(ctx, sh, req, sink) })
 	}
 	for i := range req.Steps {
 		if cerr := ctx.Err(); cerr != nil {
@@ -354,6 +346,30 @@ func (r *Router) StepStream(ctx context.Context, id int64, req *serve.StepsReque
 		}
 	}
 	return nil
+}
+
+// proxyStream relays a whole-context session's remote stream item by
+// item, preserving the per-step flush that lets the engine read step N
+// while the node decodes step N+1. A cancelled caller is not the node's
+// failure and does not demote it.
+func (r *Router) proxyStream(ctx context.Context, sh *shard, req *serve.StepsRequest, sink func(*serve.StepResponse) error) error {
+	st, err := sh.node.remote.StepStream(ctx, sh.remoteID, req)
+	if err == nil {
+		defer st.Close()
+		var step *serve.StepResponse
+		for step, err = st.Recv(); err == nil; step, err = st.Recv() {
+			if serr := sink(step); serr != nil {
+				return serr
+			}
+		}
+		if err == io.EOF {
+			err = nil
+		}
+	}
+	if err != nil && ctx.Err() != nil {
+		return serve.Unavailablef("stream cancelled: %v", ctx.Err())
+	}
+	return sh.node.finish(err)
 }
 
 // checkBatch rejects a step_stream batch that a node would refuse, in the
@@ -390,16 +406,13 @@ func (r *Router) Store(id int64) (*serve.StoreResponse, error) {
 	if s.sharded() {
 		return nil, serve.Conflictf("session %d is range-sharded across %d nodes; sharded contexts cannot be stored", id, len(s.shards))
 	}
-	sh := s.tail()
-	r.cc.Routed()
-	resp, err := sh.node.store(context.Background(), sh.remoteID)
-	if err != nil {
-		if se, ok := err.(*serve.Error); ok && se.Kind == serve.KindUnavailable {
-			r.cc.Unavailable()
-		}
-		return nil, err
-	}
-	return resp, nil
+	var resp *serve.StoreResponse
+	err := r.fanout(s.shards, func(_ int, sh *shard) error {
+		var serr error
+		resp, serr = sh.node.remote.Store(context.Background(), sh.remoteID)
+		return sh.node.finish(serr)
+	})
+	return resp, err
 }
 
 // CloseSession releases every shard. Shards on dead nodes are dropped
@@ -415,7 +428,8 @@ func (r *Router) CloseSession(id int64) (*serve.CloseResponse, error) {
 	}
 	for i := range s.shards {
 		sh := &s.shards[i]
-		sh.node.closeSession(context.Background(), sh.remoteID)
+		_, err := sh.node.remote.CloseSession(context.Background(), sh.remoteID)
+		sh.node.finish(err)
 		sh.node.sessions.Add(-1)
 	}
 	return &serve.CloseResponse{Status: "closed"}, nil
@@ -469,7 +483,7 @@ func (r *Router) Close() error {
 	}
 	r.wg.Wait()
 	for _, n := range r.nodes {
-		n.conn.Close()
+		n.remote.Close()
 	}
 	return nil
 }

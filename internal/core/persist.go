@@ -287,6 +287,9 @@ func (db *DB) readContextDir(dir string, resolveBase baseResolver) (*Context, er
 		ctx.cache.EnableQuantKeys() // empty cache: rows arrive snapped
 		codes = make([]int8, mc.HeadDim)
 	}
+	// Each decoded file becomes its slot's matrix whole: fp32 keys and
+	// values are adopted as read, SQ8 keys dequantized once into one
+	// rows×HeadDim matrix.
 	for l := 0; l < mc.Layers; l++ {
 		for h := 0; h < mc.KVHeads; h++ {
 			keys, adj, err := kvfile.ReadFile(filepath.Join(dir, fmt.Sprintf("L%dH%d.keys", l, h)))
@@ -316,21 +319,20 @@ func (db *DB) readContextDir(dir string, resolveBase baseResolver) (*Context, er
 				return nil, fmt.Errorf("core: layer %d head %d: %d rows on disk, manifest expects %d owned rows", l, h, keys.Rows(), want)
 			}
 			if man.Quant {
-				// Packed SQ8 rows: reconstruct codes bit-exactly and let the
-				// cache dequantize them into the snapped fp32 rows.
+				// Packed SQ8 rows: reconstruct codes bit-exactly and
+				// dequantize them into the snapped fp32 rows.
 				scales := man.QuantScales[l*mc.KVHeads+h]
 				if keys.Rows() != len(scales) {
 					return nil, fmt.Errorf("core: layer %d head %d: %d key rows for %d scales", l, h, keys.Rows(), len(scales))
 				}
-				for i := 0; i < keys.Rows(); i++ {
-					vec.UnpackCodes(keys.Row(i), codes)
-					ctx.cache.AppendQuantized(l, h, codes, scales[i], vals.Row(i))
-				}
-			} else {
-				for i := 0; i < keys.Rows(); i++ {
-					ctx.cache.Append(l, h, keys.Row(i), vals.Row(i))
+				packed := keys
+				keys = vec.NewMatrix(packed.Rows(), mc.HeadDim)
+				for i := 0; i < packed.Rows(); i++ {
+					vec.UnpackCodes(packed.Row(i), codes)
+					vec.DequantizeCodes(codes, scales[i], keys.Row(i))
 				}
 			}
+			ctx.cache.Adopt(l, h, keys, vals)
 			if adj != nil && ctx.graphs != nil {
 				slot := l*man.Groups + h
 				ctx.graphs[slot] = graph.FromAdjacency(ctx.cache.Keys(l, h), adj, man.Entries[slot], db.cfg.Graph)

@@ -381,3 +381,54 @@ func TestShardedSpillDirRejected(t *testing.T) {
 		t.Fatalf("recovery catalogued %d spilled contexts, want only the unsharded one", got)
 	}
 }
+
+// TestReloadAllocations bounds what one reload of a spilled context
+// allocates: each file is read once and its decoded matrix adopted whole
+// (SQ8 keys dequantized once into one matrix), so the bytes allocated stay
+// within 2.5× the restored KV bytes for both key formats, instead of the
+// growth copies of a row-by-row append.
+func TestReloadAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's allocations are not the program's")
+	}
+	for _, quant := range []bool{false, true} {
+		db, err := New(Config{
+			Model:         testModel(),
+			Window:        attention.Window{Sinks: 4, Recent: 16},
+			LongThreshold: 256,
+			Graph:         graph.Config{Degree: 12, QueryKNN: 8, EfConstruction: 48},
+			QuantKeys:     quant,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { db.Close() })
+		ctx, err := db.ImportDoc(model.NewFiller(73, 1024, 16, 32))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := filepath.Join(t.TempDir(), "ctx")
+		if err := db.SaveContext(ctx, dir); err != nil {
+			t.Fatal(err)
+		}
+		var kv int64
+		var alloc uint64
+		for i := 0; i < 3; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			loaded, err := db.readContextDir(dir, nil)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			kv = loaded.Cache().Bytes()
+			if got := after.TotalAlloc - before.TotalAlloc; i == 0 || got < alloc {
+				alloc = got
+			}
+		}
+		t.Logf("quant=%v: reload allocated %d bytes for %d KV bytes (%.2fx)", quant, alloc, kv, float64(alloc)/float64(kv))
+		if float64(alloc) > 2.5*float64(kv) {
+			t.Errorf("quant=%v: reload allocated %d bytes for %d KV bytes, want at most 2.5x", quant, alloc, kv)
+		}
+	}
+}

@@ -626,21 +626,13 @@ func (s *Session) materialize() (*model.Document, *kvcache.Cache, error) {
 	if s.base != nil {
 		return nil, nil, fmt.Errorf("core: materialize on a session with a reused base; Store shares it copy-on-write")
 	}
-	mc := s.db.cfg.Model.Config()
-	out := kvcache.New(mc.Layers, mc.KVHeads, mc.HeadDim)
-	for l := 0; l < mc.Layers; l++ {
+	for l := 0; l < s.db.cfg.Model.Config().Layers; l++ {
 		if got := s.ContextLen(l); got != s.doc.Len() {
 			return nil, nil, fmt.Errorf("core: layer %d holds %d of %d tokens; prefill before storing", l, got, s.doc.Len())
 		}
-		for h := 0; h < mc.KVHeads; h++ {
-			tk, tv := s.tail.Keys(l, h), s.tail.Values(l, h)
-			for i := 0; i < tk.Rows(); i++ {
-				out.Append(l, h, tk.Row(i), tv.Row(i))
-			}
-		}
 	}
 	doc := &model.Document{Seed: s.doc.Seed, Tokens: append([]model.Token(nil), s.doc.Tokens...)}
-	return doc, out, nil
+	return doc, s.tail.Clone(), nil
 }
 
 // Close releases the session's device registrations and its eviction pin

@@ -28,8 +28,8 @@ import (
 // and every read scores them; the codes exist only in the spill format,
 // where QuantKeys recomputes them from the snapped rows. Snapped rows are a
 // fixed point of quantization, so that recomputation yields exactly the
-// codes and scales the rows came from, and a reload (AppendQuantized)
-// dequantizes back to the identical rows. Values are never quantized.
+// codes and scales the rows came from, and a reload dequantizes back to
+// the identical rows (Adopt). Values are never quantized.
 type Cache struct {
 	layers  int
 	kvHeads int
@@ -115,20 +115,18 @@ func (c *Cache) Append(layer, head int, k, v []float32) int {
 	return pos
 }
 
-// AppendQuantized ingests one token's key in code form — the spill-reload
-// path, where codes come back from disk bit-exact: the codes are
-// dequantized straight into the new fp32 key row, which is therefore
-// already snapped, and nothing is quantized. v is the token's value
-// vector. Panics unless the cache is on the SQ8 grid.
-func (c *Cache) AppendQuantized(layer, head int, codes []int8, scale float32, v []float32) int {
-	if !c.quant {
-		panic("kvcache: AppendQuantized on a cache without SQ8 keys")
-	}
+// Adopt installs keys and values as the rows of (layer, head), taking
+// ownership of both matrices: the reload path, which decodes each spill
+// file into one matrix and hands it over whole instead of copying it row
+// by row. On the SQ8 grid the key rows must already be snapped (a reload
+// dequantizes codes, which yields exactly that). The slot must be empty.
+func (c *Cache) Adopt(layer, head int, keys, values *vec.Matrix) {
 	i := c.idx(layer, head)
-	pos := c.keys[i].AppendZero()
-	vec.DequantizeCodes(codes, scale, c.keys[i].Row(pos))
-	c.values[i].Append(v)
-	return pos
+	if c.keys[i].Rows() != 0 || keys.Cols() != c.headDim || values.Cols() != c.headDim || keys.Rows() != values.Rows() {
+		panic(fmt.Sprintf("kvcache: Adopt of %dx%d keys and %dx%d values into a %d-row slot of %d columns",
+			keys.Rows(), keys.Cols(), values.Rows(), values.Cols(), c.keys[i].Rows(), c.headDim))
+	}
+	c.keys[i], c.values[i] = keys, values
 }
 
 // AppendAll appends per-head key and value vectors for one token across all

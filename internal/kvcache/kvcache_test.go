@@ -1,6 +1,10 @@
 package kvcache
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/vec"
+)
 
 func mk(t *testing.T) *Cache {
 	t.Helper()
@@ -195,27 +199,42 @@ func TestBytesSplit(t *testing.T) {
 	}
 }
 
-// TestQuantCloneAppendQuantized covers the maintenance paths with SQ8
-// keys on.
-func TestQuantCloneAppendQuantized(t *testing.T) {
+// TestQuantCloneAdopt covers the maintenance paths with SQ8 keys on: a
+// clone keeps the grid, and a reload — codes dequantized into one matrix
+// and adopted whole — reproduces the key rows bit-exactly.
+func TestQuantCloneAdopt(t *testing.T) {
 	c := quantCache(t)
 	d := c.Clone()
 	if !d.QuantEnabled() {
 		t.Fatal("clone lost SQ8 keys")
 	}
 
-	// AppendQuantized reproduces a row bit-exactly from codes + scale.
 	src := c.QuantKeys(0, 0)
+	keys := vec.NewMatrix(src.Rows(), c.HeadDim())
+	for i := 0; i < src.Rows(); i++ {
+		vec.DequantizeCodes(src.RowCodes(i), src.Scale(i), keys.Row(i))
+	}
 	e := New(1, 1, 8)
 	e.EnableQuantKeys()
-	val := []float32{1, 2, 3, 4, 5, 6, 7, 8}
-	e.AppendQuantized(0, 0, src.RowCodes(2), src.Scale(2), val)
-	for j := range val {
-		if e.Keys(0, 0).Row(0)[j] != c.Keys(0, 0).Row(2)[j] {
-			t.Fatalf("dim %d: reloaded key %v != source %v", j, e.Keys(0, 0).Row(0)[j], c.Keys(0, 0).Row(2)[j])
+	e.Adopt(0, 0, keys, c.Values(0, 0).Clone())
+	if e.SeqLen(0) != c.SeqLen(0) {
+		t.Fatalf("adopted %d rows, want %d", e.SeqLen(0), c.SeqLen(0))
+	}
+	for i := 0; i < e.SeqLen(0); i++ {
+		for j, v := range c.Keys(0, 0).Row(i) {
+			if e.Keys(0, 0).Row(i)[j] != v {
+				t.Fatalf("row %d dim %d: reloaded key %v != source %v", i, j, e.Keys(0, 0).Row(i)[j], v)
+			}
 		}
 	}
-	if e.SeqLen(0) != 1 || e.Values(0, 0).Row(0)[7] != 8 {
-		t.Fatal("AppendQuantized mis-stored the value row")
+	if e.Values(0, 0).Row(2)[7] != c.Values(0, 0).Row(2)[7] {
+		t.Fatal("Adopt mis-stored the value rows")
 	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Adopt into a filled slot did not panic")
+		}
+	}()
+	e.Adopt(0, 0, keys, keys)
 }

@@ -146,24 +146,11 @@ func appendFrame(buf []byte, v interface{}) ([]byte, error) {
 // Trailing bytes, truncation, geometry that does not fit the payload, and
 // version or kind mismatches are all errors.
 func UnmarshalFrame(data []byte, v interface{}) error {
-	if len(data) < frameHeaderLen {
-		return fmt.Errorf("serve: frame truncated: %d bytes", len(data))
+	kind, payload, err := splitFrame(data)
+	if err != nil {
+		return err
 	}
-	if string(data[:4]) != frameMagic {
-		return fmt.Errorf("serve: bad frame magic %q", data[:4])
-	}
-	if data[4] != FrameVersion {
-		return fmt.Errorf("serve: unsupported frame version %d", data[4])
-	}
-	if data[6] != 0 || data[7] != 0 {
-		return fmt.Errorf("serve: nonzero reserved frame header bytes %#x %#x", data[6], data[7])
-	}
-	kind := data[5]
-	plen := binary.LittleEndian.Uint32(data[8:])
-	if uint64(plen) != uint64(len(data)-frameHeaderLen) {
-		return fmt.Errorf("serve: frame payload length %d, body holds %d", plen, len(data)-frameHeaderLen)
-	}
-	r := frameReader{buf: data[frameHeaderLen:]}
+	r := frameReader{buf: payload}
 	var want byte
 	switch m := v.(type) {
 	case *StepRequest:
@@ -198,6 +185,38 @@ func UnmarshalFrame(data []byte, v interface{}) error {
 		return fmt.Errorf("serve: %d trailing bytes after frame payload", len(r.buf))
 	}
 	return nil
+}
+
+// checkHeader validates the fixed fields of a frame header (at least
+// frameHeaderLen bytes) and returns its kind and declared payload length.
+func checkHeader(h []byte) (kind byte, plen uint32, err error) {
+	if string(h[:4]) != frameMagic {
+		return 0, 0, fmt.Errorf("serve: bad frame magic %q", h[:4])
+	}
+	if h[4] != FrameVersion {
+		return 0, 0, fmt.Errorf("serve: unsupported frame version %d", h[4])
+	}
+	if h[6] != 0 || h[7] != 0 {
+		return 0, 0, fmt.Errorf("serve: nonzero reserved frame header bytes %#x %#x", h[6], h[7])
+	}
+	return h[5], binary.LittleEndian.Uint32(h[8:]), nil
+}
+
+// splitFrame checks the one frame held whole in data and returns its kind
+// and payload, aliasing data. A short header, or a payload length that
+// disagrees with the bytes after the header, is an error.
+func splitFrame(data []byte) (kind byte, payload []byte, err error) {
+	if len(data) < frameHeaderLen {
+		return 0, nil, fmt.Errorf("serve: frame truncated: %d bytes", len(data))
+	}
+	kind, plen, err := checkHeader(data)
+	if err != nil {
+		return 0, nil, err
+	}
+	if uint64(plen) != uint64(len(data)-frameHeaderLen) {
+		return 0, nil, fmt.Errorf("serve: frame payload length %d, body holds %d", plen, len(data)-frameHeaderLen)
+	}
+	return kind, data[frameHeaderLen:], nil
 }
 
 // --- encoding helpers ---

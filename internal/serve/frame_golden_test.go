@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"io"
 	"math"
 	"testing"
 
@@ -105,11 +106,18 @@ func removedKindFrame(t testing.TB) []byte {
 // FuzzUnmarshalFrame feeds arbitrary bytes to every frame decoder. None
 // may panic, and whatever decodes must re-encode to exactly the input:
 // the codec has one encoding per message, so a peer that re-frames a
-// decoded message forwards the bytes it was given.
+// decoded message forwards the bytes it was given. The shared stream
+// reader gets the same bytes as an HTTP body and as one gRPC message's
+// frame: it may not panic either, and it may report a clean end only for
+// a terminator whose item count matches the items before it.
 func FuzzUnmarshalFrame(f *testing.F) {
 	for _, b := range goldenFrames(f) {
 		f.Add(b)
 	}
+	item := goldenFrames(f)["stream_item"]
+	f.Add(append(append([]byte(nil), item...), AppendStreamEndFrame(nil, 1, ErrorEnvelope{})...))
+	f.Add(append(append([]byte(nil), item...), AppendStreamEndFrame(nil, 2, ErrorEnvelope{})...))
+	f.Add(AppendStreamEndFrame(nil, 0, ErrorEnvelope{}))
 	step := goldenFrames(f)["step_request"]
 	f.Add(step[:len(step)-3])
 	f.Add(removedKindFrame(f))
@@ -127,6 +135,8 @@ func FuzzUnmarshalFrame(f *testing.F) {
 				t.Fatalf("%T re-encodes to %x, decoded from %x", v, out, data)
 			}
 		}
+
+		checkStreamReader(t, data)
 
 		r := bytes.NewReader(data)
 		sc := NewStreamScanner(r)
@@ -161,4 +171,42 @@ func FuzzUnmarshalFrame(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkStreamReader runs data through StreamReader both ways and checks
+// every clean end it reports against an independent scan of the frames.
+func checkStreamReader(t *testing.T, data []byte) {
+	var step StepResponse
+	body := NewStreamReader(bytes.NewReader(data))
+	items := 0
+	err := body.Next(&step)
+	for ; err == nil; err = body.Next(&step) {
+		items++
+	}
+	if err == io.EOF {
+		sc := NewStreamScanner(bytes.NewReader(data))
+		for i := 0; i <= items; i++ {
+			kind, payload, serr := sc.ReadFrame()
+			if serr != nil {
+				t.Fatalf("reader ended cleanly after %d items, scanner fails at frame %d: %v", items, i, serr)
+			}
+			if i < items {
+				if kind != FrameStreamItem {
+					t.Fatalf("reader counted frame %d (kind %d) as an item", i, kind)
+				}
+				continue
+			}
+			n, env, derr := DecodeStreamEnd(payload)
+			if kind != FrameStreamEnd || derr != nil || n != items || env != (ErrorEnvelope{}) {
+				t.Fatalf("reader ended cleanly after %d items on frame kind %d claiming %d items, env %+v (%v)", items, kind, n, env, derr)
+			}
+		}
+	}
+
+	if new(StreamReader).Message(data, &step) == io.EOF {
+		n, env, derr := DecodeStreamEnd(data[min(len(data), frameHeaderLen):])
+		if data[5] != FrameStreamEnd || derr != nil || n != 0 || env != (ErrorEnvelope{}) {
+			t.Fatalf("message %x ended a stream of 0 items cleanly", data)
+		}
+	}
 }

@@ -27,13 +27,6 @@ type ClientConn struct {
 // DialOption configures a ClientConn.
 type DialOption func(*ClientConn)
 
-// WithHTTPClient substitutes the underlying HTTP client — it must speak
-// unencrypted HTTP/2 for real listeners (Dial's default does), or be a
-// test client whose transport carries h2c some other way.
-func WithHTTPClient(hc *http.Client) DialOption {
-	return func(c *ClientConn) { c.hc = hc }
-}
-
 // WithDialTLS dials the target over TLS (scheme https) using cfg, which
 // may be nil for the host defaults. ALPN negotiates h2 — the encrypted
 // twin of the cleartext h2c default. Implies the grpcs:// scheme when
@@ -234,7 +227,6 @@ type ClientStream struct {
 	method string
 	resp   *http.Response
 	buf    []byte
-	max    int64
 	done   bool
 }
 
@@ -256,37 +248,47 @@ func (c *ClientConn) OpenStream(ctx context.Context, method string, in pb.Messag
 		resp.Body.Close()
 		return nil, err
 	}
-	return &ClientStream{method: method, resp: resp, buf: getMsgBuf(), max: DefaultMaxRecvBytes}, nil
+	return &ClientStream{method: method, resp: resp, buf: getMsgBuf()}, nil
 }
 
 // Recv decodes the next streamed message into out. The end of the
 // stream is io.EOF when the server finished OK, or the *StatusError it
 // finished with.
 func (s *ClientStream) Recv(out pb.Message) error {
-	if s.done {
-		return io.EOF
-	}
-	var err error
-	s.buf, err = readMessage(s.resp.Body, s.buf[:0], s.max)
-	if err == io.EOF {
-		s.done = true
-		if terr, ok := statusOf(s.resp.Trailer); ok {
-			if terr != nil {
-				return terr
-			}
-			return io.EOF
-		}
-		return fmt.Errorf("grpc: %s: stream ended without grpc-status", s.method)
-	}
+	msg, err := s.next()
 	if err != nil {
-		s.done = true
 		return err
 	}
-	if uerr := out.UnmarshalProto(s.buf); uerr != nil {
+	if uerr := out.UnmarshalProto(msg); uerr != nil {
 		s.done = true
 		return fmt.Errorf("grpc: %s: bad stream message: %v", s.method, uerr)
 	}
 	return nil
+}
+
+// next reads the next streamed message into the stream's buffer, valid
+// until the following call; the end of the stream is as for Recv.
+func (s *ClientStream) next() ([]byte, error) {
+	if s.done {
+		return nil, io.EOF
+	}
+	var err error
+	s.buf, err = readMessage(s.resp.Body, s.buf[:0], DefaultMaxRecvBytes)
+	if err == io.EOF {
+		s.done = true
+		if terr, ok := statusOf(s.resp.Trailer); ok {
+			if terr != nil {
+				return nil, terr
+			}
+			return nil, io.EOF
+		}
+		return nil, fmt.Errorf("grpc: %s: stream ended without grpc-status", s.method)
+	}
+	if err != nil {
+		s.done = true
+		return nil, err
+	}
+	return s.buf, nil
 }
 
 // Close releases the stream; safe after EOF and on abandonment

@@ -244,3 +244,23 @@ func (r *reader) skip(wt int) {
 		r.fail("unsupported wire type %d", wt)
 	}
 }
+
+// FrameOf decodes an encoded FrameResponse as UnmarshalProto does but
+// returns its frame aliasing data instead of copying it out: a tensor
+// response is decoded straight from the received message buffer.
+func FrameOf(data []byte) ([]byte, error) {
+	var frame []byte
+	r := reader{buf: data}
+	for {
+		num, wt, ok := r.tag()
+		if !ok {
+			break
+		}
+		if num == 1 && wt == wireBytes {
+			frame = r.bytes()
+		} else {
+			r.skip(wt)
+		}
+	}
+	return frame, r.err
+}

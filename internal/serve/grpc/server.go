@@ -173,6 +173,13 @@ func (s *Server) finish(w http.ResponseWriter, err error) {
 
 // dispatch decodes, runs, and encodes one unary RPC.
 func (s *Server) dispatch(path string, body []byte) (pb.Message, error) {
+	var sess pb.SessionRequest
+	switch path {
+	case pb.MethodPrefill, pb.MethodStore, pb.MethodCloseSession:
+		if err := sess.UnmarshalProto(body); err != nil {
+			return nil, serve.BadRequestf("bad request proto: %v", err)
+		}
+	}
 	switch path {
 	case pb.MethodCreateSession:
 		var req pb.CreateSessionRequest
@@ -195,11 +202,7 @@ func (s *Server) dispatch(path string, body []byte) (pb.Message, error) {
 		return &pb.CreateSessionResponse{SessionID: resp.SessionID, Reused: int64(resp.Reused)}, nil
 
 	case pb.MethodPrefill:
-		var req pb.SessionRequest
-		if err := req.UnmarshalProto(body); err != nil {
-			return nil, serve.BadRequestf("bad request proto: %v", err)
-		}
-		resp, err := s.core.Prefill(req.SessionID)
+		resp, err := s.core.Prefill(sess.SessionID)
 		if err != nil {
 			return nil, err
 		}
@@ -210,22 +213,14 @@ func (s *Server) dispatch(path string, body []byte) (pb.Message, error) {
 		return s.frameCall(body, &sr, func(id int64) (interface{}, error) { return s.core.Step(id, &sr) })
 
 	case pb.MethodStore:
-		var req pb.SessionRequest
-		if err := req.UnmarshalProto(body); err != nil {
-			return nil, serve.BadRequestf("bad request proto: %v", err)
-		}
-		resp, err := s.core.Store(req.SessionID)
+		resp, err := s.core.Store(sess.SessionID)
 		if err != nil {
 			return nil, err
 		}
 		return &pb.StoreResponse{StoredTokens: int64(resp.StoredTokens)}, nil
 
 	case pb.MethodCloseSession:
-		var req pb.SessionRequest
-		if err := req.UnmarshalProto(body); err != nil {
-			return nil, serve.BadRequestf("bad request proto: %v", err)
-		}
-		resp, err := s.core.CloseSession(req.SessionID)
+		resp, err := s.core.CloseSession(sess.SessionID)
 		if err != nil {
 			return nil, err
 		}

@@ -10,10 +10,10 @@
 // http.Transport, so no third-party gRPC stack is needed and standard
 // gRPC clients in any language can connect with plaintext credentials.
 //
-// Tensor payloads (attention, step, steps, step_stream) ride inside
-// proto bytes fields using the exact application/x-alaya-frame encoding
-// of the HTTP binary wire, which makes results across the two transports
-// bit-identical by construction — the transport-conformance suite in
+// Tensor payloads (step, step_stream) ride inside proto bytes fields
+// using the exact application/x-alaya-frame encoding of the HTTP binary
+// wire, which makes results across the two transports bit-identical by
+// construction — the transport-conformance suite in
 // internal/serve/conformance holds both to that.
 //
 // Errors cross the wire as the typed serve kinds, twice: mapped onto
@@ -22,6 +22,12 @@
 // code mapping is lossy — KindTooLarge and KindOverloaded both map to
 // ResourceExhausted. Clients that know the trailer recover the exact
 // kind; plain gRPC clients still get the right canonical code.
+//
+// Remote (remote.go) is the one client of the service in this repo: the
+// typed mirror of Server, one method per serve.Core operation. The
+// cluster router reaches its nodes and the SDK's gRPC mode reaches a
+// daemon through it, so no program code outside this package builds or
+// reads a protobuf message. ClientConn is the untyped RPC layer beneath.
 package grpc
 
 import (

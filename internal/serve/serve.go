@@ -369,7 +369,7 @@ func (s *Server) handleStepStream(w http.ResponseWriter, r *http.Request, id int
 		}
 		if frame {
 			buf := getFrameBuf()
-			out, err := appendStreamItemFrame(buf, resp)
+			out, err := AppendStreamItemFrame(buf, resp)
 			if err != nil {
 				putFrameBuf(buf)
 				return Internalf("encode stream item: %v", err)
@@ -410,7 +410,7 @@ func (s *Server) handleStepStream(w http.ResponseWriter, r *http.Request, id int
 	}
 	if frame {
 		buf := getFrameBuf()
-		out := appendStreamEndFrame(buf, items, env)
+		out := AppendStreamEndFrame(buf, items, env)
 		if _, werr := w.Write(out); werr != nil {
 			s.encodeErrors.Add(1)
 		}

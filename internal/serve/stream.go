@@ -22,11 +22,11 @@ import (
 // status, which is already on the wire). Bytes after the end frame, a
 // missing end frame, and any malformed frame are protocol errors.
 //
-// The JSON fallback of the same shape is newline-delimited JSON
+// The JSON codec's stream of the same shape is newline-delimited JSON
 // (application/x-ndjson): one StreamItemEnvelope object per element,
 // then one StreamEndEnvelope terminator.
 
-// NDJSONContentType is the media type of the JSON streaming fallback.
+// NDJSONContentType is the media type of the JSON stream.
 const NDJSONContentType = "application/x-ndjson"
 
 // maxStreamFramePayload bounds a single streamed frame's declared payload
@@ -49,21 +49,9 @@ type StreamEndEnvelope struct {
 }
 
 // AppendStreamItemFrame wraps v's frame encoding as a FrameStreamItem and
-// appends it to buf — exported for sibling transports (internal/serve/grpc)
-// that carry the stream wire inside their own message framing, so streamed
-// elements stay bit-identical across transports.
+// appends it to buf. Both transports carry these bytes, so streamed
+// elements stay bit-identical across them.
 func AppendStreamItemFrame(buf []byte, v interface{}) ([]byte, error) {
-	return appendStreamItemFrame(buf, v)
-}
-
-// AppendStreamEndFrame appends the stream terminator to buf — the
-// exported sibling of appendStreamEndFrame, see AppendStreamItemFrame.
-func AppendStreamEndFrame(buf []byte, items int, env ErrorEnvelope) []byte {
-	return appendStreamEndFrame(buf, items, env)
-}
-
-// appendStreamItemFrame wraps v's frame encoding as a FrameStreamItem.
-func appendStreamItemFrame(buf []byte, v interface{}) ([]byte, error) {
 	start := len(buf)
 	buf = append(buf, frameMagic...)
 	buf = append(buf, FrameVersion, FrameStreamItem, 0, 0)
@@ -77,8 +65,8 @@ func appendStreamItemFrame(buf []byte, v interface{}) ([]byte, error) {
 	return buf, nil
 }
 
-// appendStreamEndFrame encodes the stream terminator.
-func appendStreamEndFrame(buf []byte, items int, env ErrorEnvelope) []byte {
+// AppendStreamEndFrame appends the stream terminator to buf.
+func AppendStreamEndFrame(buf []byte, items int, env ErrorEnvelope) []byte {
 	start := len(buf)
 	buf = append(buf, frameMagic...)
 	buf = append(buf, FrameVersion, FrameStreamEnd, 0, 0)
@@ -90,8 +78,7 @@ func appendStreamEndFrame(buf []byte, items int, env ErrorEnvelope) []byte {
 	return buf
 }
 
-// DecodeStreamEnd parses a FrameStreamEnd payload (stream consumers —
-// pkg/alayaclient — pair it with StreamScanner).
+// DecodeStreamEnd parses a FrameStreamEnd payload.
 func DecodeStreamEnd(payload []byte) (items int, env ErrorEnvelope, err error) {
 	r := frameReader{buf: payload}
 	items = int(r.u32())
@@ -104,6 +91,82 @@ func DecodeStreamEnd(payload []byte) (items int, env ErrorEnvelope, err error) {
 		return 0, ErrorEnvelope{}, fmt.Errorf("serve: %d trailing bytes in stream-end payload", len(r.buf))
 	}
 	return items, env, nil
+}
+
+// StreamEnd interprets a stream terminator on any wire, after received
+// items: a terminator that carries an error returns it as a typed *Error;
+// a clean one returns io.EOF when its item count matches and an error
+// otherwise.
+func StreamEnd(received, items int, env ErrorEnvelope) error {
+	if env.Error != "" || env.Kind != "" {
+		kind := env.Kind
+		if kind == "" {
+			kind = KindInternal
+		}
+		return &Error{Kind: kind, Message: env.Error}
+	}
+	if items != received {
+		return fmt.Errorf("serve: stream terminator claims %d items, received %d", items, received)
+	}
+	return io.EOF
+}
+
+// StreamReader is the client side of a binary step_stream response on
+// either wire: frames read off an HTTP body (NewStreamReader, Next) or one
+// frame per gRPC message (Message). It yields the items in order and ends
+// with StreamEnd's verdict on the terminator. Malformed frames, a missing
+// terminator and bytes after a message's frame are protocol errors. Not
+// safe for concurrent use.
+type StreamReader struct {
+	sc    *StreamScanner // nil when frames arrive one per message
+	items int
+}
+
+// NewStreamReader reads the frames of an HTTP binary step_stream body.
+func NewStreamReader(body io.Reader) *StreamReader {
+	return &StreamReader{sc: NewStreamScanner(body)}
+}
+
+// Next reads the body's next frame: nil with resp filled for an item, or
+// the terminator's verdict (io.EOF on a clean end).
+func (r *StreamReader) Next(resp *StepResponse) error {
+	kind, payload, err := r.sc.ReadFrame()
+	if err == io.EOF {
+		return fmt.Errorf("serve: stream ended without a stream-end frame")
+	}
+	if err != nil {
+		return err
+	}
+	return r.decode(kind, payload, resp)
+}
+
+// Message decodes the one stream frame a gRPC message carries, in place:
+// the payload is read where it lies, and bytes after the frame are an
+// error. Results are as for Next.
+func (r *StreamReader) Message(msg []byte, resp *StepResponse) error {
+	kind, payload, err := splitFrame(msg)
+	if err != nil {
+		return err
+	}
+	return r.decode(kind, payload, resp)
+}
+
+func (r *StreamReader) decode(kind byte, payload []byte, resp *StepResponse) error {
+	switch kind {
+	case FrameStreamItem:
+		if err := UnmarshalFrame(payload, resp); err != nil {
+			return err
+		}
+		r.items++
+		return nil
+	case FrameStreamEnd:
+		items, env, err := DecodeStreamEnd(payload)
+		if err != nil {
+			return err
+		}
+		return StreamEnd(r.items, items, env)
+	}
+	return fmt.Errorf("serve: unexpected stream frame kind %d", kind)
 }
 
 // StreamScanner reads one binary frame at a time off an io.Reader — the
@@ -130,16 +193,10 @@ func (s *StreamScanner) ReadFrame() (kind byte, payload []byte, err error) {
 		}
 		return 0, nil, err
 	}
-	if string(s.hdr[:4]) != frameMagic {
-		return 0, nil, fmt.Errorf("serve: bad stream frame magic %q", s.hdr[:4])
+	kind, plen, err := checkHeader(s.hdr[:])
+	if err != nil {
+		return 0, nil, err
 	}
-	if s.hdr[4] != FrameVersion {
-		return 0, nil, fmt.Errorf("serve: unsupported stream frame version %d", s.hdr[4])
-	}
-	if s.hdr[6] != 0 || s.hdr[7] != 0 {
-		return 0, nil, fmt.Errorf("serve: nonzero reserved stream frame header bytes %#x %#x", s.hdr[6], s.hdr[7])
-	}
-	plen := binary.LittleEndian.Uint32(s.hdr[8:])
 	if plen > maxStreamFramePayload {
 		return 0, nil, fmt.Errorf("serve: stream frame payload %d exceeds %d-byte bound", plen, maxStreamFramePayload)
 	}
@@ -153,5 +210,5 @@ func (s *StreamScanner) ReadFrame() (kind byte, payload []byte, err error) {
 		}
 		return 0, nil, err
 	}
-	return s.hdr[5], s.buf, nil
+	return kind, s.buf, nil
 }

@@ -18,11 +18,11 @@ func TestStreamFrameRoundTrip(t *testing.T) {
 	var buf []byte
 	var err error
 	for _, s := range steps {
-		if buf, err = appendStreamItemFrame(buf, s); err != nil {
+		if buf, err = AppendStreamItemFrame(buf, s); err != nil {
 			t.Fatal(err)
 		}
 	}
-	buf = appendStreamEndFrame(buf, len(steps), ErrorEnvelope{})
+	buf = AppendStreamEndFrame(buf, len(steps), ErrorEnvelope{})
 
 	sc := NewStreamScanner(bytes.NewReader(buf))
 	for i, want := range steps {
@@ -57,7 +57,7 @@ func TestStreamFrameRoundTrip(t *testing.T) {
 // TestStreamEndCarriesError: a terminator can carry the typed error that
 // cut the stream short.
 func TestStreamEndCarriesError(t *testing.T) {
-	buf := appendStreamEndFrame(nil, 2, ErrorEnvelope{Error: "session evicted", Kind: KindNotFound})
+	buf := AppendStreamEndFrame(nil, 2, ErrorEnvelope{Error: "session evicted", Kind: KindNotFound})
 	sc := NewStreamScanner(bytes.NewReader(buf))
 	kind, payload, err := sc.ReadFrame()
 	if err != nil || kind != FrameStreamEnd {
@@ -76,7 +76,7 @@ func TestStreamEndCarriesError(t *testing.T) {
 // magic, wrong version, oversized payload declaration, truncated header
 // and truncated payload.
 func TestStreamScannerMalformedInput(t *testing.T) {
-	good, err := appendStreamItemFrame(nil, &StepResponse{ContextLen: 1, Layers: [][]AttentionResponse{{{Output: []float32{1}}}}})
+	good, err := AppendStreamItemFrame(nil, &StepResponse{ContextLen: 1, Layers: [][]AttentionResponse{{{Output: []float32{1}}}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestStreamScannerMalformedInput(t *testing.T) {
 	}
 
 	// Trailing bytes after a stream-end payload are a protocol error.
-	end := appendStreamEndFrame(nil, 1, ErrorEnvelope{})
+	end := AppendStreamEndFrame(nil, 1, ErrorEnvelope{})
 	sc := NewStreamScanner(bytes.NewReader(end))
 	_, payload, err := sc.ReadFrame()
 	if err != nil {

@@ -23,12 +23,14 @@
 // cancellation, including mid-stream.
 //
 // By default tensor-heavy calls use the binary frame codec
-// (application/x-alaya-frame; see internal/serve for the wire layout) and
-// fall back to JSON automatically if the server rejects it; WithJSONWire
-// forces JSON. Both codecs carry float32 values exactly, so the outputs
-// are bitwise-identical either way. The Client reuses connections and is
-// safe for concurrent use; a Session serializes its own mutating calls
-// server-side but may be shared across goroutines freely.
+// (application/x-alaya-frame; see internal/serve for the wire layout);
+// WithJSONWire selects JSON instead. Both codecs carry float32 values
+// exactly, so the outputs are bitwise-identical either way. The frame
+// layout needs a rectangular query grid, so a ragged one fails on the
+// client with a bad_request *APIError before anything is sent. The
+// Client reuses connections and is safe for concurrent use; a Session
+// serializes its own mutating calls server-side but may be shared across
+// goroutines freely.
 package alayaclient
 
 import (
@@ -40,12 +42,10 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/model"
 	"repro/internal/serve"
 	agrpc "repro/internal/serve/grpc"
-	"repro/internal/serve/grpc/pb"
 )
 
 // Wire types re-exported from the service definition, so engine code only
@@ -82,28 +82,59 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("alayaclient: %s (%s, http %d)", e.Message, e.Kind, e.Status)
 }
 
-// IsNotFound reports whether err is an APIError with kind not_found.
-func IsNotFound(err error) bool {
+func isKind(err error, kind serve.Kind) bool {
 	ae, ok := err.(*APIError)
-	return ok && ae.Kind == serve.KindNotFound
+	return ok && ae.Kind == kind
 }
+
+// IsNotFound reports whether err is an APIError with kind not_found.
+func IsNotFound(err error) bool { return isKind(err, serve.KindNotFound) }
 
 // IsOverloaded reports whether err is an APIError with kind overloaded —
 // the scheduler's backpressure signal; back off and retry.
-func IsOverloaded(err error) bool {
-	ae, ok := err.(*APIError)
-	return ok && ae.Kind == serve.KindOverloaded
+func IsOverloaded(err error) bool { return isKind(err, serve.KindOverloaded) }
+
+// IsUnavailable reports whether err is an APIError with kind unavailable
+// — the server is shutting down or otherwise not accepting work; resubmit
+// to another replica rather than retrying here.
+func IsUnavailable(err error) bool { return isKind(err, serve.KindUnavailable) }
+
+// apiErr is the one place a typed serve error — what agrpc.Remote returns
+// for every failure, and what a stream terminator carries on either wire —
+// becomes the SDK's uniform *APIError: the exact kind with the kind's HTTP
+// status, so IsNotFound/IsOverloaded/IsUnavailable work identically on
+// both transports. Other errors, io.EOF included, pass through.
+func apiErr(err error) error {
+	if se, ok := err.(*serve.Error); ok {
+		return &APIError{Status: serve.HTTPStatus(se.Kind), Kind: se.Kind, Message: se.Message}
+	}
+	return err
+}
+
+// frameErr wraps a client-side frame-encoding failure as a typed bad
+// request: a request the frame layout cannot represent (a ragged query
+// grid) fails here, on either transport, instead of after a round trip.
+func frameErr(err error) error {
+	return &APIError{Status: serve.HTTPStatus(serve.KindBadRequest), Kind: serve.KindBadRequest, Message: err.Error()}
+}
+
+// fromRemote returns what an agrpc.Remote call returned, its error as an
+// *APIError.
+func fromRemote[T any](v *T, err error) (T, error) {
+	if err != nil {
+		var zero T
+		return zero, apiErr(err)
+	}
+	return *v, nil
 }
 
 // Client talks to one alayad, over HTTP (WithBaseURL) or gRPC
-// (WithGRPCAddr / WithGRPCAddrs). Safe for concurrent use.
+// (WithGRPCAddr). Safe for concurrent use.
 type Client struct {
 	base      string
 	hc        *http.Client
-	gc        *agrpc.ClientConn   // non-nil in gRPC mode: the first candidate
-	gcs       []*agrpc.ClientConn // gRPC mode: every candidate, failover order
-	gcur      atomic.Int64        // index of the connection calls currently prefer
-	forceJSON atomic.Bool
+	rc        *agrpc.Remote // non-nil in gRPC mode
+	forceJSON bool
 }
 
 // Option configures a Client.
@@ -114,16 +145,28 @@ func WithBaseURL(base string) Option {
 	return func(c *Client) { c.base = strings.TrimRight(base, "/") }
 }
 
+// WithGRPCAddr routes the client over gRPC to addr ("host:port",
+// "http://host:port", or "grpcs://host:port" for TLS — alayad's
+// -grpc-addr listener). Every method, the StepStream iterator included,
+// keeps its signature and *APIError model, and tensor payloads ride the
+// same binary frames, so outputs are bitwise-equal across transports. The
+// calls go through agrpc.Remote, the client the cluster router reaches
+// its nodes with. Mutually exclusive with WithBaseURL; WithJSONWire does
+// not apply.
+func WithGRPCAddr(addr string, opts ...agrpc.DialOption) Option {
+	return func(c *Client) { c.rc = agrpc.DialRemote(addr, opts...) }
+}
+
 // WithHTTPClient substitutes the underlying HTTP client (timeouts,
 // custom transports, test doubles).
 func WithHTTPClient(hc *http.Client) Option {
 	return func(c *Client) { c.hc = hc }
 }
 
-// WithJSONWire forces the JSON codec on tensor endpoints instead of the
+// WithJSONWire selects the JSON codec on tensor endpoints instead of the
 // binary frame wire.
 func WithJSONWire() Option {
-	return func(c *Client) { c.forceJSON.Store(true) }
+	return func(c *Client) { c.forceJSON = true }
 }
 
 // NewClient builds a client from functional options. WithBaseURL is
@@ -135,10 +178,10 @@ func NewClient(opts ...Option) (*Client, error) {
 	for _, o := range opts {
 		o(c)
 	}
-	if c.base == "" && c.gc == nil {
+	if c.base == "" && c.rc == nil {
 		return nil, errors.New("alayaclient: WithBaseURL or WithGRPCAddr is required")
 	}
-	if c.base != "" && c.gc != nil {
+	if c.base != "" && c.rc != nil {
 		return nil, errors.New("alayaclient: WithBaseURL and WithGRPCAddr are mutually exclusive")
 	}
 	if c.hc == nil {
@@ -147,6 +190,16 @@ func NewClient(opts ...Option) (*Client, error) {
 		c.hc = &http.Client{Transport: tr}
 	}
 	return c, nil
+}
+
+// Close releases transport resources. In gRPC mode it drops the
+// connection's idle HTTP/2 streams; an HTTP-mode client owns no
+// connections of its own and Close is a no-op.
+func (c *Client) Close() error {
+	if c.rc == nil {
+		return nil
+	}
+	return c.rc.Close()
 }
 
 // send issues one request and returns the response with its body open.
@@ -231,30 +284,23 @@ func (c *Client) postJSON(ctx context.Context, path string, in, out interface{})
 	return c.do(ctx, http.MethodPost, path, "application/json", body, "", out)
 }
 
-// postTensor posts a tensor-heavy request: binary frames by default,
-// falling back to JSON permanently if the server rejects the media type.
+// postTensor posts a tensor-heavy request: a binary frame, or JSON under
+// WithJSONWire.
 func (c *Client) postTensor(ctx context.Context, path string, in, out interface{}) error {
-	if !c.forceJSON.Load() {
-		body, err := serve.MarshalFrame(in)
-		if err == nil {
-			err = c.do(ctx, http.MethodPost, path, serve.FrameContentType, body, serve.FrameContentType, out)
-			if ae, ok := err.(*APIError); ok && (ae.Status == http.StatusUnsupportedMediaType || ae.Status == http.StatusNotAcceptable) {
-				c.forceJSON.Store(true) // server speaks no frames; stay on JSON
-			} else {
-				return err
-			}
-		}
-		// Requests the fixed-geometry frame layout cannot represent (e.g.
-		// ragged query grids) go over JSON, where the server can reject
-		// them with its typed validation error.
+	if c.forceJSON {
+		return c.postJSON(ctx, path, in, out)
 	}
-	return c.postJSON(ctx, path, in, out)
+	body, err := serve.MarshalFrame(in)
+	if err != nil {
+		return frameErr(err)
+	}
+	return c.do(ctx, http.MethodPost, path, serve.FrameContentType, body, serve.FrameContentType, out)
 }
 
 // Healthz probes the daemon's liveness endpoint.
 func (c *Client) Healthz(ctx context.Context) (HealthzResponse, error) {
-	if c.gc != nil {
-		return c.grpcHealthz(ctx)
+	if c.rc != nil {
+		return fromRemote(c.rc.Healthz(ctx))
 	}
 	var hz HealthzResponse
 	err := c.do(ctx, http.MethodGet, "/v1/healthz", "", nil, "", &hz)
@@ -264,8 +310,8 @@ func (c *Client) Healthz(ctx context.Context) (HealthzResponse, error) {
 // Stats fetches the DB, tier, scheduler and per-endpoint
 // statistics.
 func (c *Client) Stats(ctx context.Context) (StatsResponse, error) {
-	if c.gc != nil {
-		return c.grpcStats(ctx)
+	if c.rc != nil {
+		return fromRemote(c.rc.Stats(ctx))
 	}
 	var st StatsResponse
 	err := c.do(ctx, http.MethodGet, "/v1/stats", "", nil, "", &st)
@@ -285,11 +331,14 @@ type Session struct {
 // CreateSession opens a session over doc, reusing the longest stored
 // prefix.
 func (c *Client) CreateSession(ctx context.Context, doc *Document) (*Session, error) {
-	if c.gc != nil {
-		return c.grpcCreateSession(ctx, doc)
-	}
 	var resp serve.CreateSessionResponse
-	if err := c.postJSON(ctx, "/v1/sessions", serve.DocumentWire{Seed: doc.Seed, Tokens: doc.Tokens}, &resp); err != nil {
+	var err error
+	if c.rc != nil {
+		resp, err = fromRemote(c.rc.CreateSession(ctx, &serve.CreateSessionRequest{Seed: doc.Seed, Tokens: doc.Tokens}))
+	} else {
+		err = c.postJSON(ctx, "/v1/sessions", serve.DocumentWire{Seed: doc.Seed, Tokens: doc.Tokens}, &resp)
+	}
+	if err != nil {
 		return nil, err
 	}
 	return &Session{c: c, ID: resp.SessionID, Reused: resp.Reused}, nil
@@ -306,8 +355,8 @@ func (s *Session) path(action string) string {
 // Prefill generates KV for every document token not covered by the
 // reused prefix.
 func (s *Session) Prefill(ctx context.Context) (serve.PrefillResponse, error) {
-	if s.c.gc != nil {
-		return s.grpcPrefill(ctx)
+	if s.c.rc != nil {
+		return fromRemote(s.c.rc.Prefill(ctx, s.ID))
 	}
 	var resp serve.PrefillResponse
 	err := s.c.postJSON(ctx, s.path("prefill"), nil, &resp)
@@ -322,19 +371,19 @@ func (s *Session) Prefill(ctx context.Context) (serve.PrefillResponse, error) {
 // session's work; the output is bitwise-identical to a dedicated serial
 // step.
 func (s *Session) Step(ctx context.Context, tok Token, queries [][][]float32) (StepResponse, error) {
-	var resp StepResponse
 	req := &serve.StepRequest{Token: tok, Queries: queries}
-	if s.c.gc != nil {
-		return resp, s.grpcTensor(ctx, pb.MethodStep, req, &resp)
+	if s.c.rc != nil {
+		return fromRemote(s.c.rc.Step(ctx, s.ID, req))
 	}
+	var resp StepResponse
 	err := s.c.postTensor(ctx, s.path("step"), req, &resp)
 	return resp, err
 }
 
 // Store persists the session's full state as a reusable stored context.
 func (s *Session) Store(ctx context.Context) (serve.StoreResponse, error) {
-	if s.c.gc != nil {
-		return s.grpcStore(ctx)
+	if s.c.rc != nil {
+		return fromRemote(s.c.rc.Store(ctx, s.ID))
 	}
 	var resp serve.StoreResponse
 	err := s.c.postJSON(ctx, s.path("store"), nil, &resp)
@@ -344,8 +393,9 @@ func (s *Session) Store(ctx context.Context) (serve.StoreResponse, error) {
 // CloseSession closes the session server-side (the SDK name now matches
 // the Service operation).
 func (s *Session) CloseSession(ctx context.Context) error {
-	if s.c.gc != nil {
-		return s.grpcCloseSession(ctx)
+	if s.c.rc != nil {
+		_, err := s.c.rc.CloseSession(ctx, s.ID)
+		return apiErr(err)
 	}
 	return s.c.do(ctx, http.MethodDelete, s.path(""), "", nil, "", nil)
 }

@@ -1,7 +1,6 @@
 package alayaclient
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -10,7 +9,6 @@ import (
 
 	"repro/internal/serve"
 	agrpc "repro/internal/serve/grpc"
-	"repro/internal/serve/grpc/pb"
 )
 
 // StepStream iterates a step_stream response: one StepResponse per
@@ -18,10 +16,10 @@ import (
 // server-side. Not safe for concurrent use; the submitting
 // goroutine drives Recv.
 type StepStream struct {
-	body  io.ReadCloser
-	sc    *serve.StreamScanner // binary mode
-	dec   *json.Decoder        // NDJSON fallback
-	gs    *agrpc.ClientStream  // gRPC mode; body/sc/dec are nil
+	body  io.ReadCloser       // HTTP mode
+	sr    *serve.StreamReader // HTTP binary frames
+	dec   *json.Decoder       // HTTP NDJSON (WithJSONWire)
+	gs    *agrpc.Stream       // gRPC mode; body/sr/dec are nil
 	items int
 	done  bool
 	err   error // terminal state after done: io.EOF or the stream error
@@ -33,45 +31,35 @@ type StepStream struct {
 // stream (the server drains the remaining steps without computing them);
 // always Close the stream.
 func (s *Session) StepStream(ctx context.Context, steps []StepRequest) (*StepStream, error) {
-	if s.c.gc != nil {
-		return s.grpcStepStream(ctx, steps)
-	}
 	in := &serve.StepsRequest{Steps: steps}
 	c := s.c
-	if !c.forceJSON.Load() {
-		body, err := serve.MarshalFrame(in)
-		if err == nil {
-			resp, err := c.send(ctx, http.MethodPost, s.path("step_stream"), serve.FrameContentType, body, serve.FrameContentType)
-			if ae, ok := err.(*APIError); ok && (ae.Status == http.StatusUnsupportedMediaType || ae.Status == http.StatusNotAcceptable) {
-				c.forceJSON.Store(true) // server speaks no frames; stay on JSON
-			} else if err != nil {
-				return nil, err
-			} else {
-				return newStepStream(resp), nil
-			}
+	if c.rc != nil {
+		gs, err := c.rc.StepStream(ctx, s.ID, in)
+		if err != nil {
+			return nil, apiErr(err)
 		}
-		// Ragged geometry has no frame encoding; submit over JSON and let
-		// the server reject it with its typed validation error.
+		return &StepStream{gs: gs}, nil
 	}
-	jbody, err := json.Marshal(in)
+	if c.forceJSON {
+		body, err := json.Marshal(in)
+		if err != nil {
+			return nil, err
+		}
+		resp, err := c.send(ctx, http.MethodPost, s.path("step_stream"), "application/json", body, "")
+		if err != nil {
+			return nil, err
+		}
+		return &StepStream{body: resp.Body, dec: json.NewDecoder(resp.Body)}, nil
+	}
+	body, err := serve.MarshalFrame(in)
+	if err != nil {
+		return nil, frameErr(err)
+	}
+	resp, err := c.send(ctx, http.MethodPost, s.path("step_stream"), serve.FrameContentType, body, serve.FrameContentType)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.send(ctx, http.MethodPost, s.path("step_stream"), "application/json", jbody, "")
-	if err != nil {
-		return nil, err
-	}
-	return newStepStream(resp), nil
-}
-
-func newStepStream(resp *http.Response) *StepStream {
-	st := &StepStream{body: resp.Body}
-	if serve.IsFrameMedia(resp.Header.Get("Content-Type")) {
-		st.sc = serve.NewStreamScanner(resp.Body)
-	} else {
-		st.dec = json.NewDecoder(resp.Body)
-	}
-	return st
+	return &StepStream{body: resp.Body, sr: serve.NewStreamReader(resp.Body)}, nil
 }
 
 // Recv returns the next step's response. After the final step it returns
@@ -89,101 +77,44 @@ func (st *StepStream) Recv() (StepResponse, error) {
 		// broken stream will not repair itself — either way the
 		// connection can go back to (or out of) the pool.
 		st.done = true
-		st.err = err
-		if st.body != nil {
-			st.body.Close()
-			st.body = nil
-		}
-		if st.gs != nil {
-			st.gs.Close()
-			st.gs = nil
-		}
-		return zero, err
+		st.err = apiErr(err)
+		st.release(false)
+		return zero, st.err
 	}
 	st.items++
 	return resp, nil
 }
 
 func (st *StepStream) next() (StepResponse, error) {
-	var zero StepResponse
-	if st.gs != nil {
-		// gRPC mode: each streamed message wraps exactly one of the same
-		// stream frames the HTTP binary wire carries.
-		var msg pb.FrameResponse
-		if err := st.gs.Recv(&msg); err != nil {
-			if err == io.EOF {
-				return zero, fmt.Errorf("alayaclient: stream ended without a stream-end frame")
-			}
-			return zero, grpcErr(err)
-		}
-		kind, payload, err := serve.NewStreamScanner(bytes.NewReader(msg.Frame)).ReadFrame()
+	var resp StepResponse
+	switch {
+	case st.gs != nil:
+		r, err := st.gs.Recv()
 		if err != nil {
-			return zero, err
+			return resp, err
 		}
-		return st.streamFrame(kind, payload)
-	}
-	if st.sc != nil {
-		kind, payload, err := st.sc.ReadFrame()
-		if err == io.EOF {
-			return zero, fmt.Errorf("alayaclient: stream ended without a stream-end frame")
-		}
-		if err != nil {
-			return zero, err
-		}
-		return st.streamFrame(kind, payload)
+		return *r, nil
+	case st.sr != nil:
+		err := st.sr.Next(&resp)
+		return resp, err
 	}
 	var row struct {
-		Step      *StepResponse `json:"step"`
-		StreamEnd bool          `json:"stream_end"`
-		Items     int           `json:"items"`
-		Error     string        `json:"error"`
-		Kind      serve.Kind    `json:"kind"`
+		serve.StreamItemEnvelope
+		serve.StreamEndEnvelope
 	}
 	if err := st.dec.Decode(&row); err != nil {
 		if err == io.EOF {
-			return zero, fmt.Errorf("alayaclient: stream ended without a terminator")
+			return resp, fmt.Errorf("alayaclient: stream ended without a terminator")
 		}
-		return zero, err
+		return resp, err
 	}
 	if row.StreamEnd {
-		return zero, st.finish(row.Items, serve.ErrorEnvelope{Error: row.Error, Kind: row.Kind})
+		return resp, serve.StreamEnd(st.items, row.Items, serve.ErrorEnvelope{Error: row.Error, Kind: row.Kind})
 	}
 	if row.Step == nil {
-		return zero, fmt.Errorf("alayaclient: stream element carries no step")
+		return resp, fmt.Errorf("alayaclient: stream element carries no step")
 	}
 	return *row.Step, nil
-}
-
-// streamFrame interprets one binary stream frame (either wire).
-func (st *StepStream) streamFrame(kind byte, payload []byte) (StepResponse, error) {
-	var zero StepResponse
-	switch kind {
-	case serve.FrameStreamItem:
-		var resp StepResponse
-		if err := serve.UnmarshalFrame(payload, &resp); err != nil {
-			return zero, err
-		}
-		return resp, nil
-	case serve.FrameStreamEnd:
-		n, env, err := serve.DecodeStreamEnd(payload)
-		if err != nil {
-			return zero, err
-		}
-		return zero, st.finish(n, env)
-	default:
-		return zero, fmt.Errorf("alayaclient: unexpected stream frame kind %d", kind)
-	}
-}
-
-// finish interprets the stream terminator.
-func (st *StepStream) finish(items int, env serve.ErrorEnvelope) error {
-	if env.Error != "" || env.Kind != "" {
-		return &APIError{Status: serve.HTTPStatus(env.Kind), Kind: env.Kind, Message: env.Error}
-	}
-	if items != st.items {
-		return fmt.Errorf("alayaclient: stream terminator claims %d items, received %d", items, st.items)
-	}
-	return io.EOF
 }
 
 // Items reports how many step responses have been received so far.
@@ -192,22 +123,27 @@ func (st *StepStream) Items() int { return st.items }
 // Close releases the stream's connection. Safe to call at any point and
 // more than once; a stream read to io.EOF closes cleanly.
 func (st *StepStream) Close() error {
-	if st.body == nil && st.gs == nil {
-		return nil
+	err := st.release(true)
+	if !st.done {
+		st.done = true
+		st.err = fmt.Errorf("alayaclient: stream closed")
 	}
-	var err error
+	return err
+}
+
+// release closes the stream's connection, draining an HTTP body first
+// when drain is set so the connection can be reused.
+func (st *StepStream) release(drain bool) (err error) {
 	if st.body != nil {
-		io.Copy(io.Discard, st.body)
+		if drain {
+			io.Copy(io.Discard, st.body)
+		}
 		err = st.body.Close()
 		st.body = nil
 	}
 	if st.gs != nil {
 		err = st.gs.Close()
 		st.gs = nil
-	}
-	if !st.done {
-		st.done = true
-		st.err = fmt.Errorf("alayaclient: stream closed")
 	}
 	return err
 }
