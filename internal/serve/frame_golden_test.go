@@ -109,7 +109,8 @@ func removedKindFrame(t testing.TB) []byte {
 // decoded message forwards the bytes it was given. The shared stream
 // reader gets the same bytes as an HTTP body and as one gRPC message's
 // frame: it may not panic either, and it may report a clean end only for
-// a terminator whose item count matches the items before it.
+// a terminator whose item count matches the items before it and that
+// nothing follows.
 func FuzzUnmarshalFrame(f *testing.F) {
 	for _, b := range goldenFrames(f) {
 		f.Add(b)
@@ -117,6 +118,7 @@ func FuzzUnmarshalFrame(f *testing.F) {
 	item := goldenFrames(f)["stream_item"]
 	f.Add(append(append([]byte(nil), item...), AppendStreamEndFrame(nil, 1, ErrorEnvelope{})...))
 	f.Add(append(append([]byte(nil), item...), AppendStreamEndFrame(nil, 2, ErrorEnvelope{})...))
+	f.Add(append(append(append([]byte(nil), item...), AppendStreamEndFrame(nil, 1, ErrorEnvelope{})...), make([]byte, 28)...))
 	f.Add(AppendStreamEndFrame(nil, 0, ErrorEnvelope{}))
 	step := goldenFrames(f)["step_request"]
 	f.Add(step[:len(step)-3])
@@ -200,6 +202,9 @@ func checkStreamReader(t *testing.T, data []byte) {
 			if kind != FrameStreamEnd || derr != nil || n != items || env != (ErrorEnvelope{}) {
 				t.Fatalf("reader ended cleanly after %d items on frame kind %d claiming %d items, env %+v (%v)", items, kind, n, env, derr)
 			}
+		}
+		if _, _, serr := sc.ReadFrame(); serr != io.EOF {
+			t.Fatalf("reader ended cleanly after %d items with bytes after the terminator (%v)", items, serr)
 		}
 	}
 

@@ -146,8 +146,9 @@ func (r *Remote) Stats(ctx context.Context) (*serve.StatsResponse, error) {
 
 // StepStream submits a batch of steps and returns a pull stream over
 // their responses. An RPC the server refused before streaming fails here
-// or on the first Recv. The stream must be closed.
-func (r *Remote) StepStream(ctx context.Context, id int64, req *serve.StepsRequest) (*Stream, error) {
+// or on the first Recv. After a clean terminator the RPC must end OK
+// with no further message. The stream must be closed.
+func (r *Remote) StepStream(ctx context.Context, id int64, req *serve.StepsRequest) (*serve.Stream, error) {
 	in, err := frameRequest(id, req)
 	if err != nil {
 		return nil, err
@@ -156,74 +157,29 @@ func (r *Remote) StepStream(ctx context.Context, id int64, req *serve.StepsReque
 	if err != nil {
 		return nil, r.serveErr(err)
 	}
-	return &Stream{r: r, cs: cs}, nil
-}
-
-// Stream reads one StepStream RPC. Not safe for concurrent use.
-type Stream struct {
-	r   *Remote
-	cs  *ClientStream
-	sr  serve.StreamReader
-	err error // terminal: io.EOF or the error that ended the stream
-}
-
-// Recv returns the next step's response. After the last one it returns
-// io.EOF, once the terminator's item count matched and the RPC ended OK;
-// a terminator that carries an error returns that typed error. Every
-// later call repeats the terminal result.
-func (s *Stream) Recv() (*serve.StepResponse, error) {
-	if s.err == nil {
-		var resp *serve.StepResponse
-		if resp, s.err = s.next(); s.err == nil {
-			return resp, nil
+	var sr serve.StreamReader
+	next := func(resp *serve.StepResponse) error {
+		msg, err := cs.next()
+		if err == io.EOF {
+			return serve.Internalf("%s: stream ended without a stream-end frame", r.target)
 		}
-	}
-	return nil, s.err
-}
-
-func (s *Stream) next() (*serve.StepResponse, error) {
-	msg, err := s.cs.next()
-	if err == io.EOF {
-		return nil, serve.Internalf("%s: stream ended without a stream-end frame", s.r.target)
-	}
-	if err != nil {
-		return nil, s.r.serveErr(err)
-	}
-	resp := new(serve.StepResponse)
-	frame, err := pb.FrameOf(msg)
-	if err == nil {
-		err = s.sr.Message(frame, resp)
-	}
-	var se *serve.Error
-	switch {
-	case err == nil:
-		return resp, nil
-	case err == io.EOF:
-		// A clean terminator is the last message: the RPC ends OK after it.
-		if _, err := s.cs.next(); err != io.EOF {
-			if err == nil {
-				return nil, serve.Internalf("%s: message after the stream-end frame", s.r.target)
-			}
-			return nil, s.r.serveErr(err)
+		if err != nil {
+			return r.serveErr(err)
 		}
-		return nil, io.EOF
-	case errors.As(err, &se):
-		return nil, se
+		frame, err := pb.FrameOf(msg)
+		if err != nil {
+			return serve.Internalf("%s: bad stream message: %v", r.target, err)
+		}
+		if err = sr.Message(frame, resp); err != io.EOF {
+			return err
+		}
+		switch _, err = cs.next(); err {
+		case nil:
+			return serve.Internalf("%s: message after the stream-end frame", r.target)
+		case io.EOF:
+			return io.EOF
+		}
+		return r.serveErr(err)
 	}
-	return nil, serve.Internalf("%s: bad stream frame: %v", s.r.target, err)
-}
-
-// Close releases the stream; safe at any point and more than once. It
-// reads what is left of the RPC first, so cancel the stream's ctx to
-// abandon it sooner.
-func (s *Stream) Close() error {
-	if s.cs == nil {
-		return nil
-	}
-	err := s.cs.Close()
-	s.cs = nil
-	if s.err == nil {
-		s.err = serve.Unavailablef("%s: stream closed", s.r.target)
-	}
-	return err
+	return serve.NewStream(next, cs.Close), nil
 }

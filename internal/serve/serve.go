@@ -9,8 +9,9 @@
 // The package is layered: Service (service.go) is the transport-agnostic
 // core — typed requests and responses, a typed error model (errors.go),
 // callable in-process by tests and benches — and Server (this file) is the
-// thin HTTP transport over it: routing, body limits, and two codecs. The
-// public Go SDK for the protocol is pkg/alayaclient.
+// thin HTTP transport over it: routing, body limits, and two codecs.
+// Remote (remote.go) is the HTTP client of a Core behind a Server, and the
+// public Go SDK for the protocol, pkg/alayaclient, calls through it.
 //
 // # Endpoints
 //
@@ -152,10 +153,10 @@ func (s *Server) Handler() http.Handler {
 
 // --- codecs ---
 
-// IsFrameMedia reports whether a Content-Type value names the binary
-// frame codec (parameters ignored). Shared with pkg/alayaclient so both
-// sides negotiate the wire identically.
-func IsFrameMedia(contentType string) bool {
+// isFrameMedia reports whether a Content-Type value names the binary
+// frame codec (parameters ignored). Shared with Remote so both sides
+// negotiate the wire identically.
+func isFrameMedia(contentType string) bool {
 	if i := strings.IndexByte(contentType, ';'); i >= 0 {
 		contentType = contentType[:i]
 	}
@@ -172,7 +173,7 @@ func wantsFrame(r *http.Request) bool {
 // populated.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v interface{}, frameOK bool) *Error {
 	body := http.MaxBytesReader(w, r.Body, s.maxBody)
-	if IsFrameMedia(r.Header.Get("Content-Type")) {
+	if isFrameMedia(r.Header.Get("Content-Type")) {
 		if !frameOK {
 			return errf(KindUnsupportedMedia, "%s bodies are only accepted on tensor endpoints", FrameContentType)
 		}

@@ -93,30 +93,65 @@ func DecodeStreamEnd(payload []byte) (items int, env ErrorEnvelope, err error) {
 	return items, env, nil
 }
 
-// StreamEnd interprets a stream terminator on any wire, after received
-// items: a terminator that carries an error returns it as a typed *Error;
-// a clean one returns io.EOF when its item count matches and an error
-// otherwise.
-func StreamEnd(received, items int, env ErrorEnvelope) error {
-	if env.Error != "" || env.Kind != "" {
-		kind := env.Kind
-		if kind == "" {
-			kind = KindInternal
-		}
-		return &Error{Kind: kind, Message: env.Error}
-	}
-	if items != received {
-		return fmt.Errorf("serve: stream terminator claims %d items, received %d", items, received)
-	}
-	return io.EOF
+// Stream is the client side of one step_stream call, on either wire (see
+// Remote and agrpc.Remote). Recv yields the step responses in order, then
+// io.EOF once a terminator whose item count matches has ended the call; a
+// terminator that carries an error returns that typed error, and every
+// other failure is a *Error too. The terminal result repeats on every
+// later call and releases the call's connection. Not safe for concurrent
+// use.
+type Stream struct {
+	next  func(*StepResponse) error
+	close func() error
+	err   error // terminal: io.EOF or the error that ended the stream
 }
 
-// StreamReader is the client side of a binary step_stream response on
-// either wire: frames read off an HTTP body (NewStreamReader, Next) or one
-// frame per gRPC message (Message). It yields the items in order and ends
-// with StreamEnd's verdict on the terminator. Malformed frames, a missing
-// terminator and bytes after a message's frame are protocol errors. Not
-// safe for concurrent use.
+// NewStream returns the stream whose items next reads — nil with resp
+// filled for an item, otherwise the terminal result — and whose call
+// close releases.
+func NewStream(next func(resp *StepResponse) error, close func() error) *Stream {
+	return &Stream{next: next, close: close}
+}
+
+// Recv returns the next step's response, or the terminal result.
+func (s *Stream) Recv() (*StepResponse, error) {
+	if s.err == nil {
+		resp := new(StepResponse)
+		if s.err = s.next(resp); s.err == nil {
+			return resp, nil
+		}
+		s.release()
+	}
+	return nil, s.err
+}
+
+// Close releases the stream; safe at any point and more than once. It
+// reads what is left of the call first, so cancel the stream's ctx to
+// abandon it sooner. A Recv after an early Close is unavailable.
+func (s *Stream) Close() error {
+	if s.err == nil {
+		s.err = Unavailablef("stream closed")
+	}
+	return s.release()
+}
+
+func (s *Stream) release() error {
+	if s.close == nil {
+		return nil
+	}
+	err := s.close()
+	s.close = nil
+	return err
+}
+
+// StreamReader decodes the frames of a binary step_stream response on
+// either wire: off an HTTP body (NewStreamReader, Next) or one frame per
+// gRPC message (Message). It yields the items in order, then io.EOF for a
+// clean terminator whose item count matches, or the typed error a
+// terminator carries. Every protocol fault is an internal *Error: a
+// malformed or truncated frame, a miscounting or missing terminator, and
+// bytes after the terminator or after a message's frame. Only the body's
+// own read errors come back as they are. Not safe for concurrent use.
 type StreamReader struct {
 	sc    *StreamScanner // nil when frames arrive one per message
 	items int
@@ -128,16 +163,25 @@ func NewStreamReader(body io.Reader) *StreamReader {
 }
 
 // Next reads the body's next frame: nil with resp filled for an item, or
-// the terminator's verdict (io.EOF on a clean end).
+// the terminator's verdict. A clean end is also the end of the body.
 func (r *StreamReader) Next(resp *StepResponse) error {
 	kind, payload, err := r.sc.ReadFrame()
 	if err == io.EOF {
-		return fmt.Errorf("serve: stream ended without a stream-end frame")
+		return Internalf("serve: stream ended without a stream-end frame")
 	}
 	if err != nil {
 		return err
 	}
-	return r.decode(kind, payload, resp)
+	if err = r.decode(kind, payload, resp); err != io.EOF {
+		return err
+	}
+	switch _, err = io.ReadFull(r.sc.r, r.sc.hdr[:1]); err {
+	case nil:
+		return Internalf("serve: bytes after the stream-end frame")
+	case io.EOF:
+		return io.EOF
+	}
+	return err
 }
 
 // Message decodes the one stream frame a gRPC message carries, in place:
@@ -146,7 +190,7 @@ func (r *StreamReader) Next(resp *StepResponse) error {
 func (r *StreamReader) Message(msg []byte, resp *StepResponse) error {
 	kind, payload, err := splitFrame(msg)
 	if err != nil {
-		return err
+		return Internalf("%v", err)
 	}
 	return r.decode(kind, payload, resp)
 }
@@ -155,18 +199,25 @@ func (r *StreamReader) decode(kind byte, payload []byte, resp *StepResponse) err
 	switch kind {
 	case FrameStreamItem:
 		if err := UnmarshalFrame(payload, resp); err != nil {
-			return err
+			return Internalf("serve: bad stream item: %v", err)
 		}
 		r.items++
 		return nil
 	case FrameStreamEnd:
 		items, env, err := DecodeStreamEnd(payload)
-		if err != nil {
-			return err
+		switch {
+		case err != nil:
+			return Internalf("%v", err)
+		case env.Kind != "":
+			return &Error{Kind: env.Kind, Message: env.Error}
+		case env.Error != "":
+			return &Error{Kind: KindInternal, Message: env.Error}
+		case items != r.items:
+			return Internalf("serve: stream terminator claims %d items, received %d", items, r.items)
 		}
-		return StreamEnd(r.items, items, env)
+		return io.EOF
 	}
-	return fmt.Errorf("serve: unexpected stream frame kind %d", kind)
+	return Internalf("serve: unexpected stream frame kind %d", kind)
 }
 
 // StreamScanner reads one binary frame at a time off an io.Reader — the
@@ -184,21 +235,22 @@ func NewStreamScanner(r io.Reader) *StreamScanner {
 }
 
 // ReadFrame reads the next frame, returning its kind and payload (reused
-// storage). io.EOF surfaces as-is at a clean frame boundary; a partial
-// header or body is io.ErrUnexpectedEOF.
+// storage). io.EOF surfaces as-is at a clean frame boundary, and so do
+// the reader's other errors; a malformed, oversized or truncated frame is
+// an internal *Error.
 func (s *StreamScanner) ReadFrame() (kind byte, payload []byte, err error) {
 	if _, err := io.ReadFull(s.r, s.hdr[:]); err != nil {
 		if err == io.ErrUnexpectedEOF {
-			return 0, nil, fmt.Errorf("serve: stream frame header truncated: %w", err)
+			return 0, nil, Internalf("serve: stream frame header truncated")
 		}
 		return 0, nil, err
 	}
 	kind, plen, err := checkHeader(s.hdr[:])
 	if err != nil {
-		return 0, nil, err
+		return 0, nil, Internalf("%v", err)
 	}
 	if plen > maxStreamFramePayload {
-		return 0, nil, fmt.Errorf("serve: stream frame payload %d exceeds %d-byte bound", plen, maxStreamFramePayload)
+		return 0, nil, Internalf("serve: stream frame payload %d exceeds %d-byte bound", plen, maxStreamFramePayload)
 	}
 	if cap(s.buf) < int(plen) {
 		s.buf = make([]byte, plen)
@@ -206,7 +258,7 @@ func (s *StreamScanner) ReadFrame() (kind byte, payload []byte, err error) {
 	s.buf = s.buf[:plen]
 	if _, err := io.ReadFull(s.r, s.buf); err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return 0, nil, fmt.Errorf("serve: stream frame payload truncated: %w", io.ErrUnexpectedEOF)
+			return 0, nil, Internalf("serve: stream frame payload truncated")
 		}
 		return 0, nil, err
 	}

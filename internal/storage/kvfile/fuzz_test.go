@@ -32,7 +32,7 @@ func FuzzDecode(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, adj, err := decode(data)
+		m, adj, err := decodeBytes(data)
 		if err != nil {
 			return
 		}
@@ -87,7 +87,7 @@ func FuzzAppend(f *testing.F) {
 		if !bytes.Equal(out[:len(head)], head) {
 			t.Fatal("Append changed the bytes before the record")
 		}
-		got, gotAdj, err := decode(out[len(head):])
+		got, gotAdj, err := decodeBytes(out[len(head):])
 		if err != nil {
 			t.Fatalf("decoding a %dx%d record: %v", r, c, err)
 		}

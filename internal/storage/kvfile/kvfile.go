@@ -9,11 +9,11 @@
 //	           its degree and its neighbour ids (uint32 each)
 //	trailer    crc32 of the payload and the adjacency
 //
-// A file is written with one write and read with one os.ReadFile. The
-// header's sizes must add up to the file's length before anything is
-// allocated, and an accepted adjacency has one record per row with every
-// neighbour id in [0, rows), so a crafted file fails here, not in the graph
-// rebuilt from it.
+// A file is written with one write and read in one pass, straight into the
+// rows' floats. The header's sizes must add up to the file's length before
+// anything is allocated, and an accepted adjacency has one record per row
+// with every neighbour id in [0, rows), so a crafted file fails here, not in
+// the graph rebuilt from it.
 //
 // The paper's vector file system (§7.3) chains data blocks and index blocks
 // separately, so that a disk-resident graph traversal pages only index
@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"os"
 	"slices"
@@ -39,7 +40,8 @@ const (
 	version    = 1
 	headerSize = 24
 	crcSize    = 4
-	maxCols    = 1 << 16 // a zero-row header may claim any width; keep int(cols) sane on 32-bit
+	maxCols    = 1 << 16  // a zero-row header may claim any width; keep int(cols) sane on 32-bit
+	chunkSize  = 16 << 10 // decode's scratch buffer for the payload
 )
 
 // ErrCorrupt reports a file that is not a well-formed record.
@@ -92,51 +94,77 @@ func Append(dst []byte, m *vec.Matrix, adj [][]int32) []byte {
 	return dst
 }
 
-// decode parses one record. It returns the rows and the adjacency, which is
-// nil when the record holds none. The matrix and the adjacency own fresh
-// storage; neither aliases b.
-func decode(b []byte) (*vec.Matrix, [][]int32, error) {
-	if len(b) < headerSize+crcSize {
-		return nil, nil, fmt.Errorf("%w: %d bytes is shorter than a header", ErrCorrupt, len(b))
+// decode reads one record of size bytes from r. It returns the rows and
+// the adjacency, which is nil when the record holds none. The header's
+// sizes must add up to size before anything is allocated; then the
+// payload is decoded straight into the matrix's floats, chunk by chunk,
+// through one scratch buffer that the adjacency section reuses, so a
+// reload allocates about the rows it restores.
+func decode(r io.Reader, size int64) (*vec.Matrix, [][]int32, error) {
+	var hdr [headerSize]byte
+	if size < headerSize+crcSize {
+		return nil, nil, fmt.Errorf("%w: %d bytes is shorter than a header", ErrCorrupt, size)
 	}
-	if m := le.Uint32(b[0:]); m != magic {
+	if err := readFull(r, hdr[:]); err != nil {
+		return nil, nil, err
+	}
+	if m := le.Uint32(hdr[0:]); m != magic {
 		return nil, nil, fmt.Errorf("%w: bad magic %#08x", ErrCorrupt, m)
 	}
-	if v := le.Uint32(b[4:]); v != version {
+	if v := le.Uint32(hdr[4:]); v != version {
 		return nil, nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, v)
 	}
-	if le.Uint32(b[20:]) != crc32.ChecksumIEEE(b[:20]) {
+	if le.Uint32(hdr[20:]) != crc32.ChecksumIEEE(hdr[:20]) {
 		return nil, nil, fmt.Errorf("%w: header checksum mismatch", ErrCorrupt)
 	}
-	rows, cols, adjLen := uint64(le.Uint32(b[8:])), uint64(le.Uint32(b[12:])), uint64(le.Uint32(b[16:]))
+	rows, cols, adjLen := uint64(le.Uint32(hdr[8:])), uint64(le.Uint32(hdr[12:])), uint64(le.Uint32(hdr[16:]))
 	if cols == 0 || cols > maxCols {
 		return nil, nil, fmt.Errorf("%w: %d columns", ErrCorrupt, cols)
 	}
-	if rows*cols > uint64(len(b))/4 {
-		return nil, nil, fmt.Errorf("%w: %d × %d rows overrun a %d-byte file", ErrCorrupt, rows, cols, len(b))
-	}
-	if want := headerSize + 4*rows*cols + adjLen + crcSize; want != uint64(len(b)) {
-		return nil, nil, fmt.Errorf("%w: header describes %d bytes, file holds %d", ErrCorrupt, want, len(b))
-	}
-	body := b[headerSize : len(b)-crcSize]
-	if le.Uint32(b[len(b)-crcSize:]) != crc32.ChecksumIEEE(body) {
-		return nil, nil, fmt.Errorf("%w: payload checksum mismatch", ErrCorrupt)
+	if want := headerSize + 4*rows*cols + adjLen + crcSize; want != uint64(size) {
+		return nil, nil, fmt.Errorf("%w: header describes %d bytes, file holds %d", ErrCorrupt, want, size)
 	}
 
-	payload := body[:4*rows*cols]
 	data := make([]float32, rows*cols)
-	for i := range data {
-		data[i] = math.Float32frombits(le.Uint32(payload[4*i:]))
+	tail := int(adjLen) + crcSize
+	buf := make([]byte, max(tail, min(4*len(data), chunkSize)))
+	var crc uint32
+	for off := 0; off < len(data); {
+		chunk := buf[:min(len(buf)/4, len(data)-off)*4]
+		if err := readFull(r, chunk); err != nil {
+			return nil, nil, err
+		}
+		crc = crc32.Update(crc, crc32.IEEETable, chunk)
+		for i := 0; i < len(chunk); i += 4 {
+			data[off] = math.Float32frombits(le.Uint32(chunk[i:]))
+			off++
+		}
+	}
+	sec := buf[:tail]
+	if err := readFull(r, sec); err != nil {
+		return nil, nil, err
+	}
+	if crc32.Update(crc, crc32.IEEETable, sec[:adjLen]) != le.Uint32(sec[adjLen:]) {
+		return nil, nil, fmt.Errorf("%w: payload checksum mismatch", ErrCorrupt)
 	}
 	m := vec.MatrixFromData(int(cols), data)
 	if adjLen == 0 {
 		return m, nil, nil
 	}
-	adj, err := decodeAdjacency(body[len(payload):], int(rows))
+	adj, err := decodeAdjacency(sec[:adjLen], int(rows))
 	if err != nil {
 		return nil, nil, err
 	}
 	return m, adj, nil
+}
+
+// readFull fills b from r; a record that ends early is corrupt.
+func readFull(r io.Reader, b []byte) error {
+	_, err := io.ReadFull(r, b)
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		return fmt.Errorf("%w: record ends early", ErrCorrupt)
+	}
+	return err
 }
 
 // decodeAdjacency parses an adjacency section of a rows-row record. All
@@ -181,11 +209,16 @@ func decodeAdjacency(sec []byte, rows int) ([][]int32, error) {
 
 // ReadFile reads and decodes the record at path.
 func ReadFile(path string) (*vec.Matrix, [][]int32, error) {
-	b, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, err
 	}
-	m, adj, err := decode(b)
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, nil, err
+	}
+	m, adj, err := decode(f, fi.Size())
 	if err != nil {
 		return nil, nil, fmt.Errorf("%s: %w", path, err)
 	}

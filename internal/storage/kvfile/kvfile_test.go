@@ -14,6 +14,11 @@ import (
 	"repro/internal/vec"
 )
 
+// decodeBytes decodes a record held in memory.
+func decodeBytes(b []byte) (*vec.Matrix, [][]int32, error) {
+	return decode(bytes.NewReader(b), int64(len(b)))
+}
+
 func randomMatrix(rng *rand.Rand, rows, cols int) *vec.Matrix {
 	m := vec.NewMatrix(rows, cols)
 	for i := range m.Data() {
@@ -142,7 +147,7 @@ func TestAppendReusesAndExtendsDst(t *testing.T) {
 
 func TestDecodeDoesNotAlias(t *testing.T) {
 	raw := Append(nil, randomMatrix(rand.New(rand.NewSource(3)), 4, 4), ringAdjacency(4, 2))
-	m, adj, err := decode(raw)
+	m, adj, err := decodeBytes(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +168,7 @@ func TestDecodeDoesNotAlias(t *testing.T) {
 }
 
 func TestReadAdjacencyNone(t *testing.T) {
-	_, adj, err := decode(Append(nil, vec.NewMatrix(3, 4), nil))
+	_, adj, err := decodeBytes(Append(nil, vec.NewMatrix(3, 4), nil))
 	if err != nil || adj != nil {
 		t.Fatalf("record without adjacency: adj %v, err %v", adj, err)
 	}
@@ -243,7 +248,7 @@ func corruptions() map[string][]byte {
 func TestCorruptionDetected(t *testing.T) {
 	for name, raw := range corruptions() {
 		t.Run(name, func(t *testing.T) {
-			if _, _, err := decode(raw); !errors.Is(err, ErrCorrupt) {
+			if _, _, err := decodeBytes(raw); !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("decode accepted a corrupt record: err %v", err)
 			}
 		})
@@ -254,7 +259,7 @@ func TestCorruptionDetected(t *testing.T) {
 func TestTruncatedFileDetected(t *testing.T) {
 	raw := Append(nil, randomMatrix(rand.New(rand.NewSource(5)), 3, 4), ringAdjacency(3, 2))
 	for n := 0; n < len(raw); n++ {
-		if _, _, err := decode(raw[:n]); !errors.Is(err, ErrCorrupt) {
+		if _, _, err := decodeBytes(raw[:n]); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("record cut to %d of %d bytes: err %v", n, len(raw), err)
 		}
 	}

@@ -22,26 +22,31 @@
 // Every method takes a context.Context as its first argument and honors
 // cancellation, including mid-stream.
 //
-// By default tensor-heavy calls use the binary frame codec
-// (application/x-alaya-frame; see internal/serve for the wire layout);
-// WithJSONWire selects JSON instead. Both codecs carry float32 values
-// exactly, so the outputs are bitwise-identical either way. The frame
-// layout needs a rectangular query grid, so a ragged one fails on the
-// client with a bad_request *APIError before anything is sent. The
-// Client reuses connections and is safe for concurrent use; a Session
-// serializes its own mutating calls server-side but may be shared across
-// goroutines freely.
+// A Client reaches the daemon over HTTP (WithBaseURL) or gRPC
+// (WithGRPCAddr) through one typed client of its Core — serve.Remote or
+// agrpc.Remote, the latter shared with the cluster router — and every
+// method is that one call, so the two wires cannot drift apart. Step and
+// StepStream ride the binary frame codec (application/x-alaya-frame; see
+// internal/serve for the wire layout) on both, which carries float32
+// values exactly, so outputs are bitwise-identical across wires. The
+// frame layout needs a rectangular query grid, so a ragged one fails on
+// the client with a bad_request *APIError before anything is sent.
+//
+// Every failure is an *APIError with the same kind on either wire: the
+// server's typed kind, unavailable for a daemon that cannot be reached
+// (or a proxy's 502, 503 or 504), overloaded for a proxy's 429, and
+// internal for a response that does not decode — a stream that ends
+// without its terminator or runs on past it included. The Client reuses
+// connections and is safe for concurrent use; a Session serializes its
+// own mutating calls server-side but may be shared across goroutines
+// freely.
 package alayaclient
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"strings"
 
 	"repro/internal/model"
 	"repro/internal/serve"
@@ -67,10 +72,11 @@ type (
 	HealthzResponse = serve.HealthzResponse
 )
 
-// APIError is a non-2xx response decoded from the server's typed error
-// envelope.
+// APIError is the one error type of every failed call, on either wire
+// (see the package comment for the kinds).
 type APIError struct {
-	// Status is the HTTP status code.
+	// Status is the kind's HTTP status (serve.HTTPStatus) on either
+	// wire.
 	Status int
 	// Kind is the service error kind ("not_found", "bad_request", …).
 	Kind serve.Kind
@@ -99,11 +105,10 @@ func IsOverloaded(err error) bool { return isKind(err, serve.KindOverloaded) }
 // to another replica rather than retrying here.
 func IsUnavailable(err error) bool { return isKind(err, serve.KindUnavailable) }
 
-// apiErr is the one place a typed serve error — what agrpc.Remote returns
-// for every failure, and what a stream terminator carries on either wire —
-// becomes the SDK's uniform *APIError: the exact kind with the kind's HTTP
-// status, so IsNotFound/IsOverloaded/IsUnavailable work identically on
-// both transports. Other errors, io.EOF included, pass through.
+// apiErr is the one place a typed serve error — what either remote
+// returns for every failure — becomes the SDK's uniform *APIError: the
+// exact kind with the kind's HTTP status, so IsNotFound/IsOverloaded/
+// IsUnavailable work identically on both wires. io.EOF passes through.
 func apiErr(err error) error {
 	if se, ok := err.(*serve.Error); ok {
 		return &APIError{Status: serve.HTTPStatus(se.Kind), Kind: se.Kind, Message: se.Message}
@@ -111,14 +116,7 @@ func apiErr(err error) error {
 	return err
 }
 
-// frameErr wraps a client-side frame-encoding failure as a typed bad
-// request: a request the frame layout cannot represent (a ragged query
-// grid) fails here, on either transport, instead of after a round trip.
-func frameErr(err error) error {
-	return &APIError{Status: serve.HTTPStatus(serve.KindBadRequest), Kind: serve.KindBadRequest, Message: err.Error()}
-}
-
-// fromRemote returns what an agrpc.Remote call returned, its error as an
+// fromRemote returns what a remote call returned, its error as an
 // *APIError.
 func fromRemote[T any](v *T, err error) (T, error) {
 	if err != nil {
@@ -128,194 +126,92 @@ func fromRemote[T any](v *T, err error) (T, error) {
 	return *v, nil
 }
 
+// remote is the client of the daemon's Core on one wire: serve.Remote
+// over HTTP or agrpc.Remote over gRPC. Either returns every failure as a
+// *serve.Error.
+type remote interface {
+	CreateSession(context.Context, *serve.CreateSessionRequest) (*serve.CreateSessionResponse, error)
+	Prefill(context.Context, int64) (*serve.PrefillResponse, error)
+	Step(context.Context, int64, *serve.StepRequest) (*serve.StepResponse, error)
+	StepStream(context.Context, int64, *serve.StepsRequest) (*serve.Stream, error)
+	Store(context.Context, int64) (*serve.StoreResponse, error)
+	CloseSession(context.Context, int64) (*serve.CloseResponse, error)
+	Healthz(context.Context) (*serve.HealthzResponse, error)
+	Stats(context.Context) (*serve.StatsResponse, error)
+	Close() error
+}
+
 // Client talks to one alayad, over HTTP (WithBaseURL) or gRPC
 // (WithGRPCAddr). Safe for concurrent use.
 type Client struct {
-	base      string
-	hc        *http.Client
-	rc        *agrpc.Remote // non-nil in gRPC mode
-	forceJSON bool
+	r remote
 }
 
 // Option configures a Client.
-type Option func(*Client)
+type Option func(*options)
 
-// WithBaseURL sets the daemon address (e.g. "http://localhost:8265").
+type options struct {
+	base string
+	hc   *http.Client
+	grpc *agrpc.Remote
+}
+
+// WithBaseURL sets the daemon's HTTP address (e.g.
+// "http://localhost:8265").
 func WithBaseURL(base string) Option {
-	return func(c *Client) { c.base = strings.TrimRight(base, "/") }
+	return func(o *options) { o.base = base }
 }
 
 // WithGRPCAddr routes the client over gRPC to addr ("host:port",
 // "http://host:port", or "grpcs://host:port" for TLS — alayad's
-// -grpc-addr listener). Every method, the StepStream iterator included,
-// keeps its signature and *APIError model, and tensor payloads ride the
-// same binary frames, so outputs are bitwise-equal across transports. The
-// calls go through agrpc.Remote, the client the cluster router reaches
-// its nodes with. Mutually exclusive with WithBaseURL; WithJSONWire does
-// not apply.
+// -grpc-addr listener), through agrpc.Remote, the client the cluster
+// router reaches its nodes with. Every method, the StepStream iterator
+// included, keeps its signature and *APIError model. Mutually exclusive
+// with WithBaseURL.
 func WithGRPCAddr(addr string, opts ...agrpc.DialOption) Option {
-	return func(c *Client) { c.rc = agrpc.DialRemote(addr, opts...) }
+	return func(o *options) { o.grpc = agrpc.DialRemote(addr, opts...) }
 }
 
 // WithHTTPClient substitutes the underlying HTTP client (timeouts,
-// custom transports, test doubles).
+// custom transports, test doubles) of a WithBaseURL client.
 func WithHTTPClient(hc *http.Client) Option {
-	return func(c *Client) { c.hc = hc }
+	return func(o *options) { o.hc = hc }
 }
 
-// WithJSONWire selects the JSON codec on tensor endpoints instead of the
-// binary frame wire.
-func WithJSONWire() Option {
-	return func(c *Client) { c.forceJSON = true }
-}
-
-// NewClient builds a client from functional options. WithBaseURL is
-// required. The default HTTP client keeps a generous idle-connection
-// pool per host so concurrent decode loops reuse connections instead of
-// re-dialing.
+// NewClient builds a client from functional options. WithBaseURL or
+// WithGRPCAddr is required. Without WithHTTPClient, an HTTP client keeps
+// a generous idle-connection pool per host so concurrent decode loops
+// reuse connections instead of re-dialing.
 func NewClient(opts ...Option) (*Client, error) {
-	c := &Client{}
-	for _, o := range opts {
-		o(c)
+	var o options
+	for _, fn := range opts {
+		fn(&o)
 	}
-	if c.base == "" && c.rc == nil {
-		return nil, errors.New("alayaclient: WithBaseURL or WithGRPCAddr is required")
-	}
-	if c.base != "" && c.rc != nil {
+	switch {
+	case o.base != "" && o.grpc != nil:
 		return nil, errors.New("alayaclient: WithBaseURL and WithGRPCAddr are mutually exclusive")
+	case o.grpc != nil:
+		return &Client{r: o.grpc}, nil
+	case o.base != "":
+		return &Client{r: serve.NewRemote(o.base, o.hc)}, nil
 	}
-	if c.hc == nil {
-		tr := http.DefaultTransport.(*http.Transport).Clone()
-		tr.MaxIdleConnsPerHost = 64
-		c.hc = &http.Client{Transport: tr}
-	}
-	return c, nil
+	return nil, errors.New("alayaclient: WithBaseURL or WithGRPCAddr is required")
 }
 
-// Close releases transport resources. In gRPC mode it drops the
-// connection's idle HTTP/2 streams; an HTTP-mode client owns no
-// connections of its own and Close is a no-op.
-func (c *Client) Close() error {
-	if c.rc == nil {
-		return nil
-	}
-	return c.rc.Close()
-}
-
-// send issues one request and returns the response with its body open.
-// Non-2xx responses are decoded into *APIError (body closed).
-func (c *Client) send(ctx context.Context, method, path, contentType string, body []byte, accept string) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, method, c.base+path, bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", contentType)
-	}
-	if accept != "" {
-		req.Header.Set("Accept", accept)
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode/100 != 2 {
-		ae := &APIError{Status: resp.StatusCode}
-		var env serve.ErrorEnvelope
-		if jerr := json.NewDecoder(resp.Body).Decode(&env); jerr == nil && env.Error != "" {
-			ae.Kind, ae.Message = env.Kind, env.Error
-		} else {
-			// No envelope (a proxy or load balancer answered, not the
-			// service): still surface the retryable statuses as their
-			// typed kinds so IsUnavailable/IsOverloaded hold on both
-			// transports.
-			switch resp.StatusCode {
-			case http.StatusServiceUnavailable, http.StatusBadGateway, http.StatusGatewayTimeout:
-				ae.Kind = serve.KindUnavailable
-			case http.StatusTooManyRequests:
-				ae.Kind = serve.KindOverloaded
-			default:
-				ae.Kind = serve.KindInternal
-			}
-			ae.Message = fmt.Sprintf("http status %d", resp.StatusCode)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		return nil, ae
-	}
-	return resp, nil
-}
-
-// do issues one request and decodes the response into out (which may be
-// nil). Error responses become *APIError.
-func (c *Client) do(ctx context.Context, method, path string, contentType string, body []byte, accept string, out interface{}) error {
-	resp, err := c.send(ctx, method, path, contentType, body, accept)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	if out == nil {
-		return nil
-	}
-	if serve.IsFrameMedia(resp.Header.Get("Content-Type")) {
-		data, rerr := io.ReadAll(resp.Body)
-		if rerr != nil {
-			return rerr
-		}
-		return serve.UnmarshalFrame(data, out)
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
-}
-
-// postJSON posts a JSON body (the non-tensor endpoints).
-func (c *Client) postJSON(ctx context.Context, path string, in, out interface{}) error {
-	var body []byte
-	if in != nil {
-		var err error
-		if body, err = json.Marshal(in); err != nil {
-			return err
-		}
-	} else {
-		body = []byte("{}")
-	}
-	return c.do(ctx, http.MethodPost, path, "application/json", body, "", out)
-}
-
-// postTensor posts a tensor-heavy request: a binary frame, or JSON under
-// WithJSONWire.
-func (c *Client) postTensor(ctx context.Context, path string, in, out interface{}) error {
-	if c.forceJSON {
-		return c.postJSON(ctx, path, in, out)
-	}
-	body, err := serve.MarshalFrame(in)
-	if err != nil {
-		return frameErr(err)
-	}
-	return c.do(ctx, http.MethodPost, path, serve.FrameContentType, body, serve.FrameContentType, out)
-}
+// Close releases transport resources: a gRPC client drops its idle
+// HTTP/2 connections, and an HTTP client, whose connections belong to
+// its http.Client, does nothing.
+func (c *Client) Close() error { return c.r.Close() }
 
 // Healthz probes the daemon's liveness endpoint.
 func (c *Client) Healthz(ctx context.Context) (HealthzResponse, error) {
-	if c.rc != nil {
-		return fromRemote(c.rc.Healthz(ctx))
-	}
-	var hz HealthzResponse
-	err := c.do(ctx, http.MethodGet, "/v1/healthz", "", nil, "", &hz)
-	return hz, err
+	return fromRemote(c.r.Healthz(ctx))
 }
 
 // Stats fetches the DB, tier, scheduler and per-endpoint
 // statistics.
 func (c *Client) Stats(ctx context.Context) (StatsResponse, error) {
-	if c.rc != nil {
-		return fromRemote(c.rc.Stats(ctx))
-	}
-	var st StatsResponse
-	err := c.do(ctx, http.MethodGet, "/v1/stats", "", nil, "", &st)
-	return st, err
+	return fromRemote(c.r.Stats(ctx))
 }
 
 // Session is a server-side session handle.
@@ -331,36 +227,17 @@ type Session struct {
 // CreateSession opens a session over doc, reusing the longest stored
 // prefix.
 func (c *Client) CreateSession(ctx context.Context, doc *Document) (*Session, error) {
-	var resp serve.CreateSessionResponse
-	var err error
-	if c.rc != nil {
-		resp, err = fromRemote(c.rc.CreateSession(ctx, &serve.CreateSessionRequest{Seed: doc.Seed, Tokens: doc.Tokens}))
-	} else {
-		err = c.postJSON(ctx, "/v1/sessions", serve.DocumentWire{Seed: doc.Seed, Tokens: doc.Tokens}, &resp)
-	}
+	resp, err := fromRemote(c.r.CreateSession(ctx, &serve.CreateSessionRequest{Seed: doc.Seed, Tokens: doc.Tokens}))
 	if err != nil {
 		return nil, err
 	}
 	return &Session{c: c, ID: resp.SessionID, Reused: resp.Reused}, nil
 }
 
-func (s *Session) path(action string) string {
-	p := fmt.Sprintf("/v1/sessions/%d", s.ID)
-	if action != "" {
-		p += "/" + action
-	}
-	return p
-}
-
 // Prefill generates KV for every document token not covered by the
 // reused prefix.
 func (s *Session) Prefill(ctx context.Context) (serve.PrefillResponse, error) {
-	if s.c.rc != nil {
-		return fromRemote(s.c.rc.Prefill(ctx, s.ID))
-	}
-	var resp serve.PrefillResponse
-	err := s.c.postJSON(ctx, s.path("prefill"), nil, &resp)
-	return resp, err
+	return fromRemote(s.c.r.Prefill(ctx, s.ID))
 }
 
 // Step decodes one token in one round trip: tok is ingested across all
@@ -371,31 +248,17 @@ func (s *Session) Prefill(ctx context.Context) (serve.PrefillResponse, error) {
 // session's work; the output is bitwise-identical to a dedicated serial
 // step.
 func (s *Session) Step(ctx context.Context, tok Token, queries [][][]float32) (StepResponse, error) {
-	req := &serve.StepRequest{Token: tok, Queries: queries}
-	if s.c.rc != nil {
-		return fromRemote(s.c.rc.Step(ctx, s.ID, req))
-	}
-	var resp StepResponse
-	err := s.c.postTensor(ctx, s.path("step"), req, &resp)
-	return resp, err
+	return fromRemote(s.c.r.Step(ctx, s.ID, &serve.StepRequest{Token: tok, Queries: queries}))
 }
 
 // Store persists the session's full state as a reusable stored context.
 func (s *Session) Store(ctx context.Context) (serve.StoreResponse, error) {
-	if s.c.rc != nil {
-		return fromRemote(s.c.rc.Store(ctx, s.ID))
-	}
-	var resp serve.StoreResponse
-	err := s.c.postJSON(ctx, s.path("store"), nil, &resp)
-	return resp, err
+	return fromRemote(s.c.r.Store(ctx, s.ID))
 }
 
-// CloseSession closes the session server-side (the SDK name now matches
-// the Service operation).
+// CloseSession closes the session server-side (the SDK name matches the
+// Service operation).
 func (s *Session) CloseSession(ctx context.Context) error {
-	if s.c.rc != nil {
-		_, err := s.c.rc.CloseSession(ctx, s.ID)
-		return apiErr(err)
-	}
-	return s.c.do(ctx, http.MethodDelete, s.path(""), "", nil, "", nil)
+	_, err := s.c.r.CloseSession(ctx, s.ID)
+	return apiErr(err)
 }

@@ -118,51 +118,30 @@ func sameOutputs(t *testing.T, label string, a, b AttentionResponse) {
 	}
 }
 
-// TestStepOneRoundTripBothCodecs is the protocol acceptance test: one
-// decoded token costs exactly one round trip via Client.Step, and the
-// binary and JSON codecs return bitwise-identical outputs. (That a step
-// equals ingesting the token and then attending every layer is pinned in
-// the engine, by core's TestStepMatchesV1Path.)
-func TestStepOneRoundTripBothCodecs(t *testing.T) {
+// TestStepOneRoundTrip is the protocol acceptance test: one decoded
+// token costs exactly one round trip via Client.Step. (That the JSON and
+// binary codecs return bitwise-identical outputs is pinned on the server,
+// by serve's TestServeStepHTTPBothCodecs; that a step equals ingesting
+// the token and then attending every layer is pinned in the engine, by
+// core's TestStepMatchesV1Path.)
+func TestStepOneRoundTrip(t *testing.T) {
 	env := newTestEnv(t, 400)
-	mc := env.m.Config()
 
 	ctx := context.Background()
 	ct := &countingTransport{base: http.DefaultTransport}
-	binCli := env.cl(t, WithHTTPClient(&http.Client{Transport: ct}))
-	jsonCli := env.cl(t, WithJSONWire())
-
-	binSess := env.session(t, binCli)
-	jsonSess := env.session(t, jsonCli)
+	sess := env.session(t, env.cl(t, WithHTTPClient(&http.Client{Transport: ct})))
 
 	for step := 0; step < 3; step++ {
-		tok := Token{Topic: 1, Payload: step + 1}
-		qs := env.queries(step)
-
-		// Binary: exactly one round trip.
 		before := ct.n.Load()
-		binResp, err := binSess.Step(ctx, tok, qs)
+		resp, err := sess.Step(ctx, Token{Topic: 1, Payload: step + 1}, env.queries(step))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := ct.n.Load() - before; got != 1 {
-			t.Fatalf("binary step used %d round trips, want 1", got)
+			t.Fatalf("step used %d round trips, want 1", got)
 		}
-
-		// JSON.
-		jsonResp, err := jsonSess.Step(ctx, tok, qs)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		if binResp.ContextLen != jsonResp.ContextLen || binResp.ContextLen != env.inst.Doc.Len()+step+1 {
-			t.Fatalf("context len: bin %d json %d", binResp.ContextLen, jsonResp.ContextLen)
-		}
-		for l := 0; l < mc.Layers; l++ {
-			for h := 0; h < mc.QHeads; h++ {
-				label := fmt.Sprintf("step %d L%dH%d", step, l, h)
-				sameOutputs(t, label+" bin-vs-json", binResp.Layers[l][h], jsonResp.Layers[l][h])
-			}
+		if resp.ContextLen != env.inst.Doc.Len()+step+1 {
+			t.Fatalf("step %d context len %d", step, resp.ContextLen)
 		}
 	}
 }
@@ -317,7 +296,7 @@ func TestNewClientRequiresBaseURL(t *testing.T) {
 	if _, err := NewClient(); err == nil {
 		t.Fatal("NewClient() without WithBaseURL succeeded")
 	}
-	if _, err := NewClient(WithJSONWire()); err == nil {
-		t.Fatal("NewClient(WithJSONWire()) without WithBaseURL succeeded")
+	if _, err := NewClient(WithHTTPClient(http.DefaultClient)); err == nil {
+		t.Fatal("NewClient(WithHTTPClient(...)) without WithBaseURL succeeded")
 	}
 }

@@ -176,8 +176,8 @@ func TestGRPCSDKStepStream(t *testing.T) {
 
 // TestGRPCSDKErrors checks that the gRPC transport surfaces the same
 // typed *APIError model as HTTP: kinds survive the wire, the predicate
-// helpers work, and ragged geometry fails with the same typed rejection
-// the HTTP JSON fallback would fetch from the server.
+// helpers work, and ragged geometry fails with the same typed
+// bad_request rejection, raised on the client before anything is sent.
 func TestGRPCSDKErrors(t *testing.T) {
 	e := newTestEnv(t, 300)
 	gc := e.grpcClient(t)

@@ -35,14 +35,14 @@ func unarySteps(t *testing.T, ctx context.Context, sess *Session, steps []StepRe
 
 // TestStepStreamMatchesSteps: the streaming endpoint yields the same
 // responses, in order and bit for bit, as N unary Step calls on a twin
-// session — over both the binary frame wire and the NDJSON fallback.
+// session, over the binary frame wire. (The server's NDJSON stream is
+// pinned the same way by serve's TestStepStreamNDJSONMatchesSteps.)
 func TestStepStreamMatchesSteps(t *testing.T) {
 	for _, mode := range []struct {
 		name string
 		opts []Option
 	}{
 		{"frame", nil},
-		{"json", []Option{WithJSONWire()}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			env := newTestEnv(t, 300)
