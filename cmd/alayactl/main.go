@@ -110,8 +110,8 @@ func stats(baseURL string) error {
 		}
 	}
 	if st.PrefixLookups > 0 || st.SharedContexts > 0 {
-		fmt.Printf("prefix sharing: %d shared / %d pinned contexts, %d bytes shared, %d docs indexed\n",
-			st.SharedContexts, st.PinnedContexts, st.SharedPrefixBytes, st.PrefixTreeDocs)
+		fmt.Printf("prefix sharing: %d shared / %d pinned contexts, %d bytes shared\n",
+			st.SharedContexts, st.PinnedContexts, st.SharedPrefixBytes)
 		fmt.Printf("prefix lookups: %d (%d hits, %d from spill), %d cow stores\n",
 			st.PrefixLookups, st.PrefixHits, st.PrefixSpillHits, st.CoWStores)
 	}

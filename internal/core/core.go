@@ -104,10 +104,9 @@ type DB struct {
 	cfg       Config
 	mu        sync.RWMutex
 	contexts  []*Context
-	byHash    map[uint64]*Context   // resident contexts by document hash
-	tree      *prefixTree[*Context] // resident prefix lookup; has its own lock
-	weightsH  int                   // devmem handle for model weights
-	clock     int64                 // logical clock for context recency
+	byHash    map[uint64]*Context // resident contexts by document hash
+	weightsH  int                 // devmem handle for model weights
+	clock     int64               // logical clock for context recency
 	evictions int64
 	tier      *tierState // disk spill tier; nil when Config.SpillDir is empty
 	share     metrics.ShareCounters
@@ -176,7 +175,6 @@ func New(cfg Config) (*DB, error) {
 	db := &DB{
 		cfg:    cfg,
 		byHash: make(map[uint64]*Context),
-		tree:   newPrefixTree[*Context](defaultPrefixChunk),
 	}
 	h, err := cfg.Device.Alloc(cfg.Model.WeightsBytes(), devmem.Weights)
 	if err != nil {
@@ -253,11 +251,12 @@ func (db *DB) registerContext(ctx *Context) error {
 	return err
 }
 
-// registerLocked inserts ctx into the resident store and indexes it for
-// prefix lookup. A context with a base first (re-)registers its ancestors
-// — the chain's bytes are alive as long as the derived context is, so the
-// budget accounting must see them — and pins the chain, so eviction can
-// never drop a shared prefix out from under a resident descendant.
+// registerLocked inserts ctx into the resident store, where
+// CreateSession's prefix scan finds it. A context with a base first
+// (re-)registers its ancestors — the chain's bytes are alive as long as
+// the derived context is, so the budget accounting must see them — and
+// pins the chain, so eviction can never drop a shared prefix out from
+// under a resident descendant.
 // Re-registering an already-resident context only refreshes its recency.
 // Caller holds db.mu for writing.
 func (db *DB) registerLocked(ctx *Context) {
@@ -275,7 +274,6 @@ func (db *DB) registerLocked(ctx *Context) {
 	ctx.resident = true
 	db.contexts = append(db.contexts, ctx)
 	db.byHash[ctx.hash] = ctx
-	db.tree.Insert(ctx.doc, ctx)
 	db.touchLocked(ctx)
 }
 
@@ -416,20 +414,32 @@ func (ctx *Context) IndexBytes() int64 {
 // session and the number of tokens reused: the caller only needs to feed
 // tokens from that position on through Session.Update.
 //
-// The prefix search runs through a chunked token-hash trie over the
-// resident documents — O(prefix/chunk) hash hops plus a token-exact
-// verification of the winner, entirely off the registry lock — and then
-// consults the spill tier's trie: a spilled context with a longer matching
-// prefix than any resident one is transparently reloaded and reused, so
-// the returned reuse count can come from a context that was not resident
-// when the call began (Session.BaseFromSpill reports this). An evicted
-// context whose spill is still being written is in neither trie; it is
-// registered back from memory first (reclaimDraining). The reused
-// context may itself be a copy-on-write chain; the session attaches at
-// the shallowest link that serves the whole reused prefix and pins the
-// chain, so eviction cannot drop any of it while the session lives.
+// The prefix search scans the resident documents with commonPrefix under
+// the registry's read lock, and then the spill catalog the same way: a
+// spilled context with a longer matching prefix than any resident one is
+// transparently reloaded and reused, so the returned reuse count can come
+// from a context that was not resident when the call began
+// (Session.BaseFromSpill reports this). An evicted context whose spill is
+// still being written is in neither set; it is registered back from
+// memory first (reclaimDraining). The reused context may itself be a
+// copy-on-write chain; the session attaches at the shallowest link that
+// serves the whole reused prefix and pins the chain, so eviction cannot
+// drop any of it while the session lives.
+//
+// A scan, not an index: at the tens of contexts a DB holds, comparing
+// tokens up to the first mismatch costs less than hashing the query into
+// an index would. README's "Longest-prefix lookup is a scan" gives the
+// measured costs and the store size where an index would win.
 func (db *DB) CreateSession(doc *model.Document) (*Session, int) {
-	best, bestLen := db.tree.Lookup(doc)
+	var best *Context
+	bestLen := 0
+	db.mu.RLock()
+	for _, ctx := range db.contexts {
+		if n := commonPrefix(ctx.doc, doc); n > bestLen {
+			best, bestLen = ctx, n
+		}
+	}
+	db.mu.RUnlock()
 	if ctx, n := db.reclaimDraining(doc, bestLen); ctx != nil {
 		best, bestLen = ctx, n
 	}
@@ -463,7 +473,7 @@ func (db *DB) CreateSession(doc *model.Document) (*Session, int) {
 // log-sum-exp Partial of the whole context's softmax, ready for the
 // router's second-level merge. hi == 0 makes the shard open-ended: it owns
 // [lo, ∞), ingests generated tokens, and is the one shard whose ContextLen
-// tracks the full context. Span sessions skip prefix-tree reuse and cannot
+// tracks the full context. Span sessions skip prefix reuse and cannot
 // be stored.
 func (db *DB) CreateSpanSession(doc *model.Document, lo, hi int) (*Session, error) {
 	if lo < 0 || lo > doc.Len() {

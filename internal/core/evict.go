@@ -107,15 +107,15 @@ func (db *DB) enforceBudgetLocked(keep *Context) ([]*Context, error) {
 }
 
 // evictLocked removes db.contexts[i] from the resident store and unwinds
-// its registration: prefix-tree entry, hash index, residency mark, and —
-// for a copy-on-write context — the pin it held on its base chain, which
-// may make an ancestor evictable in the same budget pass (chains drain
-// leaf-first). Caller holds db.mu for writing and has verified refs == 0.
+// its registration: hash index, residency mark, and — for a copy-on-write
+// context — the pin it held on its base chain, which may make an ancestor
+// evictable in the same budget pass (chains drain leaf-first). Leaving
+// db.contexts is all it takes to leave CreateSession's prefix scan.
+// Caller holds db.mu for writing and has verified refs == 0.
 func (db *DB) evictLocked(i int) {
 	ctx := db.contexts[i]
 	db.contexts = append(db.contexts[:i], db.contexts[i+1:]...)
 	ctx.resident = false
-	db.tree.Remove(ctx.doc, ctx)
 	if db.byHash[ctx.hash] == ctx {
 		delete(db.byHash, ctx.hash)
 	}

@@ -46,9 +46,6 @@ type SharingStats struct {
 	// reference in their base chains without owning them — the bytes an
 	// unshared Store would have duplicated per context.
 	SharedPrefixBytes int64
-	// PrefixTreeDocs is the number of documents indexed by the resident
-	// prefix tree.
-	PrefixTreeDocs int
 	// Counters is the activity snapshot: lookups, hits, spill hits, CoW
 	// stores.
 	Counters metrics.ShareSnapshot
@@ -70,6 +67,5 @@ func (db *DB) SharingStats() SharingStats {
 		}
 	}
 	db.mu.RUnlock()
-	st.PrefixTreeDocs = db.tree.Len()
 	return st
 }

@@ -69,8 +69,8 @@ func TestCoWStoreSharesPrefix(t *testing.T) {
 		// With the session closed only the resident cow pins its base.
 		t.Errorf("pinned contexts = %d, want 1 (base pinned by cow)", st.PinnedContexts)
 	}
-	if st.PrefixTreeDocs != 2 {
-		t.Errorf("prefix tree docs = %d, want 2", st.PrefixTreeDocs)
+	if db.NumContexts() != 2 {
+		t.Errorf("contexts = %d, want 2 (base and cow)", db.NumContexts())
 	}
 	if st.Counters.CoWStores != 1 || st.Counters.PrefixLookups == 0 || st.Counters.PrefixHits == 0 {
 		t.Errorf("share counters: %+v", st.Counters)

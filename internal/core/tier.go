@@ -51,7 +51,8 @@ type reloadOp struct {
 
 // tierState is the DB's spill tier: the on-disk catalog and the tier
 // counters. Its mutex guards the catalog maps and clock only — never held
-// across file I/O.
+// across file I/O. CreateSession's prefix lookups scan entries and
+// spilling under it.
 type tierState struct {
 	dir    string
 	budget int64
@@ -61,33 +62,25 @@ type tierState struct {
 	mu        sync.Mutex
 	entries   map[uint64]*spillEntry
 	inflight  map[uint64]*reloadOp
-	spilling  map[uint64]bool // hashes being written by spillOne right now
-	baseRefs  map[uint64]int  // catalogued tails depending on each base hash
+	baseRefs  map[uint64]int // catalogued tails depending on each base hash
 	clock     int64
 	diskBytes int64
 
-	// tree indexes the catalogued documents for CreateSession's prefix
-	// lookup — the disk-tier twin of the DB's resident tree. It has its own
-	// lock; tree operations under t.mu are fine (nothing takes t.mu while
-	// holding the tree's lock).
-	tree *prefixTree[*spillEntry]
-
-	// draining indexes the contexts behind spilling by document, the same
-	// way. Until its spill commits a victim is neither resident nor
-	// catalogued, yet whole in memory: CreateSession reclaims it from here
+	// spilling holds the victims spillOne is writing right now, by hash.
+	// Until its spill commits a victim is neither resident nor catalogued,
+	// yet whole in memory: CreateSession reclaims it from here
 	// (reclaimDraining) instead of re-prefilling it from scratch.
-	draining *prefixTree[*Context]
+	spilling map[uint64]*Context
 }
 
-// addEntryLocked catalogs e: hash map, disk accounting, prefix index, and
-// the base dependency count for a copy-on-write tail. Caller holds t.mu.
+// addEntryLocked catalogs e: hash map, disk accounting, and the base
+// dependency count for a copy-on-write tail. Caller holds t.mu.
 func (t *tierState) addEntryLocked(e *spillEntry) {
 	t.entries[e.hash] = e
 	t.diskBytes += e.bytes
 	if e.baseHash != 0 {
 		t.baseRefs[e.baseHash]++
 	}
-	t.tree.Insert(e.doc, e)
 }
 
 // removeEntryLocked drops e from the catalog and releases its base
@@ -102,7 +95,6 @@ func (t *tierState) removeEntryLocked(e *spillEntry) {
 			delete(t.baseRefs, e.baseHash)
 		}
 	}
-	t.tree.Remove(e.doc, e)
 }
 
 // initTier creates the spill directory and recovers any compatible spilled
@@ -117,10 +109,8 @@ func (db *DB) initTier() error {
 		budget:   db.cfg.SpillBudget,
 		entries:  make(map[uint64]*spillEntry),
 		inflight: make(map[uint64]*reloadOp),
-		spilling: make(map[uint64]bool),
+		spilling: make(map[uint64]*Context),
 		baseRefs: make(map[uint64]int),
-		draining: newPrefixTree[*Context](defaultPrefixChunk),
-		tree:     newPrefixTree[*spillEntry](defaultPrefixChunk),
 	}
 	db.tier = t
 	db.recoverSpilled()
@@ -212,12 +202,11 @@ func (db *DB) spillOne(ctx *Context) {
 		t.mu.Unlock()
 		return
 	}
-	if t.inflight[hash] != nil || t.spilling[hash] {
+	if t.inflight[hash] != nil || t.spilling[hash] != nil {
 		t.mu.Unlock()
 		return
 	}
-	t.spilling[hash] = true
-	t.draining.Insert(ctx.doc, ctx)
+	t.spilling[hash] = ctx
 	t.mu.Unlock()
 
 	dir := spillDirName(t.dir, hash)
@@ -229,6 +218,8 @@ func (db *DB) spillOne(ctx *Context) {
 		os.RemoveAll(dir)
 	}
 
+	// Catalogued in the same critical section that ends the drain: a
+	// lookup always finds the victim in one of the two.
 	t.mu.Lock()
 	delete(t.spilling, hash)
 	var drops []*spillEntry
@@ -244,8 +235,6 @@ func (db *DB) spillOne(ctx *Context) {
 		t.addEntryLocked(e)
 		drops = t.enforceSpillBudgetLocked(hash)
 	}
-	// Catalogued before it leaves draining: a lookup always finds it in one.
-	t.draining.Remove(ctx.doc, ctx)
 	t.mu.Unlock()
 
 	if err != nil {
@@ -341,8 +330,16 @@ func (db *DB) reclaimDraining(doc *model.Document, bestLen int) (*Context, int) 
 	if t == nil {
 		return nil, 0
 	}
-	ctx, n := t.draining.Lookup(doc)
-	if ctx == nil || n <= bestLen {
+	var ctx *Context
+	n := bestLen
+	t.mu.Lock()
+	for _, c := range t.spilling {
+		if l := commonPrefix(c.doc, doc); l > n {
+			ctx, n = c, l
+		}
+	}
+	t.mu.Unlock()
+	if ctx == nil {
 		return nil, 0
 	}
 	if err := db.registerContext(ctx); err != nil {
@@ -359,25 +356,26 @@ func (db *DB) reclaimDraining(doc *model.Document, bestLen int) (*Context, int) 
 // miss; a reload that fails counts a reload error (surfaced through
 // TierStats) and falls back to the resident match.
 //
-// The catalog search runs through the tier's prefix tree — O(prefix/chunk)
-// like the resident lookup, not a scan of every entry. When the winning
-// entry is a copy-on-write tail whose shared prefix alone covers the
-// match, the reload walks down to the deepest catalogued ancestor that
-// still covers it, loading only the chain links actually needed.
+// The catalog search scans every entry's document with commonPrefix under
+// t.mu, like the resident scan; the documents are in memory, so the lock
+// is never held across file I/O. When the winning entry is a
+// copy-on-write tail whose shared prefix alone covers the match, the
+// reload walks down to the deepest catalogued ancestor that still covers
+// it, loading only the chain links actually needed.
 func (db *DB) reloadForPrefix(doc *model.Document, bestLen int) (*Context, int) {
 	t := db.tier
 	if t == nil {
 		return nil, 0
 	}
-	best, plen := t.tree.Lookup(doc)
-	if best == nil || plen <= bestLen {
-		if bestLen == 0 {
-			t.counters.RecordReloadMiss()
-		}
-		return nil, 0
-	}
+	var best *spillEntry
+	plen := bestLen
 	t.mu.Lock()
-	for best.baseHash != 0 && plen <= best.baseLen {
+	for _, e := range t.entries {
+		if n := commonPrefix(e.doc, doc); n > plen {
+			best, plen = e, n
+		}
+	}
+	for best != nil && best.baseHash != 0 && plen <= best.baseLen {
 		be, ok := t.entries[best.baseHash]
 		if !ok {
 			break // base is resident or gone; reload what we have
@@ -385,6 +383,12 @@ func (db *DB) reloadForPrefix(doc *model.Document, bestLen int) (*Context, int) 
 		best = be
 	}
 	t.mu.Unlock()
+	if best == nil {
+		if bestLen == 0 {
+			t.counters.RecordReloadMiss()
+		}
+		return nil, 0
+	}
 	ctx, err := db.reloadSpilled(best)
 	if err != nil {
 		if bestLen == 0 {

@@ -90,7 +90,7 @@ func TestEvictionSpillsInsteadOfDropping(t *testing.T) {
 
 // TestCreateReclaimsDrainingVictim puts an evicted context in the state
 // spillOne holds it in while SaveContext writes its directory — neither
-// resident nor catalogued, indexed in draining — and creates a session on
+// resident nor catalogued, held in spilling — and creates a session on
 // its document: the session must reuse it in full from memory, without a
 // reload or a re-prefill.
 func TestCreateReclaimsDrainingVictim(t *testing.T) {
@@ -109,8 +109,7 @@ func TestCreateReclaimsDrainingVictim(t *testing.T) {
 	}
 	db.mu.Unlock()
 	db.tier.mu.Lock()
-	db.tier.spilling[ctx.hash] = true
-	db.tier.draining.Insert(ctx.doc, ctx)
+	db.tier.spilling[ctx.hash] = ctx
 	db.tier.mu.Unlock()
 
 	sess, reused := db.CreateSession(doc)

@@ -2,11 +2,11 @@ package metrics
 
 import "sync/atomic"
 
-// ShareCounters measures cross-session prefix sharing: how often the
-// prefix tree is consulted, how often it finds a reusable prefix (resident
-// or spilled), and how many copy-on-write contexts Store has created
-// instead of materializing a full copy. Safe for concurrent use; the zero
-// value is ready.
+// ShareCounters measures cross-session prefix sharing: how many
+// CreateSession prefix lookups ran, how often one found a reusable prefix
+// (resident or spilled), and how many copy-on-write contexts Store has
+// created instead of materializing a full copy. Safe for concurrent use;
+// the zero value is ready.
 type ShareCounters struct {
 	lookups   atomic.Int64
 	hits      atomic.Int64
@@ -16,7 +16,7 @@ type ShareCounters struct {
 
 // ShareSnapshot is a point-in-time copy of the counters.
 type ShareSnapshot struct {
-	// PrefixLookups counts CreateSession prefix-tree consultations.
+	// PrefixLookups counts CreateSession prefix lookups.
 	PrefixLookups int64
 	// PrefixHits counts lookups that found a non-empty reusable prefix.
 	PrefixHits int64

@@ -133,6 +133,22 @@ func HTTPStatus(kind Kind) int {
 	}
 }
 
+// UntypedStatusKind classifies an HTTP status that arrived with no typed
+// error body, on either wire: a proxy or load balancer answered, not a
+// Core. 502, 503 and 504 are unavailable (resubmit elsewhere), 429 is
+// overloaded (back off), and any other status is internal. A response
+// that arrived but does not decode is internal too; only a request that
+// got no response at all is unavailable.
+func UntypedStatusKind(status int) Kind {
+	switch status {
+	case http.StatusBadGateway, http.StatusServiceUnavailable, http.StatusGatewayTimeout:
+		return KindUnavailable
+	case http.StatusTooManyRequests:
+		return KindOverloaded
+	}
+	return KindInternal
+}
+
 // ErrorEnvelope is the JSON error body every failing response carries:
 // the human-readable message plus the machine-matchable kind.
 type ErrorEnvelope struct {

@@ -81,16 +81,24 @@ func Dial(target string, opts ...DialOption) *ClientConn {
 	return c
 }
 
-// unavailableErr wraps a transport-level failure — a dead dial, a reset
-// connection, a load-shedding 503 — as the typed UNAVAILABLE status, so
-// callers branch on one error shape whether the node refused at the TCP,
-// HTTP, or gRPC layer.
+// unavailableErr wraps a request that got no response — a dead dial, a
+// refused connection — as the typed UNAVAILABLE status, so callers branch
+// on one error shape whether the node refused at the TCP, HTTP, or gRPC
+// layer.
 func unavailableErr(format string, args ...interface{}) *StatusError {
-	return &StatusError{
-		Code:    CodeUnavailable,
-		Kind:    serve.KindUnavailable,
-		Message: fmt.Sprintf(format, args...),
-	}
+	return kindErr(serve.KindUnavailable, format, args...)
+}
+
+// protocolErr types a response that arrived but is not a well-formed gRPC
+// answer — a non-gRPC body, an undecodable message, a missing or
+// malformed status — as INTERNAL, the kind serve.Remote gives the same
+// faults on the HTTP wire: the peer answered, so it is not unavailable.
+func protocolErr(format string, args ...interface{}) *StatusError {
+	return kindErr(serve.KindInternal, format, args...)
+}
+
+func kindErr(kind serve.Kind, format string, args ...interface{}) *StatusError {
+	return &StatusError{Code: CodeForKind(kind), Kind: kind, Message: fmt.Sprintf(format, args...)}
 }
 
 // Close releases idle connections.
@@ -124,7 +132,7 @@ func statusOf(h http.Header) (err error, ok bool) {
 	}
 	code, cerr := strconv.Atoi(v)
 	if cerr != nil || code < 0 {
-		return fmt.Errorf("grpc: malformed grpc-status %q", v), true
+		return protocolErr("grpc: malformed grpc-status %q", v), true
 	}
 	if Code(code) == CodeOK {
 		return nil, true
@@ -145,22 +153,12 @@ func statusOf(h http.Header) (err error, ok bool) {
 func checkResponse(resp *http.Response) error {
 	if resp.StatusCode != http.StatusOK {
 		// A non-200 never came from the gRPC layer (which always answers
-		// 200 + trailers): it is a proxy or server shedding load. Surface
-		// the retryable ones as typed UNAVAILABLE.
-		switch resp.StatusCode {
-		case http.StatusServiceUnavailable, http.StatusBadGateway, http.StatusGatewayTimeout:
-			return unavailableErr("grpc: transport error: HTTP %s", resp.Status)
-		case http.StatusTooManyRequests:
-			return &StatusError{
-				Code:    CodeResourceExhausted,
-				Kind:    serve.KindOverloaded,
-				Message: fmt.Sprintf("grpc: transport error: HTTP %s", resp.Status),
-			}
-		}
-		return fmt.Errorf("grpc: transport error: HTTP %s", resp.Status)
+		// 200 + trailers): a proxy or load balancer answered, typed as
+		// on the HTTP wire.
+		return kindErr(serve.UntypedStatusKind(resp.StatusCode), "grpc: transport error: HTTP %s", resp.Status)
 	}
 	if ct := resp.Header.Get("Content-Type"); !isGRPCContentType(ct) {
-		return fmt.Errorf("grpc: response content-type %q is not gRPC", ct)
+		return protocolErr("grpc: response content-type %q is not gRPC", ct)
 	}
 	if err, ok := statusOf(resp.Header); ok {
 		// Trailers-only response: the status arrived in the header block.
@@ -190,7 +188,7 @@ func (c *ClientConn) Invoke(ctx context.Context, method string, in, out pb.Messa
 	}()
 	if err := checkResponse(resp); err != nil {
 		if err == io.EOF {
-			return fmt.Errorf("grpc: %s: OK status with no response message", method)
+			return protocolErr("grpc: %s: OK status with no response message", method)
 		}
 		return err
 	}
@@ -203,13 +201,13 @@ func (c *ClientConn) Invoke(ctx context.Context, method string, in, out pb.Messa
 		if terr, ok := statusOf(resp.Trailer); ok && terr != nil {
 			return terr
 		}
-		return fmt.Errorf("grpc: %s: response ended without message or status", method)
+		return protocolErr("grpc: %s: response ended without message or status", method)
 	}
 	if err != nil {
 		return err
 	}
 	if uerr := out.UnmarshalProto(buf); uerr != nil {
-		return fmt.Errorf("grpc: %s: bad response proto: %v", method, uerr)
+		return protocolErr("grpc: %s: bad response proto: %v", method, uerr)
 	}
 	// Drain to the trailers and check the authoritative status.
 	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
@@ -217,7 +215,7 @@ func (c *ClientConn) Invoke(ctx context.Context, method string, in, out pb.Messa
 	}
 	terr, ok := statusOf(resp.Trailer)
 	if !ok {
-		return fmt.Errorf("grpc: %s: server sent no grpc-status", method)
+		return protocolErr("grpc: %s: server sent no grpc-status", method)
 	}
 	return terr
 }
@@ -261,7 +259,7 @@ func (s *ClientStream) Recv(out pb.Message) error {
 	}
 	if uerr := out.UnmarshalProto(msg); uerr != nil {
 		s.done = true
-		return fmt.Errorf("grpc: %s: bad stream message: %v", s.method, uerr)
+		return protocolErr("grpc: %s: bad stream message: %v", s.method, uerr)
 	}
 	return nil
 }
@@ -282,7 +280,7 @@ func (s *ClientStream) next() ([]byte, error) {
 			}
 			return nil, io.EOF
 		}
-		return nil, fmt.Errorf("grpc: %s: stream ended without grpc-status", s.method)
+		return nil, protocolErr("grpc: %s: stream ended without grpc-status", s.method)
 	}
 	if err != nil {
 		s.done = true

@@ -14,11 +14,14 @@ import (
 // client-side mirror of Server.dispatch: one method per Core operation,
 // each taking a ctx, with the serve request and response types in and
 // out. step and step_stream carry binary frames, as the server decodes
-// them. Every error is a *serve.Error: a non-OK status keeps the exact
-// kind of its Alaya-Kind trailer, a call that got no status (a refused
-// dial, a reset connection) is unavailable, and a response frame that
-// does not decode is internal. A request the frame layout cannot carry (a
-// ragged query grid) is a bad request before anything is sent. Safe for
+// them. Every error is a *serve.Error, typed as serve.Remote types the
+// same failure on the HTTP wire: a non-OK status keeps the exact kind of
+// its Alaya-Kind trailer; an HTTP status with no gRPC body (a proxy
+// answered) is typed by serve.UntypedStatusKind; a call that got no
+// answer (a refused dial, a reset connection) is unavailable; and an
+// answer that is not well-formed gRPC, or whose message or frame does not
+// decode, is internal. A request the frame layout cannot carry (a ragged
+// query grid) is a bad request before anything is sent. Safe for
 // concurrent use.
 type Remote struct {
 	target string

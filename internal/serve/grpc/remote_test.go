@@ -5,6 +5,7 @@ import (
 	"context"
 	"io"
 	"net"
+	"net/http"
 	"testing"
 
 	"repro/internal/serve"
@@ -141,5 +142,34 @@ func TestRemoteMirrorsCore(t *testing.T) {
 	defer dead.Close()
 	if _, err := dead.Healthz(ctx); kindOf(err) != serve.KindUnavailable {
 		t.Fatalf("healthz of a dead peer: %v", err)
+	}
+
+	// A status with no gRPC body is a proxy's, typed as serve.Remote types
+	// it: the retryable ones keep their meaning, anything else is internal,
+	// and so is a 200 that is not gRPC.
+	for status, kind := range map[int]serve.Kind{
+		http.StatusBadGateway:         serve.KindUnavailable,
+		http.StatusServiceUnavailable: serve.KindUnavailable,
+		http.StatusGatewayTimeout:     serve.KindUnavailable,
+		http.StatusTooManyRequests:    serve.KindOverloaded,
+		http.StatusTeapot:             serve.KindInternal,
+		http.StatusOK:                 serve.KindInternal,
+	} {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		proxy := NewHTTPServer(ln.Addr().String(), http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.WriteHeader(status)
+			w.Write([]byte("<html>proxy page</html>"))
+		}))
+		go proxy.Serve(ln)
+		rc := DialRemote(ln.Addr().String())
+		_, err = rc.Stats(ctx)
+		rc.Close()
+		proxy.Close()
+		if kindOf(err) != kind {
+			t.Errorf("proxy status %d: %v, want kind %s", status, err, kind)
+		}
 	}
 }

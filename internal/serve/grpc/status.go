@@ -126,9 +126,11 @@ func KindForCode(c Code) serve.Kind {
 	return serve.KindInternal
 }
 
-// StatusError is a non-OK gRPC status received by the client. Kind is
-// the exact serve kind when the server sent the alaya-kind trailer, else
-// KindForCode's reconstruction.
+// StatusError is a non-OK gRPC status: one the server sent, or one the
+// client assigns to a call that got no answer (unavailable), an HTTP
+// status with no gRPC body (serve.UntypedStatusKind) or a malformed answer
+// (internal). Kind is the exact serve kind when the server sent the
+// alaya-kind trailer, else KindForCode's reconstruction.
 type StatusError struct {
 	Code    Code
 	Message string

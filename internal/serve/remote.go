@@ -14,10 +14,10 @@ import (
 // agrpc.Remote: one method per Core operation, each taking a ctx, with
 // the request and response types in and out. step and step_stream carry
 // binary frames. Every error is a *Error: an error envelope keeps its
-// kind; a status with no envelope (a proxy answered) is unavailable for
-// 502, 503 and 504, overloaded for 429 and internal otherwise; a request
-// that got no response (a refused dial, a reset connection) is
-// unavailable; and a response that does not decode is internal. A
+// kind; a status with no envelope (a proxy answered) is typed by
+// UntypedStatusKind; a request that got no response (a refused dial, a
+// reset connection) is unavailable; and a response that does not decode
+// is internal. A
 // request the frame layout cannot carry (a ragged query grid) is a bad
 // request before anything is sent. Safe for concurrent use.
 type Remote struct {
@@ -88,14 +88,7 @@ func (r *Remote) send(ctx context.Context, method, path string, in interface{}, 
 	if json.NewDecoder(resp.Body).Decode(&env) == nil && env.Error != "" {
 		return nil, &Error{Kind: env.Kind, Message: env.Error}
 	}
-	kind := KindInternal
-	switch resp.StatusCode {
-	case http.StatusServiceUnavailable, http.StatusBadGateway, http.StatusGatewayTimeout:
-		kind = KindUnavailable
-	case http.StatusTooManyRequests:
-		kind = KindOverloaded
-	}
-	return nil, errf(kind, "%s: http status %d", r.base, resp.StatusCode)
+	return nil, errf(UntypedStatusKind(resp.StatusCode), "%s: http status %d", r.base, resp.StatusCode)
 }
 
 // call runs one call and decodes its response, a frame or JSON as its

@@ -238,13 +238,11 @@ type StatsResponse struct {
 	ReloadErrors int64 `json:"reload_errors,omitempty"`
 	// Prefix sharing (PRs 1-7): resident copy-on-write contexts, pinned
 	// (unevictable) contexts, and the bytes shared bases serve to their
-	// dependants without duplication, plus the prefix-tree activity
-	// counters behind CreateSession's lookup and Store's copy-on-write
-	// path.
+	// dependants without duplication, plus the activity counters behind
+	// CreateSession's prefix lookup and Store's copy-on-write path.
 	SharedContexts    int   `json:"shared_contexts,omitempty"`
 	PinnedContexts    int   `json:"pinned_contexts,omitempty"`
 	SharedPrefixBytes int64 `json:"shared_prefix_bytes,omitempty"`
-	PrefixTreeDocs    int   `json:"prefix_tree_docs,omitempty"`
 	PrefixLookups     int64 `json:"prefix_lookups,omitempty"`
 	PrefixHits        int64 `json:"prefix_hits,omitempty"`
 	PrefixSpillHits   int64 `json:"prefix_spill_hits,omitempty"`
@@ -532,7 +530,6 @@ func (s *Service) Stats() (resp *StatsResponse, err error) {
 	resp.SharedContexts = sh.SharedContexts
 	resp.PinnedContexts = sh.PinnedContexts
 	resp.SharedPrefixBytes = sh.SharedPrefixBytes
-	resp.PrefixTreeDocs = sh.PrefixTreeDocs
 	resp.PrefixLookups = sh.Counters.PrefixLookups
 	resp.PrefixHits = sh.Counters.PrefixHits
 	resp.PrefixSpillHits = sh.Counters.PrefixSpillHits

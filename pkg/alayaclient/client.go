@@ -35,8 +35,9 @@
 // Every failure is an *APIError with the same kind on either wire: the
 // server's typed kind, unavailable for a daemon that cannot be reached
 // (or a proxy's 502, 503 or 504), overloaded for a proxy's 429, and
-// internal for a response that does not decode — a stream that ends
-// without its terminator or runs on past it included. The Client reuses
+// internal for a proxy's other statuses and for a response that does not
+// decode — a stream that ends without its terminator or runs on past it
+// included. The Client reuses
 // connections and is safe for concurrent use; a Session serializes its
 // own mutating calls server-side but may be shared across goroutines
 // freely.

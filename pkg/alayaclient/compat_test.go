@@ -63,7 +63,8 @@ func TestStatsOlderServer(t *testing.T) {
 // TestStatsNewerServer decodes a stats body carrying both the
 // prefix-sharing fields and unknown fields: the known fields must land and
 // the unknown ones must be ignored, not rejected. The unknown set includes
-// the context-sharding counters older daemons still emit.
+// the context-sharding counters and the prefix_tree_docs gauge older
+// daemons still emit.
 func TestStatsNewerServer(t *testing.T) {
 	c := statsServer(t, `{
 		"contexts": 5,

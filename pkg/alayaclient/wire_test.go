@@ -20,7 +20,7 @@ import (
 func (e *testEnv) httpWire(t *testing.T, chunks [][]byte) *Client {
 	t.Helper()
 	real := e.srv.Handler()
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	return httpClient(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if chunks == nil || !strings.HasSuffix(r.URL.Path, "/step_stream") {
 			real.ServeHTTP(w, r)
 			return
@@ -31,6 +31,12 @@ func (e *testEnv) httpWire(t *testing.T, chunks [][]byte) *Client {
 			w.Write(c)
 		}
 	}))
+}
+
+// httpClient returns a Client over HTTP of whatever h answers.
+func httpClient(t *testing.T, h http.Handler) *Client {
+	t.Helper()
+	ts := httptest.NewServer(h)
 	t.Cleanup(ts.Close)
 	c, err := NewClient(WithBaseURL(ts.URL))
 	if err != nil {
@@ -44,7 +50,7 @@ func (e *testEnv) httpWire(t *testing.T, chunks [][]byte) *Client {
 func (e *testEnv) grpcWire(t *testing.T, chunks [][]byte) *Client {
 	t.Helper()
 	real := agrpc.NewServer(e.srv.Service()).Handler()
-	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	return grpcClient(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if chunks == nil || r.URL.Path != pb.MethodStepStream {
 			real.ServeHTTP(w, r)
 			return
@@ -53,11 +59,21 @@ func (e *testEnv) grpcWire(t *testing.T, chunks [][]byte) *Client {
 		w.Header().Set("Content-Type", agrpc.ContentType)
 		w.Header().Set("Trailer", "Grpc-Status")
 		for _, c := range chunks {
-			msg := (&pb.FrameResponse{Frame: c}).AppendProto(nil)
-			w.Write(append([]byte{0, byte(len(msg) >> 24), byte(len(msg) >> 16), byte(len(msg) >> 8), byte(len(msg))}, msg...))
+			w.Write(grpcMessage((&pb.FrameResponse{Frame: c}).AppendProto(nil)))
 		}
 		w.Header().Set("Grpc-Status", "0")
-	})
+	}))
+}
+
+// grpcMessage frames msg as one length-prefixed gRPC message.
+func grpcMessage(msg []byte) []byte {
+	return append([]byte{0, byte(len(msg) >> 24), byte(len(msg) >> 16), byte(len(msg) >> 8), byte(len(msg))}, msg...)
+}
+
+// grpcClient returns a Client over gRPC (cleartext HTTP/2) of whatever h
+// answers.
+func grpcClient(t *testing.T, h http.Handler) *Client {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -75,8 +91,9 @@ func (e *testEnv) grpcWire(t *testing.T, chunks [][]byte) *Client {
 
 // TestWireParityErrors: each failure comes back as an *APIError of the
 // same kind over HTTP and over gRPC — a daemon that is not there, a
-// session that is not there, a ragged query grid, and a step stream that
-// ends without its terminator or runs on past it.
+// session that is not there, a ragged query grid, a step stream that
+// ends without its terminator or runs on past it, a proxy that answers a
+// status with no typed body, and a 200 that does not decode.
 func TestWireParityErrors(t *testing.T) {
 	e := newTestEnv(t, 300)
 	ctx := context.Background()
@@ -93,13 +110,35 @@ func TestWireParityErrors(t *testing.T) {
 	ln.Close()
 
 	wires := []struct {
-		name string
-		dead Option
-		dial func(*testing.T, [][]byte) *Client
+		name  string
+		dead  Option
+		dial  func(*testing.T, [][]byte) *Client
+		proxy func(*testing.T, http.Handler) *Client
 	}{
-		{"http", WithBaseURL("http://" + deadAddr), e.httpWire},
-		{"grpc", WithGRPCAddr(deadAddr), e.grpcWire},
+		{"http", WithBaseURL("http://" + deadAddr), e.httpWire, httpClient},
+		{"grpc", WithGRPCAddr(deadAddr), e.grpcWire, grpcClient},
 	}
+	// teapot is a proxy answering every call with a status of its own and
+	// no typed error body.
+	teapot := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		w.WriteHeader(http.StatusTeapot)
+		w.Write([]byte("<html>proxy page</html>"))
+	})
+	// garbled answers 200 in the caller's wire format with a body that does
+	// not decode: JSON that is not JSON, a gRPC message that is not a proto.
+	garbled := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		if r.Header.Get("Content-Type") != agrpc.ContentType {
+			w.Header().Set("Content-Type", "application/json")
+			w.Write([]byte("{not json"))
+			return
+		}
+		w.Header().Set("Content-Type", agrpc.ContentType)
+		w.Header().Set("Trailer", "Grpc-Status")
+		w.Write(grpcMessage([]byte{0xff}))
+		w.Header().Set("Grpc-Status", "0")
+	})
 	steps := e.streamSteps(1)
 	ragged := e.queries(0)
 	ragged[0] = ragged[0][:1]
@@ -148,6 +187,12 @@ func TestWireParityErrors(t *testing.T) {
 		{"stream without a terminator", false, [][]byte{item}, func(c *Client) error { return drain(c, 1, steps) }, serve.KindInternal},
 		{"stream past its terminator", false, [][]byte{item, end, make([]byte, 28)}, func(c *Client) error { return drain(c, 1, steps) }, serve.KindInternal},
 	}
+	check := func(row, wire string, err error, kind serve.Kind) {
+		t.Helper()
+		if ae, ok := err.(*APIError); !ok || ae.Kind != kind || ae.Status != serve.HTTPStatus(kind) {
+			t.Errorf("%s over %s: err %v (%T), want a %s *APIError", row, wire, err, err, kind)
+		}
+	}
 	for _, row := range rows {
 		for _, w := range wires {
 			var c *Client
@@ -158,10 +203,24 @@ func TestWireParityErrors(t *testing.T) {
 			} else {
 				c = w.dial(t, row.chunks)
 			}
-			err := row.do(c)
-			if ae, ok := err.(*APIError); !ok || ae.Kind != row.kind || ae.Status != serve.HTTPStatus(row.kind) {
-				t.Errorf("%s over %s: err %v (%T), want a %s *APIError", row.name, w.name, err, err, row.kind)
-			}
+			check(row.name, w.name, row.do(c), row.kind)
+		}
+	}
+
+	// Something answered, so none of these is unavailable.
+	healthz := func(c *Client) error { _, err := c.Healthz(ctx); return err }
+	proxied := []struct {
+		name string
+		h    http.Handler
+		do   func(*Client) error
+	}{
+		{"proxy 418 healthz", teapot, healthz},
+		{"proxy 418 stream", teapot, func(c *Client) error { return drain(c, 1, steps) }},
+		{"undecodable 200 healthz", garbled, healthz},
+	}
+	for _, row := range proxied {
+		for _, w := range wires {
+			check(row.name, w.name, row.do(w.proxy(t, row.h)), serve.KindInternal)
 		}
 	}
 }
