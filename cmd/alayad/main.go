@@ -142,8 +142,8 @@ func run() error {
 	if *quant {
 		keyPlane = "sq8 grid (int8 spill)"
 	}
-	log.Printf("alayad: serving attention on %s (model %dL x %dQ x %dKV x d%d, pool %d, %d shards, keys %s)",
-		*addr, cfg.Layers, cfg.QHeads, cfg.KVHeads, cfg.HeadDim, workPool.Size(), srv.Service().Registry().Shards(), keyPlane)
+	log.Printf("alayad: serving attention on %s (model %dL x %dQ x %dKV x d%d, pool %d, keys %s)",
+		*addr, cfg.Layers, cfg.QHeads, cfg.KVHeads, cfg.HeadDim, workPool.Size(), keyPlane)
 	if *spillDir != "" {
 		ts := db.TierStats()
 		log.Printf("alayad: spill tier at %s (budget %.2f GB, %d contexts recovered)",

@@ -8,8 +8,8 @@ import (
 // Endpoint enumerates the service operations the serving layer measures.
 // The set is closed so per-endpoint counters can live in a fixed array of
 // atomics: observation from concurrent request handlers never takes a lock,
-// because a shared mutex on the request path would reintroduce the
-// serialization the sharded registry removed.
+// so timing a request adds no critical section to the one admission and
+// session lookup already share.
 type Endpoint int
 
 const (

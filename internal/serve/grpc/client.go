@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/tls"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -95,6 +96,17 @@ func unavailableErr(format string, args ...interface{}) *StatusError {
 // faults on the HTTP wire: the peer answered, so it is not unavailable.
 func protocolErr(format string, args ...interface{}) *StatusError {
 	return kindErr(serve.KindInternal, format, args...)
+}
+
+// recvErr types a readMessage failure on a response: a message framed
+// wrongly (compressed, or over the size bound) is the peer's answer, so
+// internal; a body cut short or a broken connection is returned as is,
+// which Remote types unavailable.
+func recvErr(method string, err error) error {
+	if errors.Is(err, errCompressed) || errors.Is(err, errTooLarge) {
+		return protocolErr("grpc: %s: %v", method, err)
+	}
+	return err
 }
 
 func kindErr(kind serve.Kind, format string, args ...interface{}) *StatusError {
@@ -204,7 +216,7 @@ func (c *ClientConn) Invoke(ctx context.Context, method string, in, out pb.Messa
 		return protocolErr("grpc: %s: response ended without message or status", method)
 	}
 	if err != nil {
-		return err
+		return recvErr(method, err)
 	}
 	if uerr := out.UnmarshalProto(buf); uerr != nil {
 		return protocolErr("grpc: %s: bad response proto: %v", method, uerr)
@@ -284,7 +296,7 @@ func (s *ClientStream) next() ([]byte, error) {
 	}
 	if err != nil {
 		s.done = true
-		return nil, err
+		return nil, recvErr(s.method, err)
 	}
 	return s.buf, nil
 }

@@ -172,4 +172,43 @@ func TestRemoteMirrorsCore(t *testing.T) {
 			t.Errorf("proxy status %d: %v, want kind %s", status, err, kind)
 		}
 	}
+
+	// A gRPC answer whose message is framed wrongly — compressed, or
+	// longer than DefaultMaxRecvBytes — came from a peer, so it is
+	// internal on a unary call and on a stream alike; a body cut short
+	// stays unavailable.
+	for _, tc := range []struct {
+		name string
+		body []byte
+		kind serve.Kind
+	}{
+		{"compressed", []byte{1, 0, 0, 0, 1, 0}, serve.KindInternal},
+		{"oversized", []byte{0, 0x7f, 0xff, 0xff, 0xff}, serve.KindInternal},
+		{"truncated", []byte{0, 0, 0, 0, 5, 1}, serve.KindUnavailable},
+	} {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		peer := NewHTTPServer(ln.Addr().String(), http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", ContentType)
+			w.Write(tc.body)
+		}))
+		go peer.Serve(ln)
+		rc := DialRemote(ln.Addr().String())
+		_, herr := rc.Healthz(ctx)
+		st, serr := rc.StepStream(ctx, 1, &serve.StepsRequest{Steps: steps[:1]})
+		if serr == nil {
+			_, serr = st.Recv()
+			st.Close()
+		}
+		rc.Close()
+		peer.Close()
+		if kindOf(herr) != tc.kind {
+			t.Errorf("healthz answered with a %s message: %v, want kind %s", tc.name, herr, tc.kind)
+		}
+		if kindOf(serr) != tc.kind {
+			t.Errorf("stream answered with a %s message: %v, want kind %s", tc.name, serr, tc.kind)
+		}
+	}
 }

@@ -15,6 +15,10 @@ import (
 // than a generic bad request — the gRPC analog of HTTP 413.
 var errTooLarge = errors.New("message exceeds size bound")
 
+// errCompressed marks a message with the compressed flag set, which
+// neither peer negotiates.
+var errCompressed = errors.New("compressed message not supported")
+
 // ContentType is the media type both peers send; ContentTypeBare is also
 // accepted on requests, as the gRPC spec requires.
 const (
@@ -73,7 +77,7 @@ func readMessage(r io.Reader, buf []byte, max int64) ([]byte, error) {
 		return nil, err
 	}
 	if prefix[0] != 0 {
-		return nil, fmt.Errorf("grpc: compressed message (flag %d) not supported", prefix[0])
+		return nil, fmt.Errorf("grpc: message flag %d: %w", prefix[0], errCompressed)
 	}
 	n := int64(prefix[1])<<24 | int64(prefix[2])<<16 | int64(prefix[3])<<8 | int64(prefix[4])
 	if n > max {

@@ -135,7 +135,7 @@ func stepWire(sess *core.Session, req *StepRequest, sc *stepScratch, mc model.Co
 // one step on the caller's goroutine, under the session's lock, with no
 // scheduler around it.
 func (s *Service) stepDirect(id int64, req *StepRequest, mc model.Config) (*StepResponse, error) {
-	sess, release, ok := s.reg.Acquire(id)
+	sess, release, ok := s.sched.acquire(id)
 	if !ok {
 		return nil, NotFoundf("no session %d", id)
 	}
@@ -554,7 +554,7 @@ func TestStepStreamCancelStops(t *testing.T) {
 	inst := workload.Generate(p, 31, 300, 64, 32)
 	id := newSchedSession(t, svc, inst.Doc)
 	contextLen := func() int {
-		sess, release, ok := svc.reg.Acquire(id)
+		sess, release, ok := svc.sched.acquire(id)
 		if !ok {
 			t.Fatal("session vanished")
 		}
@@ -715,7 +715,7 @@ func TestSchedulerShutdownDrains(t *testing.T) {
 	// With heldID's session lock taken here, a unary step on it waits for
 	// the session, counted as queued. The cleanup releases the lock if an
 	// assertion fails first, so teardown does not hang.
-	_, unlock, ok := svc.reg.Acquire(heldID)
+	_, unlock, ok := svc.sched.acquire(heldID)
 	if !ok {
 		t.Fatal("held session vanished")
 	}
@@ -763,7 +763,7 @@ func TestSchedulerShutdownDrains(t *testing.T) {
 	if streamed != 1 {
 		t.Fatalf("stream delivered %d items across close, want 1", streamed)
 	}
-	sess, unlockID, ok := svc.reg.Acquire(id)
+	sess, unlockID, ok := svc.sched.acquire(id)
 	if !ok {
 		t.Fatal("streamed session vanished")
 	}

@@ -61,18 +61,19 @@
 // # Locking discipline
 //
 // The server is built for many sessions in flight at once; there is no
-// global request lock. Three independent levels exist, always acquired
-// top-down and never held across levels longer than needed:
+// global request lock. Three levels exist:
 //
-//  1. Session IDs come from a lock-free atomic counter.
-//  2. The session table is sharded (Registry); a shard mutex guards only
-//     its map slice and is held just for insert/lookup/delete, so requests
-//     for different sessions never serialize on the table.
-//  3. Each session carries a request mutex, taken by prefill, every
+//  1. The Scheduler's mutex guards the session table (one map, one ID
+//     counter) and admission. It is held only for an insert, a lookup, a
+//     delete or one step's admission, and under it a session's lock is
+//     only tried, never waited on.
+//  2. Each session carries a request mutex, taken by prefill, every
 //     step, store and close, because each grows, reads or consumes the
-//     session's KV tail. Requests on *different* sessions therefore only
-//     ever share the worker pool, never a lock — except streamed steps:
-//  4. The Scheduler's stream lane is taken under a session's mutex, and
+//     session's KV tail. A request on a busy session waits for it after
+//     the table mutex is released. Requests on *different* sessions
+//     therefore share only the table mutex's short critical sections and
+//     the worker pool — except streamed steps:
+//  3. The Scheduler's stream lane is taken under a session's mutex, and
 //     only around one streamed step's compute, never across its sink.
 package serve
 
@@ -87,10 +88,6 @@ import (
 
 	"repro/internal/core"
 )
-
-// DefaultShards is the session registry's shard count: comfortably above
-// typical core counts so shard collisions are rare.
-const DefaultShards = 32
 
 // DefaultMaxBodyBytes is the request-body limit when no option overrides
 // it: generous for step_stream batches at production model geometry, small

@@ -20,7 +20,6 @@ import (
 // lookup and locking follow the package comment's discipline.
 type Service struct {
 	db    *core.DB
-	reg   *Registry
 	eps   metrics.EndpointCounters
 	sched *Scheduler
 
@@ -65,7 +64,7 @@ func NewService(db *core.DB, opts ...Option) *Service {
 	for _, fn := range opts {
 		fn(&o)
 	}
-	s := &Service{db: db, reg: NewRegistry(DefaultShards)}
+	s := &Service{db: db}
 	s.sched = newScheduler(s, o.queueCap)
 	return s
 }
@@ -73,13 +72,11 @@ func NewService(db *core.DB, opts ...Option) *Service {
 // DB returns the underlying context store.
 func (s *Service) DB() *core.DB { return s.db }
 
-// Registry returns the session registry (tests inspect shard counts).
-func (s *Service) Registry() *Registry { return s.reg }
-
 // EndpointStats snapshots the per-endpoint request/latency counters.
 func (s *Service) EndpointStats() []metrics.EndpointSnapshot { return s.eps.Snapshot() }
 
-// Scheduler returns the decode scheduler (tests and stats inspect it).
+// Scheduler returns the decode scheduler, which holds the session table
+// (tests and stats inspect it).
 func (s *Service) Scheduler() *Scheduler { return s.sched }
 
 // Close stops the decode scheduler (failing unstarted steps with the typed
@@ -91,7 +88,7 @@ func (s *Service) Scheduler() *Scheduler { return s.sched }
 func (s *Service) Close() error {
 	s.closeOnce.Do(func() {
 		s.sched.Close()
-		for _, sess := range s.reg.Drain() {
+		for _, sess := range s.sched.drain() {
 			if err := sess.Close(); err != nil && s.closeErr == nil {
 				s.closeErr = err
 			}
@@ -352,11 +349,11 @@ func (s *Service) CreateSession(req *CreateSessionRequest) (resp *CreateSessionR
 		if serr != nil {
 			return nil, BadRequestf("span session: %v", serr)
 		}
-		id := s.reg.Add(sess)
+		id := s.sched.add(sess)
 		return &CreateSessionResponse{SessionID: id, Reused: req.SpanLo}, nil
 	}
 	sess, reused := s.db.CreateSession(doc)
-	id := s.reg.Add(sess)
+	id := s.sched.add(sess)
 	return &CreateSessionResponse{SessionID: id, Reused: reused}, nil
 }
 
@@ -364,7 +361,7 @@ func (s *Service) CreateSession(req *CreateSessionRequest) (resp *CreateSessionR
 // prefix.
 func (s *Service) Prefill(id int64) (resp *PrefillResponse, err error) {
 	defer s.track(metrics.EPPrefill, &err)()
-	sess, release, ok := s.reg.Acquire(id)
+	sess, release, ok := s.sched.acquire(id)
 	if !ok {
 		return nil, NotFoundf("no session %d", id)
 	}
@@ -467,7 +464,7 @@ func (s *Service) StepStream(ctx context.Context, id int64, req *StepsRequest, s
 // Store persists the session's full state as a reusable context.
 func (s *Service) Store(id int64) (resp *StoreResponse, err error) {
 	defer s.track(metrics.EPStore, &err)()
-	sess, release, ok := s.reg.Acquire(id)
+	sess, release, ok := s.sched.acquire(id)
 	if !ok {
 		return nil, NotFoundf("no session %d", id)
 	}
@@ -482,7 +479,7 @@ func (s *Service) Store(id int64) (resp *StoreResponse, err error) {
 // CloseSession removes and closes a session, draining in-flight requests.
 func (s *Service) CloseSession(id int64) (resp *CloseResponse, err error) {
 	defer s.track(metrics.EPCloseSession, &err)()
-	sess, ok := s.reg.Remove(id)
+	sess, ok := s.sched.remove(id)
 	if !ok {
 		return nil, NotFoundf("no session %d", id)
 	}
@@ -494,7 +491,7 @@ func (s *Service) CloseSession(id int64) (resp *CloseResponse, err error) {
 
 // Healthz is the liveness probe.
 func (s *Service) Healthz() *HealthzResponse {
-	resp := &HealthzResponse{Status: "ok", OpenSessions: s.reg.Len()}
+	resp := &HealthzResponse{Status: "ok", OpenSessions: s.sched.openSessions()}
 	s.eps.Observe(metrics.EPHealthz, false, 0)
 	return resp
 }
@@ -508,7 +505,7 @@ func (s *Service) Stats() (resp *StatsResponse, err error) {
 		StoredBytes:  s.db.StoredBytes(),
 		Evictions:    s.db.Evictions(),
 		DeviceUsedGB: devmem.GB(s.db.Device().Used()),
-		OpenSessions: s.reg.Len(),
+		OpenSessions: s.sched.openSessions(),
 	}
 	kv := s.db.StoredKVBytes()
 	resp.KeyBytes = kv.Keys

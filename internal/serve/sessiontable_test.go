@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -11,52 +12,47 @@ import (
 	"repro/internal/workload"
 )
 
-func TestRegistryShardRounding(t *testing.T) {
-	for _, tc := range []struct{ in, want int }{
-		{0, 1}, {1, 1}, {2, 2}, {3, 4}, {32, 32}, {33, 64},
-	} {
-		if got := NewRegistry(tc.in).Shards(); got != tc.want {
-			t.Errorf("NewRegistry(%d).Shards() = %d, want %d", tc.in, got, tc.want)
-		}
-	}
-}
-
-func TestRegistryAddAcquireRemove(t *testing.T) {
-	r := NewRegistry(4)
-	id := r.Add(nil)
+func TestSessionTableAddAcquireRemove(t *testing.T) {
+	sch := newScheduler(nil, 0)
+	id := sch.add(nil)
 	if id != 1 {
 		t.Fatalf("first id = %d, want 1", id)
 	}
-	if r.Add(nil) != 2 {
+	if sch.add(nil) != 2 {
 		t.Fatal("ids not sequential")
 	}
-	if r.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", r.Len())
+	if n := sch.openSessions(); n != 2 {
+		t.Fatalf("openSessions = %d, want 2", n)
 	}
-	_, release, ok := r.Acquire(id)
+	_, release, ok := sch.acquire(id)
 	if !ok {
-		t.Fatal("Acquire missed a registered session")
+		t.Fatal("acquire missed a registered session")
 	}
 	release()
-	if _, _, ok := r.Acquire(999); ok {
-		t.Fatal("Acquire found an unregistered id")
+	if _, _, ok := sch.acquire(999); ok {
+		t.Fatal("acquire found an unregistered id")
 	}
-	if _, ok := r.Remove(id); !ok {
-		t.Fatal("Remove missed a registered session")
+	if _, err := sch.enter(999); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("step on an unregistered id: %v, want ErrNotFound", err)
 	}
-	if _, ok := r.Remove(id); ok {
-		t.Fatal("double Remove succeeded")
+	if _, ok := sch.remove(id); !ok {
+		t.Fatal("remove missed a registered session")
 	}
-	if r.Len() != 1 {
-		t.Fatalf("Len after remove = %d, want 1", r.Len())
+	if _, ok := sch.remove(id); ok {
+		t.Fatal("double remove succeeded")
+	}
+	if _, _, ok := sch.acquire(id); ok {
+		t.Fatal("acquire found a removed session")
+	}
+	if n := sch.openSessions(); n != 1 {
+		t.Fatalf("openSessions after remove = %d, want 1", n)
 	}
 }
 
-// TestRegistryIDsUniqueUnderContention allocates IDs from many goroutines
-// and asserts no duplicates: the atomic counter is the whole story, no
-// lock required.
-func TestRegistryIDsUniqueUnderContention(t *testing.T) {
-	r := NewRegistry(8)
+// TestSessionTableIDsUniqueUnderContention allocates IDs from many
+// goroutines and asserts no duplicates.
+func TestSessionTableIDsUniqueUnderContention(t *testing.T) {
+	sch := newScheduler(nil, 0)
 	const goroutines, per = 16, 200
 	var wg sync.WaitGroup
 	ids := make([][]int64, goroutines)
@@ -65,7 +61,7 @@ func TestRegistryIDsUniqueUnderContention(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				ids[g] = append(ids[g], r.Add(nil))
+				ids[g] = append(ids[g], sch.add(nil))
 			}
 		}(g)
 	}
@@ -79,38 +75,49 @@ func TestRegistryIDsUniqueUnderContention(t *testing.T) {
 			seen[id] = true
 		}
 	}
-	if r.Len() != goroutines*per {
-		t.Fatalf("Len = %d, want %d", r.Len(), goroutines*per)
+	if n := sch.openSessions(); n != goroutines*per {
+		t.Fatalf("openSessions = %d, want %d", n, goroutines*per)
 	}
 }
 
-// TestRegistryAcquireRemoveChurn interleaves Acquire and Remove on fresh
-// IDs; under -race this exercises the closed-entry re-check that keeps a
-// request that looked a session up just before removal from being served
-// after the session is closed.
-func TestRegistryAcquireRemoveChurn(t *testing.T) {
-	r := NewRegistry(2)
+// TestSessionTableAcquireRemoveChurn interleaves a lookup (acquire), a
+// unary step's admission (enter) and remove on fresh IDs; under -race
+// this exercises the closed-entry re-check that keeps a request that
+// looked a session up just before removal from being served after the
+// session is closed.
+func TestSessionTableAcquireRemoveChurn(t *testing.T) {
+	sch := newScheduler(nil, 0)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				id := r.Add(nil)
+				id := sch.add(nil)
 				var inner sync.WaitGroup
-				inner.Add(2)
+				inner.Add(3)
 				go func() {
 					defer inner.Done()
-					if _, release, ok := r.Acquire(id); ok {
+					if _, release, ok := sch.acquire(id); ok {
 						release()
 					}
 				}()
 				go func() {
 					defer inner.Done()
-					r.Remove(id)
+					if e, err := sch.enter(id); err == nil {
+						if e.closed {
+							t.Error("a step was admitted on a closed session")
+						}
+						e.mu.Unlock()
+						sch.inflight.Done()
+					}
+				}()
+				go func() {
+					defer inner.Done()
+					sch.remove(id)
 				}()
 				inner.Wait()
-				if _, _, ok := r.Acquire(id); ok {
+				if _, _, ok := sch.acquire(id); ok {
 					t.Error("acquired a removed session")
 					return
 				}
@@ -118,12 +125,15 @@ func TestRegistryAcquireRemoveChurn(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	if st := sch.Stats(); st.QueueDepth != 0 {
+		t.Fatalf("queue depth %d after churn, want 0", st.QueueDepth)
+	}
 }
 
 // TestServeConcurrentSessions hammers one server with parallel
 // create/prefill/attend-only step/step/close cycles across many
 // goroutines plus concurrent stats polling. Run under -race this is the
-// regression for the sharded-registry refactor.
+// regression for the session table: every request shares its mutex.
 func TestServeConcurrentSessions(t *testing.T) {
 	_, ts, m := testServer(t)
 	mc := m.Config()
@@ -205,7 +215,7 @@ func TestServeConcurrentSessions(t *testing.T) {
 }
 
 // TestServerCloseDrainsAllSessions verifies Close closes every live
-// session exactly once and leaves the registry empty.
+// session exactly once and leaves the session table empty.
 func TestServerCloseDrainsAllSessions(t *testing.T) {
 	srv, ts, _ := testServer(t)
 	for i := 0; i < 5; i++ {
@@ -215,14 +225,14 @@ func TestServerCloseDrainsAllSessions(t *testing.T) {
 			t.Fatalf("create %d: status %d", i, code)
 		}
 	}
-	if srv.Service().Registry().Len() != 5 {
-		t.Fatalf("registry holds %d sessions, want 5", srv.Service().Registry().Len())
+	if n := srv.Service().Healthz().OpenSessions; n != 5 {
+		t.Fatalf("table holds %d sessions, want 5", n)
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	if srv.Service().Registry().Len() != 0 {
-		t.Fatalf("registry holds %d sessions after Close", srv.Service().Registry().Len())
+	if n := srv.Service().Healthz().OpenSessions; n != 0 {
+		t.Fatalf("table holds %d sessions after Close", n)
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatalf("second close: %v", err)
